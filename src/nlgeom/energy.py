@@ -6,10 +6,27 @@ Every double integral here is evaluated in the shifted-overlap form
 
 so the kernel's singular factor lives in a low-dimensional radial-angular
 quadrature while the overlap factor is an exact lattice computation on a
-working grid.  Quadrature nodes z are snapped to lattice offsets (the kernel
-value itself is kept at the exact node); nodes inside the central cell snap
-to the zero offset and contribute nothing, which matches the vanishing of
-the |u(y)-u(x)| factor on the diagonal.
+working grid.  Quadrature nodes z are binned to lattice offsets by
+:func:`kernels.lattice_stencil` (the kernel value itself is kept at the
+exact node); nodes inside the central cell snap to the zero offset and
+contribute nothing, which matches the vanishing of the |u(y)-u(x)| factor on
+the diagonal.  One stencil is built per public call.
+
+Binary fields -- every value and the outside fill in {0, 1}, as for
+indicators, superlevel sets and the window -- take the fast path.  For 0/1
+values |s - t| = s(1 - t) + t(1 - s), so the overlap at each offset o is a
+sum of pair counts C_fg(o) = sum_x f(x) g(x + o), and one FFT correlation
+gives them for every offset at once (3 forward and 2 inverse real
+transforms, padded so no offset wraps around).  The counts are integers:
+each is checked to lie within 0.25 of one and rounded, so it equals the
+count the per-offset sweep adds up, and the energies match that sweep bit
+for bit.  Other phase fields take the general path, one full-grid sweep per
+offset.
+
+The exact counts are also why the nonnegativity guard of
+:class:`EnergyBreakdown` needs no tolerance: each term is a sum of
+nonnegative weights times nonnegative integers, so transform roundoff never
+reaches it.
 """
 
 from __future__ import annotations
@@ -18,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from . import anisotropy as aniso_mod
 from . import kernels
@@ -56,21 +74,6 @@ class EnergyBreakdown:
 # lattice plumbing
 
 
-def _offset_weights(kernel: Kernel, grid: Box, zg=None):
-    """Integer lattice offsets with accumulated quadrature weight * K."""
-    if zg is None:
-        zg = kernels.zgrid(kernel)
-    h = grid.spacing
-    kvals = kernels.evaluate(kernel, zg.nodes)
-    w = zg.weights * kvals
-    off = np.rint(zg.nodes / h).astype(np.int64)
-    uniq, inv = np.unique(off, axis=0, return_inverse=True)
-    acc = np.zeros(len(uniq))
-    np.add.at(acc, inv, w)
-    keep = np.any(uniq != 0, axis=1) & (acc != 0.0)
-    return uniq[keep], acc[keep]
-
-
 def _shifted(values: np.ndarray, off, fill: float) -> np.ndarray:
     """values evaluated at index + off, constant fill beyond the box."""
     d = values.ndim
@@ -92,33 +95,91 @@ def _shifted(values: np.ndarray, off, fill: float) -> np.ndarray:
     return out
 
 
-def _tv_terms(u: np.ndarray, outside: float, omega: np.ndarray, kernel: Kernel,
-              grid: Box, zg=None) -> tuple[float, float, float]:
-    """(J1, J2, err): interior and cross shifted-overlap sums.
+def _fft_size(shape, offsets) -> tuple[int, ...]:
+    """Per-axis transform length n + max|o|: no offset's count wraps around."""
+    reach = np.abs(offsets).max(axis=0)
+    return tuple(next_fast_len(int(n + r), real=True) for n, r in zip(shape, reach))
+
+
+def _counts_at(spectrum: np.ndarray, size, offsets) -> np.ndarray:
+    """Integer values at the offsets of the correlation with this spectrum."""
+    c = irfftn(spectrum, s=size)[tuple(offsets.T)]  # negative offsets wrap
+    counts = np.rint(c)
+    if np.any(np.abs(c - counts) > 0.25):
+        raise FloatingPointError("FFT pair counts lost integrality")
+    return counts + 0.0  # turn a rounded -0.0 into 0.0
+
+
+def _binary_pair_counts(u: np.ndarray, outside: float, omega: np.ndarray,
+                        offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-offset J1 and J2 pair counts of 0/1 values, by FFT correlation.
+
+    With a = omega, b = omega * u and v = u - outside (zero beyond the box),
+    a - b marks the window's 0 cells and b its 1 cells, so
+
+        J1 count(o) = C_{a-b,b}(o) + C_{a-b,b}(-o)
+        total(o)    = outside * sum a + (1 - 2 outside) * sum b + C_{a-2b,v}(o)
+
+    and the J2 count is total - J1 count.
+    """
+    a = omega.astype(float)
+    b = a * u
+    size = _fft_size(u.shape, offsets)
+    fb = rfftn(b, size)
+    fc = rfftn(a - b, size)
+    both = _counts_at(fc.conj() * fb, size, np.concatenate([offsets, -offsets]))
+    n1 = both[:len(offsets)] + both[len(offsets):]
+    fc -= fb
+    np.conjugate(fc, out=fc)
+    fc *= rfftn(u - outside, size)
+    total = outside * a.sum() + (1.0 - 2.0 * outside) * b.sum() \
+        + _counts_at(fc, size, offsets)
+    return n1, total - n1
+
+
+def _sweep_pair_counts(u: np.ndarray, outside: float, omega: np.ndarray,
+                       offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-offset J1 and J2 overlap sums, one full-grid sweep per offset."""
+    om = omega.astype(float)
+    n1 = np.empty(len(offsets))
+    n2 = np.empty(len(offsets))
+    for i, off in enumerate(offsets):
+        u_s = _shifted(u, off, outside)
+        om_s = _shifted(om, off, 0.0)
+        inner = np.abs(u_s - u) * om
+        n1[i] = np.sum(inner * om_s)
+        n2[i] = np.sum(inner * (1.0 - om_s))
+    return n1, n2
+
+
+def _is_binary(u: np.ndarray, outside: float) -> bool:
+    return outside in (0.0, 1.0) and bool(np.all((u == 0.0) | (u == 1.0)))
+
+
+def _tv_terms(u: np.ndarray, outside: float, omega: np.ndarray, offsets,
+              weights, grid: Box) -> tuple[float, float]:
+    """(J1, J2): interior and cross shifted-overlap sums over the stencil.
 
     J1 = 1/2 * sum over Omega x Omega of K |u(y)-u(x)|, J2 the Omega x
     complement sum (the complement includes the beyond-box region, where u
     takes its constant extension value and Omega does not reach).
     """
-    offsets, weights = _offset_weights(kernel, grid, zg)
+    if len(offsets) and _is_binary(u, outside):
+        n1, n2 = _binary_pair_counts(u, outside, omega, offsets)
+    else:
+        n1, n2 = _sweep_pair_counts(u, outside, omega, offsets)
     cell = float(np.prod(grid.spacing))
-    om = omega.astype(float)
-    j1_parts = np.empty(len(offsets))
-    j2_parts = np.empty(len(offsets))
-    for i, off in enumerate(offsets):
-        u_s = _shifted(u, off, outside)
-        om_s = _shifted(om, off, 0.0)
-        du = np.abs(u_s - u)
-        inner = du * om
-        j1_parts[i] = weights[i] * float(np.sum(inner * om_s))
-        j2_parts[i] = weights[i] * float(np.sum(inner * (1.0 - om_s)))
-    j1 = 0.5 * cell * float(np.sum(j1_parts))
-    j2 = cell * float(np.sum(j2_parts))
+    j1 = 0.5 * cell * float(np.sum(weights * n1))
+    j2 = cell * float(np.sum(weights * n2))
+    return j1, j2
+
+
+def _breakdown(j1: float, j2: float, kernel: Kernel, grid: Box) -> EnergyBreakdown:
     # quadrature error estimate: snapping displaces nodes by at most h/2
     h = float(np.max(grid.spacing))
     reach = kernel.effective_radius()
     err = (j1 + j2) * min(1.0, h / max(reach, h)) ** 2
-    return j1, j2, err
+    return EnergyBreakdown(j1, j2, err)
 
 
 def _omega_mask(omega: Shape | None, grid: Box) -> np.ndarray:
@@ -150,12 +211,13 @@ def coupling(E: Shape, F: Shape, kernel: Kernel, grid: Box) -> float:
     if not kernels.absolute_moment(kernel, 0.0).finite:
         if float(np.sum(chi_e * chi_f)) > 0.0:
             return math.inf
-    offsets, weights = _offset_weights(kernel, grid)
+    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
+    if len(offsets) == 0:
+        return 0.0
+    size = _fft_size(chi_e.shape, offsets)
+    spectrum = rfftn(chi_e, size).conj() * rfftn(chi_f, size)
     cell = float(np.prod(grid.spacing))
-    parts = np.empty(len(offsets))
-    for i, off in enumerate(offsets):
-        parts[i] = weights[i] * float(np.sum(chi_e * _shifted(chi_f, off, 0.0)))
-    return cell * float(np.sum(parts))
+    return cell * float(np.sum(weights * _counts_at(spectrum, size, offsets)))
 
 
 def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box,
@@ -169,8 +231,9 @@ def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box,
     """
     u = _indicator_values(E, grid)
     om = _omega_mask(omega, grid)
-    j1, j2, err = _tv_terms(u, 0.0, om, kernel, grid, zg)
-    return EnergyBreakdown(j1, j2, err)
+    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing, zg)
+    j1, j2 = _tv_terms(u, 0.0, om, offsets, weights, grid)
+    return _breakdown(j1, j2, kernel, grid)
 
 
 def nonlocal_tv(u: GridField, omega: Shape | None, kernel: Kernel,
@@ -179,8 +242,9 @@ def nonlocal_tv(u: GridField, omega: Shape | None, kernel: Kernel,
     if u.tag not in ("phase", "indicator"):
         raise EnergyDomainError("nonlocal TV expects a phase or indicator field")
     om = _omega_mask(omega, u.box)
-    j1, j2, err = _tv_terms(u.values, u.outside, om, kernel, u.box, zg)
-    return EnergyBreakdown(j1, j2, err)
+    offsets, weights = kernels.lattice_stencil(kernel, u.spacing, zg)
+    j1, j2 = _tv_terms(u.values, u.outside, om, offsets, weights, u.box)
+    return _breakdown(j1, j2, kernel, u.box)
 
 
 def rescaled_tv(u, omega: Shape | None, kernel: Kernel, eps: float,
@@ -244,8 +308,8 @@ def coarea_check(u: GridField, omega: Shape | None, kernel: Kernel,
     if u.tag not in ("phase", "indicator"):
         raise EnergyDomainError("coarea check expects phase values in [0,1]")
     om = _omega_mask(omega, u.box)
-    zg = kernels.zgrid(kernel)
-    j1, j2, _ = _tv_terms(u.values, u.outside, om, kernel, u.box, zg)
+    offsets, weights = kernels.lattice_stencil(kernel, u.spacing)
+    j1, j2 = _tv_terms(u.values, u.outside, om, offsets, weights, u.box)
     lhs = j1 + j2
     dt = 1.0 / nlevels
     rhs = 0.0
@@ -253,7 +317,7 @@ def coarea_check(u: GridField, omega: Shape | None, kernel: Kernel,
         t = (j + 0.5) * dt
         sup = superlevel(u, t + 0.5 * dt)
         vals = sup.field.values
-        pj1, pj2, _ = _tv_terms(vals, sup.field.outside, om, kernel, u.box, zg)
+        pj1, pj2 = _tv_terms(vals, sup.field.outside, om, offsets, weights, u.box)
         rhs += (pj1 + pj2) * dt
     return lhs, rhs, rhs - lhs
 
@@ -262,16 +326,16 @@ def submodularity_check(E: Shape, F: Shape, omega: Shape | None,
                         kernel: Kernel, grid: Box) -> float:
     """Per(E) + Per(F) - Per(E and F) - Per(E or F); claimed >= -1e-9 scale.
 
-    All four perimeters share one rasterization pass and one z-grid, so the
+    All four perimeters share one rasterization pass and one stencil, so the
     lattice identity min+max = sum holds cell by cell and the slack is
     nonnegative up to floating-point roundoff.
     """
     chi_e = _indicator_values(E, grid)
     chi_f = _indicator_values(F, grid)
     om = _omega_mask(omega, grid)
-    zg = kernels.zgrid(kernel)
+    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
     out = []
     for vals in (chi_e, chi_f, np.minimum(chi_e, chi_f), np.maximum(chi_e, chi_f)):
-        j1, j2, _ = _tv_terms(vals, 0.0, om, kernel, grid, zg)
+        j1, j2 = _tv_terms(vals, 0.0, om, offsets, weights, grid)
         out.append(j1 + j2)
     return out[0] + out[1] - out[2] - out[3]

@@ -223,13 +223,7 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
     zg = kernels.zgrid(
         k_eps, r_lo=0.5 * float(np.min(h_fine)), n_angular=256, panels_per_decade=6.0
     )
-    masses = zg.weights * kernels.evaluate(k_eps, zg.nodes)
-    cells = np.rint(zg.nodes / h_fine).astype(np.int64)
-    uniq, inv = np.unique(cells, axis=0, return_inverse=True)
-    binned = np.zeros(len(uniq))
-    np.add.at(binned, inv, masses)
-    keep = np.any(uniq != 0, axis=1) & (binned != 0.0)
-    offsets, weights = uniq[keep], binned[keep]
+    offsets, weights = kernels.lattice_stencil(k_eps, h_fine, zg)
     if len(offsets) == 0:
         raise FlowDomainError("the rescaled kernel hits no off-center cells")
     q0 = offsets[:, 0] // refine

@@ -452,6 +452,31 @@ def zgrid(
     return ZGrid(nodes, weights, radii, r_lo, r_hi, antipode)
 
 
+def lattice_stencil(kernel: Kernel, spacing, zg: ZGrid | None = None):
+    """Quadrature masses weight * K binned on the lattice with this spacing.
+
+    Each node of ``zg`` (by default the kernel's own z-grid) snaps to the
+    nearest integer offset; the kernel value is taken at the exact node.
+    Returns ``(offsets, weights)``: the distinct nonzero offsets in
+    lexicographic order, shape (m, d), and their accumulated masses.  The
+    zero offset and bins whose masses cancel to 0 are dropped.
+    """
+    if zg is None:
+        zg = zgrid(kernel)
+    masses = zg.weights * evaluate(kernel, zg.nodes)
+    off = np.rint(zg.nodes / np.asarray(spacing, dtype=float)).astype(np.int64)
+    lo = off.min(axis=0)
+    dims = tuple(off.max(axis=0) - lo + 1)
+    # row-major keys sort like the offset rows themselves
+    keys, inv = np.unique(np.ravel_multi_index(tuple((off - lo).T), dims),
+                          return_inverse=True)
+    acc = np.zeros(len(keys))
+    np.add.at(acc, inv, masses)
+    uniq = np.stack(np.unravel_index(keys, dims), axis=1) + lo
+    keep = np.any(uniq != 0, axis=1) & (acc != 0.0)
+    return uniq[keep], acc[keep]
+
+
 # --------------------------------------------------------------------------
 # moments
 

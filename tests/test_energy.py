@@ -331,3 +331,98 @@ def test_bv_upper_bound_for_rectangles():
     )  # int K |z| >= int K (1 and |z|) on support < 1
     got = energy.perimeter_k(rect, None, K_QUARTER, grid).total
     assert got <= (area + 0.5 * per) * bound_kernel + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# FFT pair counts against the per-offset sweep and a brute-force double sum
+
+
+def _brute_tv(u, outside, omega, offsets, weights, cell):
+    """O(N^2) double sum over cell pairs, plus the beyond-box pairs."""
+    w = {tuple(o): wt for o, wt in zip(offsets.tolist(), weights)}
+    shape = u.shape
+    cells = list(np.ndindex(*shape))
+    j1 = j2 = 0.0
+    for x in cells:
+        if not omega[x]:
+            continue
+        for y in cells:
+            wt = w.get(tuple(np.subtract(y, x)), 0.0)
+            du = abs(u[y] - u[x])
+            if omega[y]:
+                j1 += 0.5 * wt * du
+            else:
+                j2 += wt * du
+        beyond = sum(
+            wt for o, wt in w.items()
+            if not all(0 <= xi + oi < n for xi, oi, n in zip(x, o, shape))
+        )
+        j2 += beyond * abs(outside - u[x])
+    return cell * j1, cell * j2
+
+
+@pytest.mark.parametrize("outside", [0.0, 1.0])
+def test_fft_counts_match_sweep_and_brute_force(outside):
+    n = 12
+    grid = Box.cube(1.0, n)
+    # support radius 2.2 reaches 13 cells: offsets with |o| >= n are included
+    kernel = kernels.ball_indicator(2, 2.2)
+    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
+    assert np.abs(offsets).max() >= n
+    cell = float(np.prod(grid.spacing))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        u = rng.integers(0, 2, (n, n)).astype(float)
+        omega = rng.random((n, n)) < 0.6
+        fft = energy._binary_pair_counts(u, outside, omega, offsets)
+        sweep = energy._sweep_pair_counts(u, outside, omega, offsets)
+        for f, s in zip(fft, sweep):
+            assert np.array_equal(f, s)
+            assert not np.signbit(f).any()  # no -0.0 from rounding
+        j1, j2 = energy._tv_terms(u, outside, omega, offsets, weights, grid)
+        assert j1 == 0.5 * cell * float(np.sum(weights * sweep[0]))
+        assert j2 == cell * float(np.sum(weights * sweep[1]))
+        b1, b2 = _brute_tv(u, outside, omega, offsets, weights, cell)
+        assert j1 == pytest.approx(b1, rel=1e-12)
+        assert j2 == pytest.approx(b2, rel=1e-12)
+
+
+def test_coupling_fft_matches_shifted_sum():
+    n = 12
+    grid = Box.cube(1.0, n)
+    kernel = kernels.ball_indicator(2, 2.2)
+    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
+    e = Ball((-0.3, 0.1), 0.5)
+    f = AxisBox((-0.2, -0.6), (0.7, 0.4))
+    chi_e = rasterize(e, grid).values
+    chi_f = rasterize(f, grid).values
+    counts = [np.sum(chi_e * energy._shifted(chi_f, o, 0.0)) for o in offsets]
+    want = float(np.prod(grid.spacing)) * float(np.sum(weights * np.array(counts)))
+    assert energy.coupling(e, f, kernel, grid) == want
+
+
+def test_empty_stencil_gives_zero():
+    grid = Box.cube(1.0, 32)
+    tiny = kernels.ball_indicator(2, 0.2 * float(grid.spacing[0]))
+    offsets, weights = kernels.lattice_stencil(tiny, grid.spacing)
+    assert offsets.shape == (0, 2) and len(weights) == 0
+    disk = Ball((0.0, 0.0), 0.5)
+    assert energy.perimeter_k(disk, None, tiny, grid).total == 0.0
+    assert energy.nonlocal_tv(rasterize(disk, grid), None, tiny).total == 0.0
+    assert energy.coupling(disk, disk, tiny, grid) == 0.0
+
+
+def test_phase_field_takes_sweep_path(monkeypatch):
+    grid = Box.cube(1.0, 64)
+    cc = grid.centers()
+    u = GridField(grid, np.clip(cc[..., 0] + 0.5, 0.0, 1.0), tag="phase")
+    assert len(np.unique(u.values)) > 2
+
+    def no_fft(*args):
+        raise AssertionError("phase field reached the binary FFT path")
+
+    monkeypatch.setattr(energy, "_binary_pair_counts", no_fft)
+    bd = energy.nonlocal_tv(u, Ball((0.0, 0.0), 0.8), K_QUARTER)
+    # pinned values of the per-offset sweep
+    assert bd.j1 == pytest.approx(0.014170174011971246, rel=1e-12)
+    assert bd.j2 == pytest.approx(0.002382886980603751, rel=1e-12)

@@ -112,6 +112,28 @@ def test_zgrid_needs_truncation():
         kernels.zgrid(kernels.fractional(2, 0.5, math.inf))
 
 
+@pytest.mark.parametrize("kernel,h,n_angular", [
+    (kernels.ball_indicator(2, 0.25), 2.0 / 96, None),
+    (kernels.rescale(kernels.ball_indicator(2), 0.4), 2.2 / 288, None),
+    (kernels.rescale(kernels.ball_indicator(2), 0.05), 2.2 / 288, None),
+    (kernels.rescale(kernels.fractional(2, 0.5, 1.0), 0.2), 2.0 / 768, 256),
+    (kernels.gaussian(3, 0.3), 0.1, None),
+])
+def test_lattice_stencil_matches_row_binning(kernel, h, n_angular):
+    # reference: the same snapping binned by rows with np.unique(axis=0)
+    zg = kernels.zgrid(kernel, n_angular=n_angular)
+    spacing = np.full(kernel.d, h)
+    masses = zg.weights * kernels.evaluate(kernel, zg.nodes)
+    off = np.rint(zg.nodes / spacing).astype(np.int64)
+    uniq, inv = np.unique(off, axis=0, return_inverse=True)
+    acc = np.zeros(len(uniq))
+    np.add.at(acc, inv.ravel(), masses)
+    keep = np.any(uniq != 0, axis=1) & (acc != 0.0)
+    offsets, weights = kernels.lattice_stencil(kernel, spacing, zg)
+    assert np.array_equal(offsets, uniq[keep])
+    assert np.array_equal(weights, acc[keep])
+
+
 def test_hyperplane_moment_matrix_structure():
     k2 = kernels.ball_indicator(2)
     M = kernels.hyperplane_moment_matrix(k2, E1)
