@@ -5,10 +5,9 @@ For a kernel K with finite first moment the direction-dependent weight
     sigma(p) = (1/2) * integral K(z) |z . p| dz
 
 is a norm; its gradient is the half-space first moment of K and its Hessian
-is the hyperplane second-moment matrix scaled by 1/|p|.  The module keeps a
-direction table on the unit sphere and extends by homogeneity.  All built-in
-kernel families are radial, so the radial-angular factorization evaluates
-the table entries essentially to machine precision.
+is the hyperplane second-moment matrix scaled by 1/|p|.  Every built-in
+kernel family is radial, so the radial-angular factorization gives
+sigma(p) = c |p| with one coefficient c, computed once per kernel.
 """
 
 from __future__ import annotations
@@ -33,12 +32,10 @@ _ANGULAR_ABS = {1: 2.0, 2: 4.0, 3: 2.0 * math.pi}
 
 @dataclass(frozen=True)
 class Anisotropy:
-    """sigma_K with a cached unit-sphere direction table."""
+    """sigma_K(p) = coef * |p| for a radial kernel K."""
 
     kernel: Kernel
-    n_table: int = 64
-    _table: np.ndarray = field(init=False, repr=False)
-    _angles: np.ndarray = field(init=False, repr=False)
+    coef: float = field(init=False)
 
     def __post_init__(self):
         k = self.kernel
@@ -50,44 +47,24 @@ class Anisotropy:
         # radial-angular factorization: one radial moment serves every
         # direction (all supported families are radial)
         coef = 0.5 * _ANGULAR_ABS[k.d] * float(kernels._radial_moment(k, k.d))
-        angles = 2 * math.pi * np.arange(self.n_table) / self.n_table
-        object.__setattr__(self, "_angles", angles)
-        object.__setattr__(self, "_table", np.full(self.n_table, coef))
+        object.__setattr__(self, "coef", coef)
 
     @property
     def d(self) -> int:
         return self.kernel.d
 
-    def direction_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(angles, sigma values) backing the homogeneous extension (d=2)."""
-        return self._angles.copy(), self._table.copy()
-
-    def _unit_value(self, p_hat: np.ndarray) -> float:
-        if self.d != 2:
-            return float(self._table[0])
-        theta = math.atan2(p_hat[1], p_hat[0]) % (2 * math.pi)
-        step = 2 * math.pi / self.n_table
-        i = int(theta // step) % self.n_table
-        t = (theta - self._angles[i]) / step
-        j = (i + 1) % self.n_table
-        return float((1 - t) * self._table[i] + t * self._table[j])
-
     def value(self, p) -> float:
         p = np.asarray(p, dtype=float)
-        norm = float(np.linalg.norm(p))
-        if norm == 0.0:
-            return 0.0
-        return norm * self._unit_value(p / norm)
+        return self.coef * float(np.linalg.norm(p))
 
     def gradient(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         norm = float(np.linalg.norm(p))
         if norm == 0.0:
             raise AnisotropyDomainError("sigma is not differentiable at p = 0")
-        p_hat = p / norm
         # half-space first moment: the tangential part cancels for even K,
         # leaving sigma(p_hat) along the direction itself
-        return self._unit_value(p_hat) * p_hat
+        return self.coef * (p / norm)
 
     def hessian(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -101,13 +78,11 @@ class Anisotropy:
         """Vectorized sigma over an array of vectors (trailing axis = d)."""
         pts = np.asarray(points, dtype=float)
         norms = np.linalg.norm(pts, axis=-1)
-        # radial table: constant coefficient; keep the table lookup only for
-        # the scalar path so array evaluation stays cheap
-        return norms * float(self._table[0])
+        return norms * self.coef
 
 
-def build(kernel: Kernel, n_table: int = 64) -> Anisotropy:
-    return Anisotropy(kernel, n_table)
+def build(kernel: Kernel) -> Anisotropy:
+    return Anisotropy(kernel)
 
 
 # --------------------------------------------------------------------------

@@ -947,7 +947,7 @@ def _traj_csv(name: str, traj) -> CsvArtifact:
     return CsvArtifact(
         name,
         ("t", "zero_level_area", "max_lipschitz", "holder_stat"),
-        flow.trajectory_rows(traj),
+        flow.monitors(traj).rows,
     )
 
 

@@ -147,6 +147,25 @@ class GridField:
         return tuple(int(i) for i in idx)
 
 
+def check_constant_ring(u: GridField, error: type[Exception]) -> None:
+    """Raise ``error`` unless the boundary cells sit at the extension value.
+
+    The tolerance is 1e-9 of the field's value range.
+    """
+    vals = u.values
+    scale = max(float(np.ptp(vals)), 1e-30)
+    ring = []
+    for axis in range(vals.ndim):
+        ring.append(np.take(vals, 0, axis=axis).ravel())
+        ring.append(np.take(vals, -1, axis=axis).ravel())
+    gap = float(np.max(np.abs(np.concatenate(ring) - u.outside)))
+    if gap > 1e-9 * scale:
+        raise error(
+            "the field must match its constant extension on the window boundary "
+            f"(max boundary gap {gap:.3g})"
+        )
+
+
 # --------------------------------------------------------------------------
 # shapes
 
@@ -665,10 +684,3 @@ def load_field(path) -> GridField:
         vals = np.loadtxt(fh).reshape(res)
     box = Box(origin, size, res)
     return GridField(box, vals, tag=header["tag"], outside=float(header["outside"]))
-
-
-def slice_to_csv(samples: SliceSamples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(samples.t, samples.values):
-            fh.write("%.17g,%.17g\n" % (t, v))

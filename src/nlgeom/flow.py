@@ -1,6 +1,8 @@
 """Explicit level-set schemes for kernel curvature flow and its local limit.
 
-Two front-tracking-free schemes evolve a level-set field phi on a grid:
+``evolve`` is the one runner: it applies an explicit update to a level-set
+field phi on a grid, step after step, and records snapshots and monitors.
+Two updates are available:
 
 * ``local``: phi gains ``dt * tr(M(g_hat) D2phi)`` per step, the anisotropic
   mean-curvature speed written with the hyperplane second-moment matrix of
@@ -18,23 +20,23 @@ Two front-tracking-free schemes evolve a level-set field phi on a grid:
   counting zero, which extends the antipodal cancellation at the center
   cell to every tied pair and keeps halfspace data exactly stationary.
 
-Both schemes freeze cells whose gradient falls below a floor, so fields
+Both updates freeze cells whose gradient falls below a floor, so fields
 that are constant near the window boundary stay constant there and the
-beyond-box extension never interferes.
+beyond-box extension never interferes.  ``monitors`` reduces a trajectory
+to per-snapshot rows of the flow's a-priori estimates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
-from .anisotropy import Anisotropy
-from .fields import GridField
+from .fields import GridField, check_constant_ring
 from .kernels import Kernel
 
 SCHEMES = ("local", "nonlocal")
@@ -48,59 +50,15 @@ class FlowBlowUpError(RuntimeError):
     """The evolved field outgrew the configured range factor; run aborted."""
 
 
-# --------------------------------------------------------------------------
-# state
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """A level-set field together with its clock and stepping parameters.
-
-    ``gradient_floor=None`` means the default floor 1e-6 * (value range),
-    recomputed from the current field at each step.  ``eps`` records the
-    concentration parameter of nonlocal runs.
-    """
-
-    field: GridField
-    t: float = 0.0
-    dt: float | None = None
-    gradient_floor: float | None = None
-    eps: float | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise FlowDomainError("time must be finite")
-        if self.dt is not None and not self.dt > 0.0:
-            raise FlowDomainError("dt must be positive")
-        if self.gradient_floor is not None and self.gradient_floor < 0.0:
-            raise FlowDomainError("gradient floor must be nonnegative")
-        if self.eps is not None and not self.eps > 0.0:
-            raise FlowDomainError("eps must be positive")
-
-
 def _require_2d(field: GridField) -> None:
     if field.d != 2:
         raise FlowDomainError("the level-set schemes are two-dimensional")
 
 
-def _check_constant_ring(u: GridField) -> None:
-    """Initial data must already sit at its extension value on the boundary."""
-    vals = u.values
-    scale = max(float(np.ptp(vals)), 1e-30)
-    ring = []
-    for axis in range(vals.ndim):
-        ring.append(np.take(vals, 0, axis=axis).ravel())
-        ring.append(np.take(vals, -1, axis=axis).ravel())
-    gap = float(np.max(np.abs(np.concatenate(ring) - u.outside)))
-    if gap > 1e-9 * scale:
-        raise FlowDomainError(
-            "initial datum must be constant near the window boundary "
-            f"(max boundary gap {gap:.3g})"
-        )
-
-
 def _floor_for(values: np.ndarray, configured: float | None) -> float:
     if configured is not None:
+        if not configured >= 0.0:
+            raise FlowDomainError("gradient floor must be nonnegative")
         return configured
     return 1e-6 * float(np.ptp(values))
 
@@ -150,9 +108,9 @@ def dt_bound(kappa: float, box) -> float:
     return 0.25 * h * h / kappa
 
 
-def _check_dt(dt: float | None, bound: float) -> float:
-    if dt is None:
-        raise FlowDomainError("set dt before stepping (see dt_bound)")
+def _check_dt(dt: float, bound: float) -> float:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise FlowDomainError("dt must be finite and positive")
     if dt > bound * (1.0 + 1e-9):
         raise FlowDomainError(
             f"dt = {dt:.3g} violates the parabolic stability bound {bound:.3g}"
@@ -161,7 +119,7 @@ def _check_dt(dt: float | None, bound: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# single steps
+# updates
 
 
 def _step_local_values(values, outside, h, kappa, dt, floor):
@@ -282,28 +240,12 @@ def _sub_shift(padded: np.ndarray, refine: int, f0: int, f1: int, order: int):
     return sum(w[j] * rows[:, j:rows.shape[1] - 3 + j] for j in range(4) if w[j])
 
 
-def _quantize(padded: np.ndarray, levels: int) -> np.ndarray:
-    """Snap values to the centers of ``levels`` equal buckets (shared
-    superlevel thresholds within a bucket; a documented approximation)."""
-    lo = float(padded.min())
-    hi = float(padded.max())
-    if hi <= lo:
-        return padded
-    width = (hi - lo) / levels
-    idx = np.clip(np.floor((padded - lo) / width), 0, levels - 1)
-    return lo + (idx + 0.5) * width
-
-
-def _step_nonlocal_values(values, outside, h, stamp, eps, dt, floor, levels):
+def _step_nonlocal_values(values, outside, h, stamp, eps, dt, floor):
     n0, n1 = values.shape
     L0, L1 = stamp.pad
     refine = stamp.refine
     P = np.pad(values, ((L0, L0), (L1, L1)), constant_values=outside)
-    if levels is not None:
-        P = _quantize(P, levels)
-    core = P[L0:L0 + n0, L1:L1 + n1]
-    out_eff = float(P[0, 0])
-    cgx, cgy = _gradient(core, out_eff, h)
+    cgx, cgy = _gradient(values, outside, h)
     # half the value range a linear field spans across one stamp cell
     wf = 0.5 * (np.abs(cgx) * h[0] + np.abs(cgy) * h[1]) / refine
     W = np.pad(wf, ((L0, L0), (L1, L1)), constant_values=0.0)
@@ -316,64 +258,14 @@ def _step_nonlocal_values(values, outside, h, stamp, eps, dt, floor, levels):
         bw = sliding_window_view(B, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
         ww = sliding_window_view(Wc, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
         spread = ww > 0.0
-        soft = np.clip((core[None] - vw) / np.where(spread, ww, 1.0), -1.0, 1.0)
+        soft = np.clip((values[None] - vw) / np.where(spread, ww, 1.0), -1.0, 1.0)
         # plateaus: plain sign of the bilinear value (the cubic stencil can
         # manufacture tiny extrema at kinks, which a hard sign would amplify)
-        chi = np.where(spread, soft, np.sign(core[None] - bw))
+        chi = np.where(spread, soft, np.sign(values[None] - bw))
         hk += np.tensordot(wts, chi, axes=(0, 0))
-    gx, gy = _gradient(values, outside, h)
-    gmag = np.sqrt(gx * gx + gy * gy)
+    gmag = np.sqrt(cgx * cgx + cgy * cgy)
     active = (gmag >= floor) & (gmag > 0.0)
     return values - dt * np.where(active, gmag * hk / eps, 0.0)
-
-
-def step_local(state: FlowState, anisotropy: Anisotropy) -> FlowState:
-    """One explicit step of the limit anisotropic curvature flow."""
-    _require_2d(state.field)
-    kappa = float(
-        np.linalg.eigvalsh(anisotropy.hessian(np.array([1.0, 0.0]))).max()
-    )
-    if not kappa > 0.0:
-        raise FlowDomainError("anisotropy has no curvature response")
-    dt = _check_dt(state.dt, dt_bound(kappa, state.field.box))
-    vals = _step_local_values(
-        state.field.values,
-        state.field.outside,
-        state.field.box.spacing,
-        kappa,
-        dt,
-        _floor_for(state.field.values, state.gradient_floor),
-    )
-    return replace(state, field=state.field.with_values(vals), t=state.t + dt)
-
-
-def step_nonlocal(
-    state: FlowState,
-    kernel: Kernel,
-    eps: float | None = None,
-    quantize_levels: int | None = None,
-) -> FlowState:
-    """One explicit step of the rescaled superlevel-set curvature flow."""
-    _require_2d(state.field)
-    if eps is None:
-        eps = state.eps
-    if eps is None or not eps > 0.0:
-        raise FlowDomainError("nonlocal steps need a positive eps")
-    dt = _check_dt(state.dt, dt_bound(curvature_coefficient(kernel), state.field.box))
-    stamp = _build_stamp(kernel, eps, state.field.box)
-    vals = _step_nonlocal_values(
-        state.field.values,
-        state.field.outside,
-        state.field.box.spacing,
-        stamp,
-        eps,
-        dt,
-        _floor_for(state.field.values, state.gradient_floor),
-        quantize_levels,
-    )
-    return replace(
-        state, field=state.field.with_values(vals), t=state.t + dt, eps=float(eps)
-    )
 
 
 # --------------------------------------------------------------------------
@@ -453,7 +345,6 @@ def evolve(
     n_snapshots: int = 8,
     gradient_floor: float | None = None,
     blowup_factor: float = 10.0,
-    quantize_levels: int | None = None,
 ) -> Trajectory:
     """Run an explicit level-set evolution and collect snapshots + monitors.
 
@@ -464,7 +355,7 @@ def evolve(
     aborts the run.
     """
     _require_2d(u0)
-    _check_constant_ring(u0)
+    check_constant_ring(u0, FlowDomainError)
     if scheme not in SCHEMES:
         raise FlowDomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if not (math.isfinite(T) and T >= 0.0):
@@ -520,9 +411,7 @@ def evolve(
         if scheme == "local":
             vals = _step_local_values(vals, outside, h, kappa, dt_run, floor)
         else:
-            vals = _step_nonlocal_values(
-                vals, outside, h, stamp, eps, dt_run, floor, quantize_levels
-            )
+            vals = _step_nonlocal_values(vals, outside, h, stamp, eps, dt_run, floor)
         top = float(np.max(np.abs(vals)))
         if top > limit:
             raise FlowBlowUpError(
@@ -547,40 +436,35 @@ def evolve(
 
 @dataclass(frozen=True)
 class FlowMonitorReport:
-    """Spatial Lipschitz constants per snapshot and the time-Hölder fit."""
-
-    times: tuple
-    spatial_lipschitz: tuple
-    holder_constant: float
-
-    def lipschitz_within(self, slack: float = 1.05) -> bool:
-        """Every snapshot constant stays below slack * the initial one."""
-        base = self.spatial_lipschitz[0]
-        return max(self.spatial_lipschitz) <= slack * base + 1e-15
-
-
-def monitors(trajectory: Trajectory) -> FlowMonitorReport:
-    """Discrete forms of the flow's a-priori estimates over the snapshots."""
-    lips = tuple(max_lipschitz(f) for f in trajectory.snapshots)
-    holder = 0.0
-    ts = trajectory.times
-    fields = trajectory.snapshots
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            gap = ts[j] - ts[i]
-            if gap <= 0.0:
-                continue
-            diff = float(np.max(np.abs(fields[j].values - fields[i].values)))
-            holder = max(holder, diff / math.sqrt(gap))
-    return FlowMonitorReport(ts, lips, holder)
-
-
-def trajectory_rows(trajectory: Trajectory) -> tuple:
-    """Per-snapshot (t, zero_level_area, max_lipschitz, holder_stat) rows.
+    """Per-snapshot ``(t, zero_level_area, max_lipschitz, holder_stat)`` rows.
 
     ``holder_stat`` is the running Hölder quotient: the largest
     |u(t)-u(s)| / sqrt(t-s) against any earlier snapshot s.
     """
+
+    rows: tuple
+
+    @property
+    def times(self) -> tuple:
+        return tuple(r[0] for r in self.rows)
+
+    @property
+    def spatial_lipschitz(self) -> tuple:
+        return tuple(r[2] for r in self.rows)
+
+    @property
+    def holder_constant(self) -> float:
+        """Largest Hölder quotient over all snapshot pairs."""
+        return max(r[3] for r in self.rows)
+
+    def lipschitz_within(self, slack: float = 1.05) -> bool:
+        """Every snapshot constant stays below slack * the initial one."""
+        lips = self.spatial_lipschitz
+        return max(lips) <= slack * lips[0] + 1e-15
+
+
+def monitors(trajectory: Trajectory) -> FlowMonitorReport:
+    """Discrete forms of the flow's a-priori estimates over the snapshots."""
     ts = trajectory.times
     fields = trajectory.snapshots
     rows = []
@@ -593,7 +477,7 @@ def trajectory_rows(trajectory: Trajectory) -> tuple:
             diff = float(np.max(np.abs(f.values - fields[i].values)))
             stat = max(stat, diff / math.sqrt(gap))
         rows.append((t, zero_level_area(f), max_lipschitz(f), stat))
-    return tuple(rows)
+    return FlowMonitorReport(tuple(rows))
 
 
 # --------------------------------------------------------------------------
@@ -627,5 +511,6 @@ def shrinking_circle_datum(
     inner = np.where(a <= band - 2.0 * w, a, flat - (band - a) ** 2 / (4.0 * w))
     vals = np.sign(s) * np.where(a >= band, flat, inner)
     field = GridField(box, vals, "level-set", -flat)
-    _check_constant_ring(field)  # the lower plateau must close inside the box
+    # the lower plateau must close inside the box
+    check_constant_ring(field, FlowDomainError)
     return field

@@ -125,10 +125,6 @@ class Kernel:
     # -- structural metadata ------------------------------------------------
 
     @property
-    def radial(self) -> bool:
-        return True  # every supported family is radial
-
-    @property
     def singular(self) -> bool:
         """True when K blows up at the origin."""
         return self.sigma > 0.0 and self.family in (
@@ -921,7 +917,3 @@ def _curvature_set_checks(kernel: Kernel) -> list[CheckResult]:
         )
     )
     return out
-
-
-def satisfies(kernel: Kernel, assumption_set: str) -> bool:
-    return validate(kernel, assumption_set).passed

@@ -20,7 +20,7 @@ from scipy import ndimage
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from . import kernels
-from .fields import GridField
+from .fields import GridField, check_constant_ring
 from .kernels import Kernel
 
 
@@ -251,21 +251,6 @@ class RateValue:
         return (self.f_0 - self.f_eps) / (self.eps * self.eps)
 
 
-def _check_flat_outside(u: GridField) -> None:
-    vals = u.values
-    scale = max(float(np.ptp(vals)), 1e-30)
-    ring = []
-    for axis in range(vals.ndim):
-        ring.append(np.take(vals, 0, axis=axis).ravel())
-        ring.append(np.take(vals, -1, axis=axis).ravel())
-    gap = float(np.max(np.abs(np.concatenate(ring) - u.outside)))
-    if gap > 1e-9 * scale:
-        raise RateDomainError(
-            "the field must match its constant extension on the window boundary "
-            f"(max boundary gap {gap:.3g})"
-        )
-
-
 def _expanded_centers(u: GridField, margin: float) -> tuple[np.ndarray, tuple]:
     h = u.spacing
     pads = [int(math.ceil(margin / h[i])) for i in range(u.d)]
@@ -288,23 +273,28 @@ def _z_nodes(G: Kernel, r_lo_frac: float, n_angular, panels_per_decade, order):
 
 
 class _SplineSampler:
-    """Cubic-spline view of a grid field, constant outside the window.
+    """Cubic-spline view of a grid field extended past the window.
 
     The multilinear interpolant has gradient jumps across every cell face,
     which a second-order defect quotient picks up as a spurious O(h/eps)
-    contribution; a C^2 interpolant does not.  The values are padded with
-    the outside constant, prefiltered once, and evaluated through
-    ``map_coordinates`` with ``prefilter=False``.  Queries must stay within
-    ``margin`` of the window (the pad keeps them clear of the stencil edge).
+    contribution; a C^2 interpolant does not.  The values are padded by
+    ``pads`` cells per axis (``pad_mode`` goes to ``np.pad``), prefiltered
+    once, and evaluated through ``map_coordinates`` with ``prefilter=False``.
+    Queries must stay inside the pad, clear of the stencil edge.
     """
 
-    def __init__(self, u: GridField, margin: float):
+    def __init__(self, u: GridField, pads: Sequence[int], **pad_mode):
         h = u.spacing
-        pads = tuple(int(math.ceil(margin / h[i])) + 4 for i in range(u.d))
-        padded = np.pad(u.values, [(p, p) for p in pads], constant_values=u.outside)
+        padded = np.pad(u.values, [(p, p) for p in pads], **pad_mode)
         self._coeffs = ndimage.spline_filter(padded, order=3, mode="nearest")
         self._origin = np.asarray(u.box.origin, dtype=float) - np.asarray(pads) * h
         self._h = h
+
+    @classmethod
+    def constant(cls, u: GridField, margin: float) -> "_SplineSampler":
+        """Pad with the outside constant, clear of ``margin`` plus the stencil."""
+        pads = tuple(int(math.ceil(margin / u.spacing[i])) + 4 for i in range(u.d))
+        return cls(u, pads, constant_values=u.outside)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -360,7 +350,7 @@ def rate_ddim(
         raise RateDomainError("grid rate energies support d in {2, 3}")
     if eps <= 0:
         raise RateDomainError("eps must be positive")
-    _check_flat_outside(u)
+    check_constant_ring(u, RateDomainError)
     if np.ptp(u.values) == 0.0:
         # identically the extension constant: every difference vanishes
         return RateValue(eps, 0.0, 0.0)
@@ -369,7 +359,7 @@ def rate_ddim(
     delta = 1e-3 * float(np.min(u.spacing))
 
     reach = eps * float(rs.max())
-    spl = _SplineSampler(u, 2.0 * reach + delta)
+    spl = _SplineSampler.constant(u, 2.0 * reach + delta)
     pts, xw = _x_quadrature(u, reach, x_oversample)
     u_x = spl(pts)
     radial_w = ws * rs ** (u.d - 1) * kv
@@ -412,17 +402,7 @@ def rate_limit_ddim(
     kv = G.profile_at(rs)
     second_moment = float(np.sum(ws * rs ** (u.d + 1) * kv))
 
-    pad = 12
-    padded = np.pad(u.values, pad, mode="reflect", reflect_type="odd")
-    coeffs = ndimage.spline_filter(padded, order=3, mode="nearest")
-    origin = np.asarray(u.box.origin, dtype=float) - pad * u.spacing
-
-    def sample(pts):
-        coords = (pts - origin) / u.spacing - 0.5
-        return ndimage.map_coordinates(
-            coeffs, np.moveaxis(coords, -1, 0), order=3, prefilter=False, mode="nearest"
-        )
-
+    sample = _SplineSampler(u, (12,) * u.d, mode="reflect", reflect_type="odd")
     pts, xw = _x_quadrature(u, 0.0, x_oversample)
     delta = 1e-2 * float(np.min(u.spacing))
     u_x = sample(pts)
@@ -466,7 +446,7 @@ def slicing_check(
     """
     if u.d != 2:
         raise RateDomainError("the slice assembly cross-check runs in d=2")
-    _check_flat_outside(u)
+    check_constant_ring(u, RateDomainError)
     r_eff = G.effective_radius()
     rs, ws = kernels.gauss_log_panels(r_lo * r_eff, r_eff, 4.0, order)
     dirs, wa = kernels.angular_rule(2, n_angular)
@@ -478,7 +458,7 @@ def slicing_check(
     center = np.asarray(u.box.origin) + 0.5 * np.asarray(u.box.size)
     half_diag = 0.5 * float(np.linalg.norm(u.box.size))
     # one interpolant serves both sides; lines overshoot the window corners
-    spl = _SplineSampler(u, 2.0 * half_diag + eps * r_eff + delta)
+    spl = _SplineSampler.constant(u, 2.0 * half_diag + eps * r_eff + delta)
 
     pts, _ = _expanded_centers(u, eps * r_eff)
     u_x = spl(pts)

@@ -32,6 +32,15 @@ def test_sigma_radial_spread(ball_aniso):
     assert np.ptp(vals) < 1e-6
 
 
+def test_sigma_is_coefficient_times_norm(ball_aniso):
+    rng = np.random.default_rng(7)
+    c = ball_aniso.coef
+    for p in rng.standard_normal((1000, 2)) * rng.uniform(0.1, 10.0, (1000, 1)):
+        norm = float(np.linalg.norm(p))
+        assert ball_aniso.value(p) == c * norm
+        assert np.array_equal(ball_aniso.gradient(p), c * (p / norm))
+
+
 def test_fractional_sigma_closed_form():
     an = anisotropy.build(kernels.fractional(2, 0.5, 1.0))
     # (1/2) * 4 * int_0^1 r^2 r^{-2.5} dr = 2 * 2
