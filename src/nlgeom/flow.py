@@ -19,6 +19,11 @@ Two updates are available:
   scheme falls back to the plain sign of the bilinear value with ties
   counting zero, which extends the antipodal cancellation at the center
   cell to every tied pair and keeps halfspace data exactly stationary.
+  A step evaluates the stamp sum at active cells only.  It first builds
+  one table per interpolant holding the padded field shifted by every
+  sub-cell phase of the refined lattice; each (stamp offset, active cell)
+  pair then reads its values at a flat table index, and the sum adds one
+  phase's weighted indicators at a time, in the phases' sort order.
 
 Both updates freeze cells whose gradient falls below a floor, so fields
 that are constant near the window boundary stay constant there and the
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .fields import GridField, check_constant_ring
@@ -137,17 +141,26 @@ def _step_local_values(values, outside, h, kappa, dt, floor):
 
 @dataclass(frozen=True)
 class _Stamp:
-    """Kernel masses binned on a refined lattice, grouped by sub-cell shift.
+    """Kernel masses binned on a refined lattice, as flat phase-table offsets.
 
-    Each group carries one fractional shift (f0, f1) in units of h/refine
-    together with the integer parts and masses of its offsets; ``pad`` is
-    the constant-extension margin in whole cells, including the one-cell
-    slack the interpolation stencils need.
+    A stamp offset o = refine * q + f (0 <= f < refine per axis) reads the
+    field at whole-cell offset q, shifted by the sub-cell phase f / refine.
+    Each step stacks the padded field shifted by every phase into one table
+    per interpolant (``_phase_tables``); ``entries[k]`` is the flat table
+    index that offset k reads for cell (0, 0), so cell (i, j) reads
+    ``entries[k] + i * (n1 + 2 * pad[1]) + j`` on an (n0, n1) ``grid``.
+    Entries are sorted by phase, keeping the lattice order within a phase;
+    ``bounds`` delimits each phase's run (one group of the stamp sum).
+    ``pad`` is the constant-extension margin in whole cells, including the
+    one-cell slack the interpolation stencils need.
     """
 
     refine: int
-    groups: tuple
     pad: tuple
+    grid: tuple
+    entries: np.ndarray
+    weights: np.ndarray
+    bounds: tuple
 
 
 # On lattices refined by an odd factor the binned masses pick up a small
@@ -184,20 +197,19 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
     offsets, weights = kernels.lattice_stencil(k_eps, h_fine, zg)
     if len(offsets) == 0:
         raise FlowDomainError("the rescaled kernel hits no off-center cells")
-    q0 = offsets[:, 0] // refine
-    q1 = offsets[:, 1] // refine
-    f0 = offsets[:, 0] - refine * q0
-    f1 = offsets[:, 1] - refine * q1
-    by_shift: dict = {}
-    for k in range(len(weights)):
-        by_shift.setdefault((int(f0[k]), int(f1[k])), []).append(k)
-    groups = tuple(
-        (key, q0[np.array(idx)].astype(int), q1[np.array(idx)].astype(int),
-         weights[np.array(idx)])
-        for key, idx in sorted(by_shift.items())
-    )
-    pad = (int(np.abs(q0).max()) + 2, int(np.abs(q1).max()) + 2)
-    return _Stamp(refine, groups, pad)
+    q0, f0 = np.divmod(offsets[:, 0], refine)
+    q1, f1 = np.divmod(offsets[:, 1], refine)
+    L0, L1 = int(np.abs(q0).max()) + 2, int(np.abs(q1).max()) + 2
+    n0, n1 = box.resolution
+    # the sum takes the phases in (f0, f1) order; the tables stack them
+    # f1-major, each block of the padded field's shape
+    key = f0 * refine + f1
+    order = np.argsort(key, kind="stable")
+    rows, width = n0 + 2 * L0, n1 + 2 * L1
+    entries = ((f1 * refine + f0) * rows + L0 - 1 + q0) * width + L1 - 1 + q1
+    starts = np.flatnonzero(np.diff(key[order])) + 1
+    bounds = (0, *(int(b) for b in starts), len(order))
+    return _Stamp(refine, (L0, L1), (n0, n1), entries[order], weights[order], bounds)
 
 
 def _cubic_weights(a: float) -> np.ndarray:
@@ -214,57 +226,151 @@ def _cubic_weights(a: float) -> np.ndarray:
     ])
 
 
-def _sub_shift(padded: np.ndarray, refine: int, f0: int, f1: int, order: int):
-    """Shift a padded array by (f0, f1)/refine cells; result loses 3 rows/cols.
+def _tap_weights(refine: int, order: int) -> np.ndarray:
+    """Row f: the 4 node weights for a shift by f / refine cells.
 
-    ``order`` 3 uses the cubic stencil, 1 the two-node linear one.  Row i of
-    the result holds values at padded row i+1 shifted by the fraction, so a
-    base index L-1 recovers alignment with the unshifted interior.
+    ``order`` 3 gives the cubic stencil, 1 the two-node linear one.
     """
-    def axis_weights(f):
+    w = np.zeros((refine, 4))
+    for f in range(refine):
         if order == 3:
-            return _cubic_weights(f / refine)
-        w = np.zeros(4)
-        w[1] = 1.0 - f / refine
-        w[2] = f / refine
-        return w
+            w[f] = _cubic_weights(f / refine)
+        else:
+            w[f, 1] = 1.0 - f / refine
+            w[f, 2] = f / refine
+    return w
 
-    if f0 == 0:
-        rows = padded[1:-2, :]
-    else:
-        w = axis_weights(f0)
-        rows = sum(w[i] * padded[i:padded.shape[0] - 3 + i, :] for i in range(4) if w[i])
-    if f1 == 0:
-        return rows[:, 1:-2]
-    w = axis_weights(f1)
-    return sum(w[j] * rows[:, j:rows.shape[1] - 3 + j] for j in range(4) if w[j])
+
+def _shift_phases(flat: np.ndarray, weights: np.ndarray, stride: int) -> np.ndarray:
+    """Shift a flat array by every phase f / refine of a ``stride``-element node.
+
+    Row f of the result holds at element p the value at node p + stride
+    plus the fraction: f = 0 copies it, f > 0 adds the nonzero taps
+    ``weights[f, i] * flat[p + i * stride]`` in node order onto 0, the
+    arithmetic of a Python ``sum`` over the taps.  The last 3 * stride
+    elements of each row lack a full stencil and are set to 0.  One phase
+    at a time, so the operands stay in cache.
+    """
+    n = flat.size - 3 * stride
+    out = np.empty((len(weights), flat.size))
+    out[:, n:] = 0.0
+    out[0, :n] = flat[stride:stride + n]
+    node = [flat[i * stride:i * stride + n] for i in range(4)]
+    term = np.empty(n)
+    for f in range(1, len(weights)):
+        acc = out[f, :n]
+        taps = [i for i in range(4) if weights[f, i]]
+        np.multiply(weights[f, taps[0]], node[taps[0]], out=acc)
+        acc += 0.0
+        for i in taps[1:]:
+            np.multiply(weights[f, i], node[i], out=term)
+            acc += term
+    return out
+
+
+def _phase_tables(P: np.ndarray, W: np.ndarray, refine: int) -> tuple:
+    """Flat tables of every sub-cell phase of P (cubic, bilinear) and of W.
+
+    Each is built separably, rows first.  Phase (f0, f1) is the block
+    ``f1 * refine + f0`` of the padded field's shape, whose element (r, c)
+    holds the value at padded position (r + 1, c + 1) plus the phase; the
+    last 3 rows and columns of a block are not read.
+    """
+    def table(arr, order):
+        w = _tap_weights(refine, order)
+        rows = _shift_phases(arr.ravel(), w, arr.shape[1])
+        return _shift_phases(rows.ravel(), w, 1).ravel()
+
+    return table(P, 3), table(P, 1), table(W, 1)
+
+
+# The flow step's working set: pairs (offset, cell) per elementwise pass,
+# sized so a pass's index, value and spread blocks stay in a 2 MB L2.
+_BLOCK_PAIRS = 1 << 16
+# The BLAS matrix-vector kernel sums the last (count mod 4) outputs of a
+# product on a path that rounds differently from its main loop.  Padding
+# the active-cell columns to a multiple of 16 keeps every active cell on
+# the main loop, so each sum equals, bit for bit, the one a product over
+# the whole grid gives when the grid's cell count is a multiple of 16.
+_COLUMN_QUANTUM = 16
+
+
+def _phase_runs(bounds: tuple, rows: int) -> list:
+    """Consecutive phases grouped into runs of at most ``rows`` entries.
+
+    A run is ``(first, stop)`` in phase numbers; a phase longer than
+    ``rows`` makes a run by itself.
+    """
+    runs, g = [], 0
+    while g < len(bounds) - 1:
+        stop = g + 1
+        while stop < len(bounds) - 1 and bounds[stop + 1] - bounds[g] <= rows:
+            stop += 1
+        runs.append((g, stop))
+        g = stop
+    return runs
+
+
+def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
+    """sum_k weight_k * chi_k at the flat ``cells``, one phase at a time."""
+    L0, L1 = stamp.pad
+    pads = ((L0, L0), (L1, L1))
+    cubic, linear, spread = _phase_tables(
+        np.pad(values, pads, constant_values=outside),
+        np.pad(wf, pads, constant_values=0.0), stamp.refine)
+    n = len(cells)
+    cols = -(-n // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
+    # padding columns repeat cell 0; their sums are dropped
+    cells = np.concatenate([cells, np.full(cols - n, cells[0])])
+    n1 = values.shape[1]
+    at = cells // n1 * (n1 + 2 * L1) + cells % n1
+    v = values.ravel()[cells]
+    bounds = stamp.bounds
+    rows = max(1, _BLOCK_PAIRS // cols)
+    idx = np.empty((rows, cols), dtype=np.int64)
+    ww = np.empty((rows, cols))
+    flat = np.empty((rows, cols), dtype=bool)
+    chi = np.empty((max(rows, *np.diff(bounds)), cols))
+    hk = np.zeros(cols)
+    # flat pairs divide by 0 below; their sign then replaces the quotient
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first, stop in _phase_runs(bounds, rows):
+            base = bounds[first]
+            for lo in range(base, bounds[stop], rows):
+                k = min(rows, bounds[stop] - lo)
+                ix, c, w, f = idx[:k], chi[lo - base:lo - base + k], ww[:k], flat[:k]
+                np.add(stamp.entries[lo:lo + k, None], at, out=ix)
+                # the indices are in range: "wrap" only skips a buffered check
+                np.take(cubic, ix, out=c, mode="wrap")
+                np.subtract(v, c, out=c)
+                np.take(spread, ix, out=w, mode="wrap")
+                np.divide(c, w, out=c)
+                np.clip(c, -1.0, 1.0, out=c)
+                # plateaus: plain sign of the bilinear value (the cubic
+                # stencil can manufacture tiny extrema at kinks, which a
+                # hard sign would amplify)
+                np.greater(w, 0.0, out=f)
+                pairs = np.flatnonzero(np.logical_not(f, out=f))
+                c.ravel()[pairs] = np.sign(v[pairs % cols] - linear[ix.ravel()[pairs]])
+            for j in range(first, stop):
+                # np.tensordot(weights, chi, axes=(0, 0)) makes this same call
+                wts = stamp.weights[None, bounds[j]:bounds[j + 1]]
+                hk += np.dot(wts, chi[bounds[j] - base:bounds[j + 1] - base])[0]
+    return hk[:n]
 
 
 def _step_nonlocal_values(values, outside, h, stamp, eps, dt, floor):
-    n0, n1 = values.shape
-    L0, L1 = stamp.pad
-    refine = stamp.refine
-    P = np.pad(values, ((L0, L0), (L1, L1)), constant_values=outside)
+    if values.shape != stamp.grid:
+        raise FlowDomainError("the stamp was laid out for a different grid")
     cgx, cgy = _gradient(values, outside, h)
-    # half the value range a linear field spans across one stamp cell
-    wf = 0.5 * (np.abs(cgx) * h[0] + np.abs(cgy) * h[1]) / refine
-    W = np.pad(wf, ((L0, L0), (L1, L1)), constant_values=0.0)
-    hk = np.zeros_like(values)
-    for (a, b), q0, q1, wts in stamp.groups:
-        C = np.ascontiguousarray(_sub_shift(P, refine, a, b, order=3))
-        B = np.ascontiguousarray(_sub_shift(P, refine, a, b, order=1)) if (a or b) else C
-        Wc = np.ascontiguousarray(_sub_shift(W, refine, a, b, order=1))
-        vw = sliding_window_view(C, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
-        bw = sliding_window_view(B, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
-        ww = sliding_window_view(Wc, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
-        spread = ww > 0.0
-        soft = np.clip((values[None] - vw) / np.where(spread, ww, 1.0), -1.0, 1.0)
-        # plateaus: plain sign of the bilinear value (the cubic stencil can
-        # manufacture tiny extrema at kinks, which a hard sign would amplify)
-        chi = np.where(spread, soft, np.sign(values[None] - bw))
-        hk += np.tensordot(wts, chi, axes=(0, 0))
     gmag = np.sqrt(cgx * cgx + cgy * cgy)
     active = (gmag >= floor) & (gmag > 0.0)
+    cells = np.flatnonzero(active)
+    hk = np.zeros(values.shape)
+    if len(cells):
+        # half the value range a linear field spans across one stamp cell
+        wf = 0.5 * (np.abs(cgx) * h[0] + np.abs(cgy) * h[1]) / stamp.refine
+        hk.ravel()[cells] = _stamp_sum(values, outside, wf, cells, stamp)
     return values - dt * np.where(active, gmag * hk / eps, 0.0)
 
 
@@ -380,6 +486,8 @@ def evolve(
     dt_run = T / n_steps if n_steps else dt_req
 
     if snapshot_times is None:
+        if not n_snapshots >= 1:
+            raise FlowDomainError("n_snapshots must be at least 1")
         requested = np.linspace(0.0, T, n_snapshots + 1)
     else:
         requested = np.asarray(sorted(float(t) for t in snapshot_times))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nlgeom import flow, kernels
 from nlgeom.fields import Box, GridField
@@ -117,6 +118,163 @@ def test_stamp_guards(circle64, box64):
     dt = dt_bound(curvature_coefficient(tiny), box64)
     with pytest.raises(FlowDomainError, match="half a grid cell"):
         one_step(circle64, tiny, dt, eps=0.05)  # support below half a cell
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+def test_snapshot_count_guard(n, circle64, dtb64):
+    # without it, 0 makes .final the initial field and -1 leaves no snapshot
+    with pytest.raises(FlowDomainError, match="n_snapshots"):
+        evolve(circle64, "local", BALL, 2.0 * dtb64, n_snapshots=n)
+
+
+# ---------------------------------------------------------------------------
+# the active-cell step against a whole-grid sweep, offset group by group
+
+
+def _reference_stamp(kernel, eps, box, refine):
+    """Per-phase groups ((f0, f1), q0, q1, masses) of the refined stamp."""
+    h_fine = box.spacing / refine
+    k_eps = kernels.rescale(kernel, eps)
+    zg = kernels.zgrid(k_eps, r_lo=0.5 * float(np.min(h_fine)), n_angular=256,
+                       panels_per_decade=6.0)
+    offsets, weights = kernels.lattice_stencil(k_eps, h_fine, zg)
+    q0 = offsets[:, 0] // refine
+    q1 = offsets[:, 1] // refine
+    f0 = offsets[:, 0] - refine * q0
+    f1 = offsets[:, 1] - refine * q1
+    by_shift = {}
+    for k in range(len(weights)):
+        by_shift.setdefault((int(f0[k]), int(f1[k])), []).append(k)
+    groups = tuple(
+        (key, q0[np.array(idx)].astype(int), q1[np.array(idx)].astype(int),
+         weights[np.array(idx)])
+        for key, idx in sorted(by_shift.items())
+    )
+    pad = (int(np.abs(q0).max()) + 2, int(np.abs(q1).max()) + 2)
+    return refine, groups, pad
+
+
+def _reference_sub_shift(padded, refine, f0, f1, order):
+    def axis_weights(f):
+        if order == 3:
+            return flow._cubic_weights(f / refine)
+        w = np.zeros(4)
+        w[1] = 1.0 - f / refine
+        w[2] = f / refine
+        return w
+
+    if f0 == 0:
+        rows = padded[1:-2, :]
+    else:
+        w = axis_weights(f0)
+        rows = sum(w[i] * padded[i:padded.shape[0] - 3 + i, :] for i in range(4) if w[i])
+    if f1 == 0:
+        return rows[:, 1:-2]
+    w = axis_weights(f1)
+    return sum(w[j] * rows[:, j:rows.shape[1] - 3 + j] for j in range(4) if w[j])
+
+
+def _reference_step(values, outside, h, ref, eps, dt, floor):
+    """One nonlocal step swept offset group by group over the whole grid."""
+    refine, groups, (L0, L1) = ref
+    n0, n1 = values.shape
+    P = np.pad(values, ((L0, L0), (L1, L1)), constant_values=outside)
+    cgx, cgy = flow._gradient(values, outside, h)
+    wf = 0.5 * (np.abs(cgx) * h[0] + np.abs(cgy) * h[1]) / refine
+    W = np.pad(wf, ((L0, L0), (L1, L1)), constant_values=0.0)
+    hk = np.zeros_like(values)
+    for (a, b), q0, q1, wts in groups:
+        C = np.ascontiguousarray(_reference_sub_shift(P, refine, a, b, order=3))
+        B = np.ascontiguousarray(_reference_sub_shift(P, refine, a, b, order=1)) if (a or b) else C
+        Wc = np.ascontiguousarray(_reference_sub_shift(W, refine, a, b, order=1))
+        vw = sliding_window_view(C, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
+        bw = sliding_window_view(B, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
+        ww = sliding_window_view(Wc, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
+        spread = ww > 0.0
+        soft = np.clip((values[None] - vw) / np.where(spread, ww, 1.0), -1.0, 1.0)
+        chi = np.where(spread, soft, np.sign(values[None] - bw))
+        hk += np.tensordot(wts, chi, axes=(0, 0))
+    gmag = np.sqrt(cgx * cgx + cgy * cgy)
+    active = (gmag >= floor) & (gmag > 0.0)
+    return values - dt * np.where(active, gmag * hk / eps, 0.0)
+
+
+def _assert_steps_match(field, eps, n_steps, floor=None):
+    box = field.box
+    stamp = _build_stamp(BALL, eps, box)
+    ref = _reference_stamp(BALL, eps, box, stamp.refine)
+    assert ref[2] == stamp.pad
+    assert sum(len(g[3]) for g in ref[1]) == len(stamp.weights)
+    dt = dt_bound(curvature_coefficient(BALL), box)
+    floor = 1e-6 * float(np.ptp(field.values)) if floor is None else floor
+    a = b = field.values
+    for step in range(n_steps):
+        a = _reference_step(a, field.outside, box.spacing, ref, eps, dt, floor)
+        b = _step_nonlocal_values(b, field.outside, box.spacing, stamp, eps, dt, floor)
+        assert np.array_equal(a, b), f"step {step + 1} differs"
+
+
+@pytest.mark.parametrize("eps, refine", [(0.2, 2), (0.1, 4), (0.05, 8)])
+def test_active_step_bitwise_circle(eps, refine, circle64):
+    assert _build_stamp(BALL, eps, circle64.box).refine == refine
+    _assert_steps_match(circle64, eps, 20)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_active_step_bitwise_nonsquare_box(eps):
+    # 64 x 40 cells of 0.03125 x 0.0375: flat-index row/column mix-ups show
+    box = Box((-1.0, -0.75), (2.0, 1.5), (64, 40))
+    _assert_steps_match(shrinking_circle_datum(box, 0.4, band=0.28), eps, 10)
+
+
+def test_active_step_bitwise_linear():
+    box = Box.cube(1.0, 48)
+    f = linear_field(box, (0.7, 0.31))
+    gx, gy = flow._gradient(f.values, f.outside, box.spacing)
+    floor = 1e-6 * float(np.ptp(f.values))
+    assert np.all(np.sqrt(gx * gx + gy * gy) >= floor)  # every cell active
+    _assert_steps_match(f, 0.1, 2, floor)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+def test_active_step_bitwise_rough_field(eps):
+    # generic in-cell fractions, and an active count that is not a multiple
+    # of 4, so the matrix-vector product's last rows are exercised
+    box = Box.cube(1.0, 40)
+    vals = np.random.default_rng(7).uniform(-1.0, 1.0, box.resolution)
+    vals[:9, :] = 0.0
+    vals[9, :21] = 0.0
+    f = GridField(box, vals, "level-set", 0.0)
+    gx, gy = flow._gradient(vals, 0.0, box.spacing)
+    gmag = np.sqrt(gx * gx + gy * gy)
+    assert np.count_nonzero((gmag >= 1e-6 * float(np.ptp(vals))) & (gmag > 0.0)) % 4 != 0
+    _assert_steps_match(f, eps, 2)
+
+
+def test_constant_field_nonlocal_bitwise(box64, dtb64):
+    # no active cell: nothing to gather, the values come back unchanged
+    const = GridField(box64, np.full(box64.resolution, -0.3), "level-set", -0.3)
+    tr = evolve(const, "nonlocal", BALL, 5.0 * dtb64, eps=0.1, n_snapshots=5)
+    for snap in tr.snapshots:
+        assert np.array_equal(snap.values, const.values)
+
+
+def test_inactive_cells_unchanged(circle64, dtb64):
+    vals = circle64.values
+    gx, gy = flow._gradient(vals, circle64.outside, circle64.box.spacing)
+    gmag = np.sqrt(gx * gx + gy * gy)
+    inactive = ~((gmag >= 1e-6 * float(np.ptp(vals))) & (gmag > 0.0))
+    assert 0 < np.count_nonzero(inactive) < vals.size
+    stepped = one_step(circle64, BALL, dtb64)
+    assert np.array_equal(stepped[inactive], vals[inactive])
+    assert np.any(stepped[~inactive] != vals[~inactive])
+
+
+def test_stamp_grid_guard(circle64):
+    stamp = _build_stamp(BALL, 0.1, Box.cube(1.0, 32))
+    with pytest.raises(FlowDomainError, match="different grid"):
+        _step_nonlocal_values(circle64.values, circle64.outside,
+                              circle64.box.spacing, stamp, 0.1, 1e-4, 0.0)
 
 
 # ---------------------------------------------------------------------------
