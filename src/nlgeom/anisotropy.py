@@ -123,15 +123,15 @@ class CellReport:
         return True
 
 
-def _competitor_shape(p_hat, t_hat, amp, waves, phase, window_radius=0.85, ramp=0.1):
-    """Halfspace boundary bent by a windowed sinusoid (flat near |x|=1)."""
+def _competitor_shape(p_hat, t_hat, amp, waves, phase):
+    """Halfspace boundary bent by a windowed sinusoid (flat for |x| >= 0.85)."""
     from .fields import LevelShape
 
     def phi(x):
         x = np.asarray(x, dtype=float)
         s = x @ t_hat
         r = np.sqrt(np.sum(x * x, axis=-1))
-        cutoff = np.clip((window_radius - r) / ramp, 0.0, 1.0)
+        cutoff = np.clip((0.85 - r) / 0.1, 0.0, 1.0)
         bump = amp * np.sin(waves * math.pi * s + phase) * cutoff
         return x @ p_hat - bump
 
@@ -143,19 +143,18 @@ def halfspace_cell_experiment(
     p_hat,
     eps_list: Sequence[float],
     n_competitors: int = 4,
-    amplitude: float = 0.12,
     shrink: float = 1.0,
     seed: int = 0,
     resolution: int = 384,
-    l1_tolerance: float = 5e-3,
 ) -> CellReport:
     """Normalized interior energies of the halfspace and sampled competitors.
 
     The halfspace curve (omega_1 eps)^{-1} J1_eps(H; B) approaches sigma(p);
     competitor families bend the boundary by sinusoids whose amplitude
-    follows amplitude * (eps/eps_max)^shrink.  Families whose symmetric
-    difference to the halfspace does not vanish are rejected (they do not
-    converge in L^1, so the cell formula says nothing about them).
+    follows 0.12 u (eps/eps_max)^shrink with u uniform in [0.5, 1].
+    Families whose symmetric difference to the halfspace does not vanish
+    (final |E dif H| above 0.005 pi and above 3/4 of the first) are rejected:
+    they do not converge in L^1, so the cell formula says nothing about them.
     """
     from . import energy
     from .fields import Ball, Box, Halfspace
@@ -190,7 +189,7 @@ def halfspace_cell_experiment(
     for ci in range(n_competitors):
         waves = int(rng.integers(1, 5))
         phase = float(rng.uniform(0, 2 * math.pi))
-        amp0 = amplitude * float(rng.uniform(0.5, 1.0))
+        amp0 = 0.12 * float(rng.uniform(0.5, 1.0))
         gaps = []
         shapes = []
         for eps in eps_list:
@@ -202,7 +201,7 @@ def halfspace_cell_experiment(
         cid = f"sin{waves}-a{amp0:.3f}"
         # admissible if the symmetric difference either became negligible or
         # is clearly decaying along the eps schedule
-        if gaps[-1] > l1_tolerance * math.pi and gaps[-1] > 0.75 * gaps[0]:
+        if gaps[-1] > 5e-3 * math.pi and gaps[-1] > 0.75 * gaps[0]:
             competitors.append(
                 CompetitorCurve(
                     cid, False,

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats
 
 from . import anisotropy, curvature, energy, flow, kernels, rate
-from .fields import Ball, AxisBox, Box, GridField, save_field
+from .fields import Ball, AxisBox, Box, FieldDomainError, GridField, save_field
 
 
 class ConfigError(ValueError):
@@ -138,6 +138,16 @@ class _Section:
     def int_(self, key: str, default=_REQ) -> int:
         return self._one(key, default, int, "integer")
 
+    def count(self, key: str, default=_REQ) -> int:
+        """An integer of at least 1: a number of samples, levels, pairs..."""
+        n = self.int_(key, default)
+        if n < 1:
+            raise ConfigValueError(
+                f"line {self._entries[key].line}: {self._where(key)} "
+                f"must be at least 1, got {n}"
+            )
+        return n
+
     def floats(self, key: str, default=_REQ, n: int | None = None):
         ent = self._tokens(key, default)
         if ent is None:
@@ -159,11 +169,16 @@ class _Section:
         if ent is None:
             return default
         try:
-            return tuple(int(t) for t in ent.value)
+            out = tuple(int(t) for t in ent.value)
         except ValueError:
             raise ConfigValueError(
                 f"line {ent.line}: {self._where(key)} expects integers"
             ) from None
+        if not out:
+            raise ConfigValueError(
+                f"line {ent.line}: {self._where(key)} expects at least one integer"
+            )
+        return out
 
 
 def parse_config(text: str) -> _Section:
@@ -333,16 +348,27 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
-def _make_report(cfg, rows, checks, key_label="eps", fit=False) -> ExperimentReport:
+def _gap_row(key, measured, reference, scale) -> ReportRow:
+    """Row whose gap is |measured - reference|, relative to ``scale``."""
+    gap = abs(measured - reference)
+    return ReportRow(key, measured, reference, gap, gap / scale)
+
+
+def _below(label: str, value: float, tol: float, what: str = "rel_gap") -> CheckLine:
+    """Check line passing when ``value`` (named ``what``) is below ``tol``."""
+    return CheckLine(label, value < tol, f"{what}={_g(value)} tolerance={_g(tol)}")
+
+
+def _make_report(name: str, spec: "_Spec", rows, checks) -> ExperimentReport:
     rate_fit, note = None, "not fitted"
-    if fit:
+    if spec.fit:
         if len(rows) < 3:
             note = "not fitted: fewer than 3 points"
         else:
             rate_fit = fit_rate(rows)
             note = "" if rate_fit else "undefined: nonpositive gap in the series"
     return ExperimentReport(
-        cfg.experiment, key_label, tuple(rows), rate_fit, note, tuple(checks)
+        name, spec.key_label, tuple(rows), rate_fit, note, tuple(checks)
     )
 
 
@@ -460,7 +486,7 @@ def _profile_from(block: _Section | None, eps_min: float) -> rate.Profile1D:
     interval = block.floats("interval", (-1.0, 1.0), n=2)
     span = interval[1] - interval[0]
     auto = max(1601, 1 + math.ceil(8.0 * span / eps_min))
-    n = block.int_("samples", auto)
+    n = block.count("samples", auto)
     if family == "parabola":
         return rate.Profile1D.from_function(
             lambda x: np.clip(1.0 - x * x, 0.0, None), interval, n
@@ -468,15 +494,15 @@ def _profile_from(block: _Section | None, eps_min: float) -> rate.Profile1D:
     raise ConfigValueError(f"unknown profile family {family!r}; expected parabola")
 
 
-def _bump_field(g: _Section, halfwidth: float = 1.1, resolution: int = 64) -> GridField:
-    box = _box_from(g, halfwidth, resolution)
+def _bump_field(g: _Section) -> GridField:
+    box = _box_from(g, halfwidth=1.1, resolution=64)
     r2 = np.sum(box.centers() ** 2, axis=-1)
     vals = np.clip(1.0 - r2, 0.0, None) ** 2
     return GridField(box, vals.reshape(box.resolution), "phase")
 
 
-def _tent_field(g: _Section, halfwidth: float = 1.1, resolution: int = 192) -> GridField:
-    box = _box_from(g, halfwidth, resolution)
+def _tent_field(g: _Section) -> GridField:
+    box = _box_from(g, halfwidth=1.1, resolution=192)
     cc = box.centers()
     vals = (
         np.clip(0.5 - np.abs(cc[..., 0]), 0.0, None)
@@ -486,7 +512,7 @@ def _tent_field(g: _Section, halfwidth: float = 1.1, resolution: int = 192) -> G
 
 
 # --------------------------------------------------------------------------
-# experiments
+# experiments: each body returns (report rows, check lines, artifacts)
 
 
 def _exp_perimeter_limit(cfg: ExperimentConfig, workers: int):
@@ -502,21 +528,12 @@ def _exp_perimeter_limit(cfg: ExperimentConfig, workers: int):
         return energy.perimeter_k(shape, window, kernels.rescale(kern, e), grid)
 
     breakdowns = _parallel_map(one, eps, workers)
-    rows, csv_rows = [], []
-    for e, bd in zip(eps, breakdowns):
-        total = bd.total / e
-        gap = abs(total - limit)
-        rel = gap / abs(limit)
-        rows.append(ReportRow(e, total, limit, gap, rel))
-        csv_rows.append((e, bd.j1 / e, bd.j2 / e, total, limit, gap, rel))
-    tol = cfg.tol(0.05)
+    rows = [_gap_row(e, bd.total / e, limit, abs(limit))
+            for e, bd in zip(eps, breakdowns)]
     cross = breakdowns[-1].j2 / eps[-1]
     checks = [
-        CheckLine(
-            "limit gap at the smallest eps below tolerance",
-            rows[-1].rel_gap < tol,
-            f"rel_gap={_g(rows[-1].rel_gap)} tolerance={_g(tol)}",
-        ),
+        _below("limit gap at the smallest eps below tolerance",
+               rows[-1].rel_gap, cfg.tol(0.05)),
         CheckLine(
             "cross-term residue below 1% of the limit",
             cross <= 0.01 * limit,
@@ -527,17 +544,18 @@ def _exp_perimeter_limit(cfg: ExperimentConfig, workers: int):
         CsvArtifact(
             "perimeter_limit.csv",
             ("eps", "J1", "J2", "total", "limit_value", "abs_gap", "rel_gap"),
-            tuple(csv_rows),
+            tuple((e, bd.j1 / e, bd.j2 / e, r.measured, limit, r.abs_gap, r.rel_gap)
+                  for e, bd, r in zip(eps, breakdowns, rows)),
         )
     ]
-    return _make_report(cfg, rows, checks, fit=True), art
+    return rows, checks, art
 
 
 def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
     kern = _kernel_from(cfg.require_block("kernel"))
     if kern.d != 2:
         raise ConfigValueError("sigma-derivatives runs in d=2")
-    n_dirs = cfg.root.int_("directions", 8)
+    n_dirs = cfg.root.count("directions", 8)
     an = anisotropy.build(kern)
     h_grad, h_hess = 1e-5, 1e-3
 
@@ -569,11 +587,7 @@ def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
         p = 1.3 * p_hat
         homo = abs(float(np.dot(p, an.gradient(p))) - an.value(p)) / an.value(p)
         euler_err = max(euler_err, homo)
-        rows.append(
-            ReportRow(theta, sig, float(np.dot(p_hat, grad)),
-                      abs(sig - float(np.dot(p_hat, grad))),
-                      abs(sig - float(np.dot(p_hat, grad))) / sig)
-        )
+        rows.append(_gap_row(theta, sig, float(np.dot(p_hat, grad)), sig))
 
     checks = [
         CheckLine("gradient matches central differences",
@@ -609,29 +623,23 @@ def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
             tuple(csv_rows),
         )
     ]
-    return _make_report(cfg, rows, checks, key_label="direction_angle"), art
+    return rows, checks, art
 
 
 def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.block_or_empty("geometry")
-    p_hat = g.floats("direction", (1.0, 0.0), n=2)
-    resolution = g.int_("resolution", 384)
-    an = anisotropy.build(kern)
     rep = anisotropy.halfspace_cell_experiment(
-        an,
-        p_hat,
+        anisotropy.build(kern),
+        g.floats("direction", (1.0, 0.0), n=2),
         cfg.require_eps(),
-        n_competitors=cfg.root.int_("competitors", 4),
+        n_competitors=cfg.root.count("competitors", 4),
         seed=cfg.seed,
-        resolution=resolution,
+        resolution=g.int_("resolution", 384),
     )
-    rows = []
-    csv_rows = []
-    for e, v in zip(rep.eps, rep.halfspace_values):
-        gap = abs(v - rep.sigma_ref)
-        rows.append(ReportRow(e, v, rep.sigma_ref, gap, gap / rep.sigma_ref))
-        csv_rows.append((e, "halfspace", v))
+    rows = [_gap_row(e, v, rep.sigma_ref, rep.sigma_ref)
+            for e, v in zip(rep.eps, rep.halfspace_values)]
+    csv_rows = [(e, "halfspace", v) for e, v in zip(rep.eps, rep.halfspace_values)]
     rejected = []
     for comp in rep.competitors:
         if not comp.accepted:
@@ -639,14 +647,10 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
             continue
         for e, v in zip(rep.eps, comp.normalized_j1):
             csv_rows.append((e, comp.competitor_id, v))
-    tol = cfg.tol(0.05)
     n_acc = sum(1 for c in rep.competitors if c.accepted)
     checks = [
-        CheckLine(
-            "halfspace energy at the smallest eps matches sigma",
-            rep.halfspace_rel_gap < tol,
-            f"rel_gap={_g(rep.halfspace_rel_gap)} tolerance={_g(tol)}",
-        ),
+        _below("halfspace energy at the smallest eps matches sigma",
+               rep.halfspace_rel_gap, cfg.tol(0.05)),
         CheckLine(
             "no competitor beats the halfspace by more than 2%",
             rep.no_competitor_beats(0.02),
@@ -661,14 +665,13 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
             tuple(csv_rows),
         )
     ]
-    return _make_report(cfg, rows, checks), art
+    return rows, checks, art
 
 
 def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
     kern = _kernel_from(cfg.require_block("kernel"))
-    g = cfg.require_block("geometry")
-    shape = _shape_from(g)
-    samples = cfg.root.int_("boundary_samples", 16)
+    shape = _shape_from(cfg.require_block("geometry"))
+    samples = cfg.root.count("boundary_samples", 16)
     rep = curvature.curvature_convergence(
         shape, kern, cfg.require_eps(), boundary_samples=samples
     )
@@ -688,30 +691,20 @@ def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
             )
     rows = []
     for i, r in enumerate(rep.rows):
+        # the worst sample: its gap is the row's sup error
         j = int(np.argmax(np.abs(rep.hk_over_eps[i] - rep.h0_values)))
-        rows.append(
-            ReportRow(
-                r.eps,
-                rep.hk_over_eps[i, j],
-                rep.h0_values[j],
-                r.sup_err,
-                r.sup_err / abs(rep.h0_values[j]),
-            )
-        )
+        rows.append(_gap_row(r.eps, rep.hk_over_eps[i, j], rep.h0_values[j],
+                             abs(rep.h0_values[j])))
     sups = rep.sup_errors
     h0_scale = float(np.mean(np.abs(rep.h0_values)))
-    tol = cfg.tol(0.05)
     checks = [
         CheckLine(
             "sup error strictly decreasing across eps",
             all(b < a for a, b in zip(sups, sups[1:])),
             "sup_err=" + " ".join(_g(s) for s in sups),
         ),
-        CheckLine(
-            "final relative sup error below tolerance",
-            sups[-1] / h0_scale < tol,
-            f"rel={_g(sups[-1] / h0_scale)} tolerance={_g(tol)}",
-        ),
+        _below("final relative sup error below tolerance",
+               sups[-1] / h0_scale, cfg.tol(0.05), "rel"),
     ]
     art = [
         CsvArtifact(
@@ -725,7 +718,7 @@ def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
             tuple((r.eps, r.sup_err, r.mean_err) for r in rep.rows),
         ),
     ]
-    return _make_report(cfg, rows, checks, fit=True), art
+    return rows, checks, art
 
 
 def _exp_coarea(cfg: ExperimentConfig, workers: int):
@@ -737,33 +730,28 @@ def _exp_coarea(cfg: ExperimentConfig, workers: int):
         raise ConfigValueError(f"unknown coarea field {field!r}; expected ramp")
     cc = box.centers()
     u = GridField(box, np.clip(cc[..., 0] + 0.5, 0.0, 1.0), tag="phase")
-    levels = cfg.root.int_("levels", 32)
-    lhs, rhs, gap = energy.coarea_check(u, _window_from(g), kern, nlevels=levels)
-    rel = abs(gap) / max(lhs, 1e-300)
-    rows = [ReportRow(float(levels), rhs, lhs, abs(gap), rel)]
-    tol = cfg.tol(0.02)
+    levels = cfg.root.count("levels", 32)
+    lhs, rhs, _ = energy.coarea_check(u, _window_from(g), kern, nlevels=levels)
+    row = _gap_row(float(levels), rhs, lhs, max(lhs, 1e-300))
     checks = [
-        CheckLine(
-            "level-integrated perimeters match the total variation",
-            rel < tol,
-            f"rel_gap={_g(rel)} tolerance={_g(tol)}",
-        )
+        _below("level-integrated perimeters match the total variation",
+               row.rel_gap, cfg.tol(0.02))
     ]
     art = [
         CsvArtifact(
             "coarea.csv",
             ("levels", "tv_value", "level_integral", "abs_gap", "rel_gap"),
-            ((levels, lhs, rhs, abs(gap), rel),),
+            ((levels, lhs, rhs, row.abs_gap, row.rel_gap),),
         )
     ]
-    return _make_report(cfg, rows, checks, key_label="levels"), art
+    return [row], checks, art
 
 
 def _exp_submodularity(cfg: ExperimentConfig, workers: int):
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.block_or_empty("geometry")
     grid = _box_from(g, halfwidth=1.0, resolution=96)
-    pairs = cfg.root.int_("pairs", 100)
+    pairs = cfg.root.count("pairs", 100)
     rng = np.random.default_rng(cfg.seed)
     zg = kernels.zgrid(kern)
 
@@ -782,6 +770,7 @@ def _exp_submodularity(cfg: ExperimentConfig, workers: int):
         floor = -1e-9 * max(scale, 1e-30)
         if slack < floor:
             failures += 1
+        # the gap is the violation only: positive slack is no gap
         rows.append(
             ReportRow(float(i), slack, 0.0, max(-slack, 0.0),
                       max(-slack, 0.0) / max(scale, 1e-30))
@@ -795,7 +784,7 @@ def _exp_submodularity(cfg: ExperimentConfig, workers: int):
         )
     ]
     art = [CsvArtifact("submodularity.csv", ("pair", "slack", "scale"), tuple(csv_rows))]
-    return _make_report(cfg, rows, checks, key_label="pair"), art
+    return rows, checks, art
 
 
 def _exp_bbm_1d(cfg: ExperimentConfig, workers: int):
@@ -817,21 +806,16 @@ def _exp_bbm_1d(cfg: ExperimentConfig, workers: int):
     rows, csv_rows = [], []
     lower_ok = upper_ok = True
     for e, (val, low) in zip(eps, results):
-        gap = abs(val - limit)
-        rows.append(ReportRow(e, val, limit, gap, gap / abs(limit)))
+        rows.append(_gap_row(e, val, limit, abs(limit)))
         csv_rows.append((e, f_0 - e * e * val, f_0, val, limit, low, upper))
         scale = float(np.trapezoid(pot.f(prof.values), dx=prof.spacing)) / e**2
         if not math.isnan(low):
             lower_ok = lower_ok and val >= low - 1e-6 * scale
         if not math.isnan(upper):
             upper_ok = upper_ok and val <= upper * (1.0 + 1e-12)
-    tol = cfg.tol(0.02)
     checks = [
-        CheckLine(
-            "limit gap at the smallest eps below tolerance",
-            rows[-1].rel_gap < tol,
-            f"rel_gap={_g(rows[-1].rel_gap)} tolerance={_g(tol)}",
-        ),
+        _below("limit gap at the smallest eps below tolerance",
+               rows[-1].rel_gap, cfg.tol(0.02)),
         CheckLine("window lower bound holds at every eps", lower_ok,
                   f"alpha={_g(pot.alpha)}"),
         CheckLine("curvature upper bound holds at every eps", upper_ok,
@@ -844,7 +828,7 @@ def _exp_bbm_1d(cfg: ExperimentConfig, workers: int):
             tuple(csv_rows),
         )
     ]
-    return _make_report(cfg, rows, checks, fit=True), art
+    return rows, checks, art
 
 
 def _exp_bbm_slice(cfg: ExperimentConfig, workers: int):
@@ -856,34 +840,26 @@ def _exp_bbm_slice(cfg: ExperimentConfig, workers: int):
         return rate.slicing_check(u, kern, pot, e)
 
     reps = _parallel_map(one, cfg.require_eps(), workers)
-    rows, csv_rows = [], []
-    for rep in reps:
-        gap = abs(rep.direct - rep.assembled)
-        rows.append(ReportRow(rep.eps, rep.direct, rep.assembled, gap, rep.rel_gap))
-        csv_rows.append((rep.eps, rep.direct, rep.assembled, gap, rep.rel_gap))
-    tol = cfg.tol(0.01)
-    worst = max(r.rel_gap for r in rows)
+    rows = [_gap_row(rep.eps, rep.direct, rep.assembled, max(abs(rep.direct), 1e-300))
+            for rep in reps]
     checks = [
-        CheckLine(
-            "slice assembly matches the direct energy at every eps",
-            worst < tol,
-            f"max rel_gap={_g(worst)} tolerance={_g(tol)}",
-        )
+        _below("slice assembly matches the direct energy at every eps",
+               max(r.rel_gap for r in rows), cfg.tol(0.01), "max rel_gap")
     ]
     art = [
         CsvArtifact(
             "slice_check.csv",
             ("eps", "direct", "assembled", "abs_gap", "rel_gap"),
-            tuple(csv_rows),
+            tuple(rows),
         )
     ]
-    return _make_report(cfg, rows, checks), art
+    return rows, checks, art
 
 
 def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
     block = cfg.require_block("kernel")
     dims = cfg.root.ints("dims", (2, 3))
-    n_samples = cfg.root.int_("samples", 1000)
+    n_samples = cfg.root.count("samples", 1000)
     rng = np.random.default_rng(cfg.seed)
     rows, csv_rows, checks = [], [], []
     for d in dims:
@@ -897,9 +873,9 @@ def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
         min_val = float(np.min(Gt.profile_at(radii)))
         mass_in = float(kernels.absolute_moment(G, 0.0))
         mass_out = float(kernels.absolute_moment(Gt, 0.0))
-        rel = abs(mass_out - mass_in) / mass_in
-        rows.append(ReportRow(float(d), mass_out, mass_in, abs(mass_out - mass_in), rel))
-        csv_rows.append((d, n_samples, min_val, mass_in, mass_out, rel))
+        row = _gap_row(float(d), mass_out, mass_in, mass_in)
+        rows.append(row)
+        csv_rows.append((d, n_samples, min_val, mass_in, mass_out, row.rel_gap))
         checks.append(
             CheckLine(
                 f"effective kernel positive on its guaranteed ball (d={d})",
@@ -910,8 +886,8 @@ def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
         checks.append(
             CheckLine(
                 f"averaging preserves the kernel mass (d={d})",
-                rel <= 1e-3,
-                f"rel_gap={_g(rel)}",
+                row.rel_gap <= 1e-3,
+                f"rel_gap={_g(row.rel_gap)}",
             )
         )
     art = [
@@ -922,10 +898,12 @@ def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
             tuple(csv_rows),
         )
     ]
-    return _make_report(cfg, rows, checks, key_label="d"), art
+    return rows, checks, art
 
 
 def _flow_setup(cfg: ExperimentConfig):
+    """(radius, kappa, evolve): evolve() runs the local flow, evolve(e) the
+    nonlocal one at eps e."""
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.require_block("geometry")
     box = _box_from(g, halfwidth=1.0, resolution=64)
@@ -940,7 +918,14 @@ def _flow_setup(cfg: ExperimentConfig):
         if not 0.0 < frac < 1.0:
             raise ConfigValueError("stop_fraction must lie in (0, 1)")
         T = radius**2 * (1.0 - frac**2) / (2.0 * kappa)
-    return kern, u0, radius, kappa, T, f
+    n_snap = f.count("snapshots", 10)
+    dt = f.float_("dt", None)
+
+    def evolve(eps=None):
+        scheme = "local" if eps is None else "nonlocal"
+        return flow.evolve(u0, scheme, kern, T, eps=eps, dt=dt, n_snapshots=n_snap)
+
+    return radius, kappa, evolve
 
 
 def _traj_csv(name: str, traj) -> CsvArtifact:
@@ -952,83 +937,57 @@ def _traj_csv(name: str, traj) -> CsvArtifact:
 
 
 def _exp_flow_compare(cfg: ExperimentConfig, workers: int):
-    kern, u0, radius, kappa, T, f = _flow_setup(cfg)
+    radius, kappa, evolve = _flow_setup(cfg)
     eps = cfg.require_eps()
-    n_snap = f.int_("snapshots", 10)
-    dt = f.float_("dt", None)
-    loc = flow.evolve(u0, "local", kern, T, dt=dt, n_snapshots=n_snap)
+    loc = evolve()
     t_arr = np.asarray(loc.times)
     r_loc = np.array([flow.zero_level_radius(s) for s in loc.snapshots])
     r_ref = np.sqrt(np.clip(radius**2 - 2.0 * kappa * t_arr, 0.0, None))
     local_err = float(np.max(np.abs(r_loc - r_ref) / r_ref))
 
     def one(e):
-        traj = flow.evolve(u0, "nonlocal", kern, T, eps=e, dt=dt, n_snapshots=n_snap)
+        traj = evolve(e)
         r_nl = np.array([flow.zero_level_radius(s) for s in traj.snapshots])
         return traj, float(np.max(np.abs(r_nl - r_loc)))
 
     runs = _parallel_map(one, eps, workers)
-    rows = [
-        ReportRow(e, gap, 0.0, gap, gap / radius) for e, (_, gap) in zip(eps, runs)
-    ]
-    gaps = [r.abs_gap for r in rows]
-    tol = cfg.tol(0.02)
-    monotone = all(b < a for a, b in zip(gaps, gaps[1:])) if len(gaps) > 1 else True
+    gaps = [gap for _, gap in runs]
+    rows = [_gap_row(e, gap, 0.0, radius) for e, gap in zip(eps, gaps)]
     checks = [
-        CheckLine(
-            "local scheme tracks the shrinking-circle solution",
-            local_err < tol,
-            f"max rel err={_g(local_err)} tolerance={_g(tol)}",
-        ),
+        _below("local scheme tracks the shrinking-circle solution",
+               local_err, cfg.tol(0.02), "max rel err"),
         CheckLine(
             "radius gap to the local run strictly decreasing in eps",
-            monotone,
+            all(b < a for a, b in zip(gaps, gaps[1:])),
             "gaps=" + " ".join(_g(x) for x in gaps),
         ),
     ]
     art = [
         _traj_csv("trajectory_local.csv", loc),
         CsvArtifact("radius_compare.csv", ("eps", "sup_radius_gap"),
-                    tuple((e, gap) for e, (_, gap) in zip(eps, runs))),
+                    tuple(zip(eps, gaps))),
         FieldArtifact("final_local.field", loc.final),
     ]
     for e, (traj, _) in zip(eps, runs):
         art.append(_traj_csv(f"trajectory_nonlocal_eps{e:g}.csv", traj))
         art.append(FieldArtifact(f"final_nonlocal_eps{e:g}.field", traj.final))
-    return _make_report(cfg, rows, checks, fit=True), art
+    return rows, checks, art
 
 
 def _exp_flow_monitors(cfg: ExperimentConfig, workers: int):
-    kern, u0, radius, kappa, T, f = _flow_setup(cfg)
+    _, _, evolve = _flow_setup(cfg)
     eps = cfg.require_eps()
-    n_snap = f.int_("snapshots", 10)
-    dt = f.float_("dt", None)
-
-    def one(e):
-        traj = flow.evolve(u0, "nonlocal", kern, T, eps=e, dt=dt, n_snapshots=n_snap)
-        return flow.monitors(traj)
-
-    reps = _parallel_map(one, eps, workers)
+    reps = _parallel_map(lambda e: flow.monitors(evolve(e)), eps, workers)
     holders = [rep.holder_constant for rep in reps]
     mean_h = float(np.mean(holders))
     slack = cfg.root.float_("lipschitz_slack", 1.05)
     band = cfg.root.float_("holder_band", 0.2)
-    rows, csv_rows = [], []
-    lip_ok = True
-    for e, rep in zip(eps, reps):
-        ratio = max(rep.spatial_lipschitz) / rep.spatial_lipschitz[0]
-        lip_ok = lip_ok and rep.lipschitz_within(slack)
-        rows.append(
-            ReportRow(e, rep.holder_constant, mean_h,
-                      abs(rep.holder_constant - mean_h),
-                      abs(rep.holder_constant - mean_h) / mean_h)
-        )
-        csv_rows.append((e, ratio, rep.holder_constant))
+    rows = [_gap_row(e, h, mean_h, mean_h) for e, h in zip(eps, holders)]
     spread = max(r.rel_gap for r in rows)
     checks = [
         CheckLine(
             "spatial Lipschitz constant within slack of its initial value",
-            lip_ok,
+            all(rep.lipschitz_within(slack) for rep in reps),
             f"slack={_g(slack)}",
         ),
         CheckLine(
@@ -1046,10 +1005,11 @@ def _exp_flow_monitors(cfg: ExperimentConfig, workers: int):
         CsvArtifact(
             "monitors.csv",
             ("eps", "lipschitz_ratio", "holder_constant"),
-            tuple(csv_rows),
+            tuple((e, max(rep.spatial_lipschitz) / rep.spatial_lipschitz[0],
+                   rep.holder_constant) for e, rep in zip(eps, reps)),
         )
     ]
-    return _make_report(cfg, rows, checks), art
+    return rows, checks, art
 
 
 def _exp_regularity(cfg: ExperimentConfig, workers: int):
@@ -1063,14 +1023,12 @@ def _exp_regularity(cfg: ExperimentConfig, workers: int):
         u = _tent_field(g)
     else:
         raise ConfigValueError(f"unknown field {field!r}; expected bump or tent")
-    n_angular = cfg.root.int_("angular", 32)
+    n_angular = cfg.root.count("angular", 32)
     rep = rate.regularity_criterion(
         u, kern, pot, cfg.require_eps(), n_angular=n_angular
     )
-    rows = [
-        ReportRow(e, v, rep.bound, rep.bound - v, (rep.bound - v) / max(rep.bound, 1e-300))
-        for e, v in zip(rep.eps, rep.e_eps)
-    ]
+    rows = [_gap_row(e, v, rep.bound, max(rep.bound, 1e-300))
+            for e, v in zip(rep.eps, rep.e_eps)]
     expect = cfg.root.str_("expect", "bounded")
     if expect == "bounded":
         checks = [
@@ -1102,22 +1060,28 @@ def _exp_regularity(cfg: ExperimentConfig, workers: int):
             tuple((e, v, rep.bound) for e, v in zip(rep.eps, rep.e_eps)),
         )
     ]
-    return _make_report(cfg, rows, checks), art
+    return rows, checks, art
 
 
-EXPERIMENTS: dict[str, Callable] = {
-    "perimeter-limit": _exp_perimeter_limit,
-    "sigma-derivatives": _exp_sigma_derivatives,
-    "halfspace-cell": _exp_halfspace_cell,
-    "curvature-limit": _exp_curvature_limit,
-    "coarea": _exp_coarea,
-    "submodularity": _exp_submodularity,
-    "bbm-1d": _exp_bbm_1d,
-    "bbm-slice": _exp_bbm_slice,
-    "effective-kernel": _exp_effective_kernel,
-    "flow-compare": _exp_flow_compare,
-    "flow-monitors": _exp_flow_monitors,
-    "regularity": _exp_regularity,
+class _Spec(NamedTuple):
+    body: Callable  # (cfg, workers) -> (rows, checks, artifacts)
+    key_label: str = "eps"
+    fit: bool = False  # fit a convergence rate to the rows' gaps
+
+
+EXPERIMENTS: dict[str, _Spec] = {
+    "perimeter-limit": _Spec(_exp_perimeter_limit, fit=True),
+    "sigma-derivatives": _Spec(_exp_sigma_derivatives, "direction_angle"),
+    "halfspace-cell": _Spec(_exp_halfspace_cell),
+    "curvature-limit": _Spec(_exp_curvature_limit, fit=True),
+    "coarea": _Spec(_exp_coarea, "levels"),
+    "submodularity": _Spec(_exp_submodularity, "pair"),
+    "bbm-1d": _Spec(_exp_bbm_1d, fit=True),
+    "bbm-slice": _Spec(_exp_bbm_slice),
+    "effective-kernel": _Spec(_exp_effective_kernel, "d"),
+    "flow-compare": _Spec(_exp_flow_compare, fit=True),
+    "flow-monitors": _Spec(_exp_flow_monitors),
+    "regularity": _Spec(_exp_regularity),
 }
 
 
@@ -1152,12 +1116,15 @@ def run(config_path, out_dir=None, workers: int = 1):
     """Execute one experiment config and write its artifacts.
 
     Returns (report, output directory).  The caller owns exit-code policy;
-    :func:`main` maps a failed check to status 1 and config problems to 2.
+    :func:`main` maps a failed check to status 1 and config problems to 2,
+    including the library domain errors that a config value leads to.
     """
     if workers < 1:
         raise UsageError("worker count must be at least 1")
     cfg = ExperimentConfig.from_path(config_path)
-    report, artifacts = EXPERIMENTS[cfg.experiment](cfg, workers)
+    spec = EXPERIMENTS[cfg.experiment]
+    rows, checks, artifacts = spec.body(cfg, workers)
+    report = _make_report(cfg.experiment, spec, rows, checks)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
@@ -1172,6 +1139,18 @@ def run(config_path, out_dir=None, workers: int = 1):
             save_field(item.field, out / item.name)
     (out / "summary.txt").write_text(summary_text(report, cfg), encoding="utf-8")
     return report, out
+
+
+# a library domain error raised by a config value is a config problem
+_DOMAIN_ERRORS = (
+    anisotropy.AnisotropyDomainError,
+    curvature.CurvatureDomainError,
+    energy.EnergyDomainError,
+    FieldDomainError,
+    flow.FlowDomainError,
+    kernels.KernelDomainError,
+    rate.RateDomainError,
+)
 
 
 def main(argv=None) -> int:
@@ -1189,8 +1168,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", default=None, help="override the output directory")
     run_p.add_argument("--workers", type=int, default=1,
                        help="threads for the eps sweep (default 1)")
-    run_p.add_argument("--list", action="store_true",
-                       help="list experiment names and exit")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -1202,7 +1179,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report, out = run(args.config, args.out, args.workers)
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, UsageError, *_DOMAIN_ERRORS) as exc:
         print(f"nlgeom: error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -60,7 +60,7 @@ def _probe_normal(shape: GridIndicator, x: np.ndarray) -> np.ndarray:
     return -m / nm
 
 
-def _boundary_point_check(shape: Shape, x: np.ndarray, tol: float) -> None:
+def _boundary_point_check(shape: Shape, x: np.ndarray) -> None:
     if isinstance(shape, GridIndicator):
         _probe_normal(shape, x)
         return
@@ -69,7 +69,7 @@ def _boundary_point_check(shape: Shape, x: np.ndarray, tol: float) -> None:
     gn = float(np.linalg.norm(g))
     if gn == 0.0:
         raise CurvatureDomainError("level gradient vanishes at x")
-    if abs(phi) / gn > tol:
+    if abs(phi) / gn > 1e-9:
         raise CurvatureDomainError(
             f"x is not on the boundary (level distance {abs(phi) / gn:.3e})"
         )
@@ -84,7 +84,7 @@ def _signs(shape: Shape, points: np.ndarray) -> np.ndarray:
 # principal-value annulus scheme
 
 
-def _dense_sign_mean(E, x, r, direction_fn, n0: int = 256, cap: int = 1 << 15):
+def _dense_sign_mean(E, x, r, direction_fn):
     """Mean of the membership sign over the sphere of radius r, by doubling.
 
     Fallback path for radii where the two-crossing circle model does not
@@ -92,14 +92,14 @@ def _dense_sign_mean(E, x, r, direction_fn, n0: int = 256, cap: int = 1 << 15):
     Returns (mean, err_estimate).
     """
     prev = None
-    n = n0
+    n = 256
     while True:
         u = direction_fn(n)
         s = _signs(E, x[None, :] + r * u)
         cur = float(np.mean(s))
         if prev is not None and (abs(cur - prev) <= 1e-3 * max(abs(cur), 1e-3)):
             return cur, abs(cur - prev)
-        if n >= cap:
+        if n >= 1 << 15:
             return cur, abs(cur - prev) if prev is not None else 1.0
         prev = cur
         n *= 2
@@ -119,7 +119,7 @@ def _sphere_dirs(n):
     return np.stack([s * np.cos(phi), s * np.sin(phi), mu], axis=-1)
 
 
-def _sign_surface_integral(E, x, r, n_hat, frame, scan: int = 64):
+def _sign_surface_integral(E, x, r, n_hat, frame):
     """integral of -sign(phi(x + r u)) over the unit sphere directions u.
 
     The membership transition angles are located by root finding, so thin
@@ -140,7 +140,7 @@ def _sign_surface_integral(E, x, r, n_hat, frame, scan: int = 64):
             th_a = optimize.brentq(f, -0.5 * math.pi, 0.5 * math.pi, xtol=1e-14)
             th_b = optimize.brentq(f, 0.5 * math.pi, 1.5 * math.pi, xtol=1e-14)
             # validate the single-arc model against a coarse sign scan
-            th = 2 * math.pi * (np.arange(scan) + 0.5) / scan - 0.5 * math.pi
+            th = 2 * math.pi * (np.arange(64) + 0.5) / 64 - 0.5 * math.pi
             u = np.cos(th)[:, None] * t_hat + np.sin(th)[:, None] * n_hat
             sv = np.asarray(E.phi(x[None, :] + r * u)) > 0.0
             model = (th > th_a) & (th < th_b)
@@ -175,18 +175,11 @@ def _sign_surface_integral(E, x, r, n_hat, frame, scan: int = 64):
     raise CurvatureDomainError("principal-value curvature needs d in {2, 3}")
 
 
-def hk_pv(
-    E: Shape,
-    x,
-    kernel: Kernel,
-    r_outer: float | None = None,
-    ratio: float = 0.5,
-    levels: int = 8,
-    boundary_tol: float = 1e-9,
-) -> CurvatureValue:
+def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     """Nonlocal curvature by annulus accumulation with antipodal cancellation.
 
-    Radii follow a geometric schedule r_k = r_outer * ratio^k.  On each
+    Radii follow the fixed geometric schedule r_k = r_eff * 2^-k over 8
+    levels, r_eff being the kernel's effective radius.  On each
     sphere the membership sign integral is computed from the exact crossing
     angles, so the odd part cancels identically and only the thin geometric
     asymmetry wedge survives.  The tail below the last level is extrapolated
@@ -195,13 +188,10 @@ def hk_pv(
     convergence.
     """
     x = np.asarray(x, dtype=float)
-    _boundary_point_check(E, x, boundary_tol)
+    _boundary_point_check(E, x)
     r_eff = kernel.effective_radius()
     if not math.isfinite(r_eff):
         raise CurvatureDomainError("kernel needs a bounded quadrature window")
-    if r_outer is None:
-        r_outer = r_eff
-    r_outer = min(r_outer, r_eff)
     if isinstance(E, GridIndicator):
         n_hat = _probe_normal(E, x)
     else:
@@ -224,11 +214,11 @@ def hk_pv(
             quad_err += w * r ** (len(x) - 1) * k * e
         return acc
 
-    total = shell(r_outer, r_eff) if r_eff > r_outer * (1 + 1e-12) else 0.0
+    total = 0.0
     increments = []
-    r_hi = r_outer
-    for _ in range(levels):
-        r_lo = r_hi * ratio
+    r_hi = r_eff
+    for _ in range(8):
+        r_lo = r_hi * 0.5
         increments.append(shell(r_lo, r_hi))
         r_hi = r_lo
     total += float(np.sum(increments))
@@ -257,18 +247,11 @@ def hk_pv(
 # graph-chart scheme
 
 
-def _tangent_frame(n_hat: np.ndarray) -> np.ndarray:
-    return kernels.hyperplane_basis(len(n_hat), n_hat)
-
-
 def hk_graph(
     E: Shape,
     x,
     kernel: Kernel,
     delta: float | None = None,
-    inner_order: int = 24,
-    n_angular: int | tuple | None = 512,
-    boundary_tol: float = 1e-9,
 ) -> CurvatureValue:
     """Nonlocal curvature through a local boundary graph over the tangent plane.
 
@@ -279,7 +262,7 @@ def hk_graph(
     (polygon vertices, degenerate gradients) are rejected.
     """
     x = np.asarray(x, dtype=float)
-    _boundary_point_check(E, x, boundary_tol)
+    _boundary_point_check(E, x)
     d = E.d
     if d < 2:
         raise CurvatureDomainError("graph charts need d >= 2")
@@ -295,7 +278,7 @@ def hk_graph(
 
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
-    frame = _tangent_frame(n_hat)
+    frame = kernels.hyperplane_basis(d, n_hat)
 
     def depth(tau_vec):
         base = x + tau_vec
@@ -316,7 +299,7 @@ def hk_graph(
         return optimize.brentq(psi, lo, hi, xtol=1e-14)
 
     # tangential quadrature nodes
-    gl_x, gl_w = np.polynomial.legendre.leggauss(inner_order)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(24)
     if d == 2:
         t = frame[0]
         tau, tw = kernels.gauss_log_panels(delta * 1e-6, delta, 4, 10)
@@ -345,9 +328,8 @@ def hk_graph(
         inner += w * math.copysign(col, b)
 
     # far field: paired quadrature outside the cylinder
-    if E.d == 3 and not isinstance(n_angular, tuple):
-        n_angular = (24, 48) if n_angular is None else (32, 64)
-    zg = kernels.zgrid(kernel, r_lo=0.5 * delta, r_hi=r_eff, n_angular=n_angular)
+    zg = kernels.zgrid(kernel, r_lo=0.5 * delta, r_hi=r_eff,
+                       n_angular=512 if d == 2 else (32, 64))
     kv = kernels.evaluate(kernel, zg.nodes)
     t_norm = np.linalg.norm(zg.nodes @ frame.T, axis=-1)
     a_comp = np.abs(zg.nodes @ n_hat)
@@ -367,12 +349,7 @@ def hk_graph(
 # local limit
 
 
-def h0(
-    phi,
-    x,
-    kernel: Kernel,
-    gradient_floor: float = 1e-6,
-) -> CurvatureValue:
+def h0(phi, x, kernel: Kernel) -> CurvatureValue:
     """Anisotropic local curvature - trace(M_K(grad dir) Hessian) / |grad|.
 
     Accepts a Shape with analytic first/second level derivatives or a
@@ -384,7 +361,7 @@ def h0(
     x = np.asarray(x, dtype=float)
     if isinstance(phi, GridField):
         grad, hess = differentiate(phi, x)
-        floor = gradient_floor * max(float(np.ptp(phi.values)), 1e-300)
+        floor = 1e-6 * max(float(np.ptp(phi.values)), 1e-300)
     elif isinstance(phi, Shape):
         grad = np.asarray(phi.grad_phi(x), dtype=float)
         hess_fn = getattr(phi, "hess_phi", None)
@@ -393,7 +370,7 @@ def h0(
                 f"{type(phi).__name__} exposes no level Hessian"
             )
         hess = np.asarray(hess_fn(x), dtype=float)
-        floor = gradient_floor * 1e-6
+        floor = 1e-12
     else:
         raise CurvatureDomainError("phi must be a Shape or a level-set GridField")
     gn = float(np.linalg.norm(grad))

@@ -236,13 +236,12 @@ def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box,
     return _breakdown(j1, j2, kernel, grid)
 
 
-def nonlocal_tv(u: GridField, omega: Shape | None, kernel: Kernel,
-                zg=None) -> EnergyBreakdown:
+def nonlocal_tv(u: GridField, omega: Shape | None, kernel: Kernel) -> EnergyBreakdown:
     """J1 + J2 for a [0,1]-valued field on its own grid."""
     if u.tag not in ("phase", "indicator"):
         raise EnergyDomainError("nonlocal TV expects a phase or indicator field")
     om = _omega_mask(omega, u.box)
-    offsets, weights = kernels.lattice_stencil(kernel, u.spacing, zg)
+    offsets, weights = kernels.lattice_stencil(kernel, u.spacing)
     j1, j2 = _tv_terms(u.values, u.outside, om, offsets, weights, u.box)
     return _breakdown(j1, j2, kernel, u.box)
 
@@ -264,12 +263,11 @@ def rescaled_tv(u, omega: Shape | None, kernel: Kernel, eps: float,
     return bd.total / eps
 
 
-def limit_tv(u, omega: Shape | None, kernel: Kernel,
-             n_boundary: int = 4096) -> float:
+def limit_tv(u, omega: Shape | None, kernel: Kernel) -> float:
     """Local limit of the rescaled TVs.
 
     Shapes: integral of sigma over the reduced boundary inside the window
-    (arc samples from the shape's boundary parametrization).  Smooth grid
+    (4096 arc samples from the shape's boundary parametrization).  Smooth grid
     fields: integral of sigma(grad u) over window cells, using the central
     difference gradient.  Grid indicators are rejected: their gradient is
     not defined, and the boundary integral needs an analytic boundary.
@@ -280,7 +278,7 @@ def limit_tv(u, omega: Shape | None, kernel: Kernel,
             "grid indicators have no analytic boundary; limit TV undefined"
         )
     if isinstance(u, Shape):
-        bs = u.boundary_sample(n_boundary)
+        bs = u.boundary_sample(4096)
         inside = np.ones(len(bs.points), dtype=bool) if omega is None \
             else omega.contains(bs.points)
         sig = an.values_at(bs.normals)

@@ -542,31 +542,28 @@ def empty_shape(d: int) -> Shape:
 # grid <-> shape operations
 
 
-def rasterize(shape: Shape, box: Box, mode: str = "indicator", subsamples: int = 4) -> GridField:
+def rasterize(shape: Shape, box: Box, mode: str = "indicator") -> GridField:
     """Sample a shape on a box grid.
 
     ``indicator`` tests cell centers; ``phase`` averages membership over a
-    subsamples^d stencil per cell (area fraction); ``level-set`` stores the
-    canonical level function itself.
+    4^d stencil of sub-cell points per cell (area fraction).
     """
     if shape.d != box.d:
         raise FieldDomainError("shape/box dimension mismatch")
     if mode == "indicator":
         vals = shape.indicator(box.centers())
         return GridField(box, vals, tag="indicator")
-    if mode == "level-set":
-        return GridField(box, np.asarray(shape.phi(box.centers()), dtype=float))
     if mode != "phase":
         raise FieldDomainError(f"unknown rasterize mode {mode!r}")
     h = box.spacing
     acc = np.zeros(box.resolution)
-    offs = (np.arange(subsamples) + 0.5) / subsamples - 0.5
+    offs = (np.arange(4) + 0.5) / 4 - 0.5
     centers = box.centers()
     grids = np.meshgrid(*([offs] * box.d), indexing="ij")
     for shift in zip(*(g.ravel() for g in grids)):
         delta = np.asarray(shift) * h
         acc += shape.contains(centers + delta)
-    return GridField(box, acc / subsamples**box.d, tag="phase")
+    return GridField(box, acc / 4**box.d, tag="phase")
 
 
 def differentiate(field: GridField, x) -> tuple[np.ndarray, np.ndarray]:
@@ -610,7 +607,7 @@ class SliceSamples(NamedTuple):
     values: np.ndarray
 
 
-def line_slice(field: GridField, direction, offset, spacing: float | None = None) -> SliceSamples:
+def line_slice(field: GridField, direction, offset) -> SliceSamples:
     """Sample u along the line t -> offset + t * direction (unit direction).
 
     Samples are multilinear interpolations at spacing <= the smallest cell
@@ -637,7 +634,7 @@ def line_slice(field: GridField, direction, offset, spacing: float | None = None
         t1 = min(t1, max(a, b))
     if not (t1 > t0) or not np.isfinite(t0) or not np.isfinite(t1):
         return SliceSamples(np.empty(0), np.empty(0))
-    h = float(field.spacing.min()) if spacing is None else float(spacing)
+    h = float(field.spacing.min())
     n = max(2, int(math.ceil((t1 - t0) / h)) + 1)
     t = np.linspace(t0, t1, n)
     pts = xi[None, :] + t[:, None] * zhat[None, :]

@@ -95,7 +95,7 @@ def _gradient(values: np.ndarray, outside: float, h) -> tuple:
 
 def curvature_coefficient(kernel: Kernel) -> float:
     """Hyperplane second moment kappa; the diffusivity of the local limit."""
-    kappa = kernels.hyperplane_second_moment(kernel, np.array([1.0, 0.0]))
+    kappa = kernels.hyperplane_second_moment(kernel)
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise FlowDomainError(
             "flow needs a finite positive hyperplane second moment; "

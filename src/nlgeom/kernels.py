@@ -318,7 +318,6 @@ def gauss_log_panels(
     r_hi: float,
     panels_per_decade: float = _DEF_PANELS_PER_DECADE,
     order: int = _DEF_GL_ORDER,
-    min_panels: int = 2,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for ∫_{r_lo}^{r_hi} g(r) dr, Gauss-Legendre in log r.
 
@@ -328,7 +327,7 @@ def gauss_log_panels(
     if not (0.0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
     span = math.log(r_hi / r_lo)
-    n_panels = max(min_panels, math.ceil(span / math.log(10.0) * panels_per_decade))
+    n_panels = max(2, math.ceil(span / math.log(10.0) * panels_per_decade))
     x, w = leggauss(order)
     edges = np.linspace(math.log(r_lo), math.log(r_hi), n_panels + 1)
     half = 0.5 * np.diff(edges)
@@ -421,7 +420,6 @@ def zgrid(
     r_hi: float | None = None,
     n_angular=None,
     panels_per_decade: float = _DEF_PANELS_PER_DECADE,
-    order: int = _DEF_GL_ORDER,
 ) -> ZGrid:
     """Quadrature grid adapted to the kernel's support and breakpoints."""
     d = kernel.d
@@ -433,7 +431,7 @@ def zgrid(
         r_lo = kernel.quadrature_rmin()
     if not r_lo < r_hi:
         raise ValueError(f"empty radial range [{r_lo}, {r_hi}]")
-    r, wr = radial_rule(kernel, r_lo, r_hi, panels_per_decade, order)
+    r, wr = radial_rule(kernel, r_lo, r_hi, panels_per_decade)
     dirs, wa = angular_rule(d, n_angular)
     na = len(wa)
     nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, d)
@@ -506,7 +504,6 @@ class KernelMoments:
     radial_first_moment: Moment
     second_moment: Moment
     hyperplane_second: Moment
-    hyperplane_spread: float
     parabolic: tuple[tuple[float, float], ...]
     notes: tuple[str, ...] = ()
 
@@ -609,17 +606,10 @@ def hyperplane_basis(d: int, e: np.ndarray) -> np.ndarray:
     return np.stack([t1, t2])
 
 
-def hyperplane_second_moment(
-    kernel: Kernel,
-    e,
-    n_angular: int = 64,
-    panels_per_decade: float = 4.0,
-    order: int = _DEF_GL_ORDER,
-) -> float:
+def hyperplane_second_moment(kernel: Kernel) -> float:
     """∫_{e⊥} K(z) |z|^2 dH^{d-1}(z) by quadrature on the hyperplane.
 
-    For radial kernels the value is independent of ``e`` (the same radii are
-    sampled whatever the direction), which the moment report cross-checks.
+    Every kernel is radial, so the value is the same for every unit normal e.
     """
     k = kernel
     d = k.d
@@ -630,7 +620,7 @@ def hyperplane_second_moment(
         return math.inf
     r_lo = k.quadrature_rmin()
     r_hi = k.effective_radius()
-    rs, ws = radial_rule(k, r_lo, r_hi, panels_per_decade, order)
+    rs, ws = radial_rule(k, r_lo, r_hi, 4.0)
     vals = k.profile_at(rs)
     if d == 2:
         # line integral: two rays along the unit normal of e
@@ -641,50 +631,28 @@ def hyperplane_second_moment(
     return 2.0 * math.pi * radial
 
 
-def hyperplane_moment_matrix(
-    kernel: Kernel,
-    e,
-    n_angular: int = 256,
-    panels_per_decade: float = 4.0,
-    order: int = _DEF_GL_ORDER,
-) -> np.ndarray:
+def hyperplane_moment_matrix(kernel: Kernel, e) -> np.ndarray:
     """Second-moment matrix ∫_{e⊥} K(z) z⊗z dH^{d-1}(z) (d x d, PSD, M e = 0)."""
-    k = kernel
-    d = k.d
-    e = np.asarray(e, dtype=float)
+    d = kernel.d
     if d == 1:
         return np.zeros((1, 1))
-    basis = hyperplane_basis(d, e)
-    r_lo = k.quadrature_rmin()
-    r_hi = k.effective_radius()
-    rs, ws = radial_rule(k, r_lo, r_hi, panels_per_decade, order)
-    vals = k.profile_at(rs)
+    basis = hyperplane_basis(d, np.asarray(e, dtype=float))
+    coef = hyperplane_second_moment(kernel)
     if d == 2:
         t = basis[0]
-        coef = 2.0 * (float(np.sum(ws * vals * rs**2)) + _origin_remainder(k, 2.0, r_lo))
         return coef * np.outer(t, t)
     # plane nodes: r * (cos φ t1 + sin φ t2); the φ-average of u⊗u is isotropic
     # in the plane, so integrate the radial part and distribute evenly.
-    coef = 2.0 * math.pi * (
-        float(np.sum(ws * vals * rs**3)) + _origin_remainder(k, 3.0, r_lo)
-    )
     t1, t2 = basis
     return 0.5 * coef * (np.outer(t1, t1) + np.outer(t2, t2))
 
 
-def parabolic_mass(
-    kernel: Kernel,
-    e,
-    lam: float,
-    rho_max: float | None = None,
-    n_rho: int = 160,
-    inner_order: int = 16,
-) -> float:
+def parabolic_mass(kernel: Kernel, lam: float, rho_max: float | None = None) -> float:
     """Mass of K over the parabolic slab {|y·e| <= (lam/2)|y_perp|^2}.
 
     ``rho_max`` optionally restricts the tangential radius (the cylinder used
-    by graph-based curvature bounds).  Radial kernels only; the integral is
-    then independent of ``e``.
+    by graph-based curvature bounds).  Every kernel is radial, so the mass is
+    the same for every unit normal e.
     """
     if lam <= 0.0:
         return 0.0
@@ -702,8 +670,7 @@ def parabolic_mass(
     if hi <= lo:
         return 0.0
     rho, wr = gauss_log_panels(lo, hi, panels_per_decade=6, order=8)
-    x, w = leggauss(inner_order)
-    total = 0.0
+    x, w = leggauss(16)
     a_hi = np.minimum(0.5 * lam * rho**2, r_eff)
     # inner integral over the normal coordinate a in [0, a_hi(rho)]
     half = 0.5 * a_hi
@@ -712,10 +679,8 @@ def parabolic_mass(
     vals = k.profile_at(r_full)
     inner = (half[:, None] * w[None, :] * vals).sum(axis=1)
     if d == 2:
-        total = 4.0 * float(np.sum(wr * inner))
-    else:
-        total = 4.0 * math.pi * float(np.sum(wr * rho * inner))
-    return total
+        return 4.0 * float(np.sum(wr * inner))
+    return 4.0 * math.pi * float(np.sum(wr * rho * inner))
 
 
 def moments(kernel: Kernel) -> KernelMoments:
@@ -725,25 +690,13 @@ def moments(kernel: Kernel) -> KernelMoments:
     half = Moment(0.5 * first.value, first.finite, 0.5 * first.err)
     radial_first = _radial_moment(kernel, kernel.d)
     second = absolute_moment(kernel, 2.0)
-    if kernel.d >= 2:
-        dirs, _ = angular_rule(kernel.d, 8 if kernel.d == 2 else (4, 4))
-        kappas = [hyperplane_second_moment(kernel, e) for e in dirs[: len(dirs) // 2]]
-        kv = float(np.mean(kappas))
-        if math.isfinite(kv):
-            spread = float(np.ptp(kappas) / kv) if kv > 0 else 0.0
-            hyper = Moment(kv, True, abs(kv) * 1e-12)
-        else:
-            spread = 0.0
-            hyper = Moment(math.inf, False)
+    kv = hyperplane_second_moment(kernel)  # 0.0 in d=1
+    if math.isfinite(kv):
+        hyper = Moment(kv, True, abs(kv) * 1e-12)
     else:
-        hyper = Moment(0.0, True, 0.0)
-        spread = 0.0
+        hyper = Moment(math.inf, False)
     if kernel.d >= 2 and math.isfinite(kernel.effective_radius()):
-        e1 = np.zeros(kernel.d)
-        e1[0] = 1.0
-        para = tuple(
-            (lam, parabolic_mass(kernel, e1, lam)) for lam in (0.25, 1.0, 4.0)
-        )
+        para = tuple((lam, parabolic_mass(kernel, lam)) for lam in (0.25, 1.0, 4.0))
     else:
         para = ()
     notes = []
@@ -760,7 +713,6 @@ def moments(kernel: Kernel) -> KernelMoments:
         radial_first_moment=radial_first,
         second_moment=second,
         hyperplane_second=hyper,
-        hyperplane_spread=spread,
         parabolic=para,
         notes=tuple(notes),
     )
@@ -867,12 +819,10 @@ def _curvature_set_checks(kernel: Kernel) -> list[CheckResult]:
     )
     if k.d == 1:
         return out
-    e1 = np.zeros(k.d)
-    e1[0] = 1.0
-    kappa = hyperplane_second_moment(k, e1)
+    kappa = hyperplane_second_moment(k)
     # 2) parabolic slab masses finite for each sampled opening
     lam_grid = [0.25, 1.0, 4.0]
-    masses = [parabolic_mass(k, e1, lam) for lam in lam_grid]
+    masses = [parabolic_mass(k, lam) for lam in lam_grid]
     out.append(
         CheckResult(
             "parabolic-mass-finite",
@@ -882,7 +832,7 @@ def _curvature_set_checks(kernel: Kernel) -> list[CheckResult]:
     )
     # 3) small-opening ratio bounded (and consistent with the hyperplane moment)
     lam_small = [0.4, 0.2, 0.1]
-    ratios = [parabolic_mass(k, e1, lam) / lam for lam in lam_small]
+    ratios = [parabolic_mass(k, lam) / lam for lam in lam_small]
     bound = 2.0 * kappa + 1e-12
     out.append(
         CheckResult(
@@ -894,7 +844,7 @@ def _curvature_set_checks(kernel: Kernel) -> list[CheckResult]:
     )
     # 4) wide-opening ratio vanishes
     lam_large = [4.0, 16.0, 64.0]
-    ratios_l = [parabolic_mass(k, e1, lam) / lam for lam in lam_large]
+    ratios_l = [parabolic_mass(k, lam) / lam for lam in lam_large]
     out.append(
         CheckResult(
             "wide-opening-decay",

@@ -263,11 +263,12 @@ def _expanded_centers(u: GridField, margin: float) -> tuple[np.ndarray, tuple]:
     return pts.reshape(-1, u.d), pts.shape[:-1]
 
 
-def _z_nodes(G: Kernel, r_lo_frac: float, n_angular, panels_per_decade, order):
+def _z_nodes(G: Kernel, n_angular, order):
+    """Radial and angular rules of the grid rate energies, from r_eff/100 up."""
     r_eff = G.effective_radius()
     if not math.isfinite(r_eff):
         raise RateDomainError("kernel needs a bounded quadrature window")
-    rs, ws = kernels.radial_rule(G, r_lo_frac * r_eff, r_eff, panels_per_decade, order)
+    rs, ws = kernels.radial_rule(G, 1e-2 * r_eff, r_eff, 2.0, order)
     dirs, wa = kernels.angular_rule(G.d, n_angular)
     return rs, ws, dirs, wa
 
@@ -304,18 +305,16 @@ class _SplineSampler:
         )
 
 
-def _x_quadrature(u: GridField, margin: float, oversample: int):
-    """Product-Gauss nodes and weights for the x-integral, cell by cell.
+def _x_quadrature(u: GridField, margin: float):
+    """2^d-point product-Gauss nodes and weights for the x-integral, per cell.
 
-    ``oversample=1`` is the plain cell-center sum; higher orders resolve
-    sub-cell structure (needed when the field has gradient kinks, whose
-    defect density varies on the cell scale).
+    The sub-cell nodes resolve structure the plain cell-center sum misses
+    (fields with gradient kinks, whose defect density varies on the cell
+    scale).
     """
     pts, _ = _expanded_centers(u, margin)
     cell = float(np.prod(u.spacing))
-    if oversample <= 1:
-        return pts, np.full(len(pts), cell)
-    g, gw = np.polynomial.legendre.leggauss(oversample)
+    g, gw = np.polynomial.legendre.leggauss(2)
     axes_off = [0.5 * u.spacing[i] * g for i in range(u.d)]
     offs = np.stack(np.meshgrid(*axes_off, indexing="ij"), axis=-1).reshape(-1, u.d)
     axes_w = np.meshgrid(*([0.5 * gw] * u.d), indexing="ij")
@@ -329,11 +328,8 @@ def rate_ddim(
     G: Kernel,
     f: Potential,
     eps: float,
-    r_lo_frac: float = 1e-2,
     n_angular=None,
-    panels_per_decade: float = 2.0,
     order: int = 6,
-    x_oversample: int = 2,
 ) -> RateValue:
     """Kernel-weighted rate energy on a grid field.
 
@@ -354,13 +350,13 @@ def rate_ddim(
     if np.ptp(u.values) == 0.0:
         # identically the extension constant: every difference vanishes
         return RateValue(eps, 0.0, 0.0)
-    rs, ws, dirs, wa = _z_nodes(G, r_lo_frac, n_angular, panels_per_decade, order)
+    rs, ws, dirs, wa = _z_nodes(G, n_angular, order)
     kv = G.profile_at(rs)
     delta = 1e-3 * float(np.min(u.spacing))
 
     reach = eps * float(rs.max())
     spl = _SplineSampler.constant(u, 2.0 * reach + delta)
-    pts, xw = _x_quadrature(u, reach, x_oversample)
+    pts, xw = _x_quadrature(u, reach)
     u_x = spl(pts)
     radial_w = ws * rs ** (u.d - 1) * kv
     radial_total = float(np.sum(radial_w))
@@ -376,16 +372,7 @@ def rate_ddim(
     return RateValue(eps, f_eps, f_0)
 
 
-def rate_limit_ddim(
-    u: GridField,
-    G: Kernel,
-    f: Potential,
-    r_lo_frac: float = 1e-2,
-    n_angular=None,
-    panels_per_decade: float = 2.0,
-    order: int = 6,
-    x_oversample: int = 2,
-) -> float:
+def rate_limit_ddim(u: GridField, G: Kernel, f: Potential) -> float:
     """Limit of the grid rate energies:
 
         (1/24) iint G(z) |z|^2 f''(|grad u . z_hat|) (z_hat^T hess u z_hat)^2.
@@ -398,12 +385,12 @@ def rate_limit_ddim(
     """
     if u.d not in (2, 3):
         raise RateDomainError("grid rate energies support d in {2, 3}")
-    rs, ws, dirs, wa = _z_nodes(G, r_lo_frac, n_angular, panels_per_decade, order)
+    rs, ws, dirs, wa = _z_nodes(G, None, 6)
     kv = G.profile_at(rs)
     second_moment = float(np.sum(ws * rs ** (u.d + 1) * kv))
 
     sample = _SplineSampler(u, (12,) * u.d, mode="reflect", reflect_type="odd")
-    pts, xw = _x_quadrature(u, 0.0, x_oversample)
+    pts, xw = _x_quadrature(u, 0.0)
     delta = 1e-2 * float(np.min(u.spacing))
     u_x = sample(pts)
     acc = 0.0
@@ -432,9 +419,6 @@ def slicing_check(
     G: Kernel,
     f: Potential,
     eps: float,
-    n_angular: int = 16,
-    r_lo: float = 0.25,
-    order: int = 6,
 ) -> SlicingReport:
     """Cross-check: the grid rate energy equals its line-slice assembly.
 
@@ -448,8 +432,8 @@ def slicing_check(
         raise RateDomainError("the slice assembly cross-check runs in d=2")
     check_constant_ring(u, RateDomainError)
     r_eff = G.effective_radius()
-    rs, ws = kernels.gauss_log_panels(r_lo * r_eff, r_eff, 4.0, order)
-    dirs, wa = kernels.angular_rule(2, n_angular)
+    rs, ws = kernels.gauss_log_panels(0.25 * r_eff, r_eff, 4.0, 6)
+    dirs, wa = kernels.angular_rule(2, 16)
     kv = G.profile_at(rs)
     cell = float(np.prod(u.spacing))
     h = float(np.min(u.spacing))
@@ -502,7 +486,7 @@ def slicing_check(
 EFFECTIVE_RADIUS_FACTOR = {2: 1.0, 3: 0.5}
 
 
-def effective_kernel(G: Kernel, order: int = 48) -> Kernel:
+def effective_kernel(G: Kernel) -> Kernel:
     """Triangle-window average of the mass-preserving rescales of G.
 
     The result integrates G_t(z) = t^{-d} G(z/t) against the unit triangle
@@ -514,7 +498,7 @@ def effective_kernel(G: Kernel, order: int = 48) -> Kernel:
         raise RateDomainError("effective kernel needs a compactly supported input")
     d = G.d
     r0 = G.r0 if G.r0 > 0 else 0.0
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(48)
 
     def profile(rho):
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -554,7 +538,7 @@ class RegularityReport:
 
 
 def regularity_criterion(
-    u: GridField, G: Kernel, f: Potential, eps_list: Sequence[float], **rate_kwargs
+    u: GridField, G: Kernel, f: Potential, eps_list: Sequence[float], n_angular=None
 ) -> RegularityReport:
     """Rate energies against the curvature-capped upper bound.
 
@@ -566,8 +550,7 @@ def regularity_criterion(
     if f.c is None:
         raise RateDomainError("regularity criterion needs a potential with bounded f''")
     eps_sorted = tuple(sorted((float(e) for e in eps_list), reverse=True))
-    rate_kwargs.setdefault("x_oversample", 2)
-    values = tuple(rate_ddim(u, G, f, e, **rate_kwargs).e_eps for e in eps_sorted)
+    values = tuple(rate_ddim(u, G, f, e, n_angular).e_eps for e in eps_sorted)
 
     h = u.spacing
     grad = np.gradient(u.values, *h)

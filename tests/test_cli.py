@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from nlgeom import cli
+from nlgeom.fields import FieldDomainError
+from nlgeom.rate import RateDomainError
 from nlgeom.cli import (
     CliDomainError,
     ConfigParseError,
@@ -310,3 +312,68 @@ def test_main_field_snapshot_round_trips(tmp_path):
     assert snap.values.shape == (32, 32)
     traj = (out / "trajectory_local.csv").read_text().splitlines()
     assert traj[0] == "t,zero_level_area,max_lipschitz,holder_stat"
+
+
+# ---------------------------------------------------------------------------
+# counts below 1 and library domain errors are config problems
+
+BALL = "kernel {\n  family ball\n}\n"
+FLOW_GEOMETRY = "geometry {\n  radius 0.4\n  resolution 32\n}\n"
+
+COUNT_CASES = {
+    "sigma-derivatives-directions":
+        "experiment sigma-derivatives\ndirections 0\n" + BALL,
+    "halfspace-cell-competitors":
+        "experiment halfspace-cell\neps 0.2\ncompetitors 0\n" + BALL,
+    "curvature-limit-boundary_samples": "experiment curvature-limit\neps 0.2\n"
+    "boundary_samples 0\n" + BALL + "geometry {\n  radius 0.5\n}\n",
+    "coarea-levels": COAREA_CFG.replace("levels 16", "levels 0"),
+    "submodularity-pairs": "experiment submodularity\npairs 0\n" + BALL,
+    "submodularity-pairs-negative": "experiment submodularity\npairs -5\n" + BALL,
+    "bbm-1d-samples": "experiment bbm-1d\neps 0.05\nprofile {\n  samples 0\n}\n",
+    "effective-kernel-samples": "experiment effective-kernel\nsamples 0\n" + BALL,
+    "effective-kernel-dims": "experiment effective-kernel\ndims\n" + BALL,
+    "flow-compare-snapshots": "experiment flow-compare\neps 0.2\n" + BALL
+    + FLOW_GEOMETRY + "flow {\n  T 0.01\n  snapshots 0\n}\n",
+    "flow-monitors-snapshots": "experiment flow-monitors\neps 0.2\n" + BALL
+    + FLOW_GEOMETRY + "flow {\n  snapshots 0\n}\n",
+    "regularity-angular": "experiment regularity\neps 0.1\nangular 0\n" + BALL,
+}
+
+
+def _main_exit_and_stderr(tmp_path, capsys, text):
+    cfg = tmp_path / "main.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code = cli.main(["run", str(cfg), "--out", str(tmp_path / "main_out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_count_keys_below_one_are_config_errors(tmp_path, capsys, case):
+    text = COUNT_CASES[case]
+    with pytest.raises(ConfigValueError, match=r"line \d+: key .* at least"):
+        run_text(tmp_path, text)
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err.count("nlgeom: error:") == 1
+
+
+DOMAIN_CASES = {
+    "field": (FieldDomainError, COAREA_CFG.replace("resolution 48", "resolution 0")),
+    "rate": (RateDomainError,
+             "experiment bbm-1d\neps 0.05\nprofile {\n  samples 2\n}\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
+def test_main_maps_library_domain_errors_to_exit_two(tmp_path, capsys, case):
+    error, text = DOMAIN_CASES[case]
+    with pytest.raises(error):
+        run_text(tmp_path, text)
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err.count("nlgeom: error:") == 1
+
+
+def test_run_subcommand_has_no_list_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--list"])
+    assert exc.value.code == 2

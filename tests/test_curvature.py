@@ -114,7 +114,7 @@ def test_graph_agrees_with_pv(eps):
 
 def test_graph_bound_by_parabolic_plus_tail():
     cv = hk_graph(Ball((0.0, 0.0), 1.0), (1.0, 0.0), BALL_K, delta=0.4)
-    bound = kernels.parabolic_mass(BALL_K, (1.0, 0.0), 1.1, rho_max=0.4) + kernels.tail_mass(BALL_K, 0.4)
+    bound = kernels.parabolic_mass(BALL_K, 1.1, rho_max=0.4) + kernels.tail_mass(BALL_K, 0.4)
     assert abs(cv.value) <= bound
 
 
@@ -190,7 +190,7 @@ def test_convergence_ball_fractional():
     )
     sups = report.sup_errors
     assert all(a > b for a, b in zip(sups, sups[1:]))
-    target = kernels.hyperplane_second_moment(FRAC_K, (1.0, 0.0)) / 0.5
+    target = kernels.hyperplane_second_moment(FRAC_K) / 0.5
     assert sups[-1] < 0.05 * target
     assert np.allclose(report.h0_values, target, rtol=1e-10)
 
@@ -213,7 +213,7 @@ def test_supersolution_ratio_bounded():
     table = curvature.supersolution_bound_table(
         BALL_K, radii=(0.1, 0.25, 0.5, 1.0, 2.0, 4.0), eps_list=(0.4, 0.2, 0.1, 0.05)
     )
-    kappa = kernels.hyperplane_second_moment(BALL_K, (1.0, 0.0))
+    kappa = kernels.hyperplane_second_moment(BALL_K)
     assert np.all(table > 0)
     assert table.max() <= 1.25 * kappa  # measured peak 1.18 kappa
     # deep in the eps << r regime the ratio settles on kappa itself

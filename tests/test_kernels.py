@@ -21,7 +21,6 @@ def test_ball_indicator_closed_form_moments():
     assert m.radial_first_moment.value == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert m.second_moment.value == pytest.approx(math.pi / 2, rel=1e-12)
     assert m.hyperplane_second.value == pytest.approx(2.0 / 3.0, rel=1e-9)
-    assert m.hyperplane_spread < 1e-9
 
 
 def test_ball_indicator_3d_moments():
@@ -36,7 +35,7 @@ def test_fractional_hyperplane_moment_matches_power_law(sigma):
     # kernel r^{-2-sigma} truncated at 1, d=2: the moment over a line
     # through the origin is 2/(1-sigma)
     k = kernels.fractional(2, sigma, 1.0)
-    val = kernels.hyperplane_second_moment(k, E1)
+    val = kernels.hyperplane_second_moment(k)
     assert val == pytest.approx(2.0 / (1.0 - sigma), rel=1e-10)
 
 
@@ -143,7 +142,7 @@ def test_hyperplane_moment_matrix_structure():
     k3 = kernels.ball_indicator(3)
     e = np.array([0.0, 0.0, 1.0])
     M3 = kernels.hyperplane_moment_matrix(k3, e)
-    kappa = kernels.hyperplane_second_moment(k3, e)
+    kappa = kernels.hyperplane_second_moment(k3)
     expect3 = (kappa / 2) * (np.eye(3) - np.outer(e, e))
     assert np.allclose(M3, expect3, atol=1e-9)
     assert abs(np.trace(M3) - kappa) < 1e-9
@@ -153,15 +152,15 @@ def test_parabolic_mass_small_opening_matches_moment():
     # mass of { |z.e| <= lam |z_perp|^2 / 2 } divided by lam approaches the
     # hyperplane moment as the parabola flattens
     k = kernels.ball_indicator(2)
-    kappa = kernels.hyperplane_second_moment(k, E1)
+    kappa = kernels.hyperplane_second_moment(k)
     lam = 0.01
-    mass = kernels.parabolic_mass(k, E1, lam)
+    mass = kernels.parabolic_mass(k, lam)
     assert mass / lam == pytest.approx(kappa, rel=1e-3)
 
 
 def test_parabolic_mass_rejects_1d():
     with pytest.raises(kernels.KernelDomainError):
-        kernels.parabolic_mass(kernels.triangular_window(), np.array([1.0]), 1.0)
+        kernels.parabolic_mass(kernels.triangular_window(), 1.0)
 
 
 def test_validate_summable_and_fast_decay():
