@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
@@ -320,13 +321,20 @@ def coarea_check(u: GridField, omega: Shape | None, kernel: Kernel,
     return lhs, rhs, rhs - lhs
 
 
+class Submodularity(NamedTuple):
+    slack: float  # Per(E) + Per(F) - Per(E and F) - Per(E or F)
+    scale: float  # Per(E) + Per(F)
+
+
 def submodularity_check(E: Shape, F: Shape, omega: Shape | None,
-                        kernel: Kernel, grid: Box) -> float:
+                        kernel: Kernel, grid: Box) -> Submodularity:
     """Per(E) + Per(F) - Per(E and F) - Per(E or F); claimed >= -1e-9 scale.
 
     All four perimeters share one rasterization pass and one stencil, so the
     lattice identity min+max = sum holds cell by cell and the slack is
-    nonnegative up to floating-point roundoff.
+    nonnegative up to floating-point roundoff.  The scale Per(E) + Per(F)
+    comes along; each perimeter equals ``perimeter_k(...).total`` bit for
+    bit.
     """
     chi_e = _indicator_values(E, grid)
     chi_f = _indicator_values(F, grid)
@@ -336,4 +344,4 @@ def submodularity_check(E: Shape, F: Shape, omega: Shape | None,
     for vals in (chi_e, chi_f, np.minimum(chi_e, chi_f), np.maximum(chi_e, chi_f)):
         j1, j2 = _tv_terms(vals, 0.0, om, offsets, weights, grid)
         out.append(j1 + j2)
-    return out[0] + out[1] - out[2] - out[3]
+    return Submodularity(out[0] + out[1] - out[2] - out[3], out[0] + out[1])

@@ -166,6 +166,35 @@ def check_constant_ring(u: GridField, error: type[Exception]) -> None:
         )
 
 
+def shift_taps(flat: np.ndarray, taps: np.ndarray, stride: int) -> np.ndarray:
+    """Shift a flat array along one ``stride``-element axis by tap rows.
+
+    ``taps`` holds rows of 4 node weights.  Row f of the result holds at
+    element p the value at node p + stride plus that row's sub-node shift:
+    a row whose only nonzero tap is node 1 = 1.0 copies it; any other row
+    adds its nonzero taps ``taps[f, i] * flat[p + i * stride]`` in node
+    order onto 0, the arithmetic of a Python ``sum`` over the taps.  The
+    last 3 * stride elements of each row lack a full stencil and are set to
+    0.  One row at a time, so the operands stay in cache.
+    """
+    n = flat.size - 3 * stride
+    out = np.empty((len(taps), flat.size))
+    out[:, n:] = 0.0
+    node = [flat[i * stride:i * stride + n] for i in range(4)]
+    term = np.empty(n)
+    for row, acc in zip(taps, out[:, :n]):
+        nonzero = [i for i in range(4) if row[i]]
+        if nonzero == [1] and row[1] == 1.0:
+            acc[...] = node[1]
+            continue
+        np.multiply(row[nonzero[0]], node[nonzero[0]], out=acc)
+        acc += 0.0
+        for i in nonzero[1:]:
+            np.multiply(row[i], node[i], out=term)
+            acc += term
+    return out
+
+
 # --------------------------------------------------------------------------
 # shapes
 

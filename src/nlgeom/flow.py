@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .fields import GridField, check_constant_ring
+from .fields import GridField, check_constant_ring, shift_taps
 from .kernels import Kernel
 
 SCHEMES = ("local", "nonlocal")
@@ -241,33 +241,6 @@ def _tap_weights(refine: int, order: int) -> np.ndarray:
     return w
 
 
-def _shift_phases(flat: np.ndarray, weights: np.ndarray, stride: int) -> np.ndarray:
-    """Shift a flat array by every phase f / refine of a ``stride``-element node.
-
-    Row f of the result holds at element p the value at node p + stride
-    plus the fraction: f = 0 copies it, f > 0 adds the nonzero taps
-    ``weights[f, i] * flat[p + i * stride]`` in node order onto 0, the
-    arithmetic of a Python ``sum`` over the taps.  The last 3 * stride
-    elements of each row lack a full stencil and are set to 0.  One phase
-    at a time, so the operands stay in cache.
-    """
-    n = flat.size - 3 * stride
-    out = np.empty((len(weights), flat.size))
-    out[:, n:] = 0.0
-    out[0, :n] = flat[stride:stride + n]
-    node = [flat[i * stride:i * stride + n] for i in range(4)]
-    term = np.empty(n)
-    for f in range(1, len(weights)):
-        acc = out[f, :n]
-        taps = [i for i in range(4) if weights[f, i]]
-        np.multiply(weights[f, taps[0]], node[taps[0]], out=acc)
-        acc += 0.0
-        for i in taps[1:]:
-            np.multiply(weights[f, i], node[i], out=term)
-            acc += term
-    return out
-
-
 def _phase_tables(P: np.ndarray, W: np.ndarray, refine: int) -> tuple:
     """Flat tables of every sub-cell phase of P (cubic, bilinear) and of W.
 
@@ -278,8 +251,8 @@ def _phase_tables(P: np.ndarray, W: np.ndarray, refine: int) -> tuple:
     """
     def table(arr, order):
         w = _tap_weights(refine, order)
-        rows = _shift_phases(arr.ravel(), w, arr.shape[1])
-        return _shift_phases(rows.ravel(), w, 1).ravel()
+        rows = shift_taps(arr.ravel(), w, arr.shape[1])
+        return shift_taps(rows.ravel(), w, 1).ravel()
 
     return table(P, 3), table(P, 1), table(W, 1)
 

@@ -1,6 +1,9 @@
 """Config parsing, rate fitting, artifact determinism, and exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +173,25 @@ def test_fit_rate_needs_three_rows():
 def test_fit_rate_accepts_full_report_rows():
     rows = [ReportRow(e, 1.0, 1.0, 2.0 * e, 0.0) for e in (0.4, 0.2, 0.1)]
     assert abs(fit_rate(rows).slope - 1.0) < 1e-10
+
+
+def test_fit_rate_band_uses_student_t_quantile():
+    # three points: one degree of freedom, t_{0.975} = 12.7062047361747
+    rows = [(0.4, 1.0), (0.2, 0.6), (0.1, 0.2)]
+    x = np.log([0.4, 0.2, 0.1])
+    y = np.log([1.0, 0.6, 0.2])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    se = math.sqrt(float(np.sum(resid**2)) / float(np.sum((x - x.mean()) ** 2)))
+    assert fit_rate(rows).band95 == pytest.approx(12.7062047361747 * se, rel=1e-12)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, nlgeom.cli; sys.exit(3 if 'scipy.stats' in sys.modules else 0)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -224,3 +224,18 @@ def test_sample_constant_extension(unit_box):
     f = GridField(unit_box, np.ones(unit_box.resolution), outside=7.0)
     far = f.sample(np.array([[10.0, 0.0]]))
     assert far[0] == 7.0
+
+
+def test_shift_taps_copies_unit_rows_and_sums_the_others():
+    flat = np.array([0.0, 1.0, 2.0, -0.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+    taps = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.25, 0.5, 0.0, 0.25]])
+    out = fields.shift_taps(flat, taps, 2)
+    # a unit row copies node 1, keeping the sign of a zero
+    assert np.array_equal(out[0, :4], flat[2:6])
+    assert np.signbit(out[0, 1])
+    # other rows add their nonzero taps in node order onto 0
+    assert np.array_equal(out[1, :4], 0.5 * flat[2:6])
+    assert not np.signbit(out[1, 1])
+    assert np.array_equal(out[2, :4], 0.25 * flat[0:4] + 0.5 * flat[2:6] + 0.25 * flat[6:10])
+    # the last 3 * stride elements lack a full stencil
+    assert np.all(out[:, 4:] == 0.0)

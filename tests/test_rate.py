@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from nlgeom import kernels, rate
 from nlgeom.fields import Box, GridField
@@ -327,3 +329,110 @@ def test_regularity_needs_bounded_curvature():
     u = GridField(box, np.zeros(box.resolution), "phase")
     with pytest.raises(RateDomainError):
         regularity_criterion(u, G_BALL, Potential.soft_quartic(), [0.1])
+
+
+# ---------------------------------------------------------------------------
+# shifted-lattice evaluation against the per-point paths
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("reflect", [False, True])
+@pytest.mark.parametrize("phase", ["zero", "near-one", "random"])
+def test_spline_lattice_matches_map_coordinates(d, reflect, phase):
+    rng = np.random.default_rng(7 * d + reflect)
+    box = Box.cube(1.0, 12 if d == 2 else 6, d=d)
+    u = GridField(box, rng.random(box.resolution), "phase")
+    if reflect:
+        spl = rate._SplineSampler(u, (5,) * d, mode="reflect", reflect_type="odd")
+    else:
+        spl = rate._SplineSampler.constant(u, 0.3)
+    shift = {"zero": np.zeros(d), "near-one": np.full(d, 1.0 - 1e-13),
+             "random": rng.uniform(-1.0, 2.0, d)}[phase]
+    shape, base = spl.centers(0.0)
+    base = base - 1
+    got = spl.lattice(shape, base, shift)
+    axes = [base[i] + shift[i] + np.arange(box.resolution[i]) for i in range(d)]
+    ref = ndimage.map_coordinates(spl._coeffs, np.meshgrid(*axes, indexing="ij"),
+                                  order=3, prefilter=False, mode="nearest")
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(spl._coeffs))
+
+
+def test_spline_lattice_stays_inside_the_coefficients():
+    box = Box.cube(1.0, 8)
+    spl = rate._SplineSampler.constant(GridField(box, np.zeros((8, 8)), "phase"), 0.0)
+    with pytest.raises(RateDomainError):
+        spl.lattice(*spl.centers(0.0), np.array([-4.5, 0.0]))
+    with pytest.raises(RateDomainError):
+        spl.lattice(*spl.centers(0.0), np.array([0.0, 3.5]))
+
+
+def _gather_e1d_rows(rows, a, h, f, eps):
+    """Per-point reference: samples at a - eps + i h/2, read by fancy indexing."""
+    n = rows.shape[1]
+    b = a + (n - 1) * h
+    dx = h / 2.0
+    xs = np.arange(a - eps, b + dx, dx)
+
+    def cell(x):
+        idx = np.clip(((x - a) // h).astype(int), 0, n - 2)
+        return idx, x - (a + idx * h)
+
+    def integral(x):
+        U = cumulative_trapezoid(rows, dx=h, axis=1, initial=0.0)
+        idx, s = cell(x)
+        slope = (rows[:, idx + 1] - rows[:, idx]) / h
+        part = U[:, idx] + rows[:, idx] * s + 0.5 * slope * s * s
+        part = np.where(x[None, :] <= a, 0.0, part)
+        return np.where(x[None, :] >= b, U[:, -1:], part)
+
+    idx, s = cell(xs)
+    s = s / h
+    u_x = rows[:, idx] * (1.0 - s) + rows[:, idx + 1] * s
+    u_x = np.where((xs[None, :] < a) | (xs[None, :] > b), 0.0, u_x)
+    slopes = (integral(xs + eps) - integral(xs)) / eps
+    return simpson(QUAD.f(u_x) - QUAD.f(slopes), dx=dx, axis=1) / (eps * eps)
+
+
+def test_e1d_rows_match_gather_reference_on_random_rows():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(6, 301))
+    a, h = -0.37, 1.3e-3
+    widths = h * np.array([8.0, 11.3, 23.0, 40.7])
+    got = rate._e1d_rows(rows, a, h, QUAD, widths)
+    for e, row in zip(widths, got):
+        ref = _gather_e1d_rows(rows, a, h, QUAD, e)
+        assert np.allclose(row, ref, rtol=1e-10, atol=0.0)
+
+
+def test_e1d_rows_match_gather_reference_on_bump_slices():
+    t = np.linspace(-1.3, 1.3, 641)
+    y = np.linspace(-1.1, 1.1, 9)[:, None]
+    rows = np.clip(1.0 - t * t - y * y, 0.0, None) ** 2
+    h = t[1] - t[0]
+    widths = 0.1 * np.array([0.25, 0.5, 1.0])
+    got = rate._e1d_rows(rows, t[0], h, QUAD, widths)
+    for e, row in zip(widths, got):
+        ref = _gather_e1d_rows(rows, t[0], h, QUAD, e)
+        assert np.allclose(row, ref, rtol=1e-10, atol=1e-12 * np.max(np.abs(ref)))
+
+
+# Values of the per-point (map_coordinates and gather) evaluation on the 64²
+# bump; the lattice path reorders sums and takes the probe phase in index
+# units, so it agrees within 1e-9 relative, not bit for bit.
+BUMP_E_EPS = {0.2: 3.0031328387605245, 0.1: 3.1430655798650338,
+              0.05: 3.2162962180947825}
+BUMP_LIMIT = 3.2024210137015925
+BUMP_SLICE = (3.1092199443922977, 3.1263614848214485)
+
+
+def test_bump_rates_match_per_point_values(bump_sweep):
+    eps, vals, limit = bump_sweep
+    for e, v in zip(eps, vals):
+        assert v.e_eps == pytest.approx(BUMP_E_EPS[e], rel=1e-9)
+    assert limit == pytest.approx(BUMP_LIMIT, rel=1e-9)
+
+
+def test_bump_slicing_matches_per_point_values(bump64):
+    rep = slicing_check(bump64, G_BALL, QUAD, 0.1)
+    assert rep.direct == pytest.approx(BUMP_SLICE[0], rel=1e-9)
+    assert rep.assembled == pytest.approx(BUMP_SLICE[1], rel=1e-12)
