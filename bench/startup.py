@@ -1,0 +1,85 @@
+"""Start-up cost of ``nlgeom`` and the scipy each shipped config loads.
+
+    python3 bench/startup.py [--repeats N] [CONFIG ...]
+
+Every measurement runs in a fresh interpreter with this checkout's ``src``
+on ``PYTHONPATH``.  Prints three things:
+
+- the median and quartiles of N walls of ``python -m nlgeom.cli --list``,
+  after one untimed warm-up;
+- the ``-X importtime`` total of ``import nlgeom.cli`` (the cumulative
+  microseconds of its top-level ``nlgeom`` lines), median of N;
+- for each config (default: every ``configs/*.cfg``), the scipy
+  subpackages its run leaves in ``sys.modules``.  The run goes through
+  ``cli.run`` with one worker into a temporary directory, so running every
+  shipped config takes about as long as the configs themselves.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+PROBE = """
+import sys
+from nlgeom import cli
+cli.run(sys.argv[1], sys.argv[2])
+print(" ".join(sorted({m.split(".")[1] for m in sys.modules
+                       if m.startswith("scipy.") and not m.split(".")[1].startswith("_")})))
+"""
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True,
+                          text=True, check=True)
+
+
+def list_walls(repeats: int) -> list[float]:
+    python("-m", "nlgeom.cli", "--list")
+    walls = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        python("-m", "nlgeom.cli", "--list")
+        walls.append(time.perf_counter() - t0)
+    return walls
+
+
+def import_us() -> int:
+    total = 0
+    for line in python("-X", "importtime", "-c", "import nlgeom.cli").stderr.splitlines():
+        fields = line.split("|")
+        if len(fields) == 3 and fields[2].strip().startswith("nlgeom") \
+                and not fields[2][1:].startswith(" "):
+            total += int(fields[1])
+    return total
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("configs", nargs="*", type=Path)
+    args = parser.parse_args(argv)
+    q1, med, q3 = np.percentile(list_walls(args.repeats), [25, 50, 75])
+    print(f"nlgeom --list wall: median {med:.3f} s  q1 {q1:.3f}  q3 {q3:.3f}  "
+          f"({args.repeats} runs)")
+    us = np.median([import_us() for _ in range(args.repeats)])
+    print(f"import nlgeom.cli (-X importtime): {us / 1e6:.3f} s")
+    configs = args.configs or sorted((ROOT / "configs").glob("*.cfg"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in configs:
+            loaded = python("-c", PROBE, str(cfg), str(Path(tmp) / cfg.stem)).stdout
+            print(f"{cfg.stem:<18} scipy: {loaded.strip() or '-'}")
+
+
+if __name__ == "__main__":
+    main()

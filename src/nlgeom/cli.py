@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import anisotropy, curvature, energy, flow, kernels, rate
 from .fields import Ball, AxisBox, Box, FieldDomainError, GridField, save_field
@@ -308,6 +307,8 @@ def fit_rate(rows: Sequence) -> RateFit | None:
     pairs.  Returns None (rate undefined) when any gap is nonpositive;
     fewer than three rows is a caller error.
     """
+    from scipy import special
+
     data = [
         (float(r[0]), float(r[3] if len(r) > 3 else r[1])) for r in rows
     ]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import kernels
 from .fields import ConvexPolygon, GridField, GridIndicator, LevelShape, Shape, differentiate
@@ -127,6 +126,8 @@ def _sign_surface_integral(E, x, r, n_hat, frame):
     how small r is; a dense doubling average takes over whenever the
     two-crossing model fails its bracket or scan validation.
     """
+    from scipy import optimize
+
     d = len(x)
     if d == 2:
         t_hat = frame[0]
@@ -281,6 +282,8 @@ def hk_graph(
     frame = kernels.hyperplane_basis(d, n_hat)
 
     def depth(tau_vec):
+        from scipy import optimize
+
         base = x + tau_vec
 
         def psi(b):

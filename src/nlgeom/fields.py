@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 
 class FieldDomainError(ValueError):
@@ -127,6 +126,8 @@ class GridField:
 
     def sample(self, points) -> np.ndarray:
         """Multilinear interpolation at arbitrary points (constant outside)."""
+        from scipy import ndimage
+
         pts = np.asarray(points, dtype=float)
         lead = pts.shape[:-1]
         p = pts.reshape(-1, self.d)

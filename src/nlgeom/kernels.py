@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
 
 FAMILIES = (
     "ball-indicator",
@@ -530,13 +529,19 @@ def _radial_moment(kernel: Kernel, q: float) -> Moment:
         val = k.r1 ** (a + 1) / (a + 1)
         return Moment(pref * val, True, abs(pref * val) * 1e-15)
     if fam == "gaussian":
+        from scipy import special
+
         val = 0.5 * k.r1 ** (q + 1) * special.gamma(0.5 * (q + 1))
         return Moment(pref * val, True, abs(pref * val) * 1e-15)
     if fam == "exponential-fractional":
+        from scipy import special
+
         a = q - k.d - k.sigma
         val = k.r1 ** (a + 1) * special.gamma(a + 1)
         return Moment(pref * val, True, abs(pref * val) * 1e-14)
     # custom: adaptive quadrature on [0, r1]; QAGS absorbs endpoint power laws
+    from scipy import integrate
+
     val, err = integrate.quad(
         lambda r: float(k._base(np.array([r]))[0]) * r**q,
         0.0,

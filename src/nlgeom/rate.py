@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from . import kernels
 from .fields import GridField, check_constant_ring, shift_taps
@@ -147,6 +145,8 @@ def _running_integral(rows: np.ndarray, a: float, h: float, x: np.ndarray) -> np
 
     Exact for the interpolant with zero extension; returns shape (m, k).
     """
+    from scipy.integrate import cumulative_trapezoid
+
     n = rows.shape[1]
     U = cumulative_trapezoid(rows, dx=h, axis=1, initial=0.0)
     b = a + (n - 1) * h
@@ -188,6 +188,8 @@ def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.
     left and by 0, U(b) and 0 on the right.  U is exact for the
     interpolant with zero extension; u is 0 off [a, b].
     """
+    from scipy.integrate import cumulative_trapezoid, simpson
+
     m, n = rows.shape
     b = a + (n - 1) * h
     dx = 0.5 * h
@@ -350,6 +352,8 @@ class _SplineSampler:
     """
 
     def __init__(self, u: GridField, pads: Sequence[int], **pad_mode):
+        from scipy import ndimage
+
         h = u.spacing
         padded = np.pad(u.values, [(p, p) for p in pads], **pad_mode)
         self._coeffs = ndimage.spline_filter(padded, order=3, mode="nearest")
@@ -365,6 +369,8 @@ class _SplineSampler:
         return cls(u, pads, constant_values=u.outside)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
+        from scipy import ndimage
+
         pts = np.asarray(pts, dtype=float)
         coords = (pts - self._origin) / self._h - 0.5
         return ndimage.map_coordinates(

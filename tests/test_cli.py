@@ -194,6 +194,51 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
+# Library modules import scipy inside the function that calls it, so a run
+# loads only the scipy it uses.  Each probe runs in a fresh interpreter:
+# earlier tests in this process have already imported scipy.
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def fresh_python(*args):
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+
+
+def test_cli_import_loads_no_scipy():
+    probe = f"import sys, nlgeom.cli; print({SCIPY_LOADED})"
+    assert fresh_python("-c", probe).stdout.strip() == "[]"
+
+
+def test_cli_list_loads_no_scipy():
+    done = fresh_python("-X", "importtime", "-m", "nlgeom.cli", "--list")
+    assert "coarea" in done.stdout.split()
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "nlgeom.energy" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def test_binary_energy_and_nonlocal_flow_load_no_scipy():
+    probe = f"""
+import sys
+from nlgeom import energy, flow, kernels
+from nlgeom.fields import Ball, Box, rasterize
+grid = Box.cube(1.0, 64)
+kernel = kernels.ball_indicator(2, 0.25)
+disk = Ball((0.0, 0.0), 0.5)
+energy.perimeter_k(disk, None, kernel, grid)
+energy.coarea_check(rasterize(disk, grid), None, kernel, 8)
+dt = flow.dt_bound(flow.curvature_coefficient(kernel), grid)
+u0 = flow.shrinking_circle_datum(grid, 0.5)
+traj = flow.evolve(u0, "nonlocal", kernel, 2 * dt, dt=dt, eps=0.2, n_snapshots=1)
+print(len(traj.monitor) - 1, {SCIPY_LOADED})
+"""
+    assert fresh_python("-c", probe).stdout.split() == ["2", "[]"]
+
+
 # ---------------------------------------------------------------------------
 # CSV format
 
@@ -239,6 +284,19 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
     _, out4 = cli.run(cfg, tmp_path / "w4", workers=4)
     for p in sorted(out1.iterdir()):
         assert p.read_bytes() == (out4 / p.name).read_bytes()
+
+
+def test_worker_count_does_not_change_artifacts_in_fresh_processes(tmp_path):
+    # with four workers the first scipy.integrate import happens in pool threads
+    cfg = str(CONFIG_DIR / "bbm-1d.cfg")
+    for n in ("1", "4"):
+        fresh_python("-m", "nlgeom.cli", "run", cfg, "--out", str(tmp_path / n),
+                     "--workers", n)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "4").iterdir())
+    assert "report.csv" in names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
 
 
 def test_coarea_run_writes_report_and_summary(tmp_path):

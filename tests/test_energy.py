@@ -403,6 +403,26 @@ def test_coupling_fft_matches_shifted_sum():
     assert energy.coupling(e, f, kernel, grid) == want
 
 
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    ns = range(1, 4097)
+    assert [energy._fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
+
+
+def test_counts_at_rejects_off_integer_correlation():
+    size, axes = (8, 8), (0, 1)
+    offsets = np.array([[0, 0], [1, 0]])
+    one = np.zeros((4, 4))
+    one[1, 2] = 1.0
+    spectrum = np.fft.rfftn(one, size, axes).conj() * np.fft.rfftn(one, size, axes)
+    assert np.array_equal(energy._counts_at(spectrum, size, offsets), [1.0, 0.0])
+    # a 0.5-valued cell puts the offset-0 count half-way between integers
+    spectrum = np.fft.rfftn(0.5 * one, size, axes).conj() * np.fft.rfftn(one, size, axes)
+    with pytest.raises(FloatingPointError, match="integrality"):
+        energy._counts_at(spectrum, size, offsets)
+
+
 def test_empty_stencil_gives_zero():
     grid = Box.cube(1.0, 32)
     tiny = kernels.ball_indicator(2, 0.2 * float(grid.spacing[0]))
