@@ -688,6 +688,8 @@ def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
                     rep.hk_over_eps[i, j],
                     rep.h0_values[j],
                     abs(rep.hk_over_eps[i, j] - rep.h0_values[j]),
+                    rep.hk_over_eps_err[i, j],
+                    int(rep.diverged[i, j]),
                 )
             )
     rows = []
@@ -710,7 +712,8 @@ def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
     art = [
         CsvArtifact(
             "curvature_samples.csv",
-            ("eps", "sample_index", "x", "y", "hk_over_eps", "h0", "abs_err"),
+            ("eps", "sample_index", "x", "y", "hk_over_eps", "h0", "abs_err",
+             "hk_over_eps_err", "diverged"),
             tuple(sample_rows),
         ),
         CsvArtifact(

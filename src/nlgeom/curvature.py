@@ -83,6 +83,87 @@ def _signs(shape: Shape, points: np.ndarray) -> np.ndarray:
 # principal-value annulus scheme
 
 
+# brentq's relative tolerance and iteration cap (scipy's defaults)
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brentq_lanes(f, a, b, xtol):
+    """Roots of many independent brackets [a_i, b_i] by Brent's method.
+
+    A numpy port of scipy's ``brentq`` (``Zeros/brentq.c``, rtol = 4 DBL_EPSILON,
+    100 iterations) in which every bracket is a lane: each lane takes the C
+    code's steps in the C code's order, so it returns the same bits as a
+    scalar ``brentq`` call, and leaves the batch once it has converged.
+    ``f(theta, lanes)`` gets the abscissae of the lanes still running and
+    their indices into ``a``.  Raises ValueError on a NaN value or a bracket
+    whose ends have the same sign, RuntimeError when a lane does not
+    converge.
+    """
+
+    def value(theta, lanes):
+        fx = np.asarray(f(theta, lanes), dtype=float)
+        if np.isnan(fx).any():
+            raise ValueError("function value is NaN; the root solve cannot continue")
+        return fx
+
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    root = np.empty(a.shape)
+    lanes = np.arange(a.size)
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre, lanes), value(xcur, lanes)
+    root[fcur == 0] = xcur[fcur == 0]
+    root[fpre == 0] = xpre[fpre == 0]
+    run = (fpre != 0) & (fcur != 0)
+    if np.any(run & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    lanes, xpre, xcur, fpre, fcur = (v[run] for v in (lanes, xpre, xcur, fpre, fcur))
+    xblk, fblk = np.zeros_like(xpre), np.zeros_like(xpre)
+    spre, scur = np.zeros_like(xpre), np.zeros_like(xpre)
+    for _ in range(_BRENT_MAXITER):
+        new = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(new, xpre, xblk)
+        fblk = np.where(new, fpre, fblk)
+        spre = np.where(new, xcur - xpre, spre)
+        scur = np.where(new, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[lanes[done]] = xcur[done]
+            keep = ~done
+            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[keep] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk,
+                                  spre, scur, delta, sbis))
+        if not lanes.size:
+            return root
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # inverse quadratic extrapolation, or secant where xpre == xblk
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = value(xcur, lanes)
+    raise RuntimeError(
+        f"{lanes.size} of {a.size} root solves failed to converge after "
+        f"{_BRENT_MAXITER} iterations"
+    )
+
+
 def _dense_sign_mean(E, x, r, direction_fn):
     """Mean of the membership sign over the sphere of radius r, by doubling.
 
@@ -118,61 +199,82 @@ def _sphere_dirs(n):
     return np.stack([s * np.cos(phi), s * np.sin(phi), mu], axis=-1)
 
 
-def _sign_surface_integral(E, x, r, n_hat, frame):
-    """integral of -sign(phi(x + r u)) over the unit sphere directions u.
+def _sign_surface_integrals(E, x, rs, n_hat, frame):
+    """Integrals of -sign(phi(x + r u)) over the unit sphere directions u.
 
-    The membership transition angles are located by root finding, so thin
-    asymmetry wedges near the tangent plane are resolved exactly no matter
-    how small r is; a dense doubling average takes over whenever the
-    two-crossing model fails its bracket or scan validation.
+    One value and error estimate per radius in ``rs``.  The membership
+    transition angles are located by root finding, so thin asymmetry wedges
+    near the tangent plane are resolved exactly no matter how small r is;
+    the crossing angles of every radius (and, in d = 3, of every azimuth)
+    are solved together, one Brent lane each.  A dense doubling average
+    takes over for each radius whose two-crossing model fails its bracket
+    or scan validation.
     """
-    from scipy import optimize
-
     d = len(x)
+    n = len(rs)
+    S = np.empty(n)
+    e = np.zeros(n)
+
+    def phi(points):
+        # GridIndicator.phi accepts flat (n, d) point arrays only
+        return np.asarray(E.phi(points.reshape(-1, d))).reshape(points.shape[:-1])
+
     if d == 2:
         t_hat = frame[0]
 
-        def f(th):
-            u = math.cos(th) * t_hat + math.sin(th) * n_hat
-            return float(np.asarray(E.phi(x + r * u)))
+        def f(th, r):
+            u = np.cos(th)[:, None] * t_hat + np.sin(th)[:, None] * n_hat
+            return phi(x + r[:, None] * u)
 
-        f_top, f_bot = f(0.5 * math.pi), f(-0.5 * math.pi)
-        if f_top > 0.0 > f_bot:
-            th_a = optimize.brentq(f, -0.5 * math.pi, 0.5 * math.pi, xtol=1e-14)
-            th_b = optimize.brentq(f, 0.5 * math.pi, 1.5 * math.pi, xtol=1e-14)
+        f_top = f(np.full(n, 0.5 * math.pi), rs)
+        f_bot = f(np.full(n, -0.5 * math.pi), rs)
+        ok = np.flatnonzero((f_top > 0.0) & (0.0 > f_bot))
+        if ok.size:
+            r_ok = rs[ok]
+            ends = np.full(ok.size, 0.5 * math.pi)
+            th_a = _brentq_lanes(lambda th, k: f(th, r_ok[k]), -ends, ends, 1e-14)
+            th_b = _brentq_lanes(lambda th, k: f(th, r_ok[k]), ends, 3.0 * ends, 1e-14)
             # validate the single-arc model against a coarse sign scan
             th = 2 * math.pi * (np.arange(64) + 0.5) / 64 - 0.5 * math.pi
             u = np.cos(th)[:, None] * t_hat + np.sin(th)[:, None] * n_hat
-            sv = np.asarray(E.phi(x[None, :] + r * u)) > 0.0
-            model = (th > th_a) & (th < th_b)
-            if np.array_equal(sv, model):
-                inside = th_b - th_a
-                return 2.0 * math.pi - 2.0 * inside, 0.0
-        mean, err = _dense_sign_mean(E, x, r, _circle_dirs)
-        return 2.0 * math.pi * mean, 2.0 * math.pi * err
+            sv = phi(x + r_ok[:, None, None] * u) > 0.0
+            model = (th > th_a[:, None]) & (th < th_b[:, None])
+            valid = np.all(sv == model, axis=1)
+            S[ok[valid]] = 2.0 * math.pi - 2.0 * (th_b - th_a)[valid]
+            ok = ok[valid]
+        for i in np.setdiff1d(np.arange(n), ok):
+            mean, err = _dense_sign_mean(E, x, rs[i], _circle_dirs)
+            S[i], e[i] = 2.0 * math.pi * mean, 2.0 * math.pi * err
+        return S, e
     if d == 3:
         t1, t2 = frame
-
-        def make_g(ca, sa):
-            td = ca * t1 + sa * t2
-
-            def g(beta):
-                u = math.sin(beta) * td + math.cos(beta) * n_hat
-                return float(np.asarray(E.phi(x + r * u)))
-
-            return g
-
         m = 32
         phis = 2 * math.pi * (np.arange(m) + 0.5) / m
-        area_inside = 0.0
-        for ph in phis:
-            g = make_g(math.cos(ph), math.sin(ph))
-            if not (g(1e-9) > 0.0 > g(math.pi - 1e-9)):
-                mean, err = _dense_sign_mean(E, x, r, _sphere_dirs)
-                return 4.0 * math.pi * mean, 4.0 * math.pi * err
-            beta = optimize.brentq(g, 1e-9, math.pi - 1e-9, xtol=1e-14)
-            area_inside += (2 * math.pi / m) * (1.0 - math.cos(beta))
-        return 4.0 * math.pi - 2.0 * area_inside, 0.0
+        td = np.cos(phis)[:, None] * t1 + np.sin(phis)[:, None] * t2
+        # lane i * m + j: radius i, azimuth j
+        radius, azimuth = np.divmod(np.arange(n * m), m)
+
+        def g(beta, lanes):
+            u = np.sin(beta)[:, None] * td[azimuth[lanes]] + np.cos(beta)[:, None] * n_hat
+            return phi(x + rs[radius[lanes], None] * u)
+
+        every = np.arange(n * m)
+        lo, hi = np.full(n * m, 1e-9), np.full(n * m, math.pi - 1e-9)
+        bracketed = (g(lo, every) > 0.0) & (0.0 > g(hi, every))
+        ok = np.flatnonzero(bracketed.reshape(n, m).all(axis=1))
+        if ok.size:
+            solved = (ok[:, None] * m + np.arange(m)).ravel()
+            beta = _brentq_lanes(lambda b, k: g(b, solved[k]), lo[solved], hi[solved],
+                                 1e-14).reshape(ok.size, m)
+            cap = (2 * math.pi / m) * (1.0 - np.cos(beta))
+            area_inside = np.zeros(ok.size)
+            for j in range(m):  # azimuth order, as a running sum
+                area_inside += cap[:, j]
+            S[ok] = 4.0 * math.pi - 2.0 * area_inside
+        for i in np.setdiff1d(np.arange(n), ok):
+            mean, err = _dense_sign_mean(E, x, rs[i], _sphere_dirs)
+            S[i], e[i] = 4.0 * math.pi * mean, 4.0 * math.pi * err
+        return S, e
     raise CurvatureDomainError("principal-value curvature needs d in {2, 3}")
 
 
@@ -200,28 +302,29 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
         n_hat = g / np.linalg.norm(g)
     frame = kernels.hyperplane_basis(len(x), n_hat)
 
-    quad_err = 0.0
-
-    def shell(r_lo, r_hi):
-        nonlocal quad_err
-        rs, ws = kernels.radial_rule(kernel, r_lo, r_hi)
-        kv = kernel.profile_at(rs)
-        acc = 0.0
-        for r, w, k in zip(rs, ws, kv):
-            if k == 0.0:
-                continue
-            S, e = _sign_surface_integral(E, x, r, n_hat, frame)
-            acc += w * r ** (len(x) - 1) * k * S
-            quad_err += w * r ** (len(x) - 1) * k * e
-        return acc
-
-    total = 0.0
-    increments = []
+    shells = []
     r_hi = r_eff
     for _ in range(8):
         r_lo = r_hi * 0.5
-        increments.append(shell(r_lo, r_hi))
+        rs, ws = kernels.radial_rule(kernel, r_lo, r_hi)
+        kv = kernel.profile_at(rs)
+        live = kv != 0.0
+        shells.append((rs[live], ws[live], kv[live]))
         r_hi = r_lo
+    S, e = _sign_surface_integrals(E, x, np.concatenate([s[0] for s in shells]),
+                                   n_hat, frame)
+
+    quad_err = 0.0
+    increments = []
+    i = 0
+    for rs, ws, kv in shells:
+        acc = 0.0
+        for r, w, k in zip(rs, ws, kv):
+            acc += w * r ** (len(x) - 1) * k * S[i]
+            quad_err += w * r ** (len(x) - 1) * k * e[i]
+            i += 1
+        increments.append(acc)
+    total = 0.0
     total += float(np.sum(increments))
 
     # geometric tail from the last three increments
@@ -281,26 +384,6 @@ def hk_graph(
     n_hat = g / np.linalg.norm(g)
     frame = kernels.hyperplane_basis(d, n_hat)
 
-    def depth(tau_vec):
-        from scipy import optimize
-
-        base = x + tau_vec
-
-        def psi(b):
-            return float(np.asarray(E.phi(base + b * n_hat)))
-
-        lo, hi = -0.95 * delta, 0.95 * delta
-        flo, fhi = psi(lo), psi(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi > 0.0:
-            raise CurvatureDomainError(
-                "no graph chart: the boundary leaves the cylinder"
-            )
-        return optimize.brentq(psi, lo, hi, xtol=1e-14)
-
     # tangential quadrature nodes
     gl_x, gl_w = np.polynomial.legendre.leggauss(24)
     if d == 2:
@@ -318,9 +401,20 @@ def hk_graph(
         tau_w = (rw[:, None] * rr[:, None] * (2 * math.pi / n_phi)).reshape(-1)
         tau_r = np.repeat(rr, n_phi)
 
+    # boundary depth along the normal above each node, one Brent lane each
+    bases = x + tau_vecs
+
+    def psi(b, lanes):
+        return np.asarray(E.phi(bases[lanes] + b[:, None] * n_hat))
+
+    every = np.arange(len(bases))
+    lo, hi = np.full(len(bases), -0.95 * delta), np.full(len(bases), 0.95 * delta)
+    if np.any(psi(lo, every) * psi(hi, every) > 0.0):
+        raise CurvatureDomainError("no graph chart: the boundary leaves the cylinder")
+    depth = _brentq_lanes(psi, lo, hi, 1e-14)
+
     inner = 0.0
-    for tv, w, tr in zip(tau_vecs, tau_w, tau_r):
-        b = depth(tv)
+    for b, w, tr in zip(depth, tau_w, tau_r):
         if abs(b) < 1e-300:
             continue
         half = 0.5 * abs(b)
@@ -438,6 +532,8 @@ class ConvergenceReport:
     samples: np.ndarray         # boundary points (n, d)
     h0_values: np.ndarray       # local limit per sample
     hk_over_eps: np.ndarray     # (n_eps, n_samples)
+    hk_over_eps_err: np.ndarray  # hk_pv error estimate / eps, same shape
+    diverged: np.ndarray        # hk_pv divergence flags, same shape
 
     @property
     def sup_errors(self) -> tuple:
@@ -462,14 +558,19 @@ def curvature_convergence(
     pts = bs.points[:boundary_samples]
     h0_vals = np.array([h0(E, p, kernel).value for p in pts])
     table = np.empty((len(eps_list), len(pts)))
+    table_err = np.empty_like(table)
+    diverged = np.zeros(table.shape, dtype=bool)
     rows = []
     for i, eps in enumerate(eps_list):
         k_eps = kernels.rescale(kernel, eps)
         for j, p in enumerate(pts):
-            table[i, j] = hk_pv(E, p, k_eps).value / eps
+            cv = hk_pv(E, p, k_eps)
+            table[i, j] = cv.value / eps
+            table_err[i, j] = cv.err / eps
+            diverged[i, j] = cv.diverged
         errs = np.abs(table[i] - h0_vals)
         rows.append(ConvergenceRow(eps, float(errs.max()), float(errs.mean())))
-    return ConvergenceReport(eps_list, tuple(rows), pts, h0_vals, table)
+    return ConvergenceReport(eps_list, tuple(rows), pts, h0_vals, table, table_err, diverged)
 
 
 def supersolution_bound_table(

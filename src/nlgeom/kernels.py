@@ -20,6 +20,7 @@ than a sentinel number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -312,6 +313,18 @@ def triangular_window() -> Kernel:
 # radial quadrature building blocks
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    x, w = leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_log_panels(
     r_lo: float,
     r_hi: float,
@@ -327,7 +340,7 @@ def gauss_log_panels(
         raise ValueError("need 0 < r_lo < r_hi")
     span = math.log(r_hi / r_lo)
     n_panels = max(2, math.ceil(span / math.log(10.0) * panels_per_decade))
-    x, w = leggauss(order)
+    x, w = _leggauss(order)
     edges = np.linspace(math.log(r_lo), math.log(r_hi), n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -374,7 +387,7 @@ def angular_rule(d: int, n_angular=None) -> tuple[np.ndarray, np.ndarray]:
         return dirs, np.full(n, 2.0 * math.pi / n)
     n_mu, n_phi = n_angular if n_angular is not None else _DEF_ANGULAR[3]
     n_mu += n_mu % 2  # even order: no equatorial node, hemispheres mirror
-    mu, wmu = leggauss(n_mu)
+    mu, wmu = _leggauss(n_mu)
     upper = mu > 0.0
     mu_u, wmu_u = mu[upper], wmu[upper]
     phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
@@ -675,7 +688,7 @@ def parabolic_mass(kernel: Kernel, lam: float, rho_max: float | None = None) -> 
     if hi <= lo:
         return 0.0
     rho, wr = gauss_log_panels(lo, hi, panels_per_decade=6, order=8)
-    x, w = leggauss(16)
+    x, w = _leggauss(16)
     a_hi = np.minimum(0.5 * lam * rho**2, r_eff)
     # inner integral over the normal coordinate a in [0, a_hi(rho)]
     half = 0.5 * a_hi

@@ -239,6 +239,20 @@ print(len(traj.monitor) - 1, {SCIPY_LOADED})
     assert fresh_python("-c", probe).stdout.split() == ["2", "[]"]
 
 
+def test_curvature_routes_load_no_scipy_optimize():
+    probe = """
+import sys
+from nlgeom import curvature, kernels
+from nlgeom.fields import Ball
+disk = Ball((0.0, 0.0), 0.5)
+kernel = kernels.fractional(2, 0.5, 1.0)
+rep = curvature.curvature_convergence(disk, kernel, [0.4, 0.2], boundary_samples=4)
+curvature.hk_graph(disk, (0.5, 0.0), kernels.rescale(kernel, 0.4))
+print(rep.hk_over_eps.shape, 'scipy.optimize' in sys.modules)
+"""
+    assert fresh_python("-c", probe).stdout.split() == ["(2,", "4)", "False"]
+
+
 # ---------------------------------------------------------------------------
 # CSV format
 
@@ -316,6 +330,33 @@ def test_single_point_sweep_skips_rate(tmp_path):
     report, _ = run_text(tmp_path, text)
     assert report.rate is None
     assert "fewer than 3" in report.rate_note
+
+
+CURVATURE_CFG = """
+experiment curvature-limit
+eps 0.4 0.2
+boundary_samples 4
+kernel {
+  family fractional
+  sigma 0.5
+  radius 1.0
+}
+geometry {
+  shape disk
+  radius 0.5
+}
+"""
+
+
+def test_curvature_samples_carry_error_and_divergence(tmp_path):
+    report, out = run_text(tmp_path, CURVATURE_CFG)
+    header, *rows = (out / "curvature_samples.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "eps,sample_index,x,y,hk_over_eps,h0,abs_err,hk_over_eps_err,diverged"
+    assert len(rows) == 8
+    for row in rows:
+        cells = row.split(",")
+        assert 0.0 < float(cells[7]) < math.inf
+        assert cells[8] == "0"
 
 
 def test_run_rejects_bad_worker_count(tmp_path):

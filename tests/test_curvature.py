@@ -202,6 +202,18 @@ def test_convergence_ellipse_per_point():
     assert np.all(errs[:-1] >= errs[1:] - 1e-12)
 
 
+def test_convergence_report_keeps_error_and_divergence():
+    disk = Ball((0.0, 0.0), 0.5)
+    report = curvature.curvature_convergence(disk, FRAC_K, [0.2, 0.1], boundary_samples=4)
+    for i, eps in enumerate(report.eps):
+        for j, p in enumerate(report.samples):
+            cv = hk_pv(disk, p, kernels.rescale(FRAC_K, eps))
+            assert report.hk_over_eps_err[i, j] == cv.err / eps
+            assert report.diverged[i, j] == cv.diverged
+    assert np.all(report.hk_over_eps_err > 0.0)
+    assert not report.diverged.any()
+
+
 def test_convergence_rejects_bad_kernel():
     with pytest.raises(CurvatureDomainError):
         curvature.curvature_convergence(
@@ -218,3 +230,228 @@ def test_supersolution_ratio_bounded():
     assert table.max() <= 1.25 * kappa  # measured peak 1.18 kappa
     # deep in the eps << r regime the ratio settles on kappa itself
     assert table[-1, -1] == pytest.approx(kappa, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# lane-wise Brent solver against scipy's scalar brentq
+
+
+def _poly_lanes(rng, n):
+    """Per-lane cubic c (t - z) ((t - w)^2 + s), one real root z each."""
+    z = rng.uniform(-1.0, 1.0, n)
+    w = rng.uniform(-2.0, 2.0, n)
+    s = rng.uniform(1e-3, 1.0, n)
+    c = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 10.0, n)
+    a = z - rng.uniform(1e-3, 2.0, n)
+    b = z + rng.uniform(1e-3, 2.0, n)
+    flip = rng.random(n) < 0.5
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+
+    def f(t, c, z, w, s):
+        return c * (t - z) * ((t - w) * (t - w) + s)
+
+    return a, b, (c, z, w, s), f
+
+
+@pytest.mark.parametrize("xtol", [1e-14, 2e-12])
+def test_brentq_lanes_matches_scipy_bitwise(xtol):
+    from scipy import optimize
+
+    rng = np.random.default_rng(20240)
+    n = 200
+    a, b, coef, f = _poly_lanes(rng, n)
+    calls = np.zeros(n, dtype=int)
+
+    def lanes_f(t, lanes):
+        np.add.at(calls, lanes, 1)
+        return f(t, *(v[lanes] for v in coef))
+
+    roots = curvature._brentq_lanes(lanes_f, a, b, xtol)
+    want = np.array([
+        optimize.brentq(f, a[i], b[i], args=tuple(v[i] for v in coef), xtol=xtol)
+        for i in range(n)
+    ])
+    assert np.array_equal(roots, want)
+    # lanes leave the batch at different iterations
+    assert len(np.unique(calls)) > 3
+
+
+def test_brentq_lanes_endpoint_and_exact_interior_zeros():
+    from scipy import optimize
+
+    a = np.array([0.25, -1.0, -1.0, -0.5, -2.0])
+    b = np.array([1.0, 0.75, 1.0, 0.5, 1.0])
+    shift = np.array([0.25, 0.75, 0.0, 0.0, 0.3])
+
+    def f(t, shift):
+        # odd about the shift: bisection of [-1, 1] hits t = 0 exactly
+        return (t - shift) * (0.5 + (t - shift) * (t - shift))
+
+    roots = curvature._brentq_lanes(lambda t, k: f(t, shift[k]), a, b, 1e-14)
+    want = [optimize.brentq(f, a[i], b[i], args=(shift[i],), xtol=1e-14) for i in range(5)]
+    assert np.array_equal(roots, want)
+    assert roots[0] == 0.25 and roots[1] == 0.75 and roots[2] == 0.0
+
+
+def test_brentq_lanes_errors():
+    a, b = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        curvature._brentq_lanes(lambda t, k: np.where(k == 1, np.nan, t), a, b, 1e-14)
+    with pytest.raises(ValueError, match="different signs"):
+        curvature._brentq_lanes(lambda t, k: t * t + 1.0, a, b, 1e-14)
+
+
+@pytest.mark.parametrize("f, a, b, xtol", [
+    # a step at 0 with a vanishing tolerance needs about 1000 bisections
+    (lambda t: np.where(t > 0.0, 1.0, -1.0), -1.0, 2.0, 1e-300),
+    # a triple root whose values underflow the interpolation steps
+    (lambda t: (t - 0.1) * (t - 0.1) * (t - 0.1), -2.0, 3.0, 1e-14),
+])
+def test_brentq_lanes_fails_to_converge_where_scipy_does(f, a, b, xtol):
+    from scipy import optimize
+
+    with pytest.raises(RuntimeError, match="converge"):
+        optimize.brentq(lambda t: float(f(np.float64(t))), a, b, xtol=xtol)
+    with pytest.raises(RuntimeError, match="converge"):
+        curvature._brentq_lanes(lambda t, k: f(t), np.array([a]), np.array([b]), xtol)
+
+
+# ---------------------------------------------------------------------------
+# batched principal-value route against the scalar one it replaced
+
+
+def _scalar_sign_surface_integral(E, x, r, n_hat, frame):
+    """One radius at a time, two scalar brentq solves per circle."""
+    from scipy import optimize
+
+    d = len(x)
+    if d == 2:
+        t_hat = frame[0]
+
+        def f(th):
+            u = math.cos(th) * t_hat + math.sin(th) * n_hat
+            return float(np.asarray(E.phi(x + r * u)))
+
+        f_top, f_bot = f(0.5 * math.pi), f(-0.5 * math.pi)
+        if f_top > 0.0 > f_bot:
+            th_a = optimize.brentq(f, -0.5 * math.pi, 0.5 * math.pi, xtol=1e-14)
+            th_b = optimize.brentq(f, 0.5 * math.pi, 1.5 * math.pi, xtol=1e-14)
+            th = 2 * math.pi * (np.arange(64) + 0.5) / 64 - 0.5 * math.pi
+            u = np.cos(th)[:, None] * t_hat + np.sin(th)[:, None] * n_hat
+            sv = np.asarray(E.phi(x[None, :] + r * u)) > 0.0
+            model = (th > th_a) & (th < th_b)
+            if np.array_equal(sv, model):
+                return 2.0 * math.pi - 2.0 * (th_b - th_a), 0.0
+        mean, err = curvature._dense_sign_mean(E, x, r, curvature._circle_dirs)
+        return 2.0 * math.pi * mean, 2.0 * math.pi * err
+    t1, t2 = frame
+
+    def make_g(ca, sa):
+        td = ca * t1 + sa * t2
+
+        def g(beta):
+            u = math.sin(beta) * td + math.cos(beta) * n_hat
+            return float(np.asarray(E.phi(x + r * u)))
+
+        return g
+
+    m = 32
+    area_inside = 0.0
+    for ph in 2 * math.pi * (np.arange(m) + 0.5) / m:
+        g = make_g(math.cos(ph), math.sin(ph))
+        if not (g(1e-9) > 0.0 > g(math.pi - 1e-9)):
+            mean, err = curvature._dense_sign_mean(E, x, r, curvature._sphere_dirs)
+            return 4.0 * math.pi * mean, 4.0 * math.pi * err
+        beta = optimize.brentq(g, 1e-9, math.pi - 1e-9, xtol=1e-14)
+        area_inside += (2 * math.pi / m) * (1.0 - math.cos(beta))
+    return 4.0 * math.pi - 2.0 * area_inside, 0.0
+
+
+def _scalar_hk_pv(E, x, kernel):
+    """hk_pv as it was: one sign-surface integral per kernel node."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(E, GridIndicator):
+        n_hat = curvature._probe_normal(E, x)
+    else:
+        g = np.asarray(E.grad_phi(x), dtype=float)
+        n_hat = g / np.linalg.norm(g)
+    frame = kernels.hyperplane_basis(len(x), n_hat)
+    quad_err = 0.0
+    increments = []
+    r_hi = kernel.effective_radius()
+    for _ in range(8):
+        r_lo = r_hi * 0.5
+        rs, ws = kernels.radial_rule(kernel, r_lo, r_hi)
+        acc = 0.0
+        for r, w, k in zip(rs, ws, kernel.profile_at(rs)):
+            if k == 0.0:
+                continue
+            S, e = _scalar_sign_surface_integral(E, x, r, n_hat, frame)
+            acc += w * r ** (len(x) - 1) * k * S
+            quad_err += w * r ** (len(x) - 1) * k * e
+        increments.append(acc)
+        r_hi = r_lo
+    total = 0.0
+    total += float(np.sum(increments))
+    c1, c2, c3 = (abs(v) for v in increments[-3:])
+    scale = max(abs(total), max(c1, 1e-300))
+    noise = 1e-13 * scale
+    diverged = False
+    if c3 <= noise:
+        err = noise + quad_err
+    elif c3 >= c1:
+        err = c3 + quad_err
+        diverged = True
+    else:
+        q = math.sqrt(c3 / c1)
+        tail = increments[-1] * q / (1.0 - q)
+        err = abs(tail) * (1.0 - q) + noise + quad_err
+        total += tail
+    return curvature.CurvatureValue(total, err, "pv-annulus", diverged)
+
+
+BITWISE_CASES = {
+    "disk-frac": (Ball((0.0, 0.0), 0.5), None, kernels.rescale(FRAC_K, 0.1)),
+    "disk-ball-offcenter": (Ball((0.3, -0.2), 0.8), None, kernels.rescale(BALL_K, 0.2)),
+    "lens": (Ball((0.0, 0.0), 1.0), (1.0, 0.0), BALL_K),
+    "divergent": (Ball((0.0, 0.0), 0.5), (0.5, 0.0),
+                  kernels.custom_radial(lambda r: r**-3.5, d=2, r_max=1.0, sigma=0.9)),
+    "ball3": (Ball((0.0, 0.0, 0.0), 0.5), (0.5, 0.0, 0.0),
+              kernels.rescale(kernels.ball_indicator(3), 0.25)),
+    "ball3-frac": (Ball((0.1, 0.0, -0.2), 0.7), None,
+                   kernels.rescale(kernels.fractional(3, 0.5, 1.0), 0.2)),
+    "halfspace-x": (Halfspace((1, 0), 0.0), (0.0, 0.0), BALL_K),
+    "halfspace-y": (Halfspace((0, 1), 0.0), (0.0, 0.0), BALL_K),
+    "grid-256": (
+        GridIndicator(rasterize(Ball((0.0, 0.0), 0.5),
+                                Box((-1.0, -1.0), (2.0, 2.0), (256, 256)), mode="indicator")),
+        (0.5, 0.0), kernels.rescale(BALL_K, 0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+def test_pv_batched_matches_scalar_route_bitwise(case):
+    E, x, kernel = BITWISE_CASES[case]
+    points = [x] if x is not None else list(E.boundary_sample(8).points[:3])
+    for p in points:
+        assert hk_pv(E, p, kernel) == _scalar_hk_pv(E, p, kernel)
+
+
+def test_pv_batched_oblique_halfspace_near_scalar_route():
+    # Halfspace.phi is a matmul: one point (1-D dot) and a batch (gemv) may
+    # round x.n differently, so the two routes share only the cancellation
+    mass = kernels.moments(BALL_K).mass.value
+    for normal in [(0.3, -0.7), (1, 1)]:
+        want = _scalar_hk_pv(Halfspace(normal, 0.0), np.zeros(2), BALL_K)
+        got = hk_pv(Halfspace(normal, 0.0), np.zeros(2), BALL_K)
+        assert abs(got.value - want.value) < 1e-15 * mass
+
+
+def test_pv_batched_ellipse_near_scalar_route():
+    # the ellipse's einsum level function need not round a batch like a point
+    ell = curvature.make_ellipse(0.6, 0.3)
+    k = kernels.rescale(FRAC_K, 0.1)
+    for p in ell.boundary_sample(8).points:
+        got, want = hk_pv(ell, p, k), _scalar_hk_pv(ell, p, k)
+        assert got.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
+        assert got.diverged == want.diverged

@@ -220,3 +220,21 @@ def test_rescale_keeps_first_moment_linear(eps):
     base = kernels.absolute_moment(k, 1)
     scaled = kernels.absolute_moment(kernels.rescale(k, eps), 1)
     assert scaled.value == pytest.approx(eps * base.value, rel=1e-12)
+
+
+def test_gauss_log_panels_reuse_one_read_only_rule_per_order():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = kernels._leggauss(8)
+    assert kernels._leggauss(8)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    want_x, want_w = leggauss(8)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    # the panels are built from the shared rule, node for node as before
+    r, wr = kernels.gauss_log_panels(1e-3, 2.0, 3, 8)
+    edges = np.linspace(math.log(1e-3), math.log(2.0), 11)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    u = (mid[:, None] + half[:, None] * want_x[None, :]).ravel()
+    assert np.array_equal(r, np.exp(u))
+    assert np.array_equal(wr, (half[:, None] * want_w[None, :]).ravel() * np.exp(u))
