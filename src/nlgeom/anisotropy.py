@@ -29,6 +29,11 @@ class AnisotropyDomainError(ValueError):
 # mean of |omega . e| over the unit sphere times its surface measure
 _ANGULAR_ABS = {1: 2.0, 2: 4.0, 3: 2.0 * math.pi}
 
+#: exponent of the competitors' amplitude decay along the eps schedule in
+#: ``halfspace_cell_experiment``; at 0 the amplitude stays fixed, so no
+#: competitor converges to the halfspace in L^1
+COMPETITOR_SHRINK = 1.0
+
 
 @dataclass(frozen=True)
 class Anisotropy:
@@ -143,7 +148,6 @@ def halfspace_cell_experiment(
     p_hat,
     eps_list: Sequence[float],
     n_competitors: int = 4,
-    shrink: float = 1.0,
     seed: int = 0,
     resolution: int = 384,
 ) -> CellReport:
@@ -151,7 +155,7 @@ def halfspace_cell_experiment(
 
     The halfspace curve (omega_1 eps)^{-1} J1_eps(H; B) approaches sigma(p);
     competitor families bend the boundary by sinusoids whose amplitude
-    follows 0.12 u (eps/eps_max)^shrink with u uniform in [0.5, 1].
+    follows 0.12 u (eps/eps_max)^COMPETITOR_SHRINK with u uniform in [0.5, 1].
     Families whose symmetric difference to the halfspace does not vanish
     (final |E dif H| above 0.005 pi and above 3/4 of the first) are rejected:
     they do not converge in L^1, so the cell formula says nothing about them.
@@ -193,7 +197,7 @@ def halfspace_cell_experiment(
         gaps = []
         shapes = []
         for eps in eps_list:
-            amp = amp0 * (eps / eps_max) ** shrink
+            amp = amp0 * (eps / eps_max) ** COMPETITOR_SHRINK
             shp = _competitor_shape(p_hat, t_hat, amp, waves, phase)
             shapes.append(shp)
             diff = shp.contains(centers) != hs_members

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .fields import ConvexPolygon, GridField, GridIndicator, LevelShape, Shape, differentiate
+from .fields import GridField, GridIndicator, LevelShape, Shape, differentiate
 from .kernels import Kernel
 
 
@@ -351,19 +351,15 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
 # graph-chart scheme
 
 
-def hk_graph(
-    E: Shape,
-    x,
-    kernel: Kernel,
-    delta: float | None = None,
-) -> CurvatureValue:
+def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     """Nonlocal curvature through a local boundary graph over the tangent plane.
 
-    Inside the cylinder {|tau| <= delta, |a| <= delta} aligned with the inner
-    normal, the two indicator contributions collapse to a column integral of
-    K between the boundary graph and its reflection; outside the cylinder the
-    paired-quadrature far field is added.  Points without a graph chart
-    (polygon vertices, degenerate gradients) are rejected.
+    Inside the cylinder {|tau| <= delta, |a| <= delta}, delta = 0.4 r_eff,
+    aligned with the inner normal, the two indicator contributions collapse
+    to a column integral of K between the boundary graph and its
+    reflection; outside the cylinder the paired-quadrature far field is
+    added.  Points without a graph chart (a vanishing level gradient, or a
+    boundary that leaves the cylinder) are rejected.
     """
     x = np.asarray(x, dtype=float)
     _boundary_point_check(E, x)
@@ -373,12 +369,7 @@ def hk_graph(
     r_eff = kernel.effective_radius()
     if not math.isfinite(r_eff):
         raise CurvatureDomainError("kernel needs a bounded quadrature window")
-    if delta is None:
-        delta = 0.4 * r_eff
-    if isinstance(E, ConvexPolygon):
-        verts = np.asarray(E.vertices)
-        if np.min(np.linalg.norm(verts - x, axis=1)) <= delta:
-            raise CurvatureDomainError("no C^{1,1} graph chart at a polygon vertex")
+    delta = 0.4 * r_eff
 
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
@@ -571,24 +562,3 @@ def curvature_convergence(
         errs = np.abs(table[i] - h0_vals)
         rows.append(ConvergenceRow(eps, float(errs.max()), float(errs.mean())))
     return ConvergenceReport(eps_list, tuple(rows), pts, h0_vals, table, table_err, diverged)
-
-
-def supersolution_bound_table(
-    kernel: Kernel,
-    radii: Sequence[float] = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
-    eps_list: Sequence[float] = (0.4, 0.2, 0.1, 0.05),
-) -> np.ndarray:
-    """(r/eps) * H(K_eps) for balls of radius r tangent at the origin.
-
-    The tabulated quantity stays bounded by a fixed constant; it approaches
-    the hyperplane second moment as eps/r goes to 0.
-    """
-    from .fields import Ball
-
-    out = np.empty((len(radii), len(eps_list)))
-    for i, r in enumerate(radii):
-        ball = Ball((-r, 0.0), r)
-        for j, eps in enumerate(eps_list):
-            k_eps = kernels.rescale(kernel, eps)
-            out[i, j] = (r / eps) * hk_pv(ball, np.zeros(2), k_eps).value
-    return out

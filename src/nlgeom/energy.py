@@ -34,7 +34,6 @@ reaches it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -218,29 +217,7 @@ def _indicator_values(shape: Shape, grid: Box) -> np.ndarray:
 # public operations
 
 
-def coupling(E: Shape, F: Shape, kernel: Kernel, grid: Box) -> float:
-    """integral over E x F of K(y - x); symmetric and nonnegative.
-
-    Returns math.inf when the kernel is not integrable near the origin and
-    the two sets share area (the double integral genuinely diverges).
-    """
-    chi_e = _indicator_values(E, grid)
-    chi_f = _indicator_values(F, grid)
-    if not kernels.absolute_moment(kernel, 0.0).finite:
-        if float(np.sum(chi_e * chi_f)) > 0.0:
-            return math.inf
-    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
-    if len(offsets) == 0:
-        return 0.0
-    size = _fft_size(chi_e.shape, offsets)
-    axes = tuple(range(chi_e.ndim))
-    spectrum = np.fft.rfftn(chi_e, size, axes).conj() * np.fft.rfftn(chi_f, size, axes)
-    cell = float(np.prod(grid.spacing))
-    return cell * float(np.sum(weights * _counts_at(spectrum, size, offsets)))
-
-
-def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box,
-                zg=None) -> EnergyBreakdown:
+def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box) -> EnergyBreakdown:
     """Three-term nonlocal perimeter of E relative to the window omega.
 
     J1 couples E inside the window with its complement inside the window;
@@ -250,36 +227,9 @@ def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box,
     """
     u = _indicator_values(E, grid)
     om = _omega_mask(omega, grid)
-    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing, zg)
+    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
     j1, j2 = _tv_terms(u, 0.0, om, offsets, weights, grid)
     return _breakdown(j1, j2, kernel, grid)
-
-
-def nonlocal_tv(u: GridField, omega: Shape | None, kernel: Kernel) -> EnergyBreakdown:
-    """J1 + J2 for a [0,1]-valued field on its own grid."""
-    if u.tag not in ("phase", "indicator"):
-        raise EnergyDomainError("nonlocal TV expects a phase or indicator field")
-    om = _omega_mask(omega, u.box)
-    offsets, weights = kernels.lattice_stencil(kernel, u.spacing)
-    j1, j2 = _tv_terms(u.values, u.outside, om, offsets, weights, u.box)
-    return _breakdown(j1, j2, kernel, u.box)
-
-
-def rescaled_tv(u, omega: Shape | None, kernel: Kernel, eps: float,
-                grid: Box | None = None) -> float:
-    """eps^{-1} * total nonlocal TV under the kernel rescaled by eps."""
-    if eps <= 0.0:
-        raise EnergyDomainError("eps must be positive")
-    if not kernels.absolute_moment(kernel, 1.0).finite:
-        raise EnergyDomainError("rescaled TV needs a finite first moment")
-    k_eps = kernels.rescale(kernel, eps)
-    if isinstance(u, Shape):
-        if grid is None:
-            raise EnergyDomainError("Shape input needs an explicit working grid")
-        bd = perimeter_k(u, omega, k_eps, grid)
-    else:
-        bd = nonlocal_tv(u, omega, k_eps)
-    return bd.total / eps
 
 
 def limit_tv(u, omega: Shape | None, kernel: Kernel) -> float:

@@ -1,4 +1,4 @@
-"""Grids, shapes, and the differential / slicing utilities built on them.
+"""Grids, shapes, and the differential and shift utilities built on them.
 
 Two representations of "a set" coexist here: analytic :class:`Shape` objects
 (exact membership tests, signed distances, boundary samples) and sampled
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,9 +120,8 @@ class GridField:
     def spacing(self) -> np.ndarray:
         return self.box.spacing
 
-    def with_values(self, values, tag: str | None = None) -> "GridField":
-        return replace(self, values=np.asarray(values, dtype=float),
-                       tag=self.tag if tag is None else tag)
+    def with_values(self, values) -> "GridField":
+        return replace(self, values=np.asarray(values, dtype=float))
 
     def sample(self, points) -> np.ndarray:
         """Multilinear interpolation at arbitrary points (constant outside)."""
@@ -329,8 +328,14 @@ class Halfspace(Shape):
         return len(self.normal)
 
     def phi(self, x):
+        # summed coordinate by coordinate, so a point rounds the same alone
+        # and inside a batch (``x @ normal`` orders its fma differently in
+        # the 1-D dot and the batched product)
         x = np.asarray(x, dtype=float)
-        return x @ np.asarray(self.normal) - self.offset
+        dot = x[..., 0] * self.normal[0]
+        for i in range(1, self.d):
+            dot = dot + x[..., i] * self.normal[i]
+        return dot - self.offset
 
     signed_distance = phi
 
@@ -343,12 +348,13 @@ class Halfspace(Shape):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (self.d, self.d))
 
-    def boundary_sample(self, n: int, extent: float = 8.0) -> BoundarySample:
-        """Uniform patch of the boundary plane around the perpendicular foot.
+    def boundary_sample(self, n: int) -> BoundarySample:
+        """Uniform square patch of the boundary plane around the perpendicular foot.
 
-        The plane is unbounded, so callers windowing by a shape should keep
-        the window inside ``extent/2`` of the foot point.
+        The patch has side 8.  The plane is unbounded, so callers windowing
+        by a shape should keep the window within 4 of the foot point.
         """
+        extent = 8.0
         nv = np.asarray(self.normal)
         foot = self.offset * nv
         if self.d == 2:
@@ -401,66 +407,6 @@ class AxisBox(Shape):
         return np.where(dist_out > 0.0, -dist_out, inner)
 
     signed_distance = phi
-
-
-@dataclass(frozen=True)
-class ConvexPolygon(Shape):
-    """Convex polygon in the plane; vertices are stored counter-clockwise."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
-            raise FieldDomainError("need >= 3 planar vertices")
-        area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
-        if area2 < 0:
-            v = v[::-1]
-        e = np.roll(v, -1, axis=0) - v
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        if np.any(cross < -1e-12 * np.max(np.abs(v))):
-            raise FieldDomainError("vertices do not bound a convex polygon")
-        object.__setattr__(self, "vertices", tuple(map(tuple, v)))
-
-    @property
-    def d(self) -> int:
-        return 2
-
-    def _arrays(self):
-        v = np.asarray(self.vertices)
-        e = np.roll(v, -1, axis=0) - v
-        length = np.linalg.norm(e, axis=1)
-        outward = np.stack([e[:, 1], -e[:, 0]], axis=-1) / length[:, None]
-        return v, e, length, outward
-
-    def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        v, e, length, outward = self._arrays()
-        # inward distance to every edge line; the minimum is exact inside
-        diff = pts[:, None, :] - v[None, :, :]
-        line_d = -np.einsum("peq,eq->pe", diff, outward)
-        inside = line_d.min(axis=1)
-        # outside: exact distance to the nearest edge segment
-        t = np.clip(np.einsum("peq,eq->pe", diff, e) / length[None, :] ** 2, 0.0, 1.0)
-        proj = v[None, :, :] + t[..., None] * e[None, :, :]
-        seg_d = np.linalg.norm(pts[:, None, :] - proj, axis=-1).min(axis=1)
-        out = np.where(inside >= 0.0, inside, -seg_d)
-        return out if x.ndim > 1 else float(out[0])
-
-    signed_distance = phi
-
-    def boundary_sample(self, n: int) -> BoundarySample:
-        v, e, length, outward = self._arrays()
-        total = float(length.sum())
-        pts, nrm, wts = [], [], []
-        for i in range(len(length)):
-            ni = max(1, int(round(n * length[i] / total)))
-            t = (np.arange(ni) + 0.5) / ni
-            pts.append(v[i] + t[:, None] * e[i])
-            nrm.append(np.repeat(-outward[i][None, :], ni, axis=0))
-            wts.append(np.full(ni, length[i] / ni))
-        return BoundarySample(np.concatenate(pts), np.concatenate(nrm), np.concatenate(wts))
 
 
 class GridIndicator(Shape):
@@ -536,64 +482,15 @@ class LevelShape(Shape):
         return BoundarySample(pts, g, w)
 
 
-class _Combo(Shape):
-    def __init__(self, shapes: Sequence[Shape], reducer, name: str):
-        ds = {s.d for s in shapes}
-        if len(ds) != 1:
-            raise FieldDomainError("combined shapes must share dimension")
-        self.d = ds.pop()
-        self.shapes = tuple(shapes)
-        self._reduce = reducer
-        self.name = name
-
-    def phi(self, x):
-        vals = [np.asarray(s.phi(x)) for s in self.shapes]
-        return self._reduce(np.stack(vals, axis=0), axis=0)
-
-
-def intersect(*shapes: Shape) -> Shape:
-    return _Combo(shapes, np.min, "intersection")
-
-
-def union(*shapes: Shape) -> Shape:
-    return _Combo(shapes, np.max, "union")
-
-
-def complement(shape: Shape) -> Shape:
-    out = LevelShape(lambda x: -np.asarray(shape.phi(x)), shape.d, name="complement")
-    return out
-
-
-def empty_shape(d: int) -> Shape:
-    return LevelShape(lambda x: np.full(np.asarray(x).shape[:-1], -1.0), d, name="empty")
-
-
 # --------------------------------------------------------------------------
 # grid <-> shape operations
 
 
-def rasterize(shape: Shape, box: Box, mode: str = "indicator") -> GridField:
-    """Sample a shape on a box grid.
-
-    ``indicator`` tests cell centers; ``phase`` averages membership over a
-    4^d stencil of sub-cell points per cell (area fraction).
-    """
+def rasterize(shape: Shape, box: Box) -> GridField:
+    """Indicator of a shape on a box grid, by membership of the cell centers."""
     if shape.d != box.d:
         raise FieldDomainError("shape/box dimension mismatch")
-    if mode == "indicator":
-        vals = shape.indicator(box.centers())
-        return GridField(box, vals, tag="indicator")
-    if mode != "phase":
-        raise FieldDomainError(f"unknown rasterize mode {mode!r}")
-    h = box.spacing
-    acc = np.zeros(box.resolution)
-    offs = (np.arange(4) + 0.5) / 4 - 0.5
-    centers = box.centers()
-    grids = np.meshgrid(*([offs] * box.d), indexing="ij")
-    for shift in zip(*(g.ravel() for g in grids)):
-        delta = np.asarray(shift) * h
-        acc += shape.contains(centers + delta)
-    return GridField(box, acc / 4**box.d, tag="phase")
+    return GridField(box, shape.indicator(box.centers()), tag="indicator")
 
 
 def differentiate(field: GridField, x) -> tuple[np.ndarray, np.ndarray]:
@@ -630,45 +527,6 @@ def differentiate(field: GridField, x) -> tuple[np.ndarray, np.ndarray]:
             mp = tuple(-v for v in pm)
             hess[i, j] = hess[j, i] = (at(pp) + at(mm) - at(pm) - at(mp)) / (4 * h[i] * h[j])
     return grad, hess
-
-
-class SliceSamples(NamedTuple):
-    t: np.ndarray
-    values: np.ndarray
-
-
-def line_slice(field: GridField, direction, offset) -> SliceSamples:
-    """Sample u along the line t -> offset + t * direction (unit direction).
-
-    Samples are multilinear interpolations at spacing <= the smallest cell
-    size, restricted to the part of the line inside the box; an empty sample
-    set is returned when the line misses the box.
-    """
-    zhat = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(zhat) - 1.0) > 1e-12:
-        raise FieldDomainError("direction must be a unit vector")
-    xi = np.asarray(offset, dtype=float)
-    # clip to the cell-center hull, where interpolation has full support
-    lo = np.asarray(field.box.origin) + 0.5 * field.spacing
-    hi = np.asarray(field.box.origin) + np.asarray(field.box.size) - 0.5 * field.spacing
-    # slab clipping for the parameter range
-    t0, t1 = -np.inf, np.inf
-    for i in range(field.d):
-        if zhat[i] == 0.0:
-            if not (lo[i] <= xi[i] <= hi[i]):
-                return SliceSamples(np.empty(0), np.empty(0))
-            continue
-        a = (lo[i] - xi[i]) / zhat[i]
-        b = (hi[i] - xi[i]) / zhat[i]
-        t0 = max(t0, min(a, b))
-        t1 = min(t1, max(a, b))
-    if not (t1 > t0) or not np.isfinite(t0) or not np.isfinite(t1):
-        return SliceSamples(np.empty(0), np.empty(0))
-    h = float(field.spacing.min())
-    n = max(2, int(math.ceil((t1 - t0) / h)) + 1)
-    t = np.linspace(t0, t1, n)
-    pts = xi[None, :] + t[:, None] * zhat[None, :]
-    return SliceSamples(t, np.asarray(field.sample(pts)))
 
 
 def superlevel(field: GridField, c: float) -> GridIndicator:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,26 +45,21 @@ from .kernels import Kernel
 
 SCHEMES = ("local", "nonlocal")
 
+#: a step that grows max|phi| past this multiple of its initial value aborts
+BLOWUP_FACTOR = 10.0
+
 
 class FlowDomainError(ValueError):
     pass
 
 
 class FlowBlowUpError(RuntimeError):
-    """The evolved field outgrew the configured range factor; run aborted."""
+    """The evolved field outgrew ``BLOWUP_FACTOR`` times its range; run aborted."""
 
 
 def _require_2d(field: GridField) -> None:
     if field.d != 2:
         raise FlowDomainError("the level-set schemes are two-dimensional")
-
-
-def _floor_for(values: np.ndarray, configured: float | None) -> float:
-    if configured is not None:
-        if not configured >= 0.0:
-            raise FlowDomainError("gradient floor must be nonnegative")
-        return configured
-    return 1e-6 * float(np.ptp(values))
 
 
 # --------------------------------------------------------------------------
@@ -420,18 +415,16 @@ def evolve(
     *,
     eps: float | None = None,
     dt: float | None = None,
-    snapshot_times: Sequence[float] | None = None,
     n_snapshots: int = 8,
-    gradient_floor: float | None = None,
-    blowup_factor: float = 10.0,
 ) -> Trajectory:
     """Run an explicit level-set evolution and collect snapshots + monitors.
 
     ``dt`` defaults to the parabolic stability bound and is then shrunk so
-    an integer number of steps lands exactly on ``T``.  Snapshot times snap
-    to the nearest step; the recorded times are the actual ones.  A step
-    that grows max|phi| past ``blowup_factor`` times its initial value
-    aborts the run.
+    an integer number of steps lands exactly on ``T``.  The ``n_snapshots``
+    + 1 evenly spaced snapshot times snap to the nearest step; the recorded
+    times are the actual ones.  Cells whose gradient falls below 1e-6 times
+    the initial value range are frozen.  A step that grows max|phi| past 10
+    times its initial value (``BLOWUP_FACTOR``) aborts the run.
     """
     _require_2d(u0)
     check_constant_ring(u0, FlowDomainError)
@@ -439,8 +432,6 @@ def evolve(
         raise FlowDomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if not (math.isfinite(T) and T >= 0.0):
         raise FlowDomainError("T must be finite and nonnegative")
-    if not blowup_factor > 0.0:
-        raise FlowDomainError("blowup factor must be positive")
 
     kappa = curvature_coefficient(kernel)
     bound = dt_bound(kappa, u0.box)
@@ -454,27 +445,20 @@ def evolve(
 
     h = u0.box.spacing
     outside = u0.outside
-    floor = _floor_for(u0.values, gradient_floor)
+    floor = 1e-6 * float(np.ptp(u0.values))
     n_steps = 0 if T == 0.0 else int(math.ceil(T / dt_req - 1e-12))
     dt_run = T / n_steps if n_steps else dt_req
 
-    if snapshot_times is None:
-        if not n_snapshots >= 1:
-            raise FlowDomainError("n_snapshots must be at least 1")
-        requested = np.linspace(0.0, T, n_snapshots + 1)
-    else:
-        requested = np.asarray(sorted(float(t) for t in snapshot_times))
-        if len(requested) == 0:
-            raise FlowDomainError("need at least one snapshot time")
-        if requested[0] < -1e-12 or requested[-1] > T * (1.0 + 1e-9) + 1e-12:
-            raise FlowDomainError("snapshot times must lie in [0, T]")
+    if not n_snapshots >= 1:
+        raise FlowDomainError("n_snapshots must be at least 1")
+    requested = np.linspace(0.0, T, n_snapshots + 1)
     snap_steps = sorted(set(
         int(np.clip(np.rint(t / dt_run), 0, n_steps)) if n_steps else 0
         for t in requested
     ))
 
     vals = u0.values
-    limit = blowup_factor * max(float(np.max(np.abs(vals))), 1e-30)
+    limit = BLOWUP_FACTOR * max(float(np.max(np.abs(vals))), 1e-30)
     times: list[float] = []
     snaps: list[GridField] = []
     rows: list[MonitorRow] = []
@@ -496,7 +480,7 @@ def evolve(
         top = float(np.max(np.abs(vals)))
         if top > limit:
             raise FlowBlowUpError(
-                f"max|phi| = {top:.3g} exceeded {blowup_factor:g} x initial "
+                f"max|phi| = {top:.3g} exceeded {BLOWUP_FACTOR:g} x initial "
                 f"at t = {step * dt_run:.6g}"
             )
         record(step, vals)
@@ -565,26 +549,21 @@ def monitors(trajectory: Trajectory) -> FlowMonitorReport:
 # initial data
 
 
-def shrinking_circle_datum(
-    box,
-    radius: float,
-    band: float = 0.28,
-    rounding: float | None = None,
-) -> GridField:
+def shrinking_circle_datum(box, radius: float, band: float = 0.28) -> GridField:
     """Clamped signed-distance datum for a circle, with rounded clamp corners.
 
     The radial profile equals ``radius - |x|`` where |values| <= band - 2w
     and flattens quadratically to the plateaus +-(band - w) over a width
-    2w (w = ``rounding``, default two cells), so the datum is C^1 with
-    |gradient| <= 1 and is constant outside |x| = radius + band.
+    2w (w = two cells), so the datum is C^1 with |gradient| <= 1 and is
+    constant outside |x| = radius + band.
     """
     if box.d != 2:
         raise FlowDomainError("the circle datum is two-dimensional")
     if not 0.0 < radius:
         raise FlowDomainError("radius must be positive")
-    w = 2.0 * float(np.max(box.spacing)) if rounding is None else float(rounding)
-    if not 0.0 < 2.0 * w < band:
-        raise FlowDomainError("need 0 < 2*rounding < band")
+    w = 2.0 * float(np.max(box.spacing))
+    if not 2.0 * w < band:
+        raise FlowDomainError("the band must be wider than four cells")
     pts = box.centers()
     s = radius - np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2)
     a = np.abs(s)

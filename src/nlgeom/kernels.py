@@ -1,4 +1,4 @@
-"""Radial interaction kernels: evaluation, rescaling, moments, assumption checks.
+"""Radial kernels: evaluation, rescaling, absolute and hyperplane moments, checks.
 
 Every built-in kernel is radial, even, and nonnegative.  A kernel is an
 immutable description (family tag plus parameters); evaluation and quadrature
@@ -33,7 +33,6 @@ FAMILIES = (
     "annulus-indicator",
     "fractional-truncated",
     "gaussian",
-    "exponential-fractional",
     "custom-radial-profile",
 )
 
@@ -129,7 +128,6 @@ class Kernel:
         """True when K blows up at the origin."""
         return self.sigma > 0.0 and self.family in (
             "fractional-truncated",
-            "exponential-fractional",
             "custom-radial-profile",
         ) and self.r0 == 0.0
 
@@ -148,14 +146,12 @@ class Kernel:
             return self.r1 * self.scale
         return math.inf
 
-    def effective_radius(self, tol: float = 1e-16) -> float:
-        """Radius capturing the profile up to a ``tol`` pointwise cutoff."""
+    def effective_radius(self) -> float:
+        """Radius capturing the profile up to a 1e-16 pointwise cutoff."""
         if self.compact_support:
             return self.support_radius
         if self.family == "gaussian":
-            return self.r1 * self.scale * math.sqrt(-math.log(tol))
-        if self.family == "exponential-fractional":
-            return self.r1 * self.scale * (-math.log(tol))
+            return self.r1 * self.scale * math.sqrt(-math.log(1e-16))
         return self.r1 * self.scale  # untruncated power law: caller truncates
 
     def breakpoints(self) -> list[float]:
@@ -189,11 +185,6 @@ class Kernel:
             return vals
         if fam == "gaussian":
             return np.exp(-((u / self.r1) ** 2))
-        if fam == "exponential-fractional":
-            with np.errstate(divide="ignore"):
-                vals = np.where(u > 0.0, u, 1.0) ** (-self.d - self.sigma)
-            vals = np.where(u > 0.0, vals, np.inf)
-            return vals * np.exp(-u / self.r1)
         # custom
         vals = np.asarray(self.profile(np.asarray(u, dtype=float)), dtype=float)
         return np.where(u <= self.r1, vals, 0.0)
@@ -273,35 +264,18 @@ def gaussian(d: int = 2, width: float = 1.0, amplitude: float = 1.0) -> Kernel:
     return Kernel("gaussian", d, r1=width, amplitude=amplitude)
 
 
-def exponential_fractional(
-    d: int = 2, sigma: float = 0.5, decay_length: float = 1.0, amplitude: float = 1.0
-) -> Kernel:
-    return Kernel(
-        "exponential-fractional", d, sigma=sigma, r1=decay_length, amplitude=amplitude
-    )
-
-
 def custom_radial(
     profile: Callable[[np.ndarray], np.ndarray],
     d: int,
     r_max: float,
     sigma: float = 0.0,
-    amplitude: float = 1.0,
 ) -> Kernel:
-    """Custom radial profile truncated at ``r_max``.
+    """Custom radial profile truncated at ``r_max``, with unit amplitude.
 
-    The truncation is explicit: moment reports carry a note with the cutoff
-    radius and the profile value there, so the dropped tail is never silent.
-    ``sigma`` declares the origin exponent when the profile is singular.
+    The profile is taken as 0 beyond ``r_max``.  ``sigma`` declares the
+    origin exponent when the profile is singular.
     """
-    return Kernel(
-        "custom-radial-profile",
-        d,
-        sigma=sigma,
-        r1=r_max,
-        amplitude=amplitude,
-        profile=profile,
-    )
+    return Kernel("custom-radial-profile", d, sigma=sigma, r1=r_max, profile=profile)
 
 
 def triangular_window() -> Kernel:
@@ -499,27 +473,6 @@ class Moment:
         return self.value
 
 
-@dataclass(frozen=True)
-class KernelMoments:
-    """Standard integral summaries of a kernel.
-
-    ``first_moment_half`` is half the first absolute moment, the constant
-    controlling total-variation upper bounds; ``radial_first_moment`` is the
-    distinct radial normalization ∫ r^d K̄(r) dr that rescales the profile to
-    a multiple of the classical curvature.  The two are intentionally kept as
-    separately named quantities and are never interchanged.
-    """
-
-    mass: Moment
-    first_moment: Moment
-    first_moment_half: Moment
-    radial_first_moment: Moment
-    second_moment: Moment
-    hyperplane_second: Moment
-    parabolic: tuple[tuple[float, float], ...]
-    notes: tuple[str, ...] = ()
-
-
 def _radial_moment(kernel: Kernel, q: float) -> Moment:
     """∫_0^∞ r^q K̄(r) dr for the scaled profile, with divergence detection."""
     k = kernel
@@ -546,12 +499,6 @@ def _radial_moment(kernel: Kernel, q: float) -> Moment:
 
         val = 0.5 * k.r1 ** (q + 1) * special.gamma(0.5 * (q + 1))
         return Moment(pref * val, True, abs(pref * val) * 1e-15)
-    if fam == "exponential-fractional":
-        from scipy import special
-
-        a = q - k.d - k.sigma
-        val = k.r1 ** (a + 1) * special.gamma(a + 1)
-        return Moment(pref * val, True, abs(pref * val) * 1e-14)
     # custom: adaptive quadrature on [0, r1]; QAGS absorbs endpoint power laws
     from scipy import integrate
 
@@ -699,41 +646,6 @@ def parabolic_mass(kernel: Kernel, lam: float, rho_max: float | None = None) -> 
     if d == 2:
         return 4.0 * float(np.sum(wr * inner))
     return 4.0 * math.pi * float(np.sum(wr * rho * inner))
-
-
-def moments(kernel: Kernel) -> KernelMoments:
-    """Integral summaries with explicit infinity flags and error estimates."""
-    mass = absolute_moment(kernel, 0.0)
-    first = absolute_moment(kernel, 1.0)
-    half = Moment(0.5 * first.value, first.finite, 0.5 * first.err)
-    radial_first = _radial_moment(kernel, kernel.d)
-    second = absolute_moment(kernel, 2.0)
-    kv = hyperplane_second_moment(kernel)  # 0.0 in d=1
-    if math.isfinite(kv):
-        hyper = Moment(kv, True, abs(kv) * 1e-12)
-    else:
-        hyper = Moment(math.inf, False)
-    if kernel.d >= 2 and math.isfinite(kernel.effective_radius()):
-        para = tuple((lam, parabolic_mass(kernel, lam)) for lam in (0.25, 1.0, 4.0))
-    else:
-        para = ()
-    notes = []
-    if kernel.family == "custom-radial-profile":
-        edge = float(kernel.profile_at(np.array([kernel.support_radius * 0.999999]))[0])
-        notes.append(
-            f"profile truncated at r={kernel.support_radius:.6g}"
-            f" (profile value there: {edge:.3g}); tail beyond is dropped"
-        )
-    return KernelMoments(
-        mass=mass,
-        first_moment=first,
-        first_moment_half=half,
-        radial_first_moment=radial_first,
-        second_moment=second,
-        hyperplane_second=hyper,
-        parabolic=para,
-        notes=tuple(notes),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -127,10 +127,6 @@ class Profile1D:
         a, b = self.interval
         return np.where((x < a) | (x > b), 0.0, out)
 
-    def antiderivative(self, x) -> np.ndarray:
-        """Exact running integral of the interpolant from -infinity to x."""
-        return _running_integral(self.values[None, :], self.interval[0], self.spacing, np.asarray(x, dtype=float))[0]
-
     def derivative_values(self) -> np.ndarray:
         return np.gradient(self.values, self.spacing)
 
@@ -138,36 +134,6 @@ class Profile1D:
         v = self.values[::stride]
         h = self.spacing * stride
         return float(np.sum(np.diff(v) ** 2) / h)
-
-
-def _running_integral(rows: np.ndarray, a: float, h: float, x: np.ndarray) -> np.ndarray:
-    """Running integrals of piecewise-linear rows (m, n) at query points x (k,).
-
-    Exact for the interpolant with zero extension; returns shape (m, k).
-    """
-    from scipy.integrate import cumulative_trapezoid
-
-    n = rows.shape[1]
-    U = cumulative_trapezoid(rows, dx=h, axis=1, initial=0.0)
-    b = a + (n - 1) * h
-    idx = np.clip(((x - a) // h).astype(int), 0, n - 2)
-    s = x - (a + idx * h)
-    head = rows[:, idx]
-    slope = (rows[:, idx + 1] - rows[:, idx]) / h
-    part = U[:, idx] + head * s + 0.5 * slope * s * s
-    part = np.where(x[None, :] <= a, 0.0, part)
-    return np.where(x[None, :] >= b, U[:, -1:], part)
-
-
-def averaged_slope(u: Profile1D, x, eps: float):
-    """Mean of u over the forward window (x, x + eps); exact for affine u."""
-    if eps <= 0:
-        raise RateDomainError("window width must be positive")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 0
-    xq = np.atleast_1d(x)
-    out = (u.antiderivative(xq + eps) - u.antiderivative(xq)) / eps
-    return float(out[0]) if single else out
 
 
 def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.ndarray:
@@ -313,12 +279,12 @@ class RateValue:
         return (self.f_0 - self.f_eps) / (self.eps * self.eps)
 
 
-def _z_nodes(G: Kernel, n_angular, order):
+def _z_nodes(G: Kernel, n_angular):
     """Radial and angular rules of the grid rate energies, from r_eff/100 up."""
     r_eff = G.effective_radius()
     if not math.isfinite(r_eff):
         raise RateDomainError("kernel needs a bounded quadrature window")
-    rs, ws = kernels.radial_rule(G, 1e-2 * r_eff, r_eff, 2.0, order)
+    rs, ws = kernels.radial_rule(G, 1e-2 * r_eff, r_eff, 2.0, 6)
     dirs, wa = kernels.angular_rule(G.d, n_angular)
     return rs, ws, dirs, wa
 
@@ -429,7 +395,6 @@ def rate_ddim(
     f: Potential,
     eps: float,
     n_angular=None,
-    order: int = 6,
 ) -> RateValue:
     """Kernel-weighted rate energy on a grid field.
 
@@ -450,7 +415,7 @@ def rate_ddim(
     if np.ptp(u.values) == 0.0:
         # identically the extension constant: every difference vanishes
         return RateValue(eps, 0.0, 0.0)
-    rs, ws, dirs, wa = _z_nodes(G, n_angular, order)
+    rs, ws, dirs, wa = _z_nodes(G, n_angular)
     kv = G.profile_at(rs)
     h = u.spacing
     delta = 1e-3 * float(np.min(h))
@@ -496,7 +461,7 @@ def rate_limit_ddim(u: GridField, G: Kernel, f: Potential) -> float:
     """
     if u.d not in (2, 3):
         raise RateDomainError("grid rate energies support d in {2, 3}")
-    rs, ws, dirs, wa = _z_nodes(G, None, 6)
+    rs, ws, dirs, wa = _z_nodes(G, None)
     kv = G.profile_at(rs)
     second_moment = float(np.sum(ws * rs ** (u.d + 1) * kv))
 

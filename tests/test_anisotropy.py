@@ -162,11 +162,12 @@ def test_halfspace_cell_small():
         assert c.l1_gap[-1] < c.l1_gap[0]
 
 
-def test_halfspace_cell_rejects_nonvanishing_perturbation():
+def test_halfspace_cell_rejects_nonvanishing_perturbation(monkeypatch):
+    # competitors whose amplitude does not shrink with eps
+    monkeypatch.setattr(anisotropy, "COMPETITOR_SHRINK", 0.0)
     an = anisotropy.build(kernels.ball_indicator(2))
     rep = anisotropy.halfspace_cell_experiment(
-        an, (1.0, 0.0), (0.2, 0.1), n_competitors=1, resolution=128,
-        seed=5, shrink=0.0,
+        an, (1.0, 0.0), (0.2, 0.1), n_competitors=1, resolution=128, seed=5,
     )
     c = rep.competitors[0]
     assert not c.accepted

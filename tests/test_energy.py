@@ -6,7 +6,7 @@ from scipy import integrate
 
 from nlgeom import energy, fields, kernels
 from nlgeom.energy import EnergyDomainError
-from nlgeom.fields import AxisBox, Ball, Box, GridField, Halfspace, empty_shape, rasterize
+from nlgeom.fields import AxisBox, Ball, Box, GridField, Halfspace, rasterize
 
 
 K_QUARTER = kernels.ball_indicator(2, 0.25)
@@ -19,46 +19,13 @@ def grid192():
 
 
 # ---------------------------------------------------------------------------
-# coupling
-
-
-def test_coupling_empty_and_disjoint(grid192):
-    ball = Ball((0.0, 0.0), 0.4)
-    assert energy.coupling(ball, empty_shape(2), K_UNIT, grid192) == 0.0
-    # disjoint beyond the kernel support radius
-    far = Ball((0.0, 0.95), 0.05)
-    assert energy.coupling(ball, far, K_QUARTER, grid192) == 0.0
-
-
-def test_coupling_symmetric_adjacent_squares():
-    # L(E,F) for adjacent unit squares and K = chi_{B(0,1)}; the shifted
-    # overlap is (1-|1-z1|)(1-|z2|) on the half-disk z1 > 0, which
-    # integrates to 5/12
-    grid = Box((-0.5, -0.5), (3.0, 2.0), (336, 224))
-    sq1 = AxisBox((0, 0), (1, 1))
-    sq2 = AxisBox((1, 0), (2, 1))
-    c12 = energy.coupling(sq1, sq2, K_UNIT, grid)
-    c21 = energy.coupling(sq2, sq1, K_UNIT, grid)
-    assert c12 == pytest.approx(c21, abs=1e-14)
-    assert c12 == pytest.approx(5.0 / 12.0, rel=5e-3)
-
-
-def test_coupling_infinity_flag(grid192):
-    frac = kernels.fractional(2, 0.5, 1.0)
-    a = Ball((0.0, 0.0), 0.4)
-    b = Ball((0.1, 0.0), 0.4)
-    assert math.isinf(energy.coupling(a, b, frac, grid192))
-    # separated sets stay finite for the same singular kernel
-    v = energy.coupling(Ball((-0.5, 0), 0.2), Ball((0.5, 0), 0.2), frac, grid192)
-    assert 0.0 < v < math.inf
-
-
-# ---------------------------------------------------------------------------
 # perimeter
 
 
 def test_perimeter_empty(grid192):
-    assert energy.perimeter_k(empty_shape(2), None, K_QUARTER, grid192).total == 0.0
+    # a ball outside the grid rasterizes to the empty set
+    empty = Ball((5.0, 5.0), 0.5)
+    assert energy.perimeter_k(empty, None, K_QUARTER, grid192).total == 0.0
 
 
 def test_perimeter_window_irrelevant_for_interior_set():
@@ -119,22 +86,34 @@ def test_perimeter_matches_brute_force_double_sum():
 
 
 # ---------------------------------------------------------------------------
-# nonlocal total variation
+# nonlocal total variation of phase fields: the left-hand side of
+# coarea_check, and its (J1, J2) split from energy._tv_terms
+
+
+def _tv_terms(u, omega, kernel):
+    om = energy._omega_mask(omega, u.box)
+    offsets, weights = kernels.lattice_stencil(kernel, u.spacing)
+    return energy._tv_terms(u.values, u.outside, om, offsets, weights, u.box)
+
+
+def _tv_total(u, omega, kernel):
+    return energy.coarea_check(u, omega, kernel, 1)[0]
 
 
 def test_tv_constant_is_zero():
     grid = Box.cube(1.0, 64)
     u = GridField(grid, np.full(grid.resolution, 0.5), tag="phase", outside=0.5)
-    assert energy.nonlocal_tv(u, None, K_QUARTER).total == 0.0
+    assert _tv_total(u, None, K_QUARTER) == 0.0
 
 
 def test_tv_of_indicator_equals_perimeter():
     grid = Box.cube(1.0, 128)
     disk = Ball((0.0, 0.0), 0.5)
     per = energy.perimeter_k(disk, None, K_QUARTER, grid)
-    tv = energy.nonlocal_tv(rasterize(disk, grid), None, K_QUARTER)
-    assert tv.j1 == pytest.approx(per.j1, abs=1e-15)
-    assert tv.j2 == pytest.approx(per.j2, abs=1e-15)
+    j1, j2 = _tv_terms(rasterize(disk, grid), None, K_QUARTER)
+    assert j1 == pytest.approx(per.j1, abs=1e-15)
+    assert j2 == pytest.approx(per.j2, abs=1e-15)
+    assert _tv_total(rasterize(disk, grid), None, K_QUARTER) == per.total
 
 
 def test_tv_ramp_closed_form():
@@ -146,22 +125,22 @@ def test_tv_ramp_closed_form():
     cc = grid.centers()
     u = GridField(grid, np.clip(cc[..., 0] + 0.5, 0.0, 1.0), tag="phase")
     omega = AxisBox((-0.75, -0.75), (0.75, 0.75))
-    bd = energy.nonlocal_tv(u, omega, K_QUARTER)
+    j1, j2 = _tv_terms(u, omega, K_QUARTER)
     # int K |z1| dz = A2 * int r^2 K dr with A2 = 4
     m1 = 4.0 * (0.25**3 / 3.0)
     # int K |z1 z2| dz = int |cos sin| dtheta * int r^3 K dr = 2 * r^4/4
     m11 = 2.0 * (0.25**4 / 4.0)
     j1_exact = 0.5 * (1.5 * m1 - m11)
     j2_exact = m11
-    assert bd.j1 == pytest.approx(j1_exact, rel=1e-2)
-    assert bd.j2 == pytest.approx(j2_exact, rel=2e-2)
+    assert j1 == pytest.approx(j1_exact, rel=1e-2)
+    assert j2 == pytest.approx(j2_exact, rel=2e-2)
 
 
 def test_tv_requires_phase():
     grid = Box.cube(1.0, 64)
     u = GridField(grid, grid.centers()[..., 0], tag="level-set")
     with pytest.raises(EnergyDomainError):
-        energy.nonlocal_tv(u, None, K_QUARTER)
+        energy.coarea_check(u, None, K_QUARTER)
 
 
 def test_tv_refinement_stability():
@@ -175,7 +154,7 @@ def test_tv_refinement_stability():
             tag="phase",
             outside=0.5,
         )
-        v = energy.nonlocal_tv(u, Ball((0, 0), 0.9), K_QUARTER).total
+        v = _tv_total(u, Ball((0, 0), 0.9), K_QUARTER)
         if prev is not None:
             assert abs(v - prev) / prev < 0.05
         prev = v
@@ -189,7 +168,7 @@ def test_rescaled_tv_constant_zero():
     grid = Box.cube(1.0, 64)
     u = GridField(grid, np.full(grid.resolution, 0.2), tag="phase", outside=0.2)
     for eps in (0.4, 0.1):
-        assert energy.rescaled_tv(u, None, K_UNIT, eps) == 0.0
+        assert _tv_total(u, None, kernels.rescale(K_UNIT, eps)) / eps == 0.0
 
 
 def test_rescaled_tv_disk_sequence_approaches_limit():
@@ -199,18 +178,10 @@ def test_rescaled_tv_disk_sequence_approaches_limit():
     J0 = (2.0 / 3.0) * 2 * math.pi * 0.5
     gaps = []
     for eps in (0.4, 0.2, 0.1):
-        v = energy.rescaled_tv(disk, omega, K_UNIT, eps, grid)
+        v = energy.perimeter_k(disk, omega, kernels.rescale(K_UNIT, eps), grid).total / eps
         gaps.append(abs(v - J0) / J0)
     assert gaps[-1] < 0.01
     assert gaps[0] < 0.05
-
-
-def test_rescaled_tv_validates_input():
-    with pytest.raises(EnergyDomainError):
-        energy.rescaled_tv(Ball((0, 0), 0.5), None, K_UNIT, -1.0, Box.cube(1.0, 64))
-    untrunc = kernels.fractional(2, 0.5, math.inf)
-    with pytest.raises(EnergyDomainError):
-        energy.rescaled_tv(Ball((0, 0), 0.5), None, untrunc, 0.1, Box.cube(1.0, 64))
 
 
 def test_limit_tv_halfspace_chord():
@@ -309,18 +280,6 @@ def test_submodularity_random_rectangles():
         assert slack >= -1e-9 * max(scale, 1e-30)
 
 
-def test_frame_decay_of_separated_sets():
-    e1 = Ball((-0.4, 0.0), 0.25)
-    e2 = Ball((0.4, 0.0), 0.25)
-    grid = Box.cube(1.0, 256)
-    vals = [
-        energy.coupling(e1, e2, kernels.rescale(K_UNIT, eps), grid) / eps
-        for eps in (0.4, 0.2, 0.1)
-    ]
-    assert vals[1] <= vals[0] and vals[2] <= vals[1]
-    assert vals[-1] == 0.0  # support shorter than the gap
-
-
 def test_bv_upper_bound_for_rectangles():
     # Per_K(E; Omega) <= (|E| + Per(E)/2) * int K (1 and |z|) for compactly
     # contained rectangles -- checked as an inequality
@@ -389,20 +348,6 @@ def test_fft_counts_match_sweep_and_brute_force(outside):
         assert j2 == pytest.approx(b2, rel=1e-12)
 
 
-def test_coupling_fft_matches_shifted_sum():
-    n = 12
-    grid = Box.cube(1.0, n)
-    kernel = kernels.ball_indicator(2, 2.2)
-    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
-    e = Ball((-0.3, 0.1), 0.5)
-    f = AxisBox((-0.2, -0.6), (0.7, 0.4))
-    chi_e = rasterize(e, grid).values
-    chi_f = rasterize(f, grid).values
-    counts = [np.sum(chi_e * energy._shifted(chi_f, o, 0.0)) for o in offsets]
-    want = float(np.prod(grid.spacing)) * float(np.sum(weights * np.array(counts)))
-    assert energy.coupling(e, f, kernel, grid) == want
-
-
 def test_fast_len_matches_scipy_next_fast_len():
     from scipy.fft import next_fast_len
 
@@ -430,8 +375,7 @@ def test_empty_stencil_gives_zero():
     assert offsets.shape == (0, 2) and len(weights) == 0
     disk = Ball((0.0, 0.0), 0.5)
     assert energy.perimeter_k(disk, None, tiny, grid).total == 0.0
-    assert energy.nonlocal_tv(rasterize(disk, grid), None, tiny).total == 0.0
-    assert energy.coupling(disk, disk, tiny, grid) == 0.0
+    assert _tv_total(rasterize(disk, grid), None, tiny) == 0.0
 
 
 def test_phase_field_takes_sweep_path(monkeypatch):
@@ -444,7 +388,7 @@ def test_phase_field_takes_sweep_path(monkeypatch):
         raise AssertionError("phase field reached the binary FFT path")
 
     monkeypatch.setattr(energy, "_binary_pair_counts", no_fft)
-    bd = energy.nonlocal_tv(u, Ball((0.0, 0.0), 0.8), K_QUARTER)
+    j1, j2 = _tv_terms(u, Ball((0.0, 0.0), 0.8), K_QUARTER)
     # pinned values of the per-offset sweep
-    assert bd.j1 == pytest.approx(0.014170174011971246, rel=1e-12)
-    assert bd.j2 == pytest.approx(0.002382886980603751, rel=1e-12)
+    assert j1 == pytest.approx(0.014170174011971246, rel=1e-12)
+    assert j2 == pytest.approx(0.002382886980603751, rel=1e-12)

@@ -5,16 +5,12 @@ import pytest
 
 from nlgeom import fields
 from nlgeom.fields import (
-    AxisBox,
     Ball,
     Box,
-    ConvexPolygon,
     FieldDomainError,
     GridField,
     Halfspace,
     differentiate,
-    empty_shape,
-    line_slice,
     rasterize,
     superlevel,
 )
@@ -39,14 +35,19 @@ def test_rasterize_halfspace_exact_half(unit_box):
 
 
 def test_rasterize_empty(unit_box):
-    assert rasterize(empty_shape(2), unit_box).values.sum() == 0.0
+    # a ball outside the box covers no cell center
+    assert rasterize(Ball((5.0, 5.0), 0.5), unit_box).values.sum() == 0.0
 
 
-def test_rasterize_phase_area(unit_box):
-    ph = rasterize(Ball((0.0, 0.0), 0.5), unit_box, mode="phase")
-    assert ph.tag == "phase"
-    area = float(ph.values.sum()) * (2.0 / 64) ** 2
-    assert area == pytest.approx(math.pi * 0.25, rel=2e-3)
+@pytest.mark.parametrize("normal", [(0.3, -0.7), (1.0, 0.0), (0.2, -0.5, 0.9)])
+def test_halfspace_phi_rounds_a_point_the_same_alone_and_in_a_batch(normal):
+    # a point within an ulp of the plane must not change sides with the
+    # way it is evaluated
+    hs = Halfspace(normal, 0.1)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (20000, len(normal)))
+    single = np.array([hs.phi(p) for p in x])
+    assert np.array_equal(hs.phi(x), single)
+    assert np.array_equal(hs.phi(x.reshape(100, 200, -1)), single.reshape(100, 200))
 
 
 def _aligned_box():
@@ -92,37 +93,6 @@ def test_differentiate_rejects_boundary_and_indicator(unit_box):
         differentiate(ind, (0.0, 0.0))
 
 
-def test_slice_linear_is_exact(unit_box):
-    f = GridField(unit_box, unit_box.centers()[..., 0])
-    sl = line_slice(f, (1.0, 0.0), (0.0, 0.0))
-    assert len(sl.t) > 32
-    assert np.abs(sl.values - sl.t).max() < 1e-12
-
-
-def test_slice_halfspace_step(unit_box):
-    ind = rasterize(Halfspace((1.0, 0.0), 0.0), unit_box)
-    f = GridField(unit_box, ind.values, tag="phase")
-    sl = line_slice(f, (1.0, 0.0), (0.0, 0.3))
-    h = 2.0 / 64
-    assert np.all(sl.values[sl.t < -h] == 0.0)
-    assert np.all(sl.values[sl.t > h] == 1.0)
-
-
-def test_slice_diagonal_sine(unit_box):
-    f = GridField(unit_box, np.sin(np.pi * unit_box.centers()[..., 0]))
-    z = np.array([1.0, 1.0]) / math.sqrt(2)
-    sl = line_slice(f, z, (0.0, 0.0))
-    keep = np.abs(sl.t) < 1.2
-    err = np.abs(sl.values - np.sin(np.pi * sl.t / math.sqrt(2)))[keep].max()
-    assert err < 3e-3  # O(h^2) at h = 1/32
-
-
-def test_slice_misses_box(unit_box):
-    f = GridField(unit_box, unit_box.centers()[..., 0])
-    sl = line_slice(f, (0.0, 1.0), (5.0, 0.0))
-    assert len(sl.t) == 0
-
-
 def test_superlevel_monotone_and_extremes(unit_box):
     phi = GridField(unit_box, np.sqrt(np.sum(unit_box.centers() ** 2, axis=-1)) - 0.5)
     full = superlevel(phi, phi.values.min() - 1.0)
@@ -139,26 +109,14 @@ def test_superlevel_monotone_and_extremes(unit_box):
 def test_superlevel_is_disk_complement(unit_box):
     phi = GridField(unit_box, np.sqrt(np.sum(unit_box.centers() ** 2, axis=-1)) - 0.5)
     sup = superlevel(phi, 0.0)
-    oracle = rasterize(fields.complement(Ball((0, 0), 0.5)), unit_box)
-    assert np.array_equal(sup.field.values, oracle.values)
+    oracle = 1.0 - rasterize(Ball((0, 0), 0.5), unit_box).values
+    assert np.array_equal(sup.field.values, oracle)
 
 
 def test_superlevel_membership_is_nonstrict():
     box = Box((0.0,) * 2, (1.0,) * 2, (4, 4))
     f = GridField(box, np.full((4, 4), 0.25))
     assert superlevel(f, 0.25).cell_count() == 16
-
-
-def test_slice_of_rasterized_matches_membership():
-    box = Box.cube(1.0, 128)
-    ball = Ball((0.1, -0.05), 0.55)
-    ind = rasterize(ball, box)
-    f = GridField(box, ind.values, tag="phase")
-    z = np.array([math.cos(0.3), math.sin(0.3)])
-    sl = line_slice(f, z, (0.0, 0.0))
-    pts = np.asarray([0.0, 0.0]) + sl.t[:, None] * z
-    agree = (sl.values > 0.5) == ball.contains(pts)
-    assert agree.mean() >= 0.98
 
 
 def test_grid_file_round_trip(tmp_path, unit_box):
@@ -173,18 +131,6 @@ def test_grid_file_round_trip(tmp_path, unit_box):
     assert np.array_equal(back.values, f.values)
 
 
-def test_polygon_matches_axis_box_distance():
-    sq = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
-    ab = AxisBox((0, 0), (1, 1))
-    pts = np.random.default_rng(0).uniform(-0.5, 1.5, (300, 2))
-    assert np.abs(sq.phi(pts) - ab.phi(pts)).max() < 1e-12
-
-
-def test_polygon_rejects_nonconvex():
-    with pytest.raises(FieldDomainError):
-        ConvexPolygon(((0, 0), (2, 0), (1, 0.5), (2, 2), (0, 2)))
-
-
 def test_ball_boundary_sample_measure_and_normals():
     b = Ball((0.2, -0.1), 0.5)
     bs = b.boundary_sample(128)
@@ -196,17 +142,6 @@ def test_ball_boundary_sample_measure_and_normals():
     b3 = Ball((0, 0, 0), 2.0)
     bs3 = b3.boundary_sample(500)
     assert bs3.weights.sum() == pytest.approx(16 * math.pi, rel=1e-12)
-
-
-def test_combinators():
-    ball = Ball((0.0, 0.0), 0.5)
-    right = Halfspace((1.0, 0.0), 0.0)
-    half_disk = fields.intersect(ball, right)
-    assert half_disk.contains(np.array([0.2, 0.0]))
-    assert not half_disk.contains(np.array([-0.2, 0.0]))
-    u = fields.union(ball, right)
-    assert u.contains(np.array([5.0, 0.0]))
-    assert not u.contains(np.array([-5.0, 0.0]))
 
 
 def test_grid_field_validation(unit_box):

@@ -67,8 +67,6 @@ def test_state_validation(circle64):
     with pytest.raises(FlowDomainError):
         evolve(circle64, "local", BALL, 1e-3, dt=0.0)
     with pytest.raises(FlowDomainError):
-        evolve(circle64, "local", BALL, 1e-3, gradient_floor=-1.0)
-    with pytest.raises(FlowDomainError):
         evolve(circle64, "nonlocal", BALL, 1e-3, eps=0.0)
 
 
@@ -407,20 +405,18 @@ def test_constant_field_stays_put(box64, dtb64):
 
 
 def test_snapshot_times_snap_to_steps(circle64, dtb64):
+    # 10 steps; the requested times 0, T/3, 2T/3, T land on steps 0, 3, 7, 10
     T = 10.0 * dtb64
-    tr = evolve(circle64, "local", BALL, T, snapshot_times=[0.0, 0.5 * T, T])
-    assert len(tr.times) == 3
-    assert tr.times[0] == 0.0
+    tr = evolve(circle64, "local", BALL, T, n_snapshots=3)
+    assert len(tr.times) == 4
+    assert tr.times[:3] == (0.0, 3 * tr.dt, 7 * tr.dt)
     assert tr.times[-1] == pytest.approx(T)
-    with pytest.raises(FlowDomainError):
-        evolve(circle64, "local", BALL, T, snapshot_times=[2.0 * T])
-    with pytest.raises(FlowDomainError):
-        evolve(circle64, "local", BALL, T, snapshot_times=[])
 
 
-def test_blowup_guard_fires(circle64):
+def test_blowup_guard_fires(circle64, monkeypatch):
+    monkeypatch.setattr(flow, "BLOWUP_FACTOR", 1e-6)
     with pytest.raises(FlowBlowUpError):
-        evolve(circle64, "nonlocal", BALL, 0.01, eps=0.1, blowup_factor=1e-6)
+        evolve(circle64, "nonlocal", BALL, 0.01, eps=0.1)
 
 
 def test_monitor_report_and_rows(circle64, dtb64):
@@ -463,7 +459,8 @@ def test_circle_datum_validation(box64):
     with pytest.raises(FlowDomainError):
         shrinking_circle_datum(box64, -0.5)
     with pytest.raises(FlowDomainError):
-        shrinking_circle_datum(box64, 0.5, band=0.28, rounding=0.2)
+        # the two-cell rounding (2/32) needs a band wider than 4 cells
+        shrinking_circle_datum(box64, 0.5, band=0.125)
     with pytest.raises(FlowDomainError):
         # plateau does not close inside the box
         shrinking_circle_datum(box64, 0.9, band=0.28)

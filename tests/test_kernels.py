@@ -13,21 +13,21 @@ E1 = np.array([1.0, 0.0])
 
 def test_ball_indicator_closed_form_moments():
     k = kernels.ball_indicator(2)
-    m = kernels.moments(k)
-    assert m.mass.finite
-    assert m.mass.value == pytest.approx(math.pi, rel=1e-12)
-    # half of the first absolute moment: (1/2) * 2*pi * int_0^1 r^2 dr
-    assert m.first_moment_half.value == pytest.approx(math.pi / 3, rel=1e-12)
-    assert m.radial_first_moment.value == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert m.second_moment.value == pytest.approx(math.pi / 2, rel=1e-12)
-    assert m.hyperplane_second.value == pytest.approx(2.0 / 3.0, rel=1e-9)
+    mass = kernels.absolute_moment(k, 0.0)
+    assert mass.finite
+    assert mass.value == pytest.approx(math.pi, rel=1e-12)
+    # the first absolute moment: 2*pi * int_0^1 r^2 dr
+    assert kernels.absolute_moment(k, 1.0).value == pytest.approx(2 * math.pi / 3, rel=1e-12)
+    # the radial normalization int_0^1 r^d dr
+    assert kernels._radial_moment(k, 2).value == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert kernels.absolute_moment(k, 2.0).value == pytest.approx(math.pi / 2, rel=1e-12)
+    assert kernels.hyperplane_second_moment(k) == pytest.approx(2.0 / 3.0, rel=1e-9)
 
 
 def test_ball_indicator_3d_moments():
     k = kernels.ball_indicator(3)
-    m = kernels.moments(k)
-    assert m.mass.value == pytest.approx(4 * math.pi / 3, rel=1e-12)
-    assert m.hyperplane_second.value == pytest.approx(math.pi / 2, rel=1e-9)
+    assert kernels.absolute_moment(k, 0.0).value == pytest.approx(4 * math.pi / 3, rel=1e-12)
+    assert kernels.hyperplane_second_moment(k) == pytest.approx(math.pi / 2, rel=1e-9)
 
 
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
@@ -49,26 +49,24 @@ def test_fractional_pointwise_values():
 
 def test_untruncated_fractional_divergence_flags():
     k = kernels.fractional(2, 0.5, math.inf)
-    m = kernels.moments(k)
-    assert not m.mass.finite and math.isinf(float(m.mass))
-    assert not m.first_moment.finite
-    assert not m.second_moment.finite
-    assert not m.hyperplane_second.finite
+    mass = kernels.absolute_moment(k, 0.0)
+    assert not mass.finite and math.isinf(float(mass))
+    assert not kernels.absolute_moment(k, 1.0).finite
+    assert not kernels.absolute_moment(k, 2.0).finite
+    assert math.isinf(kernels.hyperplane_second_moment(k))
 
 
-def test_gaussian_and_exponential_moments():
+def test_gaussian_moments():
     g = kernels.gaussian(2)
-    assert kernels.moments(g).mass.value == pytest.approx(math.pi, rel=1e-12)
-
-    e = kernels.exponential_fractional(2, 0.5, 1.0)
-    me = kernels.moments(e)
-    assert not me.mass.finite  # r^{-2.5} at the origin is not integrable in d=2
-    assert me.first_moment.value == pytest.approx(2 * math.pi * math.gamma(0.5), rel=1e-12)
+    assert kernels.absolute_moment(g, 0.0).value == pytest.approx(math.pi, rel=1e-12)
+    # int exp(-r^2) r^2 dr over the plane: 2 pi * Gamma(3/2) / 2
+    want = math.pi * math.gamma(1.5)
+    assert kernels.absolute_moment(g, 1.0).value == pytest.approx(want, rel=1e-12)
 
 
 def test_triangular_window_mass():
     k = kernels.triangular_window()
-    assert kernels.moments(k).mass.value == pytest.approx(1.0, rel=1e-12)
+    assert kernels.absolute_moment(k, 0.0).value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rescale_composes_exactly():
@@ -179,7 +177,7 @@ def test_validate_summable_and_fast_decay():
         lambda: kernels.ball_indicator(2),
         lambda: kernels.fractional(2, 0.5, 1.0),
         lambda: kernels.gaussian(2),
-        lambda: kernels.exponential_fractional(2, 0.5, 1.0),
+        lambda: kernels.annulus_indicator(2),
     ],
 )
 def test_validate_curvature_set(factory):

@@ -11,7 +11,6 @@ from nlgeom.rate import (
     Potential,
     Profile1D,
     RateDomainError,
-    averaged_slope,
     e1d,
     e1d_limit,
     e1d_lower_bound,
@@ -65,27 +64,6 @@ def test_potential_convexity_constant_is_checked():
         Potential(f=lambda t: np.asarray(t) ** 2, d2f=lambda t: np.full_like(t, 2.0), alpha=3.0)
     soft = Potential.soft_quartic()
     assert soft.alpha == 2.0 and soft.c is None
-
-
-# ---------------------------------------------------------------------------
-# averaged slope
-
-
-def test_averaged_slope_constant_window_inside():
-    u = Profile1D((-1.0, 1.0), np.ones(41))
-    assert averaged_slope(u, -0.3, 0.2) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_averaged_slope_affine_midpoint():
-    u = Profile1D.from_function(lambda t: t, (0.0, 1.0), 201)
-    assert averaged_slope(u, 0.2, 0.1) == pytest.approx(0.25, abs=1e-14)
-
-
-def test_averaged_slope_outside_support():
-    u = Profile1D((0.0, 1.0), np.linspace(0, 1, 33))
-    assert averaged_slope(u, 2.5, 0.3) == 0.0
-    with pytest.raises(RateDomainError):
-        averaged_slope(u, 0.0, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +172,7 @@ def test_rate_ddim_constant_field_all_zero():
         box = Box.cube(0.6, n, d=d)
         u = GridField(box, np.full(box.resolution, 0.4), "phase", outside=0.4)
         rv = rate_ddim(u, kernels.ball_indicator(d=d, radius=0.5), QUAD, 0.1,
-                       n_angular=8 if d == 2 else (4, 8), order=4)
+                       n_angular=8 if d == 2 else (4, 8))
         assert rv.f_eps == 0.0 and rv.f_0 == 0.0 and rv.e_eps == 0.0
 
 
