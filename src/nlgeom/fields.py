@@ -123,21 +123,6 @@ class GridField:
     def with_values(self, values) -> "GridField":
         return replace(self, values=np.asarray(values, dtype=float))
 
-    def sample(self, points) -> np.ndarray:
-        """Multilinear interpolation at arbitrary points (constant outside)."""
-        from scipy import ndimage
-
-        pts = np.asarray(points, dtype=float)
-        lead = pts.shape[:-1]
-        p = pts.reshape(-1, self.d)
-        h = self.spacing
-        coords = [(p[:, i] - self.box.origin[i]) / h[i] - 0.5 for i in range(self.d)]
-        out = ndimage.map_coordinates(
-            self.values, np.array(coords), order=1, mode="constant",
-            cval=self.outside,
-        )
-        return out.reshape(lead) if lead else float(out[0])
-
     def cell_index(self, x) -> tuple:
         """Index of the cell whose center is nearest to x (clipped to grid)."""
         x = np.asarray(x, dtype=float)
@@ -431,9 +416,6 @@ class GridIndicator(Shape):
             vals[inside_box] = f.values[ii]
         out = vals - self.level
         return out if x.ndim > 1 else float(out[0])
-
-    def cell_count(self) -> int:
-        return int(np.count_nonzero(self.field.values > self.level))
 
 
 class LevelShape(Shape):

@@ -195,10 +195,6 @@ class Kernel:
         pref = self.amplitude * self.scale ** (-self.d)
         return pref * self._base(r / self.scale)
 
-    def eval(self, z) -> np.ndarray:
-        """Evaluate K at points ``z`` of shape (..., d) or (d,)."""
-        return evaluate(self, z)
-
     def origin_exponent(self) -> float:
         """p such that K̄(r) ~ r**(-p) as r -> 0 (0 for bounded kernels)."""
         return (self.d + self.sigma) if self.singular else 0.0

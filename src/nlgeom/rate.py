@@ -14,10 +14,16 @@ plus one constant displacement eps*r*z_hat or a slope probe.  The cubic
 spline is therefore evaluated by one separable 4-tap B-spline filter per
 axis on its prefiltered coefficients (``_SplineSampler.lattice``), the
 shift primitive the flow step also uses.  Only the rotated line samples of
-``slicing_check`` are off-lattice and go through ``map_coordinates``.  The
-1D energies sample their piecewise-linear rows one constant fraction past
-the half-cell nodes, so they read node arrays by slices rather than by
-per-point gathers.
+``slicing_check`` are off-lattice; they take the full 4^d-tap stencil per
+point.  The 1D energies sample their piecewise-linear rows one constant
+fraction past the half-cell nodes, so they read node arrays by slices
+rather than by per-point gathers.
+
+The prefilter, the per-point stencil, Simpson's rule and the cumulative
+trapezoid are numpy ports of scipy's cubic spline filter and order-3
+interpolation and of its ``simpson`` and ``cumulative_trapezoid``.  They
+keep scipy's arithmetic, so they give its bits, and the module loads no
+scipy.
 
 Error budget of the slope probe: the symmetric difference over +-1e-3 h
 divides spline roundoff by 2e-3 cells, so the probe's lattice phase is
@@ -31,6 +37,7 @@ moves ``direct`` by 1.1e-9.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -136,6 +143,42 @@ class Profile1D:
         return float(np.sum(np.diff(v) ** 2) / h)
 
 
+def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoid integrals along the last axis, starting at 0.
+
+    ``scipy.integrate.cumulative_trapezoid(y, dx=dx, axis=-1, initial=0)``,
+    same expressions.
+    """
+    res = np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate((np.full(res.shape[:-1] + (1,), 0.0), res), axis=-1)
+
+
+def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Composite Simpson's rule along the last axis of uniform samples.
+
+    ``scipy.integrate.simpson(y, dx=dx, axis=-1)``, same expressions: for an
+    even count the last interval takes Cartwright's correction.
+    """
+    n = y.shape[-1]
+
+    def basic(stop):
+        total = np.sum(y[..., 0:stop:2] + 4.0 * y[..., 1:stop + 1:2] + y[..., 2:stop + 2:2],
+                       axis=-1)
+        total *= dx / 3.0
+        return total
+
+    if n % 2:
+        return basic(n - 2)
+    result = basic(n - 3)
+    h0 = h1 = np.float64(dx)
+    alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = (1 * h1**3) / (6 * h0 * (h0 + h1))
+    result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    result += 0.0  # scipy's two-sample term, 0 here; it turns -0.0 into 0.0
+    return result
+
+
 def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.ndarray:
     """Rate energies of profile rows sharing one grid, one result row per width.
 
@@ -154,14 +197,12 @@ def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.
     left and by 0, U(b) and 0 on the right.  U is exact for the
     interpolant with zero extension; u is 0 off [a, b].
     """
-    from scipy.integrate import cumulative_trapezoid, simpson
-
     m, n = rows.shape
     b = a + (n - 1) * h
     dx = 0.5 * h
     pad = int(math.ceil(max(widths) / dx)) + 4
     nodes = 2 * n - 1
-    U = cumulative_trapezoid(rows, dx=h, axis=1, initial=0.0)
+    U = _cumulative_trapezoid(rows, h)
     slopes = np.diff(rows, axis=1) / h
     vals = np.zeros((m, nodes + 2 * pad))
     integ = np.zeros_like(vals)
@@ -201,7 +242,7 @@ def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.
         u_x[:, :inside[0]] = 0.0
         u_x[:, inside[-1] + 1:] = 0.0
         integrand = f.f(u_x) - f.f(slope)
-        out[j] = simpson(integrand, dx=dx, axis=1) / (eps * eps)
+        out[j] = _simpson(integrand, dx) / (eps * eps)
     return out
 
 
@@ -299,6 +340,50 @@ def _bspline_taps(t: float) -> np.ndarray:
     ]]) / 6.0
 
 
+# The cubic B-spline's pole sqrt(3) - 2, spelled as scipy's spline filter
+# spells it: math.sqrt(3) - 2 is one ulp away and changes the coefficients.
+_POLE = -0.267949192431122706472553658494127633
+# points per block of the per-point stencil, so its operands stay in cache
+_POINT_BLOCK = 1 << 14
+
+
+def _spline_filter(values: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients that interpolate ``values`` at the nodes.
+
+    scipy's ``spline_filter(values, order=3, mode="nearest")``, same
+    arithmetic: per axis, over all lines of that axis at once, the gain,
+    the causal init of a mirror-symmetric extension, the causal recursion,
+    the anticausal init and the anticausal recursion.
+    """
+    z = _POLE
+    out = np.array(values, dtype=float)
+    for axis in range(out.ndim):
+        c = np.ascontiguousarray(np.moveaxis(out, axis, 0))
+        n = len(c)
+        c *= (1.0 - z) * (1.0 - 1.0 / z)
+        # c[0] accumulates z^i (c[i] + z^n c[n-1-i]) in place, so the last
+        # term, i = n - 1, reads the running sum for c[0]
+        z_n = z ** n
+        z_i = np.cumprod(np.full(n - 1, z)).reshape((n - 1,) + (1,) * (c.ndim - 1))
+        terms = np.empty_like(c[:n - 1])
+        terms[0] = c[0] + z_n * c[n - 1]
+        terms[1:] = z_i[:n - 2] * (c[1:n - 1] + z_n * c[n - 2:0:-1])
+        acc = np.cumsum(terms, axis=0)[-1]
+        acc += z_i[n - 2] * (c[n - 1] + z_n * acc)
+        acc *= z / (1 - z_n * z_n)
+        acc += c[0]
+        c[0] = acc
+        for i in range(1, n):
+            c[i] += z * c[i - 1]
+        c[n - 1] *= z / (z - 1)
+        for i in range(n - 2, -1, -1):
+            row = c[i:i + 1]
+            np.subtract(c[i + 1:i + 2], row, out=row)
+            row *= z
+        out = np.moveaxis(c, 0, axis)
+    return np.ascontiguousarray(out)
+
+
 class _SplineSampler:
     """Cubic-spline view of a grid field extended past the window.
 
@@ -312,17 +397,16 @@ class _SplineSampler:
     its fraction is the same at every node, so each axis takes one 4-tap
     B-spline filter (``fields.shift_taps``) over the block of coefficients
     the lattice covers.  Calling the sampler evaluates it at arbitrary
-    points through ``map_coordinates`` with ``prefilter=False``; only the
-    rotated line samples of ``slicing_check`` need that.  Queries must stay
-    inside the pad, clear of the stencil edge.
+    points, each through its own 4^d-tap stencil; only the rotated line
+    samples of ``slicing_check`` need that.  Queries must stay inside the
+    pad, clear of the stencil edge; both paths raise ``RateDomainError``
+    otherwise.
     """
 
     def __init__(self, u: GridField, pads: Sequence[int], **pad_mode):
-        from scipy import ndimage
-
         h = u.spacing
         padded = np.pad(u.values, [(p, p) for p in pads], **pad_mode)
-        self._coeffs = ndimage.spline_filter(padded, order=3, mode="nearest")
+        self._coeffs = _spline_filter(padded)
         self._origin = np.asarray(u.box.origin, dtype=float) - np.asarray(pads) * h
         self._h = h
         self._resolution = np.asarray(u.box.resolution)
@@ -335,13 +419,43 @@ class _SplineSampler:
         return cls(u, pads, constant_values=u.outside)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        from scipy import ndimage
+        """Spline values at points of shape (..., d).
 
+        The arithmetic of scipy's order-3 interpolation of prefiltered
+        coefficients: with y the fraction past floor(x) and z = 1 - y,
+        the tap weights are z^3/6, (3 y^2 (y - 2) + 4)/6, (3 z^2 (z - 2) +
+        4)/6 and one minus those, the stencil starts at floor(x) - 1, and
+        the terms (c w_0) w_1 ... are summed with the last axis fastest.
+        """
         pts = np.asarray(pts, dtype=float)
-        coords = (pts - self._origin) / self._h - 0.5
-        return ndimage.map_coordinates(
-            self._coeffs, np.moveaxis(coords, -1, 0), order=3, prefilter=False, mode="nearest"
-        )
+        coords = ((pts - self._origin) / self._h - 0.5).reshape(-1, pts.shape[-1])
+        whole = np.floor(coords)
+        lo = whole.astype(np.intp) - 1
+        if np.any(lo < 0) or np.any(lo + 4 > self._coeffs.shape):
+            raise RateDomainError("a query's stencil reaches past the padded coefficients")
+        dims = self._coeffs.shape
+        strides = np.array([math.prod(dims[axis + 1:]) for axis in range(len(dims))])
+        stencil = list(itertools.product(range(4), repeat=len(dims)))
+        offsets = [int(np.dot(k, strides)) for k in stencil]
+        flat = self._coeffs.ravel()
+        out = np.empty(len(coords))
+        for s in range(0, len(coords), _POINT_BLOCK):
+            y = coords[s:s + _POINT_BLOCK] - whole[s:s + _POINT_BLOCK]
+            z = 1.0 - y
+            w = np.empty((4,) + y.shape)
+            w[0] = z * z * z / 6.0
+            w[1] = (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0
+            w[2] = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+            w[3] = 1.0 - w[0] - w[1] - w[2]
+            start = lo[s:s + _POINT_BLOCK] @ strides
+            acc = np.zeros(len(y))
+            for taps, off in zip(stencil, offsets):
+                term = np.take(flat, start + off)
+                for axis, k in enumerate(taps):
+                    term *= w[k, :, axis]
+                acc += term
+            out[s:s + _POINT_BLOCK] = acc
+        return out.reshape(pts.shape[:-1])
 
     def centers(self, margin: float) -> tuple[tuple, np.ndarray]:
         """Cell centers of the grid widened by ceil(margin / h) cells per axis.
@@ -484,6 +598,10 @@ def rate_limit_ddim(u: GridField, G: Kernel, f: Potential) -> float:
     return second_moment * acc / 24.0
 
 
+# lines per ``_e1d_rows`` call in the slice assembly, so its buffers stay in cache
+_ROW_BLOCK = 16
+
+
 @dataclass(frozen=True)
 class SlicingReport:
     eps: float
@@ -557,7 +675,10 @@ def slicing_check(
             + t[None, :, None] * d_hat[None, None, :]
         )
         v = (spl(line_pts + delta * d_hat) - spl(line_pts - delta * d_hat)) / (2.0 * delta)
-        energies = _e1d_rows(v, t_lo, dt, f, eps * rs)
+        energies = np.concatenate([
+            _e1d_rows(v[i:i + _ROW_BLOCK], t_lo, dt, f, eps * rs)
+            for i in range(0, len(v), _ROW_BLOCK)
+        ], axis=1)
         for r, wr, e_r in zip(rs, radial_w, energies):
             assembled += wr * (2.0 * w_ang) * (r * r) * float(np.sum(e_r)) * h
     return SlicingReport(eps, direct, assembled)

@@ -186,6 +186,14 @@ def test_fit_rate_band_uses_student_t_quantile():
     assert fit_rate(rows).band95 == pytest.approx(12.7062047361747 * se, rel=1e-12)
 
 
+def test_t_quantile_matches_scipy_stdtrit():
+    from scipy import special
+
+    for nu in range(1, 201):
+        ref = float(special.stdtrit(nu, 0.975))
+        assert abs(cli._t_quantile_975(nu) - ref) <= 1e-13 * ref
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -237,6 +245,27 @@ traj = flow.evolve(u0, "nonlocal", kernel, 2 * dt, dt=dt, eps=0.2, n_snapshots=1
 print(len(traj.monitor) - 1, {SCIPY_LOADED})
 """
     assert fresh_python("-c", probe).stdout.split() == ["2", "[]"]
+
+
+def test_rate_energies_and_rate_fit_load_no_scipy():
+    probe = f"""
+import sys
+import numpy as np
+from nlgeom import cli, kernels, rate
+from nlgeom.fields import Box, GridField
+box = Box.cube(1.1, 24)
+r2 = np.sum(box.centers() ** 2, axis=-1)
+u = GridField(box, (np.clip(1.0 - r2, 0.0, None) ** 2).reshape(box.resolution), "phase")
+G = kernels.ball_indicator(d=2)
+quad = rate.Potential.quadratic()
+rate.rate_ddim(u, G, quad, 0.2, n_angular=8)
+rate.rate_limit_ddim(u, G, quad)
+rate.slicing_check(u, G, quad, 0.2)
+rate.e1d(rate.Profile1D.from_function(lambda t: 1.0 - t * t, (-1.0, 1.0), 201), quad, 0.1)
+cli.fit_rate([(0.4, 1.0), (0.2, 0.6), (0.1, 0.2)])
+print({SCIPY_LOADED})
+"""
+    assert fresh_python("-c", probe).stdout.strip() == "[]"
 
 
 def test_curvature_routes_load_no_scipy_optimize():
@@ -302,7 +331,6 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
 
 
 def test_worker_count_does_not_change_artifacts_in_fresh_processes(tmp_path):
-    # with four workers the first scipy.integrate import happens in pool threads
     cfg = str(CONFIG_DIR / "bbm-1d.cfg")
     for n in ("1", "4"):
         fresh_python("-m", "nlgeom.cli", "run", cfg, "--out", str(tmp_path / n),

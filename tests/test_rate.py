@@ -414,3 +414,69 @@ def test_bump_slicing_matches_per_point_values(bump64):
     rep = slicing_check(bump64, G_BALL, QUAD, 0.1)
     assert rep.direct == pytest.approx(BUMP_SLICE[0], rel=1e-9)
     assert rep.assembled == pytest.approx(BUMP_SLICE[1], rel=1e-12)
+
+
+def test_e1d_rows_do_not_depend_on_the_rows_beside_them():
+    # slicing_check feeds its lines in blocks of rate._ROW_BLOCK rows
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(37, 301))
+    widths = 1.3e-3 * np.array([8.0, 23.0])
+    whole = rate._e1d_rows(rows, -0.37, 1.3e-3, QUAD, widths)
+    parts = [rate._e1d_rows(rows[i:i + rate._ROW_BLOCK], -0.37, 1.3e-3, QUAD, widths)
+             for i in range(0, len(rows), rate._ROW_BLOCK)]
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
+# ---------------------------------------------------------------------------
+# numpy ports against the scipy calls they replace, bit for bit
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("pad", ["constant", "odd-reflect"])
+def test_spline_filter_matches_scipy_bitwise(d, pad):
+    rng = np.random.default_rng(5 * d + (pad == "constant"))
+    # short axes: the init's last term, z^(n-1) (c[n-1] + z^n c[0]), then
+    # reaches the last bits
+    values = rng.random({1: (5,), 2: (29, 3), 3: (13, 2, 7)}[d])
+    if pad == "constant":  # _SplineSampler.constant's narrowest pad
+        padded = np.pad(values, 4, constant_values=0.25)
+    else:  # rate_limit_ddim's extension
+        padded = np.pad(values, 12, mode="reflect", reflect_type="odd")
+    ref = ndimage.spline_filter(padded, order=3, mode="nearest")
+    assert np.array_equal(rate._spline_filter(padded), ref)
+
+
+def test_spline_sampler_matches_map_coordinates_bitwise():
+    rng = np.random.default_rng(9)
+    box = Box.cube(1.0, 24)
+    u = GridField(box, np.pad(rng.random((20, 20)), 2), "phase")
+    spl = rate._SplineSampler.constant(u, 0.5)
+    n = np.array(spl._coeffs.shape)
+    coords = rng.uniform(1.0, n - 3.0, (20000, 2))
+    coords[:500] = np.floor(coords[:500])
+    coords[500:510] = [1.0, 1.0]
+    pts = (coords + 0.5) * spl._h + spl._origin
+    ref = ndimage.map_coordinates(spl._coeffs, ((pts - spl._origin) / spl._h - 0.5).T,
+                                  order=3, prefilter=False, mode="nearest")
+    assert np.array_equal(spl(pts), ref)
+    assert spl(pts.reshape(100, 200, 2)).shape == (100, 200)
+
+
+def test_spline_sampler_rejects_queries_past_the_pad():
+    box = Box.cube(1.0, 8)
+    spl = rate._SplineSampler.constant(GridField(box, np.zeros((8, 8)), "phase"), 0.0)
+    h, origin = spl._h, spl._origin
+    inside = (np.array([[1.0, 1.0], [8.0 + 2 * 4 - 3.0, 1.0]]) + 0.5) * h + origin
+    assert np.array_equal(spl(inside), np.zeros(2))
+    for coords in ([0.999, 3.0], [3.0, 8.0 + 2 * 4 - 2.0]):
+        with pytest.raises(RateDomainError):
+            spl((np.array([coords]) + 0.5) * h + origin)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 40, 401, 2200])
+def test_simpson_and_cumulative_trapezoid_match_scipy_bitwise(n):
+    y = np.random.default_rng(n).normal(size=(64, n))
+    dx = 1.3e-3 / 3.0
+    assert np.array_equal(rate._simpson(y, dx), simpson(y, dx=dx, axis=1))
+    assert np.array_equal(rate._cumulative_trapezoid(y, dx),
+                          cumulative_trapezoid(y, dx=dx, axis=1, initial=0.0))
