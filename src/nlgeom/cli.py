@@ -1127,9 +1127,12 @@ def summary_text(report: ExperimentReport, cfg: ExperimentConfig) -> str:
         f"rows: {len(report.rows)}",
     ]
     if report.rate is not None:
+        fit = report.rate
+        # a 95% band as wide as the slope leaves even its sign open
+        mark = " uninformative" if fit.band95 >= abs(fit.slope) else ""
         lines.append(
-            f"rate: slope={report.rate.slope:.6g} "
-            f"band95={report.rate.band95:.4g} points={report.rate.points}"
+            f"rate: slope={fit.slope:.6g} band95={fit.band95:.4g} "
+            f"points={fit.points}{mark}"
         )
     else:
         lines.append(f"rate: {report.rate_note}")

@@ -21,9 +21,13 @@ Two updates are available:
   cell to every tied pair and keeps halfspace data exactly stationary.
   A step evaluates the stamp sum at active cells only.  It first builds
   one table per interpolant holding the padded field shifted by every
-  sub-cell phase of the refined lattice; each (stamp offset, active cell)
-  pair then reads its values at a flat table index, and the sum adds one
-  phase's weighted indicators at a time, in the phases' sort order.
+  sub-cell phase of the refined lattice, cropped to the box of padded
+  cells the active cells' stamps can reach; each (stamp offset, active
+  cell) pair then reads its values at a flat table index, and the sum
+  adds one phase's weighted indicators at a time, in the phases' sort
+  order.  The plateau fallback lives in the tables: where the spread is 0
+  the cubic table holds the bilinear value, so the quotient is +-inf
+  (clipped to the sign) or, for a tie, NaN (set to 0).
 
 Both updates freeze cells whose gradient falls below a floor, so fields
 that are constant near the window boundary stay constant there and the
@@ -136,26 +140,36 @@ def _step_local_values(values, outside, h, kappa, dt, floor):
 
 @dataclass(frozen=True)
 class _Stamp:
-    """Kernel masses binned on a refined lattice, as flat phase-table offsets.
+    """Kernel masses binned on a refined lattice, as phase-table coordinates.
 
     A stamp offset o = refine * q + f (0 <= f < refine per axis) reads the
     field at whole-cell offset q, shifted by the sub-cell phase f / refine.
     Each step stacks the padded field shifted by every phase into one table
-    per interpolant (``_phase_tables``); ``entries[k]`` is the flat table
-    index that offset k reads for cell (0, 0), so cell (i, j) reads
-    ``entries[k] + i * (n1 + 2 * pad[1]) + j`` on an (n0, n1) ``grid``.
-    Entries are sorted by phase, keeping the lattice order within a phase;
-    ``bounds`` delimits each phase's run (one group of the stamp sum).
-    ``pad`` is the constant-extension margin in whole cells, including the
-    one-cell slack the interpolation stencils need.
+    per interpolant (``_phase_tables``), over the box of the padded grid
+    that active cells can reach.  For active rows from i0 and columns from
+    j0, offset k reads cell (i, j) at block ``phase[k]`` of the tables, row
+    ``row[k] + i - i0`` and column ``col[k] + j - j0``, so a step re-bases
+    the entries from the box's shape alone, with no division.  Entries are
+    sorted by phase, keeping the lattice order within a phase; ``bounds``
+    delimits each phase's run (one group of the stamp sum).  ``pad`` is
+    the constant-extension margin in whole cells, including the one-cell
+    slack the interpolation stencils need, and ``grid`` the (n0, n1) grid
+    the stamp was laid out for.  ``scratch`` holds the flat (chi, index,
+    spread, tie) buffers of the stamp sum, large enough for every cell of
+    the grid to be active.  Every step reuses them: allocated afresh, their
+    new heap pages cost about 7 of the 20 ms of a step at eps 0.05 in the
+    flow-monitors run.  So one stamp serves one run of steps at a time.
     """
 
     refine: int
     pad: tuple
     grid: tuple
-    entries: np.ndarray
+    phase: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
     weights: np.ndarray
     bounds: tuple
+    scratch: tuple
 
 
 # On lattices refined by an odd factor the binned masses pick up a small
@@ -197,14 +211,20 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
     L0, L1 = int(np.abs(q0).max()) + 2, int(np.abs(q1).max()) + 2
     n0, n1 = box.resolution
     # the sum takes the phases in (f0, f1) order; the tables stack them
-    # f1-major, each block of the padded field's shape
+    # f1-major, each block of the cropped box's shape
     key = f0 * refine + f1
     order = np.argsort(key, kind="stable")
-    rows, width = n0 + 2 * L0, n1 + 2 * L1
-    entries = ((f1 * refine + f0) * rows + L0 - 1 + q0) * width + L1 - 1 + q1
+    phase = (f1 * refine + f0)[order]
+    row, col = (L0 - 2 + q0)[order], (L1 - 2 + q1)[order]
     starts = np.flatnonzero(np.diff(key[order])) + 1
     bounds = (0, *(int(b) for b in starts), len(order))
-    return _Stamp(refine, (L0, L1), (n0, n1), entries[order], weights[order], bounds)
+    # the stamp sum's buffers, large enough for any active set and run
+    cols = -(-n0 * n1 // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
+    block = max(_BLOCK_PAIRS, cols)
+    scratch = (np.empty(max(block, int(np.max(np.diff(bounds))) * cols)),
+               np.empty(block, dtype=np.int64), np.empty(block), np.empty(block, dtype=bool))
+    return _Stamp(refine, (L0, L1), (n0, n1), phase, row, col, weights[order], bounds,
+                  scratch)
 
 
 def _cubic_weights(a: float) -> np.ndarray:
@@ -236,20 +256,48 @@ def _tap_weights(refine: int, order: int) -> np.ndarray:
     return w
 
 
-def _phase_tables(P: np.ndarray, W: np.ndarray, refine: int) -> tuple:
-    """Flat tables of every sub-cell phase of P (cubic, bilinear) and of W.
+def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
+    """Phase tables of the field (cubic) and of ``wf`` (bilinear) over a box.
 
-    Each is built separably, rows first.  Phase (f0, f1) is the block
-    ``f1 * refine + f0`` of the padded field's shape, whose element (r, c)
-    holds the value at padded position (r + 1, c + 1) plus the phase; the
-    last 3 rows and columns of a block are not read.
+    The box is the padded grid's rows i0 + 1 .. i1 + 2 * L0 and columns
+    j0 + 1 .. j1 + 2 * L1, for ``cells`` (ascending flat indices) in rows
+    i0 .. i1 and columns j0 .. j1 and stamp pad (L0, L1).  It holds every
+    cell an active cell's stencils read; on the circle datum at t = 0 it
+    is 69², 63² and 59² at eps 0.2, 0.1 and 0.05, against the padded
+    grid's 82², 76² and 72².  Each table is
+    built separably, rows first, and has refine^2 blocks of the box's
+    shape; phase (f0, f1) is block ``f1 * refine + f0``, whose element
+    (r, c) holds the value at box position (r + 1, c + 1) plus the phase
+    (the last 3 rows and columns of a block are not read).
+
+    Where the spread table is 0 the cubic table takes the bilinear value.
+    Each pair reads both tables at one index, so only plateau pairs see
+    the swap, and for them the step's quotient becomes the sign of the
+    bilinear difference: the plateau fallback, without a pass of its own.
+    (The bilinear value, not the cubic one: the cubic stencil can
+    manufacture tiny extrema at kinks, which a hard sign would amplify.)
+
+    Returns ``(cubic, spread, entries, at)``: the pair of stamp offset k
+    and cell ``cells[m]`` reads flat index ``entries[k] + at[m]`` of both
+    tables.
     """
-    def table(arr, order):
-        w = _tap_weights(refine, order)
-        rows = shift_taps(arr.ravel(), w, arr.shape[1])
-        return shift_taps(rows.ravel(), w, 1).ravel()
+    n1 = values.shape[1]
+    L0, L1 = stamp.pad
+    ci, cj = cells // n1, cells % n1
+    i0, j0 = int(ci[0]), int(cj.min())
+    rows, width = int(ci[-1]) - i0 + 2 * L0, int(cj.max()) - j0 + 2 * L1
+    pads = ((L0, L0), (L1, L1))
+    box = np.s_[i0 + 1:i0 + 1 + rows, j0 + 1:j0 + 1 + width]
 
-    return table(P, 3), table(P, 1), table(W, 1)
+    def table(arr, fill, order):
+        w = _tap_weights(stamp.refine, order)
+        by_rows = shift_taps(np.pad(arr, pads, constant_values=fill)[box].ravel(), w, width)
+        return shift_taps(by_rows.ravel(), w, 1).reshape(stamp.refine ** 2, rows, width)
+
+    cubic, spread = table(values, outside, 3), table(wf, 0.0, 1)
+    np.copyto(cubic, table(values, outside, 1), where=spread == 0.0)
+    entries = (stamp.phase * rows + stamp.row) * width + stamp.col
+    return cubic, spread, entries, (ci - i0) * width + cj - j0
 
 
 # The flow step's working set: pairs (offset, cell) per elementwise pass,
@@ -279,47 +327,50 @@ def _phase_runs(bounds: tuple, rows: int) -> list:
     return runs
 
 
+# Variants of the step measured on the 64² circle datum and rejected, all
+# bit for bit the same as the step below:
+# * gathering cubic and spread values as one interleaved (N, 2) table:
+#   18.2 against 12.4 ms per step at eps 0.2;
+# * gathering them as the real and imaginary parts of one complex128
+#   table: the strided subtract that splits them costs what the saved
+#   take saves;
+# * skipping the plateau work in blocks without a plateau pair: every
+#   block of the datum's steps at eps 0.2, 0.1 and 0.05 holds one;
+# * splitting the phases between two threads: numpy's ``divide`` runs
+#   only 1.25 times faster on two threads of a 2-core host, so the step
+#   is no faster;
+# * building and consuming the tables one row phase at a time: 12% faster
+#   at eps 0.05, 7% slower at eps 0.1.
 def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
     """sum_k weight_k * chi_k at the flat ``cells``, one phase at a time."""
-    L0, L1 = stamp.pad
-    pads = ((L0, L0), (L1, L1))
-    cubic, linear, spread = _phase_tables(
-        np.pad(values, pads, constant_values=outside),
-        np.pad(wf, pads, constant_values=0.0), stamp.refine)
+    cubic, spread, entries, at = _phase_tables(values, outside, wf, cells, stamp)
     n = len(cells)
     cols = -(-n // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
     # padding columns repeat cell 0; their sums are dropped
-    cells = np.concatenate([cells, np.full(cols - n, cells[0])])
-    n1 = values.shape[1]
-    at = cells // n1 * (n1 + 2 * L1) + cells % n1
-    v = values.ravel()[cells]
+    fill = np.zeros(cols - n, dtype=np.intp)
+    at = np.concatenate([at, at[fill]])
+    v = values.ravel()[np.concatenate([cells, cells[fill]])]
     bounds = stamp.bounds
     rows = max(1, _BLOCK_PAIRS // cols)
-    idx = np.empty((rows, cols), dtype=np.int64)
-    ww = np.empty((rows, cols))
-    flat = np.empty((rows, cols), dtype=bool)
-    chi = np.empty((max(rows, *np.diff(bounds)), cols))
+    chi, idx, ww, tie = (
+        buf[:len(buf) // cols * cols].reshape(-1, cols) for buf in stamp.scratch)
     hk = np.zeros(cols)
-    # flat pairs divide by 0 below; their sign then replaces the quotient
+    # plateau pairs (spread 0) divide by 0: the clip turns +-inf into the
+    # sign of the bilinear difference, and a tie's NaN is set to 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for first, stop in _phase_runs(bounds, rows):
             base = bounds[first]
             for lo in range(base, bounds[stop], rows):
                 k = min(rows, bounds[stop] - lo)
-                ix, c, w, f = idx[:k], chi[lo - base:lo - base + k], ww[:k], flat[:k]
-                np.add(stamp.entries[lo:lo + k, None], at, out=ix)
+                ix, c, w, t = idx[:k], chi[lo - base:lo - base + k], ww[:k], tie[:k]
+                np.add(entries[lo:lo + k, None], at, out=ix)
                 # the indices are in range: "wrap" only skips a buffered check
                 np.take(cubic, ix, out=c, mode="wrap")
                 np.subtract(v, c, out=c)
                 np.take(spread, ix, out=w, mode="wrap")
                 np.divide(c, w, out=c)
                 np.clip(c, -1.0, 1.0, out=c)
-                # plateaus: plain sign of the bilinear value (the cubic
-                # stencil can manufacture tiny extrema at kinks, which a
-                # hard sign would amplify)
-                np.greater(w, 0.0, out=f)
-                pairs = np.flatnonzero(np.logical_not(f, out=f))
-                c.ravel()[pairs] = np.sign(v[pairs % cols] - linear[ix.ravel()[pairs]])
+                np.copyto(c, 0.0, where=np.isnan(c, out=t))
             for j in range(first, stop):
                 # np.tensordot(weights, chi, axes=(0, 0)) makes this same call
                 wts = stamp.weights[None, bounds[j]:bounds[j + 1]]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,12 +195,19 @@ def test_t_quantile_matches_scipy_stdtrit():
         assert abs(cli._t_quantile_975(nu) - ref) <= 1e-13 * ref
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, nlgeom.cli; sys.exit(3 if 'scipy.stats' in sys.modules else 0)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+@pytest.mark.parametrize("slope, band, marked", [
+    (1.21, 2.49, True),
+    (-1.9, 5.67, True),
+    (2.0, 2.0, True),
+    (0.99994, 6.0e-5, False),
+    (-2.0, 1.99, False),
+])
+def test_summary_marks_uninformative_rate(slope, band, marked):
+    report = cli.ExperimentReport("perimeter-limit", "eps", (),
+                                  cli.RateFit(slope, 0.0, band, 4), "", ())
+    lines = cli.summary_text(report, SimpleNamespace(seed=0)).splitlines()
+    rate = f"rate: slope={slope:.6g} band95={band:.4g} points=4"
+    assert lines[3] == rate + (" uninformative" if marked else "")
 
 
 # Library modules import scipy inside the function that calls it, so a run

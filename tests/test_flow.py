@@ -249,6 +249,70 @@ def test_active_step_bitwise_rough_field(eps):
     _assert_steps_match(f, eps, 2)
 
 
+def _plateau_pairs(field, eps):
+    """Zero-spread (offset, active cell) pairs at t = 0 whose cubic and
+    bilinear signs differ, and zero-spread ties with the bilinear value."""
+    box = field.box
+    vals, h = field.values, box.spacing
+    refine = _build_stamp(BALL, eps, box).refine
+    _, groups, (L0, L1) = _reference_stamp(BALL, eps, box, refine)
+    cgx, cgy = flow._gradient(vals, field.outside, h)
+    gmag = np.sqrt(cgx * cgx + cgy * cgy)
+    active = (gmag >= 1e-6 * float(np.ptp(vals))) & (gmag > 0.0)
+    wf = 0.5 * (np.abs(cgx) * h[0] + np.abs(cgy) * h[1]) / refine
+    P = np.pad(vals, ((L0, L0), (L1, L1)), constant_values=field.outside)
+    W = np.pad(wf, ((L0, L0), (L1, L1)), constant_values=0.0)
+    flips = ties = 0
+    for (a, b), q0, q1, _ in groups:
+        views = [
+            sliding_window_view(_reference_sub_shift(arr, refine, a, b, order),
+                                vals.shape)[L0 - 1 + q0, L1 - 1 + q1]
+            for arr, order in ((P, 3), (P, 1), (W, 1))
+        ]
+        cubic, linear, spread = (x[:, active] for x in views)
+        flat = spread == 0.0
+        v = vals[active][None]
+        flips += np.count_nonzero(flat & (np.sign(v - cubic) != np.sign(v - linear)))
+        ties += np.count_nonzero(flat & (v == linear))
+    return flips, ties
+
+
+def test_active_step_bitwise_striped_plateau():
+    # a ramp in the columns meets stripes alternating across columns: the
+    # stripes' central gradient is 0, so the ramp's stamps read zero-spread
+    # sites where the cubic and bilinear values differ, and the ramp's
+    # multiples of 1/32 tie with the stripes' +-1/4
+    box = Box.cube(1.0, 40)
+    cols = np.arange(40)
+    row = np.where(cols < 20, (cols - 10) / 32.0, np.where(cols % 2, 0.25, -0.25))
+    f = GridField(box, np.tile(row, (40, 1)), "level-set", 0.0)
+    flips, ties = _plateau_pairs(f, 0.2)
+    assert flips > 0 and ties > 0
+    for eps in (0.2, 0.1):
+        _assert_steps_match(f, eps, 2)
+
+
+def test_active_step_bitwise_offcentre_circle():
+    # the active band runs off the last rows and stays clear of the first
+    # rows and columns, so the cropped tables sit asymmetrically and meet
+    # the pad on one side.  On 40² cells both stamps reach their pad's last
+    # row, so a crop one row short reads a zeroed table row in place of the
+    # -0.28 outside
+    box = Box.cube(1.0, 40)
+    cc = box.centers()
+    vals = np.clip(0.35 - np.hypot(cc[..., 0] - 0.6, cc[..., 1] - 0.15), -0.28, 0.28)
+    f = GridField(box, vals, "level-set", -0.28)
+    gx, gy = flow._gradient(vals, f.outside, box.spacing)
+    active = np.hypot(gx, gy) >= 1e-6 * float(np.ptp(vals))
+    rows = np.flatnonzero(active.any(axis=1))
+    cols = np.flatnonzero(active.any(axis=0))
+    assert (rows[0], rows[-1], cols[0], cols[-1]) == (18, 39, 9, 36)
+    for eps in (0.2, 0.1):
+        stamp = _build_stamp(BALL, eps, box)
+        assert stamp.row.max() == 2 * stamp.pad[0] - 4
+        _assert_steps_match(f, eps, 3)
+
+
 def test_constant_field_nonlocal_bitwise(box64, dtb64):
     # no active cell: nothing to gather, the values come back unchanged
     const = GridField(box64, np.full(box64.resolution, -0.3), "level-set", -0.3)
