@@ -1,15 +1,17 @@
-"""Nonlocal curvature of a set at a boundary point, and its local limit.
+"""Nonlocal curvature of a planar set at a boundary point, and its local limit.
 
 The nonlocal curvature used here is
 
     H(E, x) = principal value of  integral K(y - x) (chi_Ec - chi_E)(y) dy,
 
-nonnegative on convex sets.  Three evaluation routes are provided: a
-principal-value annulus scheme whose antipodal node pairing cancels the odd
-part exactly, a graph-chart scheme that integrates the boundary column
-profile near x, and the local limit H_0 read off the hyperplane moment
-matrix of the kernel; the two nonlocal routes agree within error bars and
-eps^{-1} H(rescaled kernel) approaches H_0.
+nonnegative on convex sets.  Sets are analytic planar shapes (d = 2) with
+an exact level gradient; the local limit also reads their exact level
+Hessian.  Two routes evaluate H: a principal-value annulus scheme whose
+antipodal node pairing cancels the odd part exactly, and a graph-chart
+scheme that integrates the boundary column profile near x, kept as an
+independent check of the first; they agree within error bars.  The local
+limit H_0 is read off the hyperplane moment matrix of the kernel, and
+eps^{-1} H(rescaled kernel) approaches it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .fields import GridField, GridIndicator, LevelShape, Shape, differentiate
+from .fields import LevelShape, Shape
 from .kernels import Kernel
 
 
@@ -40,29 +42,9 @@ class CurvatureValue:
         return self.value
 
 
-def _probe_normal(shape: GridIndicator, x: np.ndarray) -> np.ndarray:
-    """Inner normal estimate for a rasterized set: mean sign over a probe ring.
-
-    Rasterized boundaries sit between cell centers and carry no gradient, so
-    both the membership test and the normal come from sign probes a couple of
-    cells out.
-    """
-    rho = 1.5 * float(np.max(shape.field.spacing))
-    dirs = _circle_dirs(64) if shape.d == 2 else _sphere_dirs(256)
-    s = _signs(shape, x[None, :] + rho * dirs)
-    if not (np.any(s > 0) and np.any(s < 0)):
-        raise CurvatureDomainError("x is not within a cell of the rasterized boundary")
-    m = np.sum(dirs * s[:, None], axis=0)
-    nm = float(np.linalg.norm(m))
-    if nm == 0.0:
-        raise CurvatureDomainError("ambiguous rasterized normal at x")
-    return -m / nm
-
-
 def _boundary_point_check(shape: Shape, x: np.ndarray) -> None:
-    if isinstance(shape, GridIndicator):
-        _probe_normal(shape, x)
-        return
+    if shape.d != 2:
+        raise CurvatureDomainError("nonlocal curvature is evaluated in the plane (d = 2)")
     phi = float(np.asarray(shape.phi(x)))
     g = np.asarray(shape.grad_phi(x), dtype=float)
     gn = float(np.linalg.norm(g))
@@ -164,17 +146,17 @@ def _brentq_lanes(f, a, b, xtol):
     )
 
 
-def _dense_sign_mean(E, x, r, direction_fn):
-    """Mean of the membership sign over the sphere of radius r, by doubling.
+def _dense_sign_mean(E, x, r):
+    """Mean of the membership sign over the circle of radius r, by doubling.
 
     Fallback path for radii where the two-crossing circle model does not
-    apply (reconnections, staircase boundaries, r beyond the reach).
+    apply (reconnections, r beyond the reach).
     Returns (mean, err_estimate).
     """
     prev = None
     n = 256
     while True:
-        u = direction_fn(n)
+        u = _circle_dirs(n)
         s = _signs(E, x[None, :] + r * u)
         cur = float(np.mean(s))
         if prev is not None and (abs(cur - prev) <= 1e-3 * max(abs(cur), 1e-3)):
@@ -190,92 +172,44 @@ def _circle_dirs(n):
     return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
-def _sphere_dirs(n):
-    # Fibonacci points: decent uniform cover for the fallback average
-    i = np.arange(n) + 0.5
-    mu = 1.0 - 2.0 * i / n
-    phi = math.pi * (1 + math.sqrt(5)) * i
-    s = np.sqrt(1.0 - mu**2)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), mu], axis=-1)
-
-
-def _sign_surface_integrals(E, x, rs, n_hat, frame):
-    """Integrals of -sign(phi(x + r u)) over the unit sphere directions u.
+def _sign_surface_integrals(E, x, rs, n_hat, t_hat):
+    """Integrals of -sign(phi(x + r u)) over the unit circle directions u.
 
     One value and error estimate per radius in ``rs``.  The membership
     transition angles are located by root finding, so thin asymmetry wedges
-    near the tangent plane are resolved exactly no matter how small r is;
-    the crossing angles of every radius (and, in d = 3, of every azimuth)
-    are solved together, one Brent lane each.  A dense doubling average
-    takes over for each radius whose two-crossing model fails its bracket
-    or scan validation.
+    near the tangent line are resolved exactly no matter how small r is;
+    the crossing angles of every radius are solved together, one Brent lane
+    each.  A dense doubling average takes over for each radius whose
+    two-crossing model fails its bracket or scan validation.
     """
-    d = len(x)
     n = len(rs)
     S = np.empty(n)
     e = np.zeros(n)
 
-    def phi(points):
-        # GridIndicator.phi accepts flat (n, d) point arrays only
-        return np.asarray(E.phi(points.reshape(-1, d))).reshape(points.shape[:-1])
+    def f(th, r):
+        u = np.cos(th)[:, None] * t_hat + np.sin(th)[:, None] * n_hat
+        return E.phi(x + r[:, None] * u)
 
-    if d == 2:
-        t_hat = frame[0]
-
-        def f(th, r):
-            u = np.cos(th)[:, None] * t_hat + np.sin(th)[:, None] * n_hat
-            return phi(x + r[:, None] * u)
-
-        f_top = f(np.full(n, 0.5 * math.pi), rs)
-        f_bot = f(np.full(n, -0.5 * math.pi), rs)
-        ok = np.flatnonzero((f_top > 0.0) & (0.0 > f_bot))
-        if ok.size:
-            r_ok = rs[ok]
-            ends = np.full(ok.size, 0.5 * math.pi)
-            th_a = _brentq_lanes(lambda th, k: f(th, r_ok[k]), -ends, ends, 1e-14)
-            th_b = _brentq_lanes(lambda th, k: f(th, r_ok[k]), ends, 3.0 * ends, 1e-14)
-            # validate the single-arc model against a coarse sign scan
-            th = 2 * math.pi * (np.arange(64) + 0.5) / 64 - 0.5 * math.pi
-            u = np.cos(th)[:, None] * t_hat + np.sin(th)[:, None] * n_hat
-            sv = phi(x + r_ok[:, None, None] * u) > 0.0
-            model = (th > th_a[:, None]) & (th < th_b[:, None])
-            valid = np.all(sv == model, axis=1)
-            S[ok[valid]] = 2.0 * math.pi - 2.0 * (th_b - th_a)[valid]
-            ok = ok[valid]
-        for i in np.setdiff1d(np.arange(n), ok):
-            mean, err = _dense_sign_mean(E, x, rs[i], _circle_dirs)
-            S[i], e[i] = 2.0 * math.pi * mean, 2.0 * math.pi * err
-        return S, e
-    if d == 3:
-        t1, t2 = frame
-        m = 32
-        phis = 2 * math.pi * (np.arange(m) + 0.5) / m
-        td = np.cos(phis)[:, None] * t1 + np.sin(phis)[:, None] * t2
-        # lane i * m + j: radius i, azimuth j
-        radius, azimuth = np.divmod(np.arange(n * m), m)
-
-        def g(beta, lanes):
-            u = np.sin(beta)[:, None] * td[azimuth[lanes]] + np.cos(beta)[:, None] * n_hat
-            return phi(x + rs[radius[lanes], None] * u)
-
-        every = np.arange(n * m)
-        lo, hi = np.full(n * m, 1e-9), np.full(n * m, math.pi - 1e-9)
-        bracketed = (g(lo, every) > 0.0) & (0.0 > g(hi, every))
-        ok = np.flatnonzero(bracketed.reshape(n, m).all(axis=1))
-        if ok.size:
-            solved = (ok[:, None] * m + np.arange(m)).ravel()
-            beta = _brentq_lanes(lambda b, k: g(b, solved[k]), lo[solved], hi[solved],
-                                 1e-14).reshape(ok.size, m)
-            cap = (2 * math.pi / m) * (1.0 - np.cos(beta))
-            area_inside = np.zeros(ok.size)
-            for j in range(m):  # azimuth order, as a running sum
-                area_inside += cap[:, j]
-            S[ok] = 4.0 * math.pi - 2.0 * area_inside
-        for i in np.setdiff1d(np.arange(n), ok):
-            mean, err = _dense_sign_mean(E, x, rs[i], _sphere_dirs)
-            S[i], e[i] = 4.0 * math.pi * mean, 4.0 * math.pi * err
-        return S, e
-    raise CurvatureDomainError("principal-value curvature needs d in {2, 3}")
+    f_top = f(np.full(n, 0.5 * math.pi), rs)
+    f_bot = f(np.full(n, -0.5 * math.pi), rs)
+    ok = np.flatnonzero((f_top > 0.0) & (0.0 > f_bot))
+    if ok.size:
+        r_ok = rs[ok]
+        ends = np.full(ok.size, 0.5 * math.pi)
+        th_a = _brentq_lanes(lambda th, k: f(th, r_ok[k]), -ends, ends, 1e-14)
+        th_b = _brentq_lanes(lambda th, k: f(th, r_ok[k]), ends, 3.0 * ends, 1e-14)
+        # validate the single-arc model against a coarse sign scan
+        th = 2 * math.pi * (np.arange(64) + 0.5) / 64 - 0.5 * math.pi
+        u = np.cos(th)[:, None] * t_hat + np.sin(th)[:, None] * n_hat
+        sv = E.phi(x + r_ok[:, None, None] * u) > 0.0
+        model = (th > th_a[:, None]) & (th < th_b[:, None])
+        valid = np.all(sv == model, axis=1)
+        S[ok[valid]] = 2.0 * math.pi - 2.0 * (th_b - th_a)[valid]
+        ok = ok[valid]
+    for i in np.setdiff1d(np.arange(n), ok):
+        mean, err = _dense_sign_mean(E, x, rs[i])
+        S[i], e[i] = 2.0 * math.pi * mean, 2.0 * math.pi * err
+    return S, e
 
 
 def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
@@ -283,7 +217,7 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
 
     Radii follow the fixed geometric schedule r_k = r_eff * 2^-k over 8
     levels, r_eff being the kernel's effective radius.  On each
-    sphere the membership sign integral is computed from the exact crossing
+    circle the membership sign integral is computed from the exact crossing
     angles, so the odd part cancels identically and only the thin geometric
     asymmetry wedge survives.  The tail below the last level is extrapolated
     geometrically from the last three level increments; a non-decaying
@@ -295,12 +229,9 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     r_eff = kernel.effective_radius()
     if not math.isfinite(r_eff):
         raise CurvatureDomainError("kernel needs a bounded quadrature window")
-    if isinstance(E, GridIndicator):
-        n_hat = _probe_normal(E, x)
-    else:
-        g = np.asarray(E.grad_phi(x), dtype=float)
-        n_hat = g / np.linalg.norm(g)
-    frame = kernels.hyperplane_basis(len(x), n_hat)
+    g = np.asarray(E.grad_phi(x), dtype=float)
+    n_hat = g / np.linalg.norm(g)
+    t_hat = kernels.hyperplane_basis(2, n_hat)[0]
 
     shells = []
     r_hi = r_eff
@@ -312,7 +243,7 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
         shells.append((rs[live], ws[live], kv[live]))
         r_hi = r_lo
     S, e = _sign_surface_integrals(E, x, np.concatenate([s[0] for s in shells]),
-                                   n_hat, frame)
+                                   n_hat, t_hat)
 
     quad_err = 0.0
     increments = []
@@ -320,8 +251,8 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     for rs, ws, kv in shells:
         acc = 0.0
         for r, w, k in zip(rs, ws, kv):
-            acc += w * r ** (len(x) - 1) * k * S[i]
-            quad_err += w * r ** (len(x) - 1) * k * e[i]
+            acc += w * r * k * S[i]
+            quad_err += w * r * k * e[i]
             i += 1
         increments.append(acc)
     total = 0.0
@@ -352,20 +283,17 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
 
 
 def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
-    """Nonlocal curvature through a local boundary graph over the tangent plane.
+    """Nonlocal curvature through a local boundary graph over the tangent line.
 
-    Inside the cylinder {|tau| <= delta, |a| <= delta}, delta = 0.4 r_eff,
+    Inside the square {|tau| <= delta, |a| <= delta}, delta = 0.4 r_eff,
     aligned with the inner normal, the two indicator contributions collapse
     to a column integral of K between the boundary graph and its
-    reflection; outside the cylinder the paired-quadrature far field is
+    reflection; outside the square the paired-quadrature far field is
     added.  Points without a graph chart (a vanishing level gradient, or a
-    boundary that leaves the cylinder) are rejected.
+    boundary that leaves the square) are rejected.
     """
     x = np.asarray(x, dtype=float)
     _boundary_point_check(E, x)
-    d = E.d
-    if d < 2:
-        raise CurvatureDomainError("graph charts need d >= 2")
     r_eff = kernel.effective_radius()
     if not math.isfinite(r_eff):
         raise CurvatureDomainError("kernel needs a bounded quadrature window")
@@ -373,24 +301,14 @@ def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
 
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
-    frame = kernels.hyperplane_basis(d, n_hat)
+    t = kernels.hyperplane_basis(2, n_hat)[0]
 
-    # tangential quadrature nodes
+    # tangential quadrature nodes on both sides of x
     gl_x, gl_w = np.polynomial.legendre.leggauss(24)
-    if d == 2:
-        t = frame[0]
-        tau, tw = kernels.gauss_log_panels(delta * 1e-6, delta, 4, 10)
-        tau_vecs = np.concatenate([tau[:, None] * t, -tau[:, None] * t])
-        tau_w = np.concatenate([tw, tw])
-        tau_r = np.concatenate([tau, tau])
-    else:
-        rr, rw = kernels.gauss_log_panels(delta * 1e-6, delta, 4, 10)
-        n_phi = 32
-        ph = 2 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-        dirs = np.cos(ph)[:, None] * frame[0] + np.sin(ph)[:, None] * frame[1]
-        tau_vecs = (rr[:, None, None] * dirs[None, :, :]).reshape(-1, d)
-        tau_w = (rw[:, None] * rr[:, None] * (2 * math.pi / n_phi)).reshape(-1)
-        tau_r = np.repeat(rr, n_phi)
+    tau, tw = kernels.gauss_log_panels(delta * 1e-6, delta, 4, 10)
+    tau_vecs = np.concatenate([tau[:, None] * t, -tau[:, None] * t])
+    tau_w = np.concatenate([tw, tw])
+    tau_r = np.concatenate([tau, tau])
 
     # boundary depth along the normal above each node, one Brent lane each
     bases = x + tau_vecs
@@ -401,7 +319,7 @@ def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     every = np.arange(len(bases))
     lo, hi = np.full(len(bases), -0.95 * delta), np.full(len(bases), 0.95 * delta)
     if np.any(psi(lo, every) * psi(hi, every) > 0.0):
-        raise CurvatureDomainError("no graph chart: the boundary leaves the cylinder")
+        raise CurvatureDomainError("no graph chart: the boundary leaves the square")
     depth = _brentq_lanes(psi, lo, hi, 1e-14)
 
     inner = 0.0
@@ -415,13 +333,10 @@ def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
         col = 2.0 * half * float(np.sum(gl_w * vals))
         inner += w * math.copysign(col, b)
 
-    # far field: paired quadrature outside the cylinder
-    zg = kernels.zgrid(kernel, r_lo=0.5 * delta, r_hi=r_eff,
-                       n_angular=512 if d == 2 else (32, 64))
+    # far field: paired quadrature outside the square
+    zg = kernels.zgrid(kernel, r_lo=0.5 * delta, r_hi=r_eff, n_angular=512)
     kv = kernels.evaluate(kernel, zg.nodes)
-    t_norm = np.linalg.norm(zg.nodes @ frame.T, axis=-1)
-    a_comp = np.abs(zg.nodes @ n_hat)
-    outside = (t_norm > delta) | (a_comp > delta)
+    outside = (np.abs(zg.nodes @ t) > delta) | (np.abs(zg.nodes @ n_hat) > delta)
     s = _signs(E, x[None, :] + zg.nodes)
     idx = np.nonzero(np.arange(len(zg)) < zg.antipode)[0]
     mask = outside[idx]
@@ -440,29 +355,21 @@ def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
 def h0(phi, x, kernel: Kernel) -> CurvatureValue:
     """Anisotropic local curvature - trace(M_K(grad dir) Hessian) / |grad|.
 
-    Accepts a Shape with analytic first/second level derivatives or a
-    level-set GridField (central differences).  The orientation ({phi > 0}
-    inside, inner normal along grad phi) makes the value nonnegative on
+    Needs a Shape with analytic first and second level derivatives.  The
+    orientation ({phi > 0} inside, inner normal along grad phi) makes the value nonnegative on
     convex sets; for a radial kernel and a ball of radius R in the plane it
     equals (hyperplane second moment)/R.
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(phi, GridField):
-        grad, hess = differentiate(phi, x)
-        floor = 1e-6 * max(float(np.ptp(phi.values)), 1e-300)
-    elif isinstance(phi, Shape):
-        grad = np.asarray(phi.grad_phi(x), dtype=float)
-        hess_fn = getattr(phi, "hess_phi", None)
-        if hess_fn is None:
-            raise CurvatureDomainError(
-                f"{type(phi).__name__} exposes no level Hessian"
-            )
-        hess = np.asarray(hess_fn(x), dtype=float)
-        floor = 1e-12
-    else:
-        raise CurvatureDomainError("phi must be a Shape or a level-set GridField")
+    if not isinstance(phi, Shape):
+        raise CurvatureDomainError("phi must be a Shape with analytic level derivatives")
+    grad = np.asarray(phi.grad_phi(x), dtype=float)
+    hess_fn = getattr(phi, "hess_phi", None)
+    if hess_fn is None:
+        raise CurvatureDomainError(f"{type(phi).__name__} exposes no level Hessian")
+    hess = np.asarray(hess_fn(x), dtype=float)
     gn = float(np.linalg.norm(grad))
-    if gn <= floor:
+    if gn <= 1e-12:
         raise CurvatureDomainError("degenerate gradient at x")
     M = kernels.hyperplane_moment_matrix(kernel, grad / gn)
     val = -float(np.trace(M @ hess)) / gn
@@ -538,7 +445,7 @@ def curvature_convergence(
     boundary_samples: int = 16,
 ) -> ConvergenceReport:
     """Table of sup/mean gaps between eps^{-1} H(K_eps) and the local limit."""
-    rep = kernels.validate(kernel, "curvature-set")
+    rep = kernels.validate(kernel)
     if not rep.passed:
         raise CurvatureDomainError(
             "kernel fails the curvature assumption checks: "

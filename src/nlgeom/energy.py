@@ -12,13 +12,15 @@ exact node); nodes inside the central cell snap to the zero offset and
 contribute nothing, which matches the vanishing of the |u(y)-u(x)| factor on
 the diagonal.  One stencil is built per public call.
 
-Binary fields -- every value and the outside fill in {0, 1}, as for
-indicators, superlevel sets and the window -- take the fast path.  For 0/1
-values |s - t| = s(1 - t) + t(1 - s), so the overlap at each offset o is a
-sum of pair counts C_fg(o) = sum_x f(x) g(x + o), and one ``numpy.fft``
-correlation gives them for every offset at once (3 forward and 2 inverse
-real transforms).  Each axis is padded to the smallest 2^a 3^b 5^c length
-that is at least n + max|o|, so no offset wraps around.  The counts are
+Sets enter as indicator fields: a shape rasterized on the working grid, or
+the superlevel indicator of a phase field.  Binary fields -- every value
+and the outside fill in {0, 1}, as for these indicators and the window --
+take the fast path.  For 0/1 values |s - t| = s(1 - t) + t(1 - s), so the
+overlap at each offset o is a sum of pair counts
+C_fg(o) = sum_x f(x) g(x + o), and one ``numpy.fft`` correlation gives them
+for every offset at once (3 forward and 2 inverse real transforms).  Each
+axis is padded to the smallest 2^a 3^b 5^c length that is at least
+n + max|o|, so no offset wraps around.  The counts are
 integers: each is checked to lie within 0.25 of one and rounded, so it
 equals the count the per-offset sweep adds up, and the energies match that
 sweep bit for bit whatever the transform's roundoff.  That roundoff is far
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import anisotropy as aniso_mod
 from . import kernels
-from .fields import Box, GridField, GridIndicator, Shape, rasterize, superlevel
+from .fields import Box, GridField, Shape, rasterize, superlevel
 from .kernels import Kernel
 
 
@@ -207,12 +209,6 @@ def _omega_mask(omega: Shape | None, grid: Box) -> np.ndarray:
     return omega.contains(grid.centers())
 
 
-def _indicator_values(shape: Shape, grid: Box) -> np.ndarray:
-    if isinstance(shape, GridIndicator) and shape.field.box == grid:
-        return (shape.field.values > shape.level).astype(float)
-    return rasterize(shape, grid).values
-
-
 # --------------------------------------------------------------------------
 # public operations
 
@@ -225,7 +221,7 @@ def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box) -> Ene
     clipped to it, so pick a grid that contains the window plus the kernel
     reach.
     """
-    u = _indicator_values(E, grid)
+    u = rasterize(E, grid).values
     om = _omega_mask(omega, grid)
     offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
     j1, j2 = _tv_terms(u, 0.0, om, offsets, weights, grid)
@@ -235,17 +231,13 @@ def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box) -> Ene
 def limit_tv(u, omega: Shape | None, kernel: Kernel) -> float:
     """Local limit of the rescaled TVs.
 
-    Shapes: integral of sigma over the reduced boundary inside the window
-    (4096 arc samples from the shape's boundary parametrization).  Smooth grid
+    Planar shapes: integral of sigma over the boundary inside the window
+    (4096 samples from the shape's boundary parametrization).  Smooth grid
     fields: integral of sigma(grad u) over window cells, using the central
-    difference gradient.  Grid indicators are rejected: their gradient is
-    not defined, and the boundary integral needs an analytic boundary.
+    difference gradient.  Indicator fields, rasterized shapes and superlevel
+    sets alike, are rejected: they have no gradient and no analytic boundary.
     """
     an = aniso_mod.Anisotropy(kernel)
-    if isinstance(u, GridIndicator):
-        raise EnergyDomainError(
-            "grid indicators have no analytic boundary; limit TV undefined"
-        )
     if isinstance(u, Shape):
         bs = u.boundary_sample(4096)
         inside = np.ones(len(bs.points), dtype=bool) if omega is None \
@@ -283,8 +275,7 @@ def coarea_check(u: GridField, omega: Shape | None, kernel: Kernel,
     for j in range(nlevels):
         t = (j + 0.5) * dt
         sup = superlevel(u, t + 0.5 * dt)
-        vals = sup.field.values
-        pj1, pj2 = _tv_terms(vals, sup.field.outside, om, offsets, weights, u.box)
+        pj1, pj2 = _tv_terms(sup.values, sup.outside, om, offsets, weights, u.box)
         rhs += (pj1 + pj2) * dt
     return lhs, rhs, rhs - lhs
 
@@ -304,8 +295,8 @@ def submodularity_check(E: Shape, F: Shape, omega: Shape | None,
     comes along; each perimeter equals ``perimeter_k(...).total`` bit for
     bit.
     """
-    chi_e = _indicator_values(E, grid)
-    chi_f = _indicator_values(F, grid)
+    chi_e = rasterize(E, grid).values
+    chi_f = rasterize(F, grid).values
     om = _omega_mask(omega, grid)
     offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
     out = []

@@ -1,11 +1,13 @@
-"""Grids, shapes, and the differential and shift utilities built on them.
+"""Grids, shapes, and the shift utility built on them.
 
-Two representations of "a set" coexist here: analytic :class:`Shape` objects
-(exact membership tests, signed distances, boundary samples) and sampled
-:class:`GridField` values on a uniform box grid.  Every shape is the
-superlevel set ``{phi > 0}`` of its canonical level function, so the inner
-unit normal is the direction of ``grad phi``.  Fields extend outside their
-box by a constant chosen at construction (default 0).
+A set is an analytic :class:`Shape`: the superlevel set ``{phi > 0}`` of its
+canonical level function, with exact membership tests, so the inner unit
+normal is the direction of ``grad phi``.  Balls and halfspaces carry exact
+first and second level derivatives and planar (d = 2) boundary samples;
+level shapes carry what their caller supplies.  :class:`GridField` holds
+sampled values on a uniform box grid (d = 1, 2 or 3): rasterized shapes,
+their superlevel indicators, phase fields and level sets.  Fields extend
+outside their box by a constant chosen at construction (default 0).
 """
 
 from __future__ import annotations
@@ -69,12 +71,6 @@ class Box:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack(grids, axis=-1)
 
-    def contains(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        lo = np.asarray(self.origin)
-        hi = lo + np.asarray(self.size)
-        return np.all((p >= lo) & (p <= hi), axis=-1)
-
     @staticmethod
     def cube(half_width: float, n: int, d: int = 2) -> "Box":
         """Symmetric box [-w, w]^d with n cells per axis."""
@@ -122,14 +118,6 @@ class GridField:
 
     def with_values(self, values) -> "GridField":
         return replace(self, values=np.asarray(values, dtype=float))
-
-    def cell_index(self, x) -> tuple:
-        """Index of the cell whose center is nearest to x (clipped to grid)."""
-        x = np.asarray(x, dtype=float)
-        h = self.spacing
-        idx = np.floor((x - np.asarray(self.box.origin)) / h).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.box.resolution) - 1)
-        return tuple(int(i) for i in idx)
 
 
 def check_constant_ring(u: GridField, error: type[Exception]) -> None:
@@ -204,21 +192,8 @@ class Shape:
     def indicator(self, x) -> np.ndarray:
         return self.contains(x).astype(float)
 
-    def signed_distance(self, x) -> np.ndarray:
-        raise FieldDomainError(f"{type(self).__name__} has no exact signed distance")
-
     def grad_phi(self, x) -> np.ndarray:
-        # numeric fallback; analytic shapes override
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        h = 1e-6
-        g = np.empty_like(pts)
-        for i in range(self.d):
-            e = np.zeros(self.d)
-            e[i] = h
-            g[:, i] = (np.asarray(self.phi(pts + e)) - np.asarray(self.phi(pts - e))) / (2 * h)
-        return g[0] if single else g
+        raise FieldDomainError(f"{type(self).__name__} has no level gradient")
 
     def boundary_sample(self, n: int) -> BoundarySample:
         raise FieldDomainError(f"{type(self).__name__} has no boundary sampler")
@@ -247,7 +222,6 @@ class Ball(Shape):
         r = np.sqrt(np.sum((x - np.asarray(self.center)) ** 2, axis=-1))
         return self.radius - r
 
-    signed_distance = phi
 
     def grad_phi(self, x):
         x = np.asarray(x, dtype=float)
@@ -264,33 +238,13 @@ class Ball(Shape):
         return -(eye - uhat[..., :, None] * uhat[..., None, :]) / r[..., None, None]
 
     def boundary_sample(self, n: int) -> BoundarySample:
-        c = np.asarray(self.center)
-        if self.d == 2:
-            theta = 2 * math.pi * (np.arange(n) + 0.5) / n
-            u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            pts = c + self.radius * u
-            w = np.full(n, 2 * math.pi * self.radius / n)
-            return BoundarySample(pts, -u, w)
-        if self.d == 3:
-            # product rule: Gauss-Legendre in the polar cosine, uniform azimuth
-            n_mu = max(4, int(round(math.sqrt(n / 2))))
-            n_ph = 2 * n_mu
-            mu, wmu = np.polynomial.legendre.leggauss(n_mu)
-            ph = 2 * math.pi * (np.arange(n_ph) + 0.5) / n_ph
-            s = np.sqrt(1 - mu**2)
-            u = np.stack(
-                [
-                    np.outer(s, np.cos(ph)).ravel(),
-                    np.outer(s, np.sin(ph)).ravel(),
-                    np.outer(mu, np.ones(n_ph)).ravel(),
-                ],
-                axis=-1,
-            )
-            w = (np.outer(wmu, np.ones(n_ph)) * (2 * math.pi / n_ph)).ravel()
-            return BoundarySample(c + self.radius * u, -u, w * self.radius**2)
-        pts = np.array([[self.center[0] - self.radius], [self.center[0] + self.radius]])
-        normals = np.array([[1.0], [-1.0]])
-        return BoundarySample(pts, normals, np.ones(2))
+        if self.d != 2:
+            raise FieldDomainError("ball boundary samples are planar (d = 2)")
+        theta = 2 * math.pi * (np.arange(n) + 0.5) / n
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        pts = np.asarray(self.center) + self.radius * u
+        w = np.full(n, 2 * math.pi * self.radius / n)
+        return BoundarySample(pts, -u, w)
 
 
 @dataclass(frozen=True)
@@ -322,8 +276,6 @@ class Halfspace(Shape):
             dot = dot + x[..., i] * self.normal[i]
         return dot - self.offset
 
-    signed_distance = phi
-
     def grad_phi(self, x):
         x = np.asarray(x, dtype=float)
         n = np.asarray(self.normal)
@@ -339,28 +291,15 @@ class Halfspace(Shape):
         The patch has side 8.  The plane is unbounded, so callers windowing
         by a shape should keep the window within 4 of the foot point.
         """
+        if self.d != 2:
+            raise FieldDomainError("halfspace boundary samples are planar (d = 2)")
         extent = 8.0
         nv = np.asarray(self.normal)
-        foot = self.offset * nv
-        if self.d == 2:
-            t = np.array([-nv[1], nv[0]])
-            s = extent * ((np.arange(n) + 0.5) / n - 0.5)
-            pts = foot[None, :] + s[:, None] * t[None, :]
-            w = np.full(n, extent / n)
-            return BoundarySample(pts, np.tile(nv, (n, 1)), w)
-        if self.d == 3:
-            t1 = np.array([-nv[1], nv[0], 0.0])
-            if np.linalg.norm(t1) < 1e-12:
-                t1 = np.array([1.0, 0.0, 0.0])
-            t1 = t1 / np.linalg.norm(t1)
-            t2 = np.cross(nv, t1)
-            m = max(2, int(round(math.sqrt(n))))
-            s = extent * ((np.arange(m) + 0.5) / m - 0.5)
-            a, b = np.meshgrid(s, s, indexing="ij")
-            pts = foot + a.ravel()[:, None] * t1 + b.ravel()[:, None] * t2
-            w = np.full(m * m, (extent / m) ** 2)
-            return BoundarySample(pts, np.tile(nv, (m * m, 1)), w)
-        return BoundarySample(foot[None, :], nv[None, :], np.ones(1))
+        t = np.array([-nv[1], nv[0]])
+        s = extent * ((np.arange(n) + 0.5) / n - 0.5)
+        pts = self.offset * nv + s[:, None] * t[None, :]
+        w = np.full(n, extent / n)
+        return BoundarySample(pts, np.tile(nv, (n, 1)), w)
 
 
 @dataclass(frozen=True)
@@ -391,31 +330,6 @@ class AxisBox(Shape):
         dist_out = np.sqrt(np.sum(outer**2, axis=-1))
         return np.where(dist_out > 0.0, -dist_out, inner)
 
-    signed_distance = phi
-
-
-class GridIndicator(Shape):
-    """Set of grid cells (piecewise-constant membership, cell-center metric)."""
-
-    def __init__(self, field: GridField, level: float = 0.5):
-        if field.tag not in ("indicator", "phase"):
-            raise FieldDomainError("grid indicator needs an indicator/phase field")
-        self.field = field
-        self.level = float(level)
-        self.d = field.d
-
-    def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        f = self.field
-        idx = np.floor((pts - np.asarray(f.box.origin)) / f.spacing).astype(int)
-        inside_box = np.all((idx >= 0) & (idx < np.asarray(f.box.resolution)), axis=1)
-        vals = np.full(len(pts), f.outside)
-        if inside_box.any():
-            ii = tuple(idx[inside_box].T)
-            vals[inside_box] = f.values[ii]
-        out = vals - self.level
-        return out if x.ndim > 1 else float(out[0])
 
 
 class LevelShape(Shape):
@@ -441,9 +355,9 @@ class LevelShape(Shape):
         return self._phi(np.asarray(x, dtype=float))
 
     def grad_phi(self, x):
-        if self._grad is not None:
-            return self._grad(np.asarray(x, dtype=float))
-        return super().grad_phi(x)
+        if self._grad is None:
+            raise FieldDomainError("no level gradient available for this level shape")
+        return self._grad(np.asarray(x, dtype=float))
 
     def hess_phi(self, x):
         if self._hess is None:
@@ -475,48 +389,11 @@ def rasterize(shape: Shape, box: Box) -> GridField:
     return GridField(box, shape.indicator(box.centers()), tag="indicator")
 
 
-def differentiate(field: GridField, x) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order central gradient and Hessian at the grid point nearest x.
-
-    The point must sit at least one cell away from the box boundary, and the
-    field must be differentiable in kind (level-set or phase tag).
-    """
-    if field.tag == "indicator":
-        raise FieldDomainError("cannot differentiate an indicator field")
-    idx = field.cell_index(x)
-    res = field.box.resolution
-    if any(i < 1 or i > n - 2 for i, n in zip(idx, res)):
-        raise FieldDomainError(f"point {x} is in the boundary cell ring")
-    u = field.values
-    h = field.spacing
-    d = field.d
-    grad = np.empty(d)
-    hess = np.empty((d, d))
-
-    def at(off):
-        return u[tuple(i + o for i, o in zip(idx, off))]
-
-    for i in range(d):
-        ei = tuple(1 if j == i else 0 for j in range(d))
-        mei = tuple(-v for v in ei)
-        grad[i] = (at(ei) - at(mei)) / (2 * h[i])
-        hess[i, i] = (at(ei) - 2 * at((0,) * d) + at(mei)) / h[i] ** 2
-        for j in range(i + 1, d):
-            ej = tuple(1 if k == j else 0 for k in range(d))
-            pp = tuple(a + b for a, b in zip(ei, ej))
-            mm = tuple(-v for v in pp)
-            pm = tuple(a - b for a, b in zip(ei, ej))
-            mp = tuple(-v for v in pm)
-            hess[i, j] = hess[j, i] = (at(pp) + at(mm) - at(pm) - at(mp)) / (4 * h[i] * h[j])
-    return grad, hess
-
-
-def superlevel(field: GridField, c: float) -> GridIndicator:
-    """Cells with value >= c (non-strict), as a grid-indicator shape."""
+def superlevel(field: GridField, c: float) -> GridField:
+    """Indicator of the cells with value >= c (non-strict), outside fill too."""
     vals = (field.values >= c).astype(float)
-    ind = GridField(field.box, vals, tag="indicator",
-                    outside=float(field.outside >= c))
-    return GridIndicator(ind)
+    return GridField(field.box, vals, tag="indicator",
+                     outside=float(field.outside >= c))
 
 
 # --------------------------------------------------------------------------

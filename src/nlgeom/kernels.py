@@ -517,17 +517,9 @@ def absolute_moment(kernel: Kernel, power: float) -> Moment:
 
 
 def tail_mass(kernel: Kernel, r: float) -> float:
-    """∫_{|z| > r} K(z) dz (finite for every r > 0 on supported families)."""
-    if r <= 0.0:
-        m = absolute_moment(kernel, 0.0)
-        return m.value
-    k = kernel
-    if not math.isfinite(k.r1):
-        # untruncated power law: closed-form tail
-        if k.sigma <= 0.0:
-            return math.inf
-        pref = SPHERE_SURFACE[k.d] * k.amplitude * k.scale**k.sigma
-        return pref * r ** (-k.sigma) / k.sigma
+    """∫_{|z| > r} K(z) dz for r > 0 on a kernel with a bounded window."""
+    if r <= 0.0 or not math.isfinite(kernel.r1):
+        raise KernelDomainError("tail mass needs r > 0 and a truncated kernel")
     hi = kernel.effective_radius()
     if r >= hi:
         return 0.0
@@ -658,7 +650,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    assumption_set: str
     checks: tuple[CheckResult, ...]
 
     @property
@@ -666,68 +657,18 @@ class AssumptionReport:
         return all(c.passed for c in self.checks)
 
 
-ASSUMPTION_SETS = ("summK", "fastK", "curvature-set")
-
-
-def _check_summability(kernel: Kernel) -> CheckResult:
-    """∫ K (1 ∧ |z|) dz finite: first moment near 0, plain mass beyond 1."""
-    inner = _segment_moment(kernel, kernel.d, 0.0, min(1.0, kernel.effective_radius()))
-    outer = tail_mass(kernel, 1.0)
-    finite = math.isfinite(inner) and math.isfinite(outer)
-    return CheckResult(
-        "truncated-first-moment",
-        finite,
-        {"inner": inner, "outer": outer, "total": inner + outer},
-    )
-
-
-def _segment_moment(kernel: Kernel, q: float, lo: float, hi: float) -> float:
-    """∫_lo^hi r^q K̄(r) dr (scaled profile), tolerant of origin singularities."""
-    if hi <= lo:
-        return 0.0
-    k = kernel
-    rem = 0.0
-    if lo == 0.0:
-        if k.singular and q - k.origin_exponent() <= -1.0:
-            return math.inf
-        lo = min(1e-9 * hi, 1e-12)
-        rem = _origin_remainder(k, q, lo)
-    rs, ws = radial_rule(kernel, lo, min(hi, kernel.effective_radius()), 5, 10)
-    return float(np.sum(ws * rs**q * kernel.profile_at(rs))) + rem
-
-
-def validate(kernel: Kernel, assumption_set: str) -> AssumptionReport:
-    """Numerically check a named kernel assumption set; report, never raise."""
-    if assumption_set not in ASSUMPTION_SETS:
-        raise KernelDomainError(f"unknown assumption set {assumption_set!r}")
-    checks: list[CheckResult] = []
-    if assumption_set == "summK":
-        checks.append(_check_summability(kernel))
-    elif assumption_set == "fastK":
-        m = absolute_moment(kernel, 1.0)
-        checks.append(
-            CheckResult(
-                "first-moment-finite",
-                m.finite,
-                {"first_moment": m.value if m.finite else math.inf},
-            )
-        )
-    else:
-        checks.extend(_curvature_set_checks(kernel))
-    return AssumptionReport(assumption_set, tuple(checks))
-
-
-def _curvature_set_checks(kernel: Kernel) -> list[CheckResult]:
+def validate(kernel: Kernel) -> AssumptionReport:
+    """Numerically check the curvature assumptions on a kernel; report, never raise."""
     k = kernel
     out = []
     if not math.isfinite(k.effective_radius()):
-        return [
+        return AssumptionReport((
             CheckResult(
                 "bounded-quadrature-window",
                 False,
                 {"note": "unbounded support; truncate the kernel before checking"},
-            )
-        ]
+            ),
+        ))
     ref = min(k.effective_radius(), 1.0 if k.compact_support else k.scale * k.r1)
     # 1) r * mass outside B(0, r) -> 0 along a decreasing radius sequence;
     #    fit the decay exponent so slowly decaying kernels still register
@@ -744,7 +685,7 @@ def _curvature_set_checks(kernel: Kernel) -> list[CheckResult]:
         )
     )
     if k.d == 1:
-        return out
+        return AssumptionReport(tuple(out))
     kappa = hyperplane_second_moment(k)
     # 2) parabolic slab masses finite for each sampled opening
     lam_grid = [0.25, 1.0, 4.0]
@@ -792,4 +733,4 @@ def _curvature_set_checks(kernel: Kernel) -> list[CheckResult]:
             "K(y) |y|^{d+1+s} must not grow at infinity",
         )
     )
-    return out
+    return AssumptionReport(tuple(out))

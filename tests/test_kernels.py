@@ -161,16 +161,6 @@ def test_parabolic_mass_rejects_1d():
         kernels.parabolic_mass(kernels.triangular_window(), 1.0)
 
 
-def test_validate_summable_and_fast_decay():
-    trunc = kernels.fractional(2, 0.5, 1.0)
-    assert kernels.validate(trunc, "summK").passed
-    assert kernels.validate(trunc, "fastK").passed
-
-    untrunc = kernels.fractional(2, 0.5, math.inf)
-    assert kernels.validate(untrunc, "summK").passed
-    assert not kernels.validate(untrunc, "fastK").passed
-
-
 @pytest.mark.parametrize(
     "factory",
     [
@@ -181,13 +171,8 @@ def test_validate_summable_and_fast_decay():
     ],
 )
 def test_validate_curvature_set(factory):
-    report = kernels.validate(factory(), "curvature-set")
+    report = kernels.validate(factory())
     assert report.passed, [c.name for c in report.checks if not c.passed]
-
-
-def test_validate_unknown_set():
-    with pytest.raises(ValueError):
-        kernels.validate(kernels.ball_indicator(2), "no-such-set")
 
 
 def test_constructor_argument_checks():

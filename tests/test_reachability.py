@@ -5,7 +5,8 @@ The check is a name-based reachability pass over ``ast``.  It starts from
 every name ``cli.py`` mentions and from the module-level statements of the
 other modules, then follows every name and attribute that a reached
 function, class or method mentions.  Each method is a node of its own,
-reached by its name; a class brings along its own body, bases, decorators
+reached by its name, and so is each alias assignment ``name = other`` in a
+class body; a class brings along the rest of its body, bases, decorators
 and dunder methods, which Python calls without naming them.  Matching by
 bare name over-approximates what is reached, so every name it reports is
 certainly called by no code that the CLI runs.
@@ -47,6 +48,13 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _alias(node) -> bool:
+    """``name = other`` in a class body: a method under a second name."""
+    return (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Name)
+            and not _dunder(node.targets[0].id))
+
+
 def unreached(sources: dict, entry: str = "cli") -> list:
     """``module.name`` of each public top-level def, and ``module.Class.name``
     of each public method, that no reached code mentions."""
@@ -64,7 +72,12 @@ def unreached(sources: dict, entry: str = "cli") -> list:
                 for method in methods:
                     defs.setdefault(method.name, []).append(
                         (f"{module}.{node.name}.{method.name}", _mentioned(method)))
-                own = [n for n in node.body if n not in methods]
+                aliases = [n for n in node.body if _alias(n)]
+                for alias in aliases:
+                    name = alias.targets[0].id
+                    defs.setdefault(name, []).append(
+                        (f"{module}.{node.name}.{name}", {alias.value.id}))
+                own = [n for n in node.body if n not in methods and n not in aliases]
                 own += node.bases + node.keywords + node.decorator_list
                 defs.setdefault(node.name, []).append(
                     (f"{module}.{node.name}", set().union(*map(_mentioned, own))))
@@ -100,13 +113,16 @@ def test_checker_follows_names_from_the_entry_module():
             "    def __init__(self):\n        self.r = radius()\n"
             "    def area(self):\n        return 0\n"
             "    def perimeter(self):\n        return tests_helper()\n"
+            "    boundary = perimeter\n"
             "def radius():\n    return 1\n"
             "def tests_helper():\n    return 2\n"
             "def only_tests():\n    return used()\n"
             "def _private_unused():\n    return 0\n"
         ),
     }
-    assert unreached(sources) == ["lib.Shape.perimeter", "lib.only_tests", "lib.tests_helper"]
+    assert unreached(sources) == [
+        "lib.Shape.boundary", "lib.Shape.perimeter", "lib.only_tests", "lib.tests_helper",
+    ]
 
 
 def test_every_public_definition_is_reached_from_the_cli():
