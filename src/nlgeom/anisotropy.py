@@ -18,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
+from . import DomainError, kernels
 from .kernels import Kernel
 
 
-class AnisotropyDomainError(ValueError):
+class AnisotropyDomainError(DomainError):
     pass
 
 

@@ -6,7 +6,9 @@ config file, so any CSV cell can be reproduced in a REPL.  Configs use
 nested key-value blocks (see :func:`parse_config`); reruns with the same
 config and seed produce byte-identical artifacts, and the optional per-eps
 parallelism is a pure scheduling choice (results are reduced in config
-order, so the worker count never changes the output).
+order, so the worker count never changes the output).  Each experiment body
+imports the library layers it calls, so a run loads only those, and
+``--list`` none beyond ``kernels`` and ``fields``.
 
 Usage::
 
@@ -19,15 +21,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import anisotropy, curvature, energy, flow, kernels, rate
-from .fields import Ball, AxisBox, Box, FieldDomainError, GridField, save_field
+from . import DomainError, kernels
+from .fields import Ball, AxisBox, Box, GridField, save_field
+
+if TYPE_CHECKING:
+    from . import rate
 
 
 class ConfigError(ValueError):
@@ -439,6 +443,8 @@ def _parallel_map(fn: Callable, items, workers: int) -> list:
     """Map preserving input order; thread count never affects the values."""
     items = list(items)
     if workers > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -502,6 +508,8 @@ def _box_from(g: _Section, halfwidth: float, resolution: int) -> Box:
 
 
 def _potential_from(block: _Section | None) -> rate.Potential:
+    from . import rate
+
     name = "quadratic" if block is None else block.str_("family", "quadratic")
     if name == "quadratic":
         return rate.Potential.quadratic()
@@ -513,6 +521,8 @@ def _potential_from(block: _Section | None) -> rate.Potential:
 
 
 def _profile_from(block: _Section | None, eps_min: float) -> rate.Profile1D:
+    from . import rate
+
     if block is None:
         block = _Section("profile", 0)
     family = block.str_("family", "parabola")
@@ -549,6 +559,8 @@ def _tent_field(g: _Section) -> GridField:
 
 
 def _exp_perimeter_limit(cfg: ExperimentConfig, workers: int):
+    from . import energy
+
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.require_block("geometry")
     shape = _shape_from(g)
@@ -585,6 +597,8 @@ def _exp_perimeter_limit(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
+    from . import anisotropy
+
     kern = _kernel_from(cfg.require_block("kernel"))
     if kern.d != 2:
         raise ConfigValueError("sigma-derivatives runs in d=2")
@@ -660,6 +674,8 @@ def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
+    from . import anisotropy
+
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.block_or_empty("geometry")
     rep = anisotropy.halfspace_cell_experiment(
@@ -702,6 +718,8 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
+    from . import curvature
+
     kern = _kernel_from(cfg.require_block("kernel"))
     shape = _shape_from(cfg.require_block("geometry"))
     samples = cfg.root.count("boundary_samples", 16)
@@ -758,6 +776,8 @@ def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_coarea(cfg: ExperimentConfig, workers: int):
+    from . import energy
+
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.require_block("geometry")
     box = _box_from(g, halfwidth=1.0, resolution=64)
@@ -784,6 +804,8 @@ def _exp_coarea(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_submodularity(cfg: ExperimentConfig, workers: int):
+    from . import energy
+
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.block_or_empty("geometry")
     grid = _box_from(g, halfwidth=1.0, resolution=96)
@@ -819,6 +841,8 @@ def _exp_submodularity(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_bbm_1d(cfg: ExperimentConfig, workers: int):
+    from . import rate
+
     eps = cfg.require_eps()
     pot = _potential_from(cfg.root.block("potential"))
     prof = _profile_from(cfg.root.block("profile"), eps[-1])
@@ -863,6 +887,8 @@ def _exp_bbm_1d(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_bbm_slice(cfg: ExperimentConfig, workers: int):
+    from . import rate
+
     kern = _kernel_from(cfg.require_block("kernel"))
     pot = _potential_from(cfg.root.block("potential"))
     u = _bump_field(cfg.block_or_empty("geometry"))
@@ -888,6 +914,8 @@ def _exp_bbm_slice(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
+    from . import rate
+
     block = cfg.require_block("kernel")
     dims = cfg.root.ints("dims", (2, 3))
     n_samples = cfg.root.count("samples", 1000)
@@ -935,6 +963,8 @@ def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
 def _flow_setup(cfg: ExperimentConfig):
     """(radius, kappa, evolve): evolve() runs the local flow, evolve(e) the
     nonlocal one at eps e."""
+    from . import flow
+
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.require_block("geometry")
     box = _box_from(g, halfwidth=1.0, resolution=64)
@@ -960,6 +990,8 @@ def _flow_setup(cfg: ExperimentConfig):
 
 
 def _traj_csv(name: str, traj) -> CsvArtifact:
+    from . import flow
+
     return CsvArtifact(
         name,
         ("t", "zero_level_area", "max_lipschitz", "holder_stat"),
@@ -968,6 +1000,8 @@ def _traj_csv(name: str, traj) -> CsvArtifact:
 
 
 def _exp_flow_compare(cfg: ExperimentConfig, workers: int):
+    from . import flow
+
     radius, kappa, evolve = _flow_setup(cfg)
     eps = cfg.require_eps()
     loc = evolve()
@@ -1006,6 +1040,8 @@ def _exp_flow_compare(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_flow_monitors(cfg: ExperimentConfig, workers: int):
+    from . import flow
+
     _, _, evolve = _flow_setup(cfg)
     eps = cfg.require_eps()
     reps = _parallel_map(lambda e: flow.monitors(evolve(e)), eps, workers)
@@ -1044,6 +1080,8 @@ def _exp_flow_monitors(cfg: ExperimentConfig, workers: int):
 
 
 def _exp_regularity(cfg: ExperimentConfig, workers: int):
+    from . import rate
+
     kern = _kernel_from(cfg.require_block("kernel"))
     pot = _potential_from(cfg.root.block("potential"))
     g = cfg.block_or_empty("geometry")
@@ -1175,18 +1213,6 @@ def run(config_path, out_dir=None, workers: int = 1):
     return report, out
 
 
-# a library domain error raised by a config value is a config problem
-_DOMAIN_ERRORS = (
-    anisotropy.AnisotropyDomainError,
-    curvature.CurvatureDomainError,
-    energy.EnergyDomainError,
-    FieldDomainError,
-    flow.FlowDomainError,
-    kernels.KernelDomainError,
-    rate.RateDomainError,
-)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlgeom",
@@ -1213,7 +1239,8 @@ def main(argv=None) -> int:
         return 2
     try:
         report, out = run(args.config, args.out, args.workers)
-    except (ConfigError, UsageError, *_DOMAIN_ERRORS) as exc:
+    except (ConfigError, UsageError, DomainError) as exc:
+        # a library domain error that a config value leads to is a config problem
         print(f"nlgeom: error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -22,12 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
+from . import DomainError, kernels
 from .fields import LevelShape, Shape
 from .kernels import Kernel
 
 
-class CurvatureDomainError(ValueError):
+class CurvatureDomainError(DomainError):
     pass
 
 

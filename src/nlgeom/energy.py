@@ -10,7 +10,11 @@ working grid.  Quadrature nodes z are binned to lattice offsets by
 :func:`kernels.lattice_stencil` (the kernel value itself is kept at the
 exact node); nodes inside the central cell snap to the zero offset and
 contribute nothing, which matches the vanishing of the |u(y)-u(x)| factor on
-the diagonal.  One stencil is built per public call.
+the diagonal.  A process builds each stencil once per (kernel, grid), each
+window mask once per (window, grid) and, through :meth:`Box.centers`, each
+grid's cell centers once; the cached arrays are read-only.  A halfspace-cell
+run with 3 eps and 4 competitors thus builds 3 stencils for its 15
+perimeters, and a submodularity run 1 for all its pairs.
 
 Sets enter as indicator fields: a shape rasterized on the working grid, or
 the superlevel indicator of a phase field.  Binary fields -- every value
@@ -36,18 +40,18 @@ reaches it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import anisotropy as aniso_mod
-from . import kernels
+from . import DomainError, kernels
 from .fields import Box, GridField, Shape, rasterize, superlevel
 from .kernels import Kernel
 
 
-class EnergyDomainError(ValueError):
+class EnergyDomainError(DomainError):
     pass
 
 
@@ -201,12 +205,40 @@ def _breakdown(j1: float, j2: float, kernel: Kernel, grid: Box) -> EnergyBreakdo
     return EnergyBreakdown(j1, j2, err)
 
 
+@functools.lru_cache(maxsize=16)
 def _omega_mask(omega: Shape | None, grid: Box) -> np.ndarray:
+    """Cells of ``grid`` whose centers lie in the window; read-only, shared."""
     if omega is None:
-        return np.ones(grid.resolution, dtype=bool)
-    if omega.d != grid.d:
+        mask = np.ones(grid.resolution, dtype=bool)
+    elif omega.d != grid.d:
         raise EnergyDomainError("window/grid dimension mismatch")
-    return omega.contains(grid.centers())
+    else:
+        mask = omega.contains(grid.centers())
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_stencil(kernel: Kernel, grid: Box) -> tuple[np.ndarray, np.ndarray]:
+    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
+    offsets.flags.writeable = False
+    weights.flags.writeable = False
+    return offsets, weights
+
+
+def _stencil(kernel: Kernel, grid: Box) -> tuple[np.ndarray, np.ndarray]:
+    """``kernels.lattice_stencil`` on the grid's spacing, built once per
+    (kernel, grid); the arrays are shared between calls, so read-only.
+
+    ``Kernel`` equality ignores a custom family's profile, so two custom
+    kernels can compare equal with different profiles: theirs are built
+    afresh each call.
+    """
+    if kernel.d != grid.d:
+        raise EnergyDomainError("kernel/grid dimension mismatch")
+    if kernel.profile is not None:
+        return kernels.lattice_stencil(kernel, grid.spacing)
+    return _cached_stencil(kernel, grid)
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +255,7 @@ def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box) -> Ene
     """
     u = rasterize(E, grid).values
     om = _omega_mask(omega, grid)
-    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
+    offsets, weights = _stencil(kernel, grid)
     j1, j2 = _tv_terms(u, 0.0, om, offsets, weights, grid)
     return _breakdown(j1, j2, kernel, grid)
 
@@ -237,7 +269,9 @@ def limit_tv(u, omega: Shape | None, kernel: Kernel) -> float:
     difference gradient.  Indicator fields, rasterized shapes and superlevel
     sets alike, are rejected: they have no gradient and no analytic boundary.
     """
-    an = aniso_mod.Anisotropy(kernel)
+    from .anisotropy import Anisotropy
+
+    an = Anisotropy(kernel)
     if isinstance(u, Shape):
         bs = u.boundary_sample(4096)
         inside = np.ones(len(bs.points), dtype=bool) if omega is None \
@@ -267,7 +301,7 @@ def coarea_check(u: GridField, omega: Shape | None, kernel: Kernel,
     if u.tag not in ("phase", "indicator"):
         raise EnergyDomainError("coarea check expects phase values in [0,1]")
     om = _omega_mask(omega, u.box)
-    offsets, weights = kernels.lattice_stencil(kernel, u.spacing)
+    offsets, weights = _stencil(kernel, u.box)
     j1, j2 = _tv_terms(u.values, u.outside, om, offsets, weights, u.box)
     lhs = j1 + j2
     dt = 1.0 / nlevels
@@ -298,7 +332,7 @@ def submodularity_check(E: Shape, F: Shape, omega: Shape | None,
     chi_e = rasterize(E, grid).values
     chi_f = rasterize(F, grid).values
     om = _omega_mask(omega, grid)
-    offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
+    offsets, weights = _stencil(kernel, grid)
     out = []
     for vals in (chi_e, chi_f, np.minimum(chi_e, chi_f), np.maximum(chi_e, chi_f)):
         j1, j2 = _tv_terms(vals, 0.0, om, offsets, weights, grid)

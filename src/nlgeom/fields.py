@@ -12,14 +12,17 @@ outside their box by a constant chosen at construction (default 0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import DomainError
 
-class FieldDomainError(ValueError):
+
+class FieldDomainError(DomainError):
     """Raised when a grid/shape operation is used outside its contract."""
 
 
@@ -65,11 +68,18 @@ class Box:
         h = self.size[axis] / self.resolution[axis]
         return self.origin[axis] + h * (np.arange(self.resolution[axis]) + 0.5)
 
+    @functools.lru_cache(maxsize=4)
     def centers(self) -> np.ndarray:
-        """Cell-center coordinates, shape ``resolution + (d,)`` (x-first)."""
+        """Cell-center coordinates, shape ``resolution + (d,)`` (x-first).
+
+        Built once per box: every call on equal boxes shares one array, so
+        it is read-only.
+        """
         axes = [self.axis_centers(i) for i in range(self.d)]
         grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        out = np.stack(grids, axis=-1)
+        out.flags.writeable = False
+        return out
 
     @staticmethod
     def cube(half_width: float, n: int, d: int = 2) -> "Box":

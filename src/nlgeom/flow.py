@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import DomainError, kernels
 from .fields import GridField, check_constant_ring, shift_taps
 from .kernels import Kernel
 
@@ -53,7 +53,7 @@ SCHEMES = ("local", "nonlocal")
 BLOWUP_FACTOR = 10.0
 
 
-class FlowDomainError(ValueError):
+class FlowDomainError(DomainError):
     pass
 
 
@@ -152,13 +152,15 @@ class _Stamp:
     the entries from the box's shape alone, with no division.  Entries are
     sorted by phase, keeping the lattice order within a phase; ``bounds``
     delimits each phase's run (one group of the stamp sum).  ``pad`` is
-    the constant-extension margin in whole cells, including the one-cell
-    slack the interpolation stencils need, and ``grid`` the (n0, n1) grid
-    the stamp was laid out for.  ``scratch`` holds the flat (chi, index,
-    spread, tie) buffers of the stamp sum, large enough for every cell of
-    the grid to be active.  Every step reuses them: allocated afresh, their
-    new heap pages cost about 7 of the 20 ms of a step at eps 0.05 in the
-    flow-monitors run.  So one stamp serves one run of steps at a time.
+    the constant-extension margin per axis, ``(before, after)`` in whole
+    cells: the stencils of an offset with whole-cell part q span nodes
+    q - 1 .. q + 2, so it is (1 - min q, max q + 2).  ``grid`` is the
+    (n0, n1) grid the stamp was laid out for.  ``scratch`` holds the flat
+    (chi, index, spread, tie) buffers of the stamp sum, large enough for
+    every cell of the grid to be active.  Every step reuses them: allocated
+    afresh, their new heap pages cost about 7 of the 20 ms of a step at
+    eps 0.05 in the flow-monitors run.  So one stamp serves one run of
+    steps at a time.
     """
 
     refine: int
@@ -208,14 +210,13 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
         raise FlowDomainError("the rescaled kernel hits no off-center cells")
     q0, f0 = np.divmod(offsets[:, 0], refine)
     q1, f1 = np.divmod(offsets[:, 1], refine)
-    L0, L1 = int(np.abs(q0).max()) + 2, int(np.abs(q1).max()) + 2
     n0, n1 = box.resolution
     # the sum takes the phases in (f0, f1) order; the tables stack them
     # f1-major, each block of the cropped box's shape
     key = f0 * refine + f1
     order = np.argsort(key, kind="stable")
     phase = (f1 * refine + f0)[order]
-    row, col = (L0 - 2 + q0)[order], (L1 - 2 + q1)[order]
+    row, col = (q0 - q0.min())[order], (q1 - q1.min())[order]
     starts = np.flatnonzero(np.diff(key[order])) + 1
     bounds = (0, *(int(b) for b in starts), len(order))
     # the stamp sum's buffers, large enough for any active set and run
@@ -223,7 +224,8 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
     block = max(_BLOCK_PAIRS, cols)
     scratch = (np.empty(max(block, int(np.max(np.diff(bounds))) * cols)),
                np.empty(block, dtype=np.int64), np.empty(block), np.empty(block, dtype=bool))
-    return _Stamp(refine, (L0, L1), (n0, n1), phase, row, col, weights[order], bounds,
+    pad = tuple((1 - int(q.min()), int(q.max()) + 2) for q in (q0, q1))
+    return _Stamp(refine, pad, (n0, n1), phase, row, col, weights[order], bounds,
                   scratch)
 
 
@@ -259,16 +261,17 @@ def _tap_weights(refine: int, order: int) -> np.ndarray:
 def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
     """Phase tables of the field (cubic) and of ``wf`` (bilinear) over a box.
 
-    The box is the padded grid's rows i0 + 1 .. i1 + 2 * L0 and columns
-    j0 + 1 .. j1 + 2 * L1, for ``cells`` (ascending flat indices) in rows
-    i0 .. i1 and columns j0 .. j1 and stamp pad (L0, L1).  It holds every
-    cell an active cell's stencils read; on the circle datum at t = 0 it
-    is 69², 63² and 59² at eps 0.2, 0.1 and 0.05, against the padded
-    grid's 82², 76² and 72².  Each table is
-    built separably, rows first, and has refine^2 blocks of the box's
-    shape; phase (f0, f1) is block ``f1 * refine + f0``, whose element
-    (r, c) holds the value at box position (r + 1, c + 1) plus the phase
-    (the last 3 rows and columns of a block are not read).
+    For ``cells`` (ascending flat indices) in rows i0 .. i1 and columns
+    j0 .. j1 and stamp pad ((before0, after0), (before1, after1)), the box
+    is the grid's rows i0 - before0 .. i1 + after0 and columns
+    j0 - before1 .. j1 + after1: the nodes that the 4-node stencils of the
+    active cells span.  On the circle datum at t = 0 it is 68², 62² and
+    58² at eps 0.2, 0.1 and 0.05, against the padded grid's 80², 74² and
+    70².  Each table is built separably, rows first, and has refine^2
+    blocks of the box's shape; phase (f0, f1) is block
+    ``f1 * refine + f0``, whose element (r, c) holds the value at box
+    position (r + 1, c + 1) plus the phase (the last 3 rows and columns of
+    a block are not read).
 
     Where the spread table is 0 the cubic table takes the bilinear value.
     Each pair reads both tables at one index, so only plateau pairs see
@@ -282,16 +285,15 @@ def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
     tables.
     """
     n1 = values.shape[1]
-    L0, L1 = stamp.pad
     ci, cj = cells // n1, cells % n1
     i0, j0 = int(ci[0]), int(cj.min())
-    rows, width = int(ci[-1]) - i0 + 2 * L0, int(cj.max()) - j0 + 2 * L1
-    pads = ((L0, L0), (L1, L1))
-    box = np.s_[i0 + 1:i0 + 1 + rows, j0 + 1:j0 + 1 + width]
+    (b0, a0), (b1, a1) = stamp.pad
+    rows, width = int(ci[-1]) - i0 + b0 + a0 + 1, int(cj.max()) - j0 + b1 + a1 + 1
+    box = np.s_[i0:i0 + rows, j0:j0 + width]
 
     def table(arr, fill, order):
         w = _tap_weights(stamp.refine, order)
-        by_rows = shift_taps(np.pad(arr, pads, constant_values=fill)[box].ravel(), w, width)
+        by_rows = shift_taps(np.pad(arr, stamp.pad, constant_values=fill)[box].ravel(), w, width)
         return shift_taps(by_rows.ravel(), w, 1).reshape(stamp.refine ** 2, rows, width)
 
     cubic, spread = table(values, outside, 3), table(wf, 0.0, 1)

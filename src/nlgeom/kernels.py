@@ -28,6 +28,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import DomainError
+
 FAMILIES = (
     "ball-indicator",
     "annulus-indicator",
@@ -45,7 +47,7 @@ _DEF_ANGULAR = {1: 2, 2: 64, 3: (16, 32)}  # d=3: (polar GL, azimuth trapezoid)
 _RMIN_FACTOR = 1e-6
 
 
-class KernelDomainError(ValueError):
+class KernelDomainError(DomainError):
     """Raised for evaluations or rescalings outside a kernel's domain."""
 
 

@@ -44,12 +44,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import DomainError, kernels
 from .fields import GridField, check_constant_ring, shift_taps
 from .kernels import Kernel
 
 
-class RateDomainError(ValueError):
+class RateDomainError(DomainError):
     pass
 
 

@@ -1,5 +1,7 @@
-"""Config parsing, rate fitting, artifact determinism, and exit codes."""
+"""Config parsing, rate fitting, artifact determinism, exit codes and the
+import budget."""
 
+import json
 import math
 import os
 import subprocess
@@ -11,7 +13,12 @@ import numpy as np
 import pytest
 
 from nlgeom import cli
+from nlgeom.anisotropy import AnisotropyDomainError
+from nlgeom.curvature import CurvatureDomainError
+from nlgeom.energy import EnergyDomainError
 from nlgeom.fields import FieldDomainError
+from nlgeom.flow import FlowDomainError
+from nlgeom.kernels import KernelDomainError
 from nlgeom.rate import RateDomainError
 from nlgeom.cli import (
     CliDomainError,
@@ -210,84 +217,12 @@ def test_summary_marks_uninformative_rate(slope, band, marked):
     assert lines[3] == rate + (" uninformative" if marked else "")
 
 
-# Library modules import scipy inside the function that calls it, so a run
-# loads only the scipy it uses.  Each probe runs in a fresh interpreter:
-# earlier tests in this process have already imported scipy.
-SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
-
-
 def fresh_python(*args):
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, check=True, timeout=300)
-
-
-def test_cli_import_loads_no_scipy():
-    probe = f"import sys, nlgeom.cli; print({SCIPY_LOADED})"
-    assert fresh_python("-c", probe).stdout.strip() == "[]"
-
-
-def test_cli_list_loads_no_scipy():
-    done = fresh_python("-X", "importtime", "-m", "nlgeom.cli", "--list")
-    assert "coarea" in done.stdout.split()
-    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
-    assert "nlgeom.energy" in imported
-    assert not [m for m in imported if m.split(".")[0] == "scipy"]
-
-
-def test_binary_energy_and_nonlocal_flow_load_no_scipy():
-    probe = f"""
-import sys
-from nlgeom import energy, flow, kernels
-from nlgeom.fields import Ball, Box, rasterize
-grid = Box.cube(1.0, 64)
-kernel = kernels.ball_indicator(2, 0.25)
-disk = Ball((0.0, 0.0), 0.5)
-energy.perimeter_k(disk, None, kernel, grid)
-energy.coarea_check(rasterize(disk, grid), None, kernel, 8)
-dt = flow.dt_bound(flow.curvature_coefficient(kernel), grid)
-u0 = flow.shrinking_circle_datum(grid, 0.5)
-traj = flow.evolve(u0, "nonlocal", kernel, 2 * dt, dt=dt, eps=0.2, n_snapshots=1)
-print(len(traj.monitor) - 1, {SCIPY_LOADED})
-"""
-    assert fresh_python("-c", probe).stdout.split() == ["2", "[]"]
-
-
-def test_rate_energies_and_rate_fit_load_no_scipy():
-    probe = f"""
-import sys
-import numpy as np
-from nlgeom import cli, kernels, rate
-from nlgeom.fields import Box, GridField
-box = Box.cube(1.1, 24)
-r2 = np.sum(box.centers() ** 2, axis=-1)
-u = GridField(box, (np.clip(1.0 - r2, 0.0, None) ** 2).reshape(box.resolution), "phase")
-G = kernels.ball_indicator(d=2)
-quad = rate.Potential.quadratic()
-rate.rate_ddim(u, G, quad, 0.2, n_angular=8)
-rate.rate_limit_ddim(u, G, quad)
-rate.slicing_check(u, G, quad, 0.2)
-rate.e1d(rate.Profile1D.from_function(lambda t: 1.0 - t * t, (-1.0, 1.0), 201), quad, 0.1)
-cli.fit_rate([(0.4, 1.0), (0.2, 0.6), (0.1, 0.2)])
-print({SCIPY_LOADED})
-"""
-    assert fresh_python("-c", probe).stdout.strip() == "[]"
-
-
-def test_curvature_routes_load_no_scipy_optimize():
-    probe = """
-import sys
-from nlgeom import curvature, kernels
-from nlgeom.fields import Ball
-disk = Ball((0.0, 0.0), 0.5)
-kernel = kernels.fractional(2, 0.5, 1.0)
-rep = curvature.curvature_convergence(disk, kernel, [0.4, 0.2], boundary_samples=4)
-curvature.hk_graph(disk, (0.5, 0.0), kernels.rescale(kernel, 0.4))
-print(rep.hk_over_eps.shape, 'scipy.optimize' in sys.modules)
-"""
-    assert fresh_python("-c", probe).stdout.split() == ["(2,", "4)", "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +454,16 @@ DOMAIN_CASES = {
     "field": (FieldDomainError, COAREA_CFG.replace("resolution 48", "resolution 0")),
     "rate": (RateDomainError,
              "experiment bbm-1d\neps 0.05\nprofile {\n  samples 2\n}\n"),
+    "kernel": (KernelDomainError, "experiment sigma-derivatives\n"
+               "kernel {\n  family ball\n  radius -1\n}\n"),
+    "flow": (FlowDomainError, "experiment flow-monitors\neps 0.2\n" + BALL
+             + "geometry {\n  radius 0.4\n  band 0.1\n  resolution 32\n}\n"),
+    "curvature": (CurvatureDomainError, CURVATURE_CFG.replace(
+        "radius 1.0", "radius inf")),
+    "anisotropy": (AnisotropyDomainError, "experiment halfspace-cell\neps 0.2\n"
+                   "kernel {\n  family ball\n  d 3\n}\n"),
+    "energy": (EnergyDomainError, "experiment perimeter-limit\neps 0.4 0.2\n"
+               "kernel {\n  family ball\n  d 3\n}\ngeometry {\n  radius 0.5\n}\n"),
 }
 
 
@@ -535,3 +480,101 @@ def test_run_subcommand_has_no_list_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--list"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# import budget: a run loads the layers its experiment calls, and no scipy
+#
+# Each probe runs ``--list`` or small configs of one experiment family
+# through ``cli.main`` with one worker in a fresh interpreter (earlier tests
+# in this process have loaded every layer and scipy), then runs the
+# family's library calls that no config reaches.  It reports the nlgeom
+# and scipy modules in ``sys.modules`` and whether ``concurrent.futures``
+# was loaded.
+
+BUDGET_PROBE = """
+import json, sys
+from nlgeom import cli
+out, cfgs = sys.argv[1], sys.argv[2:]
+codes = [cli.main(["run", c, "--out", f"{out}/{i}"]) for i, c in enumerate(cfgs)] \\
+    if cfgs else [cli.main(["--list"])]
+{extra}
+print(json.dumps([codes,
+                  sorted(m for m in sys.modules if m.split(".")[0] == "nlgeom"),
+                  sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "concurrent.futures" in sys.modules]))
+"""
+
+ALWAYS_LOADED = {"nlgeom", "nlgeom.cli", "nlgeom.fields", "nlgeom.kernels"}
+
+# two steps of dt: the nonlocal trajectory's snapshots sit at 0, dt and 2 dt
+FLOW_STEPS = FLOW_GEOMETRY + "flow {\n  T 0.002\n  dt 0.001\n  snapshots 2\n}\n"
+
+RATE_LIMIT_CALL = """
+import numpy as np
+from nlgeom import kernels, rate
+from nlgeom.fields import Box, GridField
+box = Box.cube(1.1, 24)
+r2 = np.sum(box.centers() ** 2, axis=-1)
+u = GridField(box, np.clip(1.0 - r2, 0.0, None) ** 2, "phase")
+rate.rate_limit_ddim(u, kernels.ball_indicator(d=2), rate.Potential.quadratic())
+"""
+
+HK_GRAPH_CALL = """
+from nlgeom import curvature, kernels
+from nlgeom.fields import Ball
+kernel = kernels.rescale(kernels.fractional(2, 0.5, 1.0), 0.4)
+curvature.hk_graph(Ball((0.0, 0.0), 0.5), (0.5, 0.0), kernel)
+"""
+
+# case: (configs, library calls after the runs, layers beyond the
+# always-loaded set, scipy allowed)
+BUDGET_CASES = {
+    "list": ((), "", set(), False),
+    "energy-anisotropy": ((
+        "experiment perimeter-limit\neps 0.4 0.2\n" + BALL
+        + "geometry {\n  radius 0.5\n  resolution 48\n}\n",
+        "experiment halfspace-cell\neps 0.4 0.2\ncompetitors 1\n" + BALL
+        + "geometry {\n  resolution 64\n}\n",
+    ), "", {"energy", "anisotropy"}, False),
+    "energy": ((
+        COAREA_CFG,
+        "experiment submodularity\npairs 2\n" + BALL + "geometry {\n  resolution 32\n}\n",
+    ), "", {"energy"}, False),
+    "anisotropy": (("experiment sigma-derivatives\ndirections 4\n" + BALL,), "",
+                   {"anisotropy"}, False),
+    "flow": ((
+        "experiment flow-compare\neps 0.2\n" + BALL + FLOW_STEPS,
+        "experiment flow-monitors\neps 0.2\n" + BALL + FLOW_STEPS,
+    ), "", {"flow"}, False),
+    "rate": ((
+        "experiment bbm-1d\neps 0.1 0.03 0.01\n",
+        "experiment bbm-slice\neps 0.4\n" + BALL + "geometry {\n  resolution 24\n}\n",
+        "experiment regularity\neps 0.4 0.2\nangular 8\n" + BALL
+        + "geometry {\n  resolution 24\n}\n",
+    ), RATE_LIMIT_CALL, {"rate"}, False),
+    "effective-kernel": (("experiment effective-kernel\nsamples 10\n" + BALL,), "",
+                         {"rate"}, True),
+    "curvature": ((CURVATURE_CFG,), HK_GRAPH_CALL, {"curvature"}, False),
+}
+
+
+@pytest.mark.parametrize("case", list(BUDGET_CASES))
+def test_run_loads_only_its_layers(tmp_path, case):
+    texts, extra, layers, scipy_ok = BUDGET_CASES[case]
+    cfgs = []
+    for i, text in enumerate(texts):
+        cfgs.append(tmp_path / f"{i}.cfg")
+        cfgs[-1].write_text(text, encoding="utf-8")
+    done = fresh_python("-c", BUDGET_PROBE.replace("{extra}", extra), str(tmp_path),
+                        *map(str, cfgs))
+    codes, loaded, scipy, futures = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(codes)
+    assert set(loaded) == ALWAYS_LOADED | {f"nlgeom.{m}" for m in layers}
+    # scipy.integrate and scipy.special import concurrent.futures themselves
+    assert scipy_ok or (scipy == [] and not futures)
+    if case == "list":
+        assert "coarea" in done.stdout.split()
+    if case == "flow":
+        rows = (tmp_path / "0" / "trajectory_nonlocal_eps0.2.csv").read_text().splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 0.001, 0.002]

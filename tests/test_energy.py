@@ -392,3 +392,82 @@ def test_phase_field_takes_sweep_path(monkeypatch):
     # pinned values of the per-offset sweep
     assert j1 == pytest.approx(0.014170174011971246, rel=1e-12)
     assert j2 == pytest.approx(0.002382886980603751, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# run invariants: each stencil, window mask and center grid built once
+
+
+def _clear_caches():
+    energy._cached_stencil.cache_clear()
+    energy._omega_mask.cache_clear()
+    Box.centers.cache_clear()
+
+
+def test_cached_arrays_reject_writes():
+    grid = Box.cube(1.0, 32)
+    offsets, weights = energy._stencil(K_QUARTER, grid)
+    masks = (energy._omega_mask(Ball((0.0, 0.0), 0.5), grid), energy._omega_mask(None, grid))
+    for arr in (grid.centers(), *masks, offsets, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+def test_halfspace_cell_builds_one_stencil_per_eps():
+    from nlgeom import anisotropy
+
+    _clear_caches()
+    rep = anisotropy.halfspace_cell_experiment(
+        anisotropy.build(K_UNIT), (1.0, 0.0), (0.2, 0.1, 0.05), n_competitors=4,
+        resolution=96,
+    )
+    calls = 3 * (1 + sum(c.accepted for c in rep.competitors))
+    stencils = energy._cached_stencil.cache_info()
+    assert (stencils.misses, stencils.hits) == (3, calls - 3)
+    masks = energy._omega_mask.cache_info()
+    assert (masks.misses, masks.hits) == (1, calls - 1)
+    assert Box.centers.cache_info().misses == 1
+
+
+def test_submodularity_run_builds_one_stencil(tmp_path):
+    from nlgeom import cli
+
+    cfg = tmp_path / "submodularity.cfg"
+    cfg.write_text("experiment submodularity\npairs 5\nkernel {\n  family ball\n"
+                   "  radius 0.25\n}\ngeometry {\n  resolution 48\n}\n", encoding="utf-8")
+    _clear_caches()
+    report, _ = cli.run(cfg, tmp_path / "out")
+    assert report.passed
+    stencils = energy._cached_stencil.cache_info()
+    assert (stencils.misses, stencils.hits) == (1, 4)
+
+
+def test_repeated_perimeter_calls_match_a_fresh_build():
+    grid = Box.cube(1.0, 64)
+    disk, window = Ball((0.1, 0.0), 0.5), Ball((0.0, 0.0), 0.55)
+    _clear_caches()
+    first = energy.perimeter_k(disk, window, K_QUARTER, grid)
+    again = energy.perimeter_k(disk, window, K_QUARTER, grid)
+    assert energy._cached_stencil.cache_info().hits == 1
+    _clear_caches()
+    fresh = energy.perimeter_k(disk, window, K_QUARTER, grid)
+    assert first.j2 > 0.0
+    assert first == again == fresh
+
+
+def test_custom_kernels_equal_but_for_the_profile_do_not_share_a_stencil():
+    # Kernel equality ignores the profile, so these two must not share a
+    # cache entry
+    one = kernels.custom_radial(lambda r: np.ones_like(r), d=2, r_max=0.25)
+    two = kernels.custom_radial(lambda r: 2.0 * np.ones_like(r), d=2, r_max=0.25)
+    assert one == two
+    grid, disk = Box.cube(1.0, 64), Ball((0.0, 0.0), 0.5)
+    p1 = energy.perimeter_k(disk, None, one, grid).total
+    p2 = energy.perimeter_k(disk, None, two, grid).total
+    assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
+
+
+def test_kernel_grid_dimension_mismatch_is_a_domain_error():
+    with pytest.raises(EnergyDomainError, match="dimension"):
+        energy.perimeter_k(Ball((0.0, 0.0), 0.5), None, kernels.ball_indicator(3),
+                           Box.cube(1.0, 32))

@@ -148,7 +148,8 @@ def _reference_stamp(kernel, eps, box, refine):
          weights[np.array(idx)])
         for key, idx in sorted(by_shift.items())
     )
-    pad = (int(np.abs(q0).max()) + 2, int(np.abs(q1).max()) + 2)
+    # (before, after) per axis: an offset's stencils span nodes q - 1 .. q + 2
+    pad = tuple((1 - int(q.min()), int(q.max()) + 2) for q in (q0, q1))
     return refine, groups, pad
 
 
@@ -174,20 +175,21 @@ def _reference_sub_shift(padded, refine, f0, f1, order):
 
 def _reference_step(values, outside, h, ref, eps, dt, floor):
     """One nonlocal step swept offset group by group over the whole grid."""
-    refine, groups, (L0, L1) = ref
+    refine, groups, pad = ref
+    (b0, _), (b1, _) = pad
     n0, n1 = values.shape
-    P = np.pad(values, ((L0, L0), (L1, L1)), constant_values=outside)
+    P = np.pad(values, pad, constant_values=outside)
     cgx, cgy = flow._gradient(values, outside, h)
     wf = 0.5 * (np.abs(cgx) * h[0] + np.abs(cgy) * h[1]) / refine
-    W = np.pad(wf, ((L0, L0), (L1, L1)), constant_values=0.0)
+    W = np.pad(wf, pad, constant_values=0.0)
     hk = np.zeros_like(values)
     for (a, b), q0, q1, wts in groups:
         C = np.ascontiguousarray(_reference_sub_shift(P, refine, a, b, order=3))
         B = np.ascontiguousarray(_reference_sub_shift(P, refine, a, b, order=1)) if (a or b) else C
         Wc = np.ascontiguousarray(_reference_sub_shift(W, refine, a, b, order=1))
-        vw = sliding_window_view(C, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
-        bw = sliding_window_view(B, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
-        ww = sliding_window_view(Wc, (n0, n1))[L0 - 1 + q0, L1 - 1 + q1]
+        vw = sliding_window_view(C, (n0, n1))[b0 - 1 + q0, b1 - 1 + q1]
+        bw = sliding_window_view(B, (n0, n1))[b0 - 1 + q0, b1 - 1 + q1]
+        ww = sliding_window_view(Wc, (n0, n1))[b0 - 1 + q0, b1 - 1 + q1]
         spread = ww > 0.0
         soft = np.clip((values[None] - vw) / np.where(spread, ww, 1.0), -1.0, 1.0)
         chi = np.where(spread, soft, np.sign(values[None] - bw))
@@ -255,18 +257,19 @@ def _plateau_pairs(field, eps):
     box = field.box
     vals, h = field.values, box.spacing
     refine = _build_stamp(BALL, eps, box).refine
-    _, groups, (L0, L1) = _reference_stamp(BALL, eps, box, refine)
+    _, groups, pad = _reference_stamp(BALL, eps, box, refine)
+    (b0, _), (b1, _) = pad
     cgx, cgy = flow._gradient(vals, field.outside, h)
     gmag = np.sqrt(cgx * cgx + cgy * cgy)
     active = (gmag >= 1e-6 * float(np.ptp(vals))) & (gmag > 0.0)
     wf = 0.5 * (np.abs(cgx) * h[0] + np.abs(cgy) * h[1]) / refine
-    P = np.pad(vals, ((L0, L0), (L1, L1)), constant_values=field.outside)
-    W = np.pad(wf, ((L0, L0), (L1, L1)), constant_values=0.0)
+    P = np.pad(vals, pad, constant_values=field.outside)
+    W = np.pad(wf, pad, constant_values=0.0)
     flips = ties = 0
     for (a, b), q0, q1, _ in groups:
         views = [
             sliding_window_view(_reference_sub_shift(arr, refine, a, b, order),
-                                vals.shape)[L0 - 1 + q0, L1 - 1 + q1]
+                                vals.shape)[b0 - 1 + q0, b1 - 1 + q1]
             for arr, order in ((P, 3), (P, 1), (W, 1))
         ]
         cubic, linear, spread = (x[:, active] for x in views)
@@ -295,9 +298,9 @@ def test_active_step_bitwise_striped_plateau():
 def test_active_step_bitwise_offcentre_circle():
     # the active band runs off the last rows and stays clear of the first
     # rows and columns, so the cropped tables sit asymmetrically and meet
-    # the pad on one side.  On 40² cells both stamps reach their pad's last
-    # row, so a crop one row short reads a zeroed table row in place of the
-    # -0.28 outside
+    # the pad on one side.  The crop holds no spare row or column: the
+    # largest offsets read the tables' last valid row and column, so a crop
+    # one row short reads a zeroed table row in place of the -0.28 outside
     box = Box.cube(1.0, 40)
     cc = box.centers()
     vals = np.clip(0.35 - np.hypot(cc[..., 0] - 0.6, cc[..., 1] - 0.15), -0.28, 0.28)
@@ -309,7 +312,8 @@ def test_active_step_bitwise_offcentre_circle():
     assert (rows[0], rows[-1], cols[0], cols[-1]) == (18, 39, 9, 36)
     for eps in (0.2, 0.1):
         stamp = _build_stamp(BALL, eps, box)
-        assert stamp.row.max() == 2 * stamp.pad[0] - 4
+        assert stamp.row.max() == sum(stamp.pad[0]) - 3
+        assert stamp.col.max() == sum(stamp.pad[1]) - 3
         _assert_steps_match(f, eps, 3)
 
 
