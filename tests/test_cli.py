@@ -485,7 +485,7 @@ def test_run_subcommand_has_no_list_flag(capsys):
 # ---------------------------------------------------------------------------
 # import budget: a run loads the layers its experiment calls, and no scipy
 #
-# Each probe runs ``--list`` or small configs of one experiment family
+# Each probe runs small configs of one experiment family
 # through ``cli.main`` with one worker in a fresh interpreter (earlier tests
 # in this process have loaded every layer and scipy), then runs the
 # family's library calls that no config reaches.  It reports the nlgeom
@@ -496,8 +496,7 @@ BUDGET_PROBE = """
 import json, sys
 from nlgeom import cli
 out, cfgs = sys.argv[1], sys.argv[2:]
-codes = [cli.main(["run", c, "--out", f"{out}/{i}"]) for i, c in enumerate(cfgs)] \\
-    if cfgs else [cli.main(["--list"])]
+codes = [cli.main(["run", c, "--out", f"{out}/{i}"]) for i, c in enumerate(cfgs)]
 {extra}
 print(json.dumps([codes,
                   sorted(m for m in sys.modules if m.split(".")[0] == "nlgeom"),
@@ -506,6 +505,22 @@ print(json.dumps([codes,
 """
 
 ALWAYS_LOADED = {"nlgeom", "nlgeom.cli", "nlgeom.fields", "nlgeom.kernels"}
+
+
+def test_cli_import_loads_no_scipy():
+    probe = ("import sys, nlgeom.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert fresh_python("-c", probe).stdout.strip() == "[]"
+
+
+def test_cli_list_loads_no_scipy():
+    # ``-m`` runs nlgeom.cli as __main__, so the listing imports no layer
+    # beyond the always-loaded ones and neither scipy nor concurrent.futures
+    done = fresh_python("-X", "importtime", "-m", "nlgeom.cli", "--list")
+    assert "coarea" in done.stdout.split()
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert {m for m in imported if m.split(".")[0] == "nlgeom"} == ALWAYS_LOADED - {"nlgeom.cli"}
+    assert not [m for m in imported if m.split(".")[0] in ("scipy", "concurrent")]
 
 # two steps of dt: the nonlocal trajectory's snapshots sit at 0, dt and 2 dt
 FLOW_STEPS = FLOW_GEOMETRY + "flow {\n  T 0.002\n  dt 0.001\n  snapshots 2\n}\n"
@@ -530,7 +545,6 @@ curvature.hk_graph(Ball((0.0, 0.0), 0.5), (0.5, 0.0), kernel)
 # case: (configs, library calls after the runs, layers beyond the
 # always-loaded set, scipy allowed)
 BUDGET_CASES = {
-    "list": ((), "", set(), False),
     "energy-anisotropy": ((
         "experiment perimeter-limit\neps 0.4 0.2\n" + BALL
         + "geometry {\n  radius 0.5\n  resolution 48\n}\n",
@@ -573,8 +587,6 @@ def test_run_loads_only_its_layers(tmp_path, case):
     assert set(loaded) == ALWAYS_LOADED | {f"nlgeom.{m}" for m in layers}
     # scipy.integrate and scipy.special import concurrent.futures themselves
     assert scipy_ok or (scipy == [] and not futures)
-    if case == "list":
-        assert "coarea" in done.stdout.split()
     if case == "flow":
         rows = (tmp_path / "0" / "trajectory_nonlocal_eps0.2.csv").read_text().splitlines()
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 0.001, 0.002]
