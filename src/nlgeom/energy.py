@@ -10,11 +10,10 @@ working grid.  Quadrature nodes z are binned to lattice offsets by
 :func:`kernels.lattice_stencil` (the kernel value itself is kept at the
 exact node); nodes inside the central cell snap to the zero offset and
 contribute nothing, which matches the vanishing of the |u(y)-u(x)| factor on
-the diagonal.  A process builds each stencil once per (kernel, grid), each
-window mask once per (window, grid) and, through :meth:`Box.centers`, each
-grid's cell centers once; the cached arrays are read-only.  A halfspace-cell
-run with 3 eps and 4 competitors thus builds 3 stencils for its 15
-perimeters, and a submodularity run 1 for all its pairs.
+the diagonal.  A process builds each stencil once per (kernel, grid) and
+each window mask once per (window, grid); the cached arrays are read-only.
+A halfspace-cell run with 3 eps and 4 competitors thus builds 3 stencils
+for its 15 perimeters, and a submodularity run 1 for all its pairs.
 
 Sets enter as indicator fields: a shape rasterized on the working grid, or
 the superlevel indicator of a phase field.  Binary fields -- every value
@@ -219,26 +218,16 @@ def _omega_mask(omega: Shape | None, grid: Box) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_stencil(kernel: Kernel, grid: Box) -> tuple[np.ndarray, np.ndarray]:
+def _stencil(kernel: Kernel, grid: Box) -> tuple[np.ndarray, np.ndarray]:
+    """``kernels.lattice_stencil`` on the grid's spacing, built once per
+    (kernel, grid); the arrays are shared between calls, so read-only.
+    """
+    if kernel.d != grid.d:
+        raise EnergyDomainError("kernel/grid dimension mismatch")
     offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
     offsets.flags.writeable = False
     weights.flags.writeable = False
     return offsets, weights
-
-
-def _stencil(kernel: Kernel, grid: Box) -> tuple[np.ndarray, np.ndarray]:
-    """``kernels.lattice_stencil`` on the grid's spacing, built once per
-    (kernel, grid); the arrays are shared between calls, so read-only.
-
-    ``Kernel`` equality ignores a custom family's profile, so two custom
-    kernels can compare equal with different profiles: theirs are built
-    afresh each call.
-    """
-    if kernel.d != grid.d:
-        raise EnergyDomainError("kernel/grid dimension mismatch")
-    if kernel.profile is not None:
-        return kernels.lattice_stencil(kernel, grid.spacing)
-    return _cached_stencil(kernel, grid)
 
 
 # --------------------------------------------------------------------------

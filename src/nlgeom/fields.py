@@ -12,7 +12,6 @@ outside their box by a constant chosen at construction (default 0).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -68,18 +67,11 @@ class Box:
         h = self.size[axis] / self.resolution[axis]
         return self.origin[axis] + h * (np.arange(self.resolution[axis]) + 0.5)
 
-    @functools.lru_cache(maxsize=4)
     def centers(self) -> np.ndarray:
-        """Cell-center coordinates, shape ``resolution + (d,)`` (x-first).
-
-        Built once per box: every call on equal boxes shares one array, so
-        it is read-only.
-        """
+        """Cell-center coordinates, shape ``resolution + (d,)`` (x-first)."""
         axes = [self.axis_centers(i) for i in range(self.d)]
         grids = np.meshgrid(*axes, indexing="ij")
-        out = np.stack(grids, axis=-1)
-        out.flags.writeable = False
-        return out
+        return np.stack(grids, axis=-1)
 
     @staticmethod
     def cube(half_width: float, n: int, d: int = 2) -> "Box":

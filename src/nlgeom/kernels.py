@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -85,7 +85,9 @@ class Kernel:
         Concentration scale; see above.
     profile:
         Unit-scale radial profile for the custom family, ignored otherwise.
-        Must accept and return numpy arrays.
+        Must accept and return numpy arrays.  It takes part in equality and
+        hashing by identity, so kernels with different profile objects
+        differ.
     """
 
     family: str
@@ -96,9 +98,7 @@ class Kernel:
     r1: float = 1.0
     amplitude: float = 1.0
     scale: float = 1.0
-    profile: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False
-    )
+    profile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:

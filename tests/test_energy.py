@@ -395,20 +395,19 @@ def test_phase_field_takes_sweep_path(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# run invariants: each stencil, window mask and center grid built once
+# run invariants: each stencil and window mask built once
 
 
 def _clear_caches():
-    energy._cached_stencil.cache_clear()
+    energy._stencil.cache_clear()
     energy._omega_mask.cache_clear()
-    Box.centers.cache_clear()
 
 
 def test_cached_arrays_reject_writes():
     grid = Box.cube(1.0, 32)
     offsets, weights = energy._stencil(K_QUARTER, grid)
     masks = (energy._omega_mask(Ball((0.0, 0.0), 0.5), grid), energy._omega_mask(None, grid))
-    for arr in (grid.centers(), *masks, offsets, weights):
+    for arr in (*masks, offsets, weights):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
 
@@ -422,11 +421,10 @@ def test_halfspace_cell_builds_one_stencil_per_eps():
         resolution=96,
     )
     calls = 3 * (1 + sum(c.accepted for c in rep.competitors))
-    stencils = energy._cached_stencil.cache_info()
+    stencils = energy._stencil.cache_info()
     assert (stencils.misses, stencils.hits) == (3, calls - 3)
     masks = energy._omega_mask.cache_info()
     assert (masks.misses, masks.hits) == (1, calls - 1)
-    assert Box.centers.cache_info().misses == 1
 
 
 def test_submodularity_run_builds_one_stencil(tmp_path):
@@ -438,7 +436,7 @@ def test_submodularity_run_builds_one_stencil(tmp_path):
     _clear_caches()
     report, _ = cli.run(cfg, tmp_path / "out")
     assert report.passed
-    stencils = energy._cached_stencil.cache_info()
+    stencils = energy._stencil.cache_info()
     assert (stencils.misses, stencils.hits) == (1, 4)
 
 
@@ -448,19 +446,17 @@ def test_repeated_perimeter_calls_match_a_fresh_build():
     _clear_caches()
     first = energy.perimeter_k(disk, window, K_QUARTER, grid)
     again = energy.perimeter_k(disk, window, K_QUARTER, grid)
-    assert energy._cached_stencil.cache_info().hits == 1
+    assert energy._stencil.cache_info().hits == 1
     _clear_caches()
     fresh = energy.perimeter_k(disk, window, K_QUARTER, grid)
     assert first.j2 > 0.0
     assert first == again == fresh
 
 
-def test_custom_kernels_equal_but_for_the_profile_do_not_share_a_stencil():
-    # Kernel equality ignores the profile, so these two must not share a
-    # cache entry
+def test_custom_kernels_with_different_profiles_do_not_share_a_stencil():
     one = kernels.custom_radial(lambda r: np.ones_like(r), d=2, r_max=0.25)
     two = kernels.custom_radial(lambda r: 2.0 * np.ones_like(r), d=2, r_max=0.25)
-    assert one == two
+    assert one != two
     grid, disk = Box.cube(1.0, 64), Ball((0.0, 0.0), 0.5)
     p1 = energy.perimeter_k(disk, None, one, grid).total
     p2 = energy.perimeter_k(disk, None, two, grid).total
