@@ -12,9 +12,11 @@ the same dt.  Prints one line per eps: refine factor, stamp offsets and
 phase groups, then for each datum its active cells, the shape of its
 cropped phase tables (blocks x rows x columns) and the median and
 quartiles of the step in ms.  A second table gives each datum's work
-counters: the (offset, active cell) pairs, and how many of them read a
-zero spread (plateau pairs, whose indicator is a sign) and how many of
-those tie with the cell's value (indicator 0).
+counters: the (offset, active cell) pairs, how many of them read a
+plateau site (a zero in-cell spread, which the spread table marks with
+``flow._PLATEAU_SPREAD``; the pair's indicator is a sign) and how many of
+those tie with the cell's value (indicator 0), and the step's median time
+per pair in ns.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ LATER_STEPS = 10
 
 
 def plateau_counts(values, outside, wf, cells, stamp) -> tuple:
-    """Table shape, pairs, zero-spread pairs and ties of one step's sum."""
+    """Table shape, pairs, plateau pairs and ties of one step's sum."""
     cubic, spread, entries, at = flow._phase_tables(values, outside, wf, cells, stamp)
     ix = entries[:, None] + at
-    flat = np.take(spread, ix) == 0.0
-    # at a zero-spread index the cubic table holds the bilinear value
+    flat = np.take(spread, ix) == flow._PLATEAU_SPREAD
+    # at a plateau site the cubic table holds the bilinear value
     ties = flat & (np.take(cubic, ix) == values.ravel()[cells])
     return cubic.shape, ix.size, int(np.count_nonzero(flat)), int(np.count_nonzero(ties))
 
@@ -86,15 +88,15 @@ def main(argv=None) -> None:
         row = f"{eps:<5g} {stamp.refine:>6d} {len(stamp.weights):>8d} {len(stamp.bounds) - 1:>7d}"
         for step, values in ((0, u0.values), (LATER_STEPS, later)):
             work = datum_counters(values, u0.outside, box, floor, stamp)
-            counters.append((eps, step, *work))
             q1, med, q3 = step_ms(values, u0.outside, box, stamp, eps, dt, floor, args.repeats)
+            counters.append((eps, step, *work, 1e6 * med / work[2]))
             row += (f" {work[0]:>7d}  {'x'.join(map(str, work[1])):<10} {med:>9.2f} "
                     f"{q1:>6.2f} {q3:>6.2f}")
         print(row)
-    print("eps   step  active  table        pairs    zero_spread  ties")
-    for eps, step, active, shape, pairs, flat, ties in counters:
+    print("eps   step  active  table        pairs    plateau   ties  ns_per_pair")
+    for eps, step, active, shape, pairs, flat, ties, ns in counters:
         print(f"{eps:<5g} {step:>4d} {active:>7d}  {'x'.join(map(str, shape)):<12} "
-              f"{pairs:>8d} {flat:>12d} {ties:>5d}")
+              f"{pairs:>8d} {flat:>8d} {ties:>6d} {ns:>12.2f}")
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ Two updates are available:
   cell) pair then reads its values at a flat table index, and the sum
   adds one phase's weighted indicators at a time, in the phases' sort
   order.  The plateau fallback lives in the tables: where the spread is 0
-  the cubic table holds the bilinear value, so the quotient is +-inf
-  (clipped to the sign) or, for a tie, NaN (set to 0).
+  the cubic table holds the bilinear value and the spread table the
+  smallest normal double, so the clipped quotient is exactly the sign of
+  the bilinear difference, and +0 for a tie.
 
 Both updates freeze cells whose gradient falls below a floor, so fields
 that are constant near the window boundary stay constant there and the
@@ -156,7 +157,7 @@ class _Stamp:
     cells: the stencils of an offset with whole-cell part q span nodes
     q - 1 .. q + 2, so it is (1 - min q, max q + 2).  ``grid`` is the
     (n0, n1) grid the stamp was laid out for.  ``scratch`` holds the flat
-    (chi, index, spread, tie) buffers of the stamp sum, large enough for
+    (chi, index, spread) buffers of the stamp sum, large enough for
     every cell of the grid to be active.  Every step reuses them: allocated
     afresh, their new heap pages cost about 7 of the 20 ms of a step at
     eps 0.05 in the flow-monitors run.  So one stamp serves one run of
@@ -178,6 +179,12 @@ class _Stamp:
 # directional imbalance (measured ~0.2% on the disk benchmark versus <0.1%
 # for even factors), so the refinement is rounded up to an even number.
 _STAMP_SUBCELLS = 12
+# The plateau sign's precondition (see ``_phase_tables``): the spread that
+# marks a plateau site, the smallest nonzero |value| a step accepts, and the
+# largest refinement, which keeps every bilinear tap at least 2^-8.
+_PLATEAU_SPREAD = float(np.finfo(float).tiny)
+_VALUE_FLOOR = 2.0 ** -900
+_MAX_REFINE = 256
 
 
 def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
@@ -201,6 +208,11 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
         )
     raw = _STAMP_SUBCELLS * float(np.max(h)) / r_hi
     refine = 1 if raw <= 1.0 else 2 * math.ceil(0.5 * raw)
+    if refine > _MAX_REFINE:
+        raise FlowDomainError(
+            f"the stamp would split cells {refine} times per axis (at most "
+            f"{_MAX_REFINE}); use cells closer to square or a larger eps"
+        )
     h_fine = h / refine
     zg = kernels.zgrid(
         k_eps, r_lo=0.5 * float(np.min(h_fine)), n_angular=256, panels_per_decade=6.0
@@ -223,7 +235,7 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
     cols = -(-n0 * n1 // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
     block = max(_BLOCK_PAIRS, cols)
     scratch = (np.empty(max(block, int(np.max(np.diff(bounds))) * cols)),
-               np.empty(block, dtype=np.int64), np.empty(block), np.empty(block, dtype=bool))
+               np.empty(block, dtype=np.int64), np.empty(block))
     pad = tuple((1 - int(q.min()), int(q.max()) + 2) for q in (q0, q1))
     return _Stamp(refine, pad, (n0, n1), phase, row, col, weights[order], bounds,
                   scratch)
@@ -273,12 +285,30 @@ def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
     position (r + 1, c + 1) plus the phase (the last 3 rows and columns of
     a block are not read).
 
-    Where the spread table is 0 the cubic table takes the bilinear value.
-    Each pair reads both tables at one index, so only plateau pairs see
-    the swap, and for them the step's quotient becomes the sign of the
-    bilinear difference: the plateau fallback, without a pass of its own.
-    (The bilinear value, not the cubic one: the cubic stencil can
-    manufacture tiny extrema at kinks, which a hard sign would amplify.)
+    Where the spread table is 0 (a plateau site) the cubic table takes the
+    bilinear value and the spread table ``_PLATEAU_SPREAD``, the smallest
+    normal double 2^-1022.  Each pair reads both tables at one index, so
+    only plateau pairs see the swap, and for them the clipped quotient
+    (v - c) / 2^-1022 is exactly the sign of the bilinear difference, +0
+    for a tie (v is +0 for a zero cell value, see ``_stamp_sum``): the
+    plateau fallback, without a pass of its own.  (The bilinear value, not
+    the cubic one: the cubic stencil can manufacture tiny extrema at kinks,
+    which a hard sign would amplify.)  A normal divisor, because dividing
+    by a subnormal one is about 18 times slower.
+
+    The sign is exact only if every nonzero difference v - c of a cell
+    value v and a plateau bilinear value c is at least 2^-1022 in
+    magnitude, and ``_step_nonlocal_values`` enforces a condition that
+    implies it: every nonzero |value| and |outside| is at least
+    ``_VALUE_FLOOR`` = 2^-900.  The margin: the bilinear taps f / refine
+    and 1 - f / refine are at least 2^-8 (``_build_stamp`` caps refine at
+    256), and each pass rounds one product per tap and adds two.  A
+    product of a nonzero input of magnitude at least 2^-900 is at least
+    2^-908, so it and the sum of two such products are multiples of
+    2^-960, and a nonzero sum is at least 2^-960; the column pass repeats
+    this from 2^-960 down to multiples of 2^-1020.  So a nonzero c is a
+    multiple of 2^-1020, as is v, and a nonzero v - c is at least 2^-1020,
+    four times 2^-1022.
 
     Returns ``(cubic, spread, entries, at)``: the pair of stamp offset k
     and cell ``cells[m]`` reads flat index ``entries[k] + at[m]`` of both
@@ -296,8 +326,11 @@ def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
         by_rows = shift_taps(np.pad(arr, stamp.pad, constant_values=fill)[box].ravel(), w, width)
         return shift_taps(by_rows.ravel(), w, 1).reshape(stamp.refine ** 2, rows, width)
 
-    cubic, spread = table(values, outside, 3), table(wf, 0.0, 1)
-    np.copyto(cubic, table(values, outside, 1), where=spread == 0.0)
+    cubic, spread, linear = table(values, outside, 3), table(wf, 0.0, 1), table(values, outside, 1)
+    # the mask after the last table, so it adds nothing to a build's peak
+    plateau = spread == 0.0
+    np.copyto(cubic, linear, where=plateau)
+    np.copyto(spread, _PLATEAU_SPREAD, where=plateau)
     entries = (stamp.phase * rows + stamp.row) * width + stamp.col
     return cubic, spread, entries, (ci - i0) * width + cj - j0
 
@@ -342,7 +375,13 @@ def _phase_runs(bounds: tuple, rows: int) -> list:
 #   only 1.25 times faster on two threads of a 2-core host, so the step
 #   is no faster;
 # * building and consuming the tables one row phase at a time: 12% faster
-#   at eps 0.05, 7% slower at eps 0.1.
+#   at eps 0.05, 7% slower at eps 0.1;
+# * summing over the whole active box with sliding-window copies of the
+#   tables, in place of the gathers: 14-40 ms against 10-15 ms per step
+#   at t = 10 steps;
+# * splitting the cell columns between two threads: no faster, because on
+#   two threads of a 2-core host ``divide`` runs 2.0 times faster but
+#   ``take``, the index add and ``clip`` only 1.23-1.35 times.
 def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
     """sum_k weight_k * chi_k at the flat ``cells``, one phase at a time."""
     cubic, spread, entries, at = _phase_tables(values, outside, wf, cells, stamp)
@@ -351,28 +390,28 @@ def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
     # padding columns repeat cell 0; their sums are dropped
     fill = np.zeros(cols - n, dtype=np.intp)
     at = np.concatenate([at, at[fill]])
-    v = values.ravel()[np.concatenate([cells, cells[fill]])]
+    # + 0.0 turns a -0 cell value into +0, so a tie's quotient is +0
+    v = values.ravel()[np.concatenate([cells, cells[fill]])] + 0.0
     bounds = stamp.bounds
     rows = max(1, _BLOCK_PAIRS // cols)
-    chi, idx, ww, tie = (
-        buf[:len(buf) // cols * cols].reshape(-1, cols) for buf in stamp.scratch)
+    chi, idx, ww = (buf[:len(buf) // cols * cols].reshape(-1, cols) for buf in stamp.scratch)
     hk = np.zeros(cols)
-    # plateau pairs (spread 0) divide by 0: the clip turns +-inf into the
-    # sign of the bilinear difference, and a tie's NaN is set to 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a plateau quotient overflows to +-inf once |v - c| >= 4; the clip
+    # turns it into the sign all the same
+    with np.errstate(over="ignore"):
         for first, stop in _phase_runs(bounds, rows):
             base = bounds[first]
             for lo in range(base, bounds[stop], rows):
                 k = min(rows, bounds[stop] - lo)
-                ix, c, w, t = idx[:k], chi[lo - base:lo - base + k], ww[:k], tie[:k]
+                ix, c, w = idx[:k], chi[lo - base:lo - base + k], ww[:k]
                 np.add(entries[lo:lo + k, None], at, out=ix)
-                # the indices are in range: "wrap" only skips a buffered check
-                np.take(cubic, ix, out=c, mode="wrap")
+                # the indices are in range: "wrap" only skips a buffered
+                # check; the ndarray methods skip numpy's Python wrappers
+                cubic.take(ix, out=c, mode="wrap")
                 np.subtract(v, c, out=c)
-                np.take(spread, ix, out=w, mode="wrap")
+                spread.take(ix, out=w, mode="wrap")
                 np.divide(c, w, out=c)
-                np.clip(c, -1.0, 1.0, out=c)
-                np.copyto(c, 0.0, where=np.isnan(c, out=t))
+                c.clip(-1.0, 1.0, out=c)
             for j in range(first, stop):
                 # np.tensordot(weights, chi, axes=(0, 0)) makes this same call
                 wts = stamp.weights[None, bounds[j]:bounds[j + 1]]
@@ -383,6 +422,12 @@ def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
 def _step_nonlocal_values(values, outside, h, stamp, eps, dt, floor):
     if values.shape != stamp.grid:
         raise FlowDomainError("the stamp was laid out for a different grid")
+    if 0.0 < abs(outside) < _VALUE_FLOOR or np.any(
+            (np.abs(values) < _VALUE_FLOOR) & (values != 0.0)):
+        raise FlowDomainError(
+            "the nonlocal step needs every nonzero |value| and |outside| at "
+            "least 2^-900; rescale the field"
+        )
     cgx, cgy = _gradient(values, outside, h)
     gmag = np.sqrt(cgx * cgx + cgy * cgy)
     active = (gmag >= floor) & (gmag > 0.0)

@@ -116,6 +116,9 @@ def test_stamp_guards(circle64, box64):
     dt = dt_bound(curvature_coefficient(tiny), box64)
     with pytest.raises(FlowDomainError, match="half a grid cell"):
         one_step(circle64, tiny, dt, eps=0.05)  # support below half a cell
+    # cells 16 times longer than wide: the stamp would refine 300 times
+    with pytest.raises(FlowDomainError, match="at most 256"):
+        _build_stamp(BALL, 0.02, Box((-1.0, -1.0), (2.0, 2.0), (4, 64)))
 
 
 @pytest.mark.parametrize("n", [-1, 0])
@@ -212,6 +215,8 @@ def _assert_steps_match(field, eps, n_steps, floor=None):
         a = _reference_step(a, field.outside, box.spacing, ref, eps, dt, floor)
         b = _step_nonlocal_values(b, field.outside, box.spacing, stamp, eps, dt, floor)
         assert np.array_equal(a, b), f"step {step + 1} differs"
+        # the sign of a zero counts too
+        assert a.tobytes() == b.tobytes(), f"step {step + 1} differs in a zero's sign"
 
 
 @pytest.mark.parametrize("eps, refine", [(0.2, 2), (0.1, 4), (0.05, 8)])
@@ -253,7 +258,9 @@ def test_active_step_bitwise_rough_field(eps):
 
 def _plateau_pairs(field, eps):
     """Zero-spread (offset, active cell) pairs at t = 0 whose cubic and
-    bilinear signs differ, and zero-spread ties with the bilinear value."""
+    bilinear signs differ, zero-spread ties with the bilinear value, and
+    those ties of a -0 cell value with a +0 bilinear one, whose difference
+    is -0."""
     box = field.box
     vals, h = field.values, box.spacing
     refine = _build_stamp(BALL, eps, box).refine
@@ -265,7 +272,7 @@ def _plateau_pairs(field, eps):
     wf = 0.5 * (np.abs(cgx) * h[0] + np.abs(cgy) * h[1]) / refine
     P = np.pad(vals, pad, constant_values=field.outside)
     W = np.pad(wf, pad, constant_values=0.0)
-    flips = ties = 0
+    flips = ties = negative = 0
     for (a, b), q0, q1, _ in groups:
         views = [
             sliding_window_view(_reference_sub_shift(arr, refine, a, b, order),
@@ -277,22 +284,65 @@ def _plateau_pairs(field, eps):
         v = vals[active][None]
         flips += np.count_nonzero(flat & (np.sign(v - cubic) != np.sign(v - linear)))
         ties += np.count_nonzero(flat & (v == linear))
-    return flips, ties
+        negative += np.count_nonzero(flat & (v == linear) & np.signbit(v - linear))
+    return flips, ties, negative
 
 
 def test_active_step_bitwise_striped_plateau():
     # a ramp in the columns meets stripes alternating across columns: the
     # stripes' central gradient is 0, so the ramp's stamps read zero-spread
     # sites where the cubic and bilinear values differ, and the ramp's
-    # multiples of 1/32 tie with the stripes' +-1/4
+    # multiples of 1/32 tie with the stripes' +-1/4.  Written with -0, the
+    # ramp's zero column and the outside tie with +0 bilinear values in the
+    # pad, a difference of -0: the tie must still count +0
     box = Box.cube(1.0, 40)
     cols = np.arange(40)
     row = np.where(cols < 20, (cols - 10) / 32.0, np.where(cols % 2, 0.25, -0.25))
-    f = GridField(box, np.tile(row, (40, 1)), "level-set", 0.0)
-    flips, ties = _plateau_pairs(f, 0.2)
-    assert flips > 0 and ties > 0
-    for eps in (0.2, 0.1):
-        _assert_steps_match(f, eps, 2)
+    for zero in (0.0, -0.0):
+        row[row == 0.0] = zero
+        f = GridField(box, np.tile(row, (40, 1)), "level-set", zero)
+        flips, ties, negative = _plateau_pairs(f, 0.2)
+        assert flips > 0 and ties > 0
+        assert (negative > 0) == np.signbit(zero)
+        for eps in (0.2, 0.1):
+            _assert_steps_match(f, eps, 2)
+
+
+def _ramp_onto_plateau(plateau):
+    """Rows of a ramp through 0 at column 18 that meets a plateau at 20."""
+    cols = np.arange(40)
+    row = np.where(cols < 20, (cols - 18) / 32.0, plateau)
+    return GridField(Box.cube(1.0, 40), np.tile(row, (40, 1)), "level-set", 0.0)
+
+
+def test_plateau_sign_holds_at_the_value_floor():
+    # the smallest nonzero |value| a step accepts
+    _assert_steps_match(_ramp_onto_plateau(2.0 ** -900), 0.2, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_plateau_quotient_overflows_silently():
+    # the ramp's cells reach the plateau and the outside at differences
+    # far above 4, whose quotients by the 2^-1022 plateau spread overflow
+    # to +-inf: the clip turns them into the sign, and the step warns of
+    # nothing
+    f = _ramp_onto_plateau(0.25)
+    _assert_steps_match(f.with_values(64.0 * f.values), 0.2, 1)
+
+
+@pytest.mark.parametrize("plateau, outside", [
+    (5e-324, 0.0), (2.0 ** -901, 0.0), (0.25, -(2.0 ** -901))],
+    ids=["subnormal-plateau", "plateau-below-floor", "outside-below-floor"])
+def test_nonlocal_step_rejects_values_below_the_floor(plateau, outside):
+    # the plateau quotient (v - c) / 2^-1022 is the sign only for nonzero
+    # differences of at least 2^-1022: with a subnormal plateau, the zero
+    # of the ramp and the plateau differ by 5e-324, and an unguarded step
+    # differs from the reference in 80 cells
+    f = _ramp_onto_plateau(plateau)
+    box = f.box
+    with pytest.raises(FlowDomainError, match="2\\^-900"):
+        _step_nonlocal_values(f.values, outside, box.spacing, _build_stamp(BALL, 0.2, box),
+                              0.2, 1e-4, 1e-6 * float(np.ptp(f.values)))
 
 
 def test_active_step_bitwise_offcentre_circle():
@@ -315,6 +365,96 @@ def test_active_step_bitwise_offcentre_circle():
         assert stamp.row.max() == sum(stamp.pad[0]) - 3
         assert stamp.col.max() == sum(stamp.pad[1]) - 3
         _assert_steps_match(f, eps, 3)
+
+
+def _reference_reads(values, outside, wf, cells, stamp):
+    """Per phase of the stamp: its entries k, its f1, and the cubic,
+    bilinear and spread values that each pair (k, cell) reads, from the
+    whole-grid shifts of that phase at cell + q."""
+    refine = stamp.refine
+    P = np.pad(values, stamp.pad, constant_values=outside)
+    W = np.pad(wf, stamp.pad, constant_values=0.0)
+    ci, cj = np.divmod(cells, values.shape[1])
+    for p in np.unique(stamp.phase):
+        k = np.flatnonzero(stamp.phase == p)
+        at_q = np.s_[stamp.row[k, None] + ci, stamp.col[k, None] + cj]
+        f0, f1 = p % refine, p // refine
+        yield k, f1, *(_reference_sub_shift(arr, refine, f0, f1, order)[at_q]
+                       for arr, order in ((P, 3), (P, 1), (W, 1)))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+def test_phase_tables_read_the_reference_shifts(eps):
+    # every table entry a pair reads, in both tables, against the whole-grid
+    # shift of its phase at cell + q.  The disk's band runs off the first
+    # rows, so pairs read the pad's plateau; beyond it the field tilts
+    # along the columns with a gradient below the activity floor.  On this
+    # grid the stamp's last column carries phases f1 > 0, whose cubic taps
+    # read the box's last column; those pairs keep a cubic value, and the
+    # box's left and right edges differ, so a crop one column short, whose
+    # rows borrow the next row's first value, shows in the cubic table
+    box = Box.cube(1.0, 48)
+    cc = box.centers()
+    vals = np.clip(0.35 - np.hypot(cc[..., 0] + 0.45, cc[..., 1]), -0.28, 0.28)
+    vals = vals + 1e-9 * cc[..., 1]
+    outside, h = -0.28, box.spacing
+    gx, gy = flow._gradient(vals, outside, h)
+    gmag = np.sqrt(gx * gx + gy * gy)
+    cells = np.flatnonzero((gmag >= 1e-6 * float(np.ptp(vals))) & (gmag > 0.0))
+    ci, cj = np.divmod(cells, box.resolution[1])
+    stamp = _build_stamp(BALL, eps, box)
+    wf = 0.5 * (np.abs(gx) * h[0] + np.abs(gy) * h[1]) / stamp.refine
+    cubic, spread, entries, at = flow._phase_tables(vals, outside, wf, cells, stamp)
+    plateau = edge = 0
+    for k, f1, C, B, S in _reference_reads(vals, outside, wf, cells, stamp):
+        flat = S == 0.0
+        ix = entries[k, None] + at
+        assert np.array_equal(cubic.ravel()[ix], np.where(flat, B, C))
+        assert np.array_equal(spread.ravel()[ix], np.where(flat, flow._PLATEAU_SPREAD, S))
+        plateau += np.count_nonzero(flat)
+        # pairs whose cubic taps reach the box's last column
+        reads = (stamp.col[k, None] + cj == cj.max() + sum(stamp.pad[1]) - 3) & (f1 > 0)
+        assert np.all(S[reads] > 0.0)
+        edge += np.count_nonzero(reads)
+    assert plateau > 0 and edge > 0
+    # the box's edge columns, in the padded grid
+    P = np.pad(vals, stamp.pad, constant_values=outside)
+    rows = np.s_[ci.min():ci.max() + sum(stamp.pad[0]) + 1]
+    assert np.any(P[rows, cj.min()] != P[rows, cj.max() + sum(stamp.pad[1])])
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+def test_every_pair_indicator_matches_the_reference(eps):
+    # with 21 active cells one phase run holds the whole stamp, so after a
+    # step the stamp's chi buffer holds every pair's indicator: compare
+    # them with the reference's, the sign of a zero included.  The field's
+    # zeros and the outside are -0, and its active zeros tie with +0
+    # plateau values; a tie counts +0, as the reference's np.sign gives
+    box = Box.cube(1.0, 40)
+    vals = np.full(box.resolution, -0.0)
+    vals[18:21, 18:21] = np.arange(1.0, 10.0).reshape(3, 3) / 32.0
+    h = box.spacing
+    gx, gy = flow._gradient(vals, -0.0, h)
+    gmag = np.sqrt(gx * gx + gy * gy)
+    floor = 1e-6 * float(np.ptp(vals))
+    cells = np.flatnonzero((gmag >= floor) & (gmag > 0.0))
+    stamp = _build_stamp(BALL, eps, box)
+    cols = -(-len(cells) // flow._COLUMN_QUANTUM) * flow._COLUMN_QUANTUM
+    assert len(flow._phase_runs(stamp.bounds, flow._BLOCK_PAIRS // cols)) == 1
+    _step_nonlocal_values(vals, -0.0, h, stamp, eps, 1e-4, floor)
+    chi = stamp.scratch[0][:len(stamp.weights) * cols].reshape(-1, cols)[:, :len(cells)]
+
+    wf = 0.5 * (np.abs(gx) * h[0] + np.abs(gy) * h[1]) / stamp.refine
+    v = vals.ravel()[cells]
+    want = np.empty_like(chi)
+    negative = 0
+    for k, _, C, B, S in _reference_reads(vals, -0.0, wf, cells, stamp):
+        spread = S > 0.0
+        soft = np.clip((v - C) / np.where(spread, S, 1.0), -1.0, 1.0)
+        want[k] = np.where(spread, soft + 0.0, np.sign(v - B))
+        negative += np.count_nonzero(~spread & (v == B) & np.signbit(v - B))
+    assert negative > 0
+    assert chi.tobytes() == want.tobytes()
 
 
 def test_constant_field_nonlocal_bitwise(box64, dtb64):
