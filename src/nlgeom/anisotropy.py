@@ -172,7 +172,7 @@ def halfspace_cell_experiment(
     eps_max = eps_list[0]
 
     window = Ball((0.0, 0.0), 1.0)
-    reach = max(e * aniso.kernel.support_radius for e in eps_list)
+    reach = max(e * aniso.kernel.effective_radius() for e in eps_list)
     half_w = 1.0 + reach + 0.05
     grid = Box.cube(half_w, resolution)
     omega1 = 2.0

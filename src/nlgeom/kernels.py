@@ -34,7 +34,6 @@ FAMILIES = (
     "ball-indicator",
     "annulus-indicator",
     "fractional-truncated",
-    "gaussian",
     "custom-radial-profile",
 )
 
@@ -59,7 +58,7 @@ class KernelDomainError(DomainError):
 class Kernel:
     """Immutable description of a radial interaction weight.
 
-    The evaluation rule is ``K(z) = amplitude * scale**(-d) * base(|z|/scale)``
+    The evaluation rule is ``K(z) = scale**(-d) * base(|z|/scale)``
     where ``base`` is the family's unit-scale radial profile.  ``scale`` is the
     concentration parameter touched by :func:`rescale`; composing rescales
     multiplies scales exactly, so rescale(rescale(k, a), b) == rescale(k, a*b).
@@ -79,8 +78,6 @@ class Kernel:
         Inner/outer cutoff radii of the unit-scale profile.  ``r1`` may be
         ``math.inf`` for the untruncated power law (useful to exercise the
         divergence flags).
-    amplitude:
-        Nonnegative multiplier.
     scale:
         Concentration scale; see above.
     profile:
@@ -96,7 +93,6 @@ class Kernel:
     s: float = 0.5
     r0: float = 0.0
     r1: float = 1.0
-    amplitude: float = 1.0
     scale: float = 1.0
     profile: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -111,8 +107,6 @@ class Kernel:
             raise KernelDomainError("tail exponent must be positive")
         if self.r0 < 0.0 or self.r1 <= 0.0 or self.r1 <= self.r0:
             raise KernelDomainError("need 0 <= r0 < r1")
-        if self.amplitude < 0.0:
-            raise KernelDomainError("amplitude must be nonnegative")
         if self.scale <= 0.0 or not math.isfinite(self.scale):
             raise KernelDomainError("scale must be positive and finite")
         if self.family == "custom-radial-profile":
@@ -135,26 +129,12 @@ class Kernel:
 
     @property
     def compact_support(self) -> bool:
-        return self.family in (
-            "ball-indicator",
-            "annulus-indicator",
-            "custom-radial-profile",
-        ) or (self.family == "fractional-truncated" and math.isfinite(self.r1))
-
-    @property
-    def support_radius(self) -> float:
-        """Radius beyond which K vanishes identically (inf if never)."""
-        if self.compact_support:
-            return self.r1 * self.scale
-        return math.inf
+        return math.isfinite(self.r1)
 
     def effective_radius(self) -> float:
-        """Radius capturing the profile up to a 1e-16 pointwise cutoff."""
-        if self.compact_support:
-            return self.support_radius
-        if self.family == "gaussian":
-            return self.r1 * self.scale * math.sqrt(-math.log(1e-16))
-        return self.r1 * self.scale  # untruncated power law: caller truncates
+        """Radius beyond which K vanishes identically: inf for the
+        untruncated power law, which callers must truncate."""
+        return self.r1 * self.scale
 
     def breakpoints(self) -> list[float]:
         """Radii where the radial profile is not smooth (scaled units)."""
@@ -185,8 +165,6 @@ class Kernel:
             if math.isfinite(self.r1):
                 vals = np.where(u <= self.r1, vals, 0.0)
             return vals
-        if fam == "gaussian":
-            return np.exp(-((u / self.r1) ** 2))
         # custom
         vals = np.asarray(self.profile(np.asarray(u, dtype=float)), dtype=float)
         return np.where(u <= self.r1, vals, 0.0)
@@ -194,7 +172,7 @@ class Kernel:
     def profile_at(self, r) -> np.ndarray:
         """Radial profile K̄(r) of the (scaled) kernel at radii ``r``."""
         r = np.asarray(r, dtype=float)
-        pref = self.amplitude * self.scale ** (-self.d)
+        pref = self.scale ** (-self.d)
         return pref * self._base(r / self.scale)
 
     def origin_exponent(self) -> float:
@@ -230,36 +208,18 @@ def rescale(kernel: Kernel, eps: float) -> Kernel:
 # constructors for the built-in families
 
 
-def ball_indicator(d: int = 2, radius: float = 1.0, amplitude: float = 1.0) -> Kernel:
-    return Kernel("ball-indicator", d, r1=radius, amplitude=amplitude)
+def ball_indicator(d: int = 2, radius: float = 1.0) -> Kernel:
+    return Kernel("ball-indicator", d, r1=radius)
 
 
-def annulus_indicator(
-    d: int = 2, r0: float = 0.2, r1: float = 1.0, amplitude: float = 1.0
-) -> Kernel:
-    return Kernel("annulus-indicator", d, r0=r0, r1=r1, amplitude=amplitude)
+def annulus_indicator(d: int = 2, r0: float = 0.2, r1: float = 1.0) -> Kernel:
+    return Kernel("annulus-indicator", d, r0=r0, r1=r1)
 
 
-def fractional(
-    d: int = 2,
-    sigma: float = 0.5,
-    radius: float = 1.0,
-    s: float | None = None,
-    amplitude: float = 1.0,
-) -> Kernel:
-    """Truncated power law r**(-d-sigma); ``radius=math.inf`` removes the cutoff."""
-    return Kernel(
-        "fractional-truncated",
-        d,
-        sigma=sigma,
-        s=sigma if s is None else s,
-        r1=radius,
-        amplitude=amplitude,
-    )
-
-
-def gaussian(d: int = 2, width: float = 1.0, amplitude: float = 1.0) -> Kernel:
-    return Kernel("gaussian", d, r1=width, amplitude=amplitude)
+def fractional(d: int = 2, sigma: float = 0.5, radius: float = 1.0) -> Kernel:
+    """Truncated power law r**(-d-sigma), whose tail exponent ``s`` is ``sigma``;
+    ``radius=math.inf`` removes the cutoff."""
+    return Kernel("fractional-truncated", d, sigma=sigma, s=sigma, r1=radius)
 
 
 def custom_radial(
@@ -268,7 +228,7 @@ def custom_radial(
     r_max: float,
     sigma: float = 0.0,
 ) -> Kernel:
-    """Custom radial profile truncated at ``r_max``, with unit amplitude.
+    """Custom radial profile truncated at ``r_max``.
 
     The profile is taken as 0 beyond ``r_max``.  ``sigma`` declares the
     origin exponent when the profile is singular.
@@ -474,7 +434,7 @@ class Moment:
 def _radial_moment(kernel: Kernel, q: float) -> Moment:
     """∫_0^∞ r^q K̄(r) dr for the scaled profile, with divergence detection."""
     k = kernel
-    pref = k.amplitude * k.scale ** (q + 1 - k.d)
+    pref = k.scale ** (q + 1 - k.d)
     # origin/tail convergence from the family exponents
     if k.singular and q - k.origin_exponent() <= -1.0:
         return Moment(math.inf, False)
@@ -491,11 +451,6 @@ def _radial_moment(kernel: Kernel, q: float) -> Moment:
         a = q - k.d - k.sigma
         # reaching here means both endpoints converge, so r1 is finite
         val = k.r1 ** (a + 1) / (a + 1)
-        return Moment(pref * val, True, abs(pref * val) * 1e-15)
-    if fam == "gaussian":
-        from scipy import special
-
-        val = 0.5 * k.r1 ** (q + 1) * special.gamma(0.5 * (q + 1))
         return Moment(pref * val, True, abs(pref * val) * 1e-15)
     # custom: adaptive quadrature on [0, r1]; QAGS absorbs endpoint power laws
     from scipy import integrate
@@ -671,7 +626,7 @@ def validate(kernel: Kernel) -> AssumptionReport:
                 {"note": "unbounded support; truncate the kernel before checking"},
             ),
         ))
-    ref = min(k.effective_radius(), 1.0 if k.compact_support else k.scale * k.r1)
+    ref = min(k.effective_radius(), 1.0)
     # 1) r * mass outside B(0, r) -> 0 along a decreasing radius sequence;
     #    fit the decay exponent so slowly decaying kernels still register
     radii = [0.1 * ref, 0.05 * ref, 0.025 * ref]

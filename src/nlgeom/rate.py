@@ -94,17 +94,6 @@ class Potential:
             name="t^2",
         )
 
-    @staticmethod
-    def soft_quartic() -> "Potential":
-        # f'' = 2 + 3 t^2: strictly convex but with unbounded curvature
-        return Potential(
-            f=lambda t: np.square(t) + 0.25 * np.asarray(t, dtype=float) ** 4,
-            d2f=lambda t: 2.0 + 3.0 * np.square(t),
-            alpha=2.0,
-            c=None,
-            name="t^2 + t^4/4",
-        )
-
 
 class Profile1D:
     """Samples of a 1D profile on a uniform grid over [a, b], zero outside."""

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,7 +72,7 @@ def test_parse_nested_blocks_and_comments():
         """
     )
     assert root.str_("experiment") == "coarea"
-    assert root.floats("eps") == (0.4, 0.2)
+    assert root.float_("eps", n=None) == (0.4, 0.2)
     assert root.block("kernel").str_("family") == "ball"
     assert root.block("kernel").float_("radius") == 0.25
 
@@ -155,27 +154,31 @@ def test_config_rejects_negative_seed():
 # rate fitting
 
 
+def gap_rows(pairs):
+    """Report rows carrying only (key, abs_gap), the columns a fit reads."""
+    return [ReportRow(e, 0.0, 0.0, gap, 0.0) for e, gap in pairs]
+
+
 def test_fit_rate_linear_gaps_slope_one():
-    rows = [(e, 3.7 * e) for e in (0.4, 0.2, 0.1, 0.05)]
-    fit = fit_rate(rows)
+    fit = fit_rate(gap_rows((e, 3.7 * e) for e in (0.4, 0.2, 0.1, 0.05)))
     assert abs(fit.slope - 1.0) < 1e-10
     assert fit.band95 < 1e-9
     assert fit.points == 4
 
 
 def test_fit_rate_quadratic_gaps_slope_two():
-    rows = [(e, 0.9 * e * e) for e in (0.4, 0.2, 0.1)]
+    rows = gap_rows((e, 0.9 * e * e) for e in (0.4, 0.2, 0.1))
     assert abs(fit_rate(rows).slope - 2.0) < 1e-10
 
 
 def test_fit_rate_undefined_on_nonpositive_gap():
-    assert fit_rate([(0.4, 1.0), (0.2, 0.0), (0.1, 0.1)]) is None
-    assert fit_rate([(0.4, 1.0), (0.2, -0.5), (0.1, 0.1)]) is None
+    assert fit_rate(gap_rows([(0.4, 1.0), (0.2, 0.0), (0.1, 0.1)])) is None
+    assert fit_rate(gap_rows([(0.4, 1.0), (0.2, -0.5), (0.1, 0.1)])) is None
 
 
 def test_fit_rate_needs_three_rows():
     with pytest.raises(CliDomainError):
-        fit_rate([(0.4, 1.0), (0.2, 0.5)])
+        fit_rate(gap_rows([(0.4, 1.0), (0.2, 0.5)]))
 
 
 def test_fit_rate_accepts_full_report_rows():
@@ -185,7 +188,7 @@ def test_fit_rate_accepts_full_report_rows():
 
 def test_fit_rate_band_uses_student_t_quantile():
     # three points: one degree of freedom, t_{0.975} = 12.7062047361747
-    rows = [(0.4, 1.0), (0.2, 0.6), (0.1, 0.2)]
+    rows = gap_rows([(0.4, 1.0), (0.2, 0.6), (0.1, 0.2)])
     x = np.log([0.4, 0.2, 0.1])
     y = np.log([1.0, 0.6, 0.2])
     slope, intercept = np.polyfit(x, y, 1)
@@ -210,9 +213,9 @@ def test_t_quantile_matches_scipy_stdtrit():
     (-2.0, 1.99, False),
 ])
 def test_summary_marks_uninformative_rate(slope, band, marked):
-    report = cli.ExperimentReport("perimeter-limit", "eps", (),
+    report = cli.ExperimentReport("perimeter-limit", 0, "eps", (),
                                   cli.RateFit(slope, 0.0, band, 4), "", ())
-    lines = cli.summary_text(report, SimpleNamespace(seed=0)).splitlines()
+    lines = cli.summary_text(report).splitlines()
     rate = f"rate: slope={slope:.6g} band95={band:.4g} points=4"
     assert lines[3] == rate + (" uninformative" if marked else "")
 
@@ -476,6 +479,38 @@ def test_main_maps_library_domain_errors_to_exit_two(tmp_path, capsys, case):
     assert code == 2 and err.count("nlgeom: error:") == 1
 
 
+# a key the experiment never reads fails the run before any artifact is
+# written: (config, line, key description)
+UNREAD_CASES = {
+    "top-level-misspelled": (COAREA_CFG.replace("levels 16", "levles 16"), 3, "key 'levles'"),
+    "block-misspelled": (COAREA_CFG.replace("radius 0.25", "raduis 0.25"), 6,
+                         "key 'raduis' in block 'kernel'"),
+    "eps-not-swept": (COAREA_CFG + "eps 0.1\n", 13, "key 'eps'"),
+    "block-not-read": (COAREA_CFG + "flow {\n  T 1\n}\n", 13, "key 'flow'"),
+    "tolerance-not-checked": ("experiment sigma-derivatives\ndirections 4\ntolerance 0.1\n"
+                              + BALL, 3, "key 'tolerance'"),
+    "amplitude": ("experiment sigma-derivatives\ndirections 4\n"
+                  "kernel {\n  family ball\n  amplitude 2\n}\n", 5,
+                  "key 'amplitude' in block 'kernel'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_CASES))
+def test_unread_keys_fail_the_run_before_any_artifact(tmp_path, capsys, case):
+    text, line, where = UNREAD_CASES[case]
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err.count("nlgeom: error:") == 1
+    assert f"line {line}: {where} is not read by experiment" in err
+    assert not (tmp_path / "main_out").exists()
+
+
+def test_unsupported_words_name_their_line(tmp_path):
+    text = "experiment bbm-1d\neps 0.05\npotential {\n  family soft-quartic\n}\n"
+    with pytest.raises(ConfigValueError, match="line 4: key 'family' in block "
+                       "'potential' is 'soft-quartic'; expected 'quadratic'"):
+        run_text(tmp_path, text)
+
+
 def test_run_subcommand_has_no_list_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--list"])
@@ -585,7 +620,7 @@ def test_run_loads_only_its_layers(tmp_path, case):
     codes, loaded, scipy, futures = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(codes)
     assert set(loaded) == ALWAYS_LOADED | {f"nlgeom.{m}" for m in layers}
-    # scipy.integrate and scipy.special import concurrent.futures themselves
+    # scipy.integrate imports concurrent.futures itself
     assert scipy_ok or (scipy == [] and not futures)
     if case == "flow":
         rows = (tmp_path / "0" / "trajectory_nonlocal_eps0.2.csv").read_text().splitlines()

@@ -108,7 +108,7 @@ def test_evolve_input_guards(circle64):
 
 
 def test_stamp_guards(circle64, box64):
-    frac = kernels.fractional(d=2, s=0.25, radius=1.0)
+    frac = kernels.fractional(d=2, radius=1.0)
     dt = dt_bound(curvature_coefficient(frac), box64)
     with pytest.raises(FlowDomainError, match="4 grid cells"):
         one_step(circle64, frac, dt, eps=0.05)  # singular and under 4 cells

@@ -56,14 +56,6 @@ def test_untruncated_fractional_divergence_flags():
     assert math.isinf(kernels.hyperplane_second_moment(k))
 
 
-def test_gaussian_moments():
-    g = kernels.gaussian(2)
-    assert kernels.absolute_moment(g, 0.0).value == pytest.approx(math.pi, rel=1e-12)
-    # int exp(-r^2) r^2 dr over the plane: 2 pi * Gamma(3/2) / 2
-    want = math.pi * math.gamma(1.5)
-    assert kernels.absolute_moment(g, 1.0).value == pytest.approx(want, rel=1e-12)
-
-
 def test_triangular_window_mass():
     k = kernels.triangular_window()
     assert kernels.absolute_moment(k, 0.0).value == pytest.approx(1.0, rel=1e-12)
@@ -83,7 +75,7 @@ def test_rescale_pointwise_scaling():
     ke = kernels.rescale(k, 0.5)
     # eps^-d * K(z/eps) with eps an exact binary float
     assert kernels.evaluate(ke, np.array([0.25, 0.0])) == 4.0
-    assert ke.support_radius == 0.5
+    assert ke.effective_radius() == 0.5
     with pytest.raises(kernels.KernelDomainError):
         kernels.rescale(k, 0.0)
 
@@ -114,7 +106,7 @@ def test_zgrid_needs_truncation():
     (kernels.rescale(kernels.ball_indicator(2), 0.4), 2.2 / 288, None),
     (kernels.rescale(kernels.ball_indicator(2), 0.05), 2.2 / 288, None),
     (kernels.rescale(kernels.fractional(2, 0.5, 1.0), 0.2), 2.0 / 768, 256),
-    (kernels.gaussian(3, 0.3), 0.1, None),
+    (kernels.ball_indicator(3, 0.3), 0.1, None),
 ])
 def test_lattice_stencil_matches_row_binning(kernel, h, n_angular):
     # reference: the same snapping binned by rows with np.unique(axis=0)
@@ -166,7 +158,6 @@ def test_parabolic_mass_rejects_1d():
     [
         lambda: kernels.ball_indicator(2),
         lambda: kernels.fractional(2, 0.5, 1.0),
-        lambda: kernels.gaussian(2),
         lambda: kernels.annulus_indicator(2),
     ],
 )
@@ -181,7 +172,7 @@ def test_constructor_argument_checks():
     with pytest.raises(kernels.KernelDomainError):
         kernels.ball_indicator(2, radius=-1.0)
     with pytest.raises(kernels.KernelDomainError):
-        kernels.gaussian(4)
+        kernels.ball_indicator(4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -62,8 +62,6 @@ def test_potential_requires_vanishing_value_and_slope_at_zero():
 def test_potential_convexity_constant_is_checked():
     with pytest.raises(RateDomainError):
         Potential(f=lambda t: np.asarray(t) ** 2, d2f=lambda t: np.full_like(t, 2.0), alpha=3.0)
-    soft = Potential.soft_quartic()
-    assert soft.alpha == 2.0 and soft.c is None
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +303,11 @@ def test_regularity_flags_gradient_kink():
 def test_regularity_needs_bounded_curvature():
     box = Box.cube(1.0, 32)
     u = GridField(box, np.zeros(box.resolution), "phase")
+    # f'' = 2 + 3 t^2: strictly convex but with unbounded curvature
+    soft = Potential(f=lambda t: np.square(t) + 0.25 * np.asarray(t, dtype=float) ** 4,
+                     d2f=lambda t: 2.0 + 3.0 * np.square(t), alpha=2.0, c=None)
     with pytest.raises(RateDomainError):
-        regularity_criterion(u, G_BALL, Potential.soft_quartic(), [0.1])
+        regularity_criterion(u, G_BALL, soft, [0.1])
 
 
 # ---------------------------------------------------------------------------

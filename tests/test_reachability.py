@@ -2,9 +2,10 @@
 
 Library code that only the tests call is code the experiments do not need.
 The check is a name-based reachability pass over ``ast``.  It starts from
-every name ``cli.py`` mentions and from the module-level statements of the
-other modules, then follows every name and attribute that a reached
-function, class or method mentions.  Each method is a node of its own,
+``cli.main``, the ``nlgeom`` console-script entry point, and from the
+module-level statements of every module, ``cli`` included, then follows
+every name and attribute that a reached function, class or method
+mentions.  Each method is a node of its own,
 reached by its name, and so is each alias assignment ``name = other`` in a
 class body; a class brings along the rest of its body, bases, decorators
 and dunder methods, which Python calls without naming them.  Matching by
@@ -55,17 +56,13 @@ def _alias(node) -> bool:
             and not _dunder(node.targets[0].id))
 
 
-def unreached(sources: dict, entry: str = "cli") -> list:
+def unreached(sources: dict, roots=("main",)) -> list:
     """``module.name`` of each public top-level def, and ``module.Class.name``
     of each public method, that no reached code mentions."""
     defs = {}
-    todo = set()
+    todo = set(roots)
     for module, source in sources.items():
-        tree = ast.parse(source)
-        if module == entry:
-            todo |= _mentioned(tree)
-            continue
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, ast.ClassDef):
                 methods = [n for n in node.body
                            if isinstance(n, FUNCTIONS) and not _dunder(n.name)]
@@ -103,7 +100,12 @@ def unreached(sources: dict, entry: str = "cli") -> list:
 
 def test_checker_follows_names_from_the_entry_module():
     sources = {
-        "cli": "from . import lib\ndef main():\n    return lib.used()\n",
+        "cli": (
+            "from . import lib\n"
+            "def main():\n    return run()\n"
+            "def run():\n    return lib.used()\n"
+            "def unused_command():\n    return lib.only_tests()\n"
+        ),
         "lib": (
             "LIMIT = helper_const()\n"
             "def helper_const():\n    return 1\n"
@@ -121,7 +123,7 @@ def test_checker_follows_names_from_the_entry_module():
         ),
     }
     assert unreached(sources) == [
-        "lib.Shape.boundary", "lib.Shape.perimeter", "lib.only_tests", "lib.tests_helper",
+        "cli.unused_command", "lib.Shape.boundary", "lib.Shape.perimeter", "lib.only_tests", "lib.tests_helper",
     ]
 
 
