@@ -159,6 +159,7 @@ def test_parabolic_mass_rejects_1d():
         lambda: kernels.ball_indicator(2),
         lambda: kernels.fractional(2, 0.5, 1.0),
         lambda: kernels.annulus_indicator(2),
+        lambda: kernels.ball_indicator(3),
     ],
 )
 def test_validate_curvature_set(factory):
