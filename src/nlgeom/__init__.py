@@ -10,10 +10,8 @@ Imports follow what a run executes.  ``nlgeom.cli`` loads ``kernels`` and
 bodies that call them, ``energy`` imports ``anisotropy`` inside
 ``limit_tv``, and ``concurrent.futures`` is loaded only for more than one
 worker.  So ``nlgeom --list`` loads no layer beyond those two, and a run
-loads the layers its experiment calls.  The only scipy left is
-``integrate.quad`` in ``kernels._radial_moment``, for custom kernels (the
-effective-kernel experiment), imported inside that function.  The
-import-budget probe in
+loads the layers its experiment calls.  The package imports no scipy: its
+only runtime dependency is numpy.  The import-budget probe in
 ``tests/test_cli.py`` checks the module sets of ``--list`` and of one run
 per experiment family.
 

@@ -27,7 +27,7 @@ class AnisotropyDomainError(DomainError):
 
 
 # mean of |omega . e| over the unit sphere times its surface measure
-_ANGULAR_ABS = {1: 2.0, 2: 4.0, 3: 2.0 * math.pi}
+_ANGULAR_ABS = {2: 4.0, 3: 2.0 * math.pi}
 
 #: exponent of the competitors' amplitude decay along the eps schedule in
 #: ``halfspace_cell_experiment``; at 0 the amplitude stays fixed, so no

@@ -235,6 +235,7 @@ class ExperimentConfig:
             if any(b >= a for a, b in zip(eps, eps[1:])):
                 raise ConfigValueError("eps list must be strictly decreasing")
         seed = root.int_("seed", 0)
+        root.read.discard("seed")  # read by the experiments that draw with it
         if seed < 0:
             raise ConfigValueError("seed must be nonnegative")
         return cls(name, eps, seed, root.str_("output", "out"), root)
@@ -246,6 +247,11 @@ class ExperimentConfig:
                 f"experiment {self.experiment!r} needs an 'eps' list"
             )
         return self.eps
+
+    def rng_seed(self) -> int:
+        """The seed, for the experiments that draw random numbers."""
+        self.root.read.add("seed")
+        return self.seed
 
     def require_block(self, name: str) -> _Section:
         block = self.root.block(name)
@@ -609,7 +615,7 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
         g.float_("direction", (1.0, 0.0), n=2),
         cfg.require_eps(),
         n_competitors=cfg.root.count("competitors", 4),
-        seed=cfg.seed,
+        seed=cfg.rng_seed(),
         resolution=g.int_("resolution", 384),
     )
     rows = [_gap_row(e, v, rep.sigma_ref, rep.sigma_ref)
@@ -733,7 +739,7 @@ def _exp_submodularity(cfg: ExperimentConfig, workers: int):
     kern = _kernel_from(cfg.require_block("kernel"))
     grid = _box_from(cfg.root.block("geometry"), halfwidth=1.0, resolution=96)
     pairs = cfg.root.count("pairs", 100)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.rng_seed())
 
     rows, csv_rows = [], []
     failures = 0
@@ -838,11 +844,9 @@ def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
     block = cfg.require_block("kernel")
     dims = cfg.root.int_("dims", (2, 3), n=None)
     n_samples = cfg.root.count("samples", 1000)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.rng_seed())
     rows, csv_rows, checks = [], [], []
     for d in dims:
-        if d not in rate.EFFECTIVE_RADIUS_FACTOR:
-            raise ConfigValueError(f"effective kernel supports d in (2, 3), got {d}")
         G = _kernel_from(block, d_override=d)
         Gt = rate.effective_kernel(G)
         beta = rate.EFFECTIVE_RADIUS_FACTOR[d]
@@ -850,10 +854,11 @@ def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
         radii = rng.uniform(0.0, 0.99 * beta * r1, n_samples)
         min_val = float(np.min(Gt.profile_at(radii)))
         mass_in = float(kernels.absolute_moment(G, 0.0))
-        mass_out = float(kernels.absolute_moment(Gt, 0.0))
-        row = _gap_row(float(d), mass_out, mass_in, mass_in)
+        mass_out = kernels.absolute_moment(Gt, 0.0)
+        row = _gap_row(float(d), mass_out.value, mass_in, mass_in)
         rows.append(row)
-        csv_rows.append((d, n_samples, min_val, mass_in, mass_out, row.rel_gap))
+        csv_rows.append((d, n_samples, min_val, mass_in, mass_out.value, mass_out.err,
+                         row.rel_gap))
         checks.append(
             CheckLine(
                 f"effective kernel positive on its guaranteed ball (d={d})",
@@ -871,7 +876,7 @@ def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
     art = [
         CsvArtifact(
             "effective_kernel.csv",
-            ("d", "samples", "min_value", "mass_input", "mass_effective",
+            ("d", "samples", "min_value", "mass_input", "mass_effective", "mass_err",
              "rel_mass_gap"),
             tuple(csv_rows),
         )

@@ -13,6 +13,13 @@ combine the radial rule with angular rules chosen so that every node has its
 exact antipode on the grid; several callers pair nodes with their antipodes
 to cancel odd integrands exactly, so do not break this symmetry.
 
+Moments of the indicator and power-law families are closed forms.  A
+custom profile's moment ∫_0^∞ r^q K̄(r) dr uses the same log-Gauss rule
+from :meth:`Kernel.quadrature_rmin` to r1, split at the breakpoints, plus
+one Gauss-Legendre panel on [0, rmin], at orders 8 and 16.  The order-16
+sum is the value; its ``Moment.err`` is the change from order 8 plus the
+roundoff bound n u Σ|term| of the n-term sum (u the unit roundoff).
+
 Divergent moments are detected analytically from the family's origin and
 tail exponents and reported with an explicit ``finite=False`` flag rather
 than a sentinel number.
@@ -37,13 +44,14 @@ FAMILIES = (
     "custom-radial-profile",
 )
 
-#: surface measure of the unit sphere S^{d-1} for d = 1, 2, 3
-SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+#: surface measure of the unit sphere S^{d-1} for d = 2, 3
+SPHERE_SURFACE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _DEF_GL_ORDER = 8
 _DEF_PANELS_PER_DECADE = 3
-_DEF_ANGULAR = {1: 2, 2: 64, 3: (16, 32)}  # d=3: (polar GL, azimuth trapezoid)
+_DEF_ANGULAR = {2: 64, 3: (16, 32)}  # d=3: (polar GL, azimuth trapezoid)
 _RMIN_FACTOR = 1e-6
+_CUSTOM_ORDERS = (8, 16)  # Gauss orders of a custom moment: (check, value)
 
 
 class KernelDomainError(DomainError):
@@ -68,7 +76,7 @@ class Kernel:
     family:
         One of :data:`FAMILIES`.
     d:
-        Ambient dimension, 1, 2 or 3.
+        Ambient dimension, 2 or 3.
     sigma:
         Origin singularity exponent: profile ~ r**(-d-sigma) near 0.
         Zero for bounded families.
@@ -77,7 +85,7 @@ class Kernel:
     r0, r1:
         Inner/outer cutoff radii of the unit-scale profile.  ``r1`` may be
         ``math.inf`` for the untruncated power law (useful to exercise the
-        divergence flags).
+        divergence flags).  A custom profile's ``r0`` marks a kink.
     scale:
         Concentration scale; see above.
     profile:
@@ -99,8 +107,8 @@ class Kernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise KernelDomainError(f"unknown kernel family {self.family!r}")
-        if self.d not in (1, 2, 3):
-            raise KernelDomainError("dimension must be 1, 2 or 3")
+        if self.d not in (2, 3):
+            raise KernelDomainError(f"dimension must be 2 or 3, got {self.d}")
         if not 0.0 <= self.sigma < 1.0:
             raise KernelDomainError("origin exponent must lie in [0, 1)")
         if self.s <= 0.0:
@@ -127,10 +135,6 @@ class Kernel:
             "custom-radial-profile",
         ) and self.r0 == 0.0
 
-    @property
-    def compact_support(self) -> bool:
-        return math.isfinite(self.r1)
-
     def effective_radius(self) -> float:
         """Radius beyond which K vanishes identically: inf for the
         untruncated power law, which callers must truncate."""
@@ -139,9 +143,9 @@ class Kernel:
     def breakpoints(self) -> list[float]:
         """Radii where the radial profile is not smooth (scaled units)."""
         pts = []
-        if self.family == "annulus-indicator" and self.r0 > 0.0:
+        if self.r0 > 0.0:
             pts.append(self.r0 * self.scale)
-        if self.compact_support:
+        if math.isfinite(self.r1):
             pts.append(self.r1 * self.scale)
         return pts
 
@@ -227,18 +231,16 @@ def custom_radial(
     d: int,
     r_max: float,
     sigma: float = 0.0,
+    r0: float = 0.0,
 ) -> Kernel:
     """Custom radial profile truncated at ``r_max``.
 
     The profile is taken as 0 beyond ``r_max``.  ``sigma`` declares the
-    origin exponent when the profile is singular.
+    origin exponent when the profile is singular, and ``r0 > 0`` a radius
+    where the profile has a kink, which quadrature rules split at.
     """
-    return Kernel("custom-radial-profile", d, sigma=sigma, r1=r_max, profile=profile)
-
-
-def triangular_window() -> Kernel:
-    """1D triangle (1 - |r|)+ — the averaging window of the rate bounds."""
-    return custom_radial(lambda r: np.clip(1.0 - r, 0.0, None), d=1, r_max=1.0)
+    return Kernel("custom-radial-profile", d, sigma=sigma, r0=r0, r1=r_max,
+                  profile=profile)
 
 
 # --------------------------------------------------------------------------
@@ -304,12 +306,10 @@ def angular_rule(d: int, n_angular=None) -> tuple[np.ndarray, np.ndarray]:
 
     The second half of the grid is the exact floating-point negation of the
     first half (node i + n/2 is -node i), so odd integrands cancel to the
-    last bit when accumulated in antipodal pairs.  d=1 uses {+1, -1}; d=2 a
-    midpoint trapezoid rule in angle; d=3 a Gauss-Legendre x trapezoid
-    product rule on the sphere.
+    last bit when accumulated in antipodal pairs.  d=2 uses a midpoint
+    trapezoid rule in angle, d=3 a Gauss-Legendre x trapezoid product rule
+    on the sphere.
     """
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if d == 2:
         n = n_angular if n_angular is not None else _DEF_ANGULAR[2]
         n += n % 2
@@ -452,16 +452,18 @@ def _radial_moment(kernel: Kernel, q: float) -> Moment:
         # reaching here means both endpoints converge, so r1 is finite
         val = k.r1 ** (a + 1) / (a + 1)
         return Moment(pref * val, True, abs(pref * val) * 1e-15)
-    # custom: adaptive quadrature on [0, r1]; QAGS absorbs endpoint power laws
-    from scipy import integrate
-
-    val, err = integrate.quad(
-        lambda r: float(k._base(np.array([r]))[0]) * r**q,
-        0.0,
-        k.r1,
-        limit=200,
-    )
-    return Moment(pref * val, True, pref * err)
+    # custom: the scaled profile on the radial rule from rmin plus one Gauss
+    # panel on [0, rmin], at each order (see the module docstring)
+    r_lo = k.quadrature_rmin()
+    sums = []
+    for order in _CUSTOM_ORDERS:
+        rs, ws = radial_rule(k, r_lo, k.effective_radius(), order=order)
+        x, w = _leggauss(order)
+        rs = np.concatenate([0.5 * r_lo * (x + 1.0), rs])
+        terms = np.concatenate([0.5 * r_lo * w, ws]) * rs**q * k.profile_at(rs)
+        sums.append(float(np.sum(terms)))
+    roundoff = len(terms) * np.finfo(float).eps * float(np.sum(np.abs(terms)))
+    return Moment(sums[-1], True, abs(sums[-1] - sums[0]) + roundoff)
 
 
 def absolute_moment(kernel: Kernel, power: float) -> Moment:
@@ -523,29 +525,19 @@ def hyperplane_second_moment(kernel: Kernel) -> float:
     """
     k = kernel
     d = k.d
-    if d == 1:
-        return 0.0  # the orthogonal "hyperplane" is the single point 0
     if not math.isfinite(k.r1):
         # integrand ~ r^{-sigma} at infinity: diverges for every sigma < 1
         return math.inf
     r_lo = k.quadrature_rmin()
-    r_hi = k.effective_radius()
-    rs, ws = radial_rule(k, r_lo, r_hi, 4.0)
-    vals = k.profile_at(rs)
-    if d == 2:
-        # line integral: two rays along the unit normal of e
-        radial = float(np.sum(ws * vals * rs**2)) + _origin_remainder(k, 2.0, r_lo)
-        return 2.0 * radial
-    # d == 3: polar rule on the plane
-    radial = float(np.sum(ws * vals * rs**3)) + _origin_remainder(k, 3.0, r_lo)
-    return 2.0 * math.pi * radial
+    rs, ws = radial_rule(k, r_lo, k.effective_radius(), 4.0)
+    radial = float(np.sum(ws * k.profile_at(rs) * rs**d)) + _origin_remainder(k, d, r_lo)
+    # times the unit sphere of e⊥: two rays (d = 2) or a circle (d = 3)
+    return (2.0 if d == 2 else 2.0 * math.pi) * radial
 
 
 def hyperplane_moment_matrix(kernel: Kernel, e) -> np.ndarray:
     """Second-moment matrix ∫_{e⊥} K(z) z⊗z dH^{d-1}(z) (d x d, PSD, M e = 0)."""
     d = kernel.d
-    if d == 1:
-        return np.zeros((1, 1))
     basis = hyperplane_basis(d, np.asarray(e, dtype=float))
     coef = hyperplane_second_moment(kernel)
     if d == 2:
@@ -568,8 +560,6 @@ def parabolic_mass(kernel: Kernel, lam: float, rho_max: float | None = None) -> 
         return 0.0
     k = kernel
     d = k.d
-    if d == 1:
-        raise KernelDomainError("parabolic regions need d >= 2")
     r_eff = k.effective_radius()
     if not math.isfinite(r_eff):
         raise KernelDomainError(
@@ -641,8 +631,6 @@ def validate(kernel: Kernel) -> AssumptionReport:
             "r * ∫_{|z|>r} K must decay as r -> 0",
         )
     )
-    if k.d == 1:
-        return AssumptionReport(tuple(out))
     kappa = hyperplane_second_moment(k)
     # 2) parabolic slab masses finite for each sampled opening
     lam_grid = [0.25, 1.0, 4.0]

@@ -275,13 +275,12 @@ def e1d_lower_bound(u: Profile1D, f: Potential, eps: float) -> float:
         raise RateDomainError("lower bound needs a potential with alpha > 0")
     if eps <= 0:
         raise RateDomainError("window width must be positive")
-    window = kernels.rescale(kernels.triangular_window(), eps)
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     r_half = 0.5 * eps * (gl_x + 1.0)          # nodes in (0, eps)
     w_half = 0.5 * eps * gl_w
     r_nodes = np.concatenate([-r_half[::-1], r_half])
     r_w = np.concatenate([w_half[::-1], w_half])
-    h_vals = kernels.evaluate(window, r_nodes[:, None])
+    h_vals = eps ** -1 * np.clip(1.0 - np.abs(r_nodes) / eps, 0.0, None)
 
     a, b = u.interval
     dy = eps / 16.0
@@ -709,7 +708,7 @@ def effective_kernel(G: Kernel) -> Kernel:
             out[ok] = np.sum(wq * vals, axis=1)
         return out if out.shape else float(out)
 
-    return kernels.custom_radial(profile, d=d, r_max=r1, sigma=0.0)
+    return kernels.custom_radial(profile, d=d, r_max=r1, r0=r0)
 
 
 # ---------------------------------------------------------------------------

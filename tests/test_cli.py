@@ -486,6 +486,7 @@ UNREAD_CASES = {
     "block-misspelled": (COAREA_CFG.replace("radius 0.25", "raduis 0.25"), 6,
                          "key 'raduis' in block 'kernel'"),
     "eps-not-swept": (COAREA_CFG + "eps 0.1\n", 13, "key 'eps'"),
+    "seed-not-drawn": (COAREA_CFG + "seed 5\n", 13, "key 'seed'"),
     "block-not-read": (COAREA_CFG + "flow {\n  T 1\n}\n", 13, "key 'flow'"),
     "tolerance-not-checked": ("experiment sigma-derivatives\ndirections 4\ntolerance 0.1\n"
                               + BALL, 3, "key 'tolerance'"),
@@ -578,39 +579,39 @@ curvature.hk_graph(Ball((0.0, 0.0), 0.5), (0.5, 0.0), kernel)
 """
 
 # case: (configs, library calls after the runs, layers beyond the
-# always-loaded set, scipy allowed)
+# always-loaded set)
 BUDGET_CASES = {
     "energy-anisotropy": ((
         "experiment perimeter-limit\neps 0.4 0.2\n" + BALL
         + "geometry {\n  radius 0.5\n  resolution 48\n}\n",
         "experiment halfspace-cell\neps 0.4 0.2\ncompetitors 1\n" + BALL
         + "geometry {\n  resolution 64\n}\n",
-    ), "", {"energy", "anisotropy"}, False),
+    ), "", {"energy", "anisotropy"}),
     "energy": ((
         COAREA_CFG,
         "experiment submodularity\npairs 2\n" + BALL + "geometry {\n  resolution 32\n}\n",
-    ), "", {"energy"}, False),
+    ), "", {"energy"}),
     "anisotropy": (("experiment sigma-derivatives\ndirections 4\n" + BALL,), "",
-                   {"anisotropy"}, False),
+                   {"anisotropy"}),
     "flow": ((
         "experiment flow-compare\neps 0.2\n" + BALL + FLOW_STEPS,
         "experiment flow-monitors\neps 0.2\n" + BALL + FLOW_STEPS,
-    ), "", {"flow"}, False),
+    ), "", {"flow"}),
     "rate": ((
         "experiment bbm-1d\neps 0.1 0.03 0.01\n",
         "experiment bbm-slice\neps 0.4\n" + BALL + "geometry {\n  resolution 24\n}\n",
         "experiment regularity\neps 0.4 0.2\nangular 8\n" + BALL
         + "geometry {\n  resolution 24\n}\n",
-    ), RATE_LIMIT_CALL, {"rate"}, False),
+    ), RATE_LIMIT_CALL, {"rate"}),
     "effective-kernel": (("experiment effective-kernel\nsamples 10\n" + BALL,), "",
-                         {"rate"}, True),
-    "curvature": ((CURVATURE_CFG,), HK_GRAPH_CALL, {"curvature"}, False),
+                         {"rate"}),
+    "curvature": ((CURVATURE_CFG,), HK_GRAPH_CALL, {"curvature"}),
 }
 
 
 @pytest.mark.parametrize("case", list(BUDGET_CASES))
 def test_run_loads_only_its_layers(tmp_path, case):
-    texts, extra, layers, scipy_ok = BUDGET_CASES[case]
+    texts, extra, layers = BUDGET_CASES[case]
     cfgs = []
     for i, text in enumerate(texts):
         cfgs.append(tmp_path / f"{i}.cfg")
@@ -620,8 +621,7 @@ def test_run_loads_only_its_layers(tmp_path, case):
     codes, loaded, scipy, futures = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(codes)
     assert set(loaded) == ALWAYS_LOADED | {f"nlgeom.{m}" for m in layers}
-    # scipy.integrate imports concurrent.futures itself
-    assert scipy_ok or (scipy == [] and not futures)
+    assert scipy == [] and not futures
     if case == "flow":
         rows = (tmp_path / "0" / "trajectory_nonlocal_eps0.2.csv").read_text().splitlines()
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 0.001, 0.002]
