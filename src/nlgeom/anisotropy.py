@@ -110,7 +110,6 @@ class CellReport:
     halfspace_values: tuple   # (omega_1 * eps)^{-1} J1(H; B) per eps
     sigma_ref: float
     competitors: tuple
-    resolution: int
 
     @property
     def halfspace_final(self) -> float:
@@ -227,5 +226,4 @@ def halfspace_cell_experiment(
         halfspace_values=tuple(hs_vals),
         sigma_ref=aniso.value(p_hat),
         competitors=tuple(competitors),
-        resolution=resolution,
     )

@@ -56,24 +56,18 @@ class EnergyDomainError(DomainError):
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Interior term, cross term, their sum, and bookkeeping.
-
-    ``finite`` is the infinity flag; when False, ``note`` records which
-    sub-term diverged and why.
-    """
+    """Interior term, cross term, their sum and its error estimate."""
 
     j1: float
     j2: float
     err: float = 0.0
-    finite: bool = True
-    note: str = ""
 
     @property
     def total(self) -> float:
         return self.j1 + self.j2
 
     def __post_init__(self):
-        if self.finite and (self.j1 < 0.0 or self.j2 < 0.0):
+        if self.j1 < 0.0 or self.j2 < 0.0:
             raise EnergyDomainError("energy terms must be nonnegative")
 
 

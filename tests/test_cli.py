@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgeom import cli
+from nlgeom import cli, flow, kernels
 from nlgeom.anisotropy import AnisotropyDomainError
 from nlgeom.curvature import CurvatureDomainError
 from nlgeom.energy import EnergyDomainError
@@ -118,14 +118,14 @@ def test_typed_getters_cite_line_numbers():
 
 def test_config_rejects_empty_eps_list():
     with pytest.raises(ConfigValueError, match="empty"):
-        ExperimentConfig.from_text("experiment coarea\neps\n")
+        ExperimentConfig.from_text("experiment bbm-1d\neps\n")
 
 
 def test_config_rejects_unsorted_or_negative_eps():
     with pytest.raises(ConfigValueError, match="decreasing"):
-        ExperimentConfig.from_text("experiment coarea\neps 0.1 0.2\n")
+        ExperimentConfig.from_text("experiment bbm-1d\neps 0.1 0.2\n")
     with pytest.raises(ConfigValueError, match="positive"):
-        ExperimentConfig.from_text("experiment coarea\neps 0.1 -0.2\n")
+        ExperimentConfig.from_text("experiment bbm-1d\neps 0.1 -0.2\n")
 
 
 def test_config_rejects_unknown_experiment():
@@ -147,7 +147,16 @@ def test_config_requires_eps_where_swept(tmp_path):
 
 def test_config_rejects_negative_seed():
     with pytest.raises(ConfigValueError, match="seed"):
-        ExperimentConfig.from_text("experiment coarea\nseed -3\n")
+        ExperimentConfig.from_text("experiment submodularity\nseed -3\n")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_are_read_whole_before_any_numerics(path):
+    # the cheap total check: each body stops at its bare yield, before any
+    # numerics, having read every key of its config
+    cfg = ExperimentConfig.from_text(path.read_text(encoding="utf-8"))
+    assert next(cli.EXPERIMENTS[cfg.experiment].body(cfg, 1)) is None
+    assert list(cfg.root.unread()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +266,17 @@ def test_perimeter_preset_four_rows_and_rate(tmp_path):
     rows = (out / "perimeter_limit.csv").read_text().splitlines()
     assert rows[0] == "eps,J1,J2,total,limit_value,abs_gap,rel_gap"
     assert len(rows) == 5
+
+
+def test_effective_kernel_mass_check_fails_on_a_1e9_mass_error(tmp_path, monkeypatch):
+    # the mass rules miss at most ~1e-13 relative, so a profile scaled by
+    # 1 + 1e-9 must fail the check
+    radial = kernels.custom_radial
+    monkeypatch.setattr(kernels, "custom_radial", lambda profile, **kw: radial(
+        lambda r: (1.0 + 1e-9) * profile(r), **kw))
+    report, _ = cli.run(CONFIG_DIR / "effective-kernel.cfg", tmp_path / "out")
+    assert [c.passed for c in report.checks] == [True, False, True, False]
+    assert "averaging preserves the kernel mass" in report.checks[1].label
 
 
 def test_same_seed_reruns_are_byte_identical(tmp_path):
@@ -479,8 +499,8 @@ def test_main_maps_library_domain_errors_to_exit_two(tmp_path, capsys, case):
     assert code == 2 and err.count("nlgeom: error:") == 1
 
 
-# a key the experiment never reads fails the run before any artifact is
-# written: (config, line, key description)
+# a key the experiment never reads fails the run before any numerics and
+# any artifact: (config, line, key description)
 UNREAD_CASES = {
     "top-level-misspelled": (COAREA_CFG.replace("levels 16", "levles 16"), 3, "key 'levles'"),
     "block-misspelled": (COAREA_CFG.replace("radius 0.25", "raduis 0.25"), 6,
@@ -493,11 +513,20 @@ UNREAD_CASES = {
     "amplitude": ("experiment sigma-derivatives\ndirections 4\n"
                   "kernel {\n  family ball\n  amplitude 2\n}\n", 5,
                   "key 'amplitude' in block 'kernel'"),
+    "flow-misspelled": ((CONFIG_DIR / "flow-compare.cfg").read_text(encoding="utf-8")
+                        .replace("  stop_fraction 0.3\n",
+                                 "  stop_fraction 0.3\n  stop_fracton 0.5\n"), 20,
+                        "key 'stop_fracton' in block 'flow'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREAD_CASES))
-def test_unread_keys_fail_the_run_before_any_artifact(tmp_path, capsys, case):
+def test_unread_keys_fail_the_run_before_any_artifact(tmp_path, capsys, monkeypatch, case):
+    # the check comes before any numerics: no case may reach a flow evolution
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("flow.evolve ran before the unread-key check")
+
+    monkeypatch.setattr(flow, "evolve", no_evolution)
     text, line, where = UNREAD_CASES[case]
     code, err = _main_exit_and_stderr(tmp_path, capsys, text)
     assert code == 2 and err.count("nlgeom: error:") == 1
