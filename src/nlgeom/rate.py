@@ -230,7 +230,7 @@ def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.
         inside = np.flatnonzero((xs >= a) & (xs <= b))
         u_x[:, :inside[0]] = 0.0
         u_x[:, inside[-1] + 1:] = 0.0
-        integrand = f.f(u_x) - f.f(slope)
+        integrand = np.subtract(f.f(u_x), f.f(slope), out=term)
         out[j] = _simpson(integrand, dx) / (eps * eps)
     return out
 
@@ -331,7 +331,9 @@ def _bspline_taps(t: float) -> np.ndarray:
 # The cubic B-spline's pole sqrt(3) - 2, spelled as scipy's spline filter
 # spells it: math.sqrt(3) - 2 is one ulp away and changes the coefficients.
 _POLE = -0.267949192431122706472553658494127633
-# points per block of the per-point stencil, so its operands stay in cache
+# most points per block of the per-point stencil, so its operands stay in
+# cache; a call splits into equal blocks, so one block of slice-assembly
+# lines (16 x 1045 points) runs as two halves, not 16384 plus 336
 _POINT_BLOCK = 1 << 14
 
 
@@ -386,9 +388,11 @@ class _SplineSampler:
     B-spline filter (``fields.shift_taps``) over the block of coefficients
     the lattice covers.  Calling the sampler evaluates it at arbitrary
     points, each through its own 4^d-tap stencil; only the rotated line
-    samples of ``slicing_check`` need that.  Queries must stay inside the
-    pad, clear of the stencil edge; both paths raise ``RateDomainError``
-    otherwise.
+    samples of ``slicing_check`` need that.  A call works through its
+    points in blocks of at most ``_POINT_BLOCK``, so its working set is
+    bounded whatever the batch; the tap offsets are built once, here.
+    Queries must stay inside the pad, clear of the stencil edge; both
+    paths raise ``RateDomainError`` otherwise.
     """
 
     def __init__(self, u: GridField, pads: Sequence[int], **pad_mode):
@@ -399,6 +403,13 @@ class _SplineSampler:
         self._h = h
         self._resolution = np.asarray(u.box.resolution)
         self._pads = np.asarray(pads)
+        # the per-point stencil: flat offset of each of the 4^d taps, last axis fastest
+        dims = self._coeffs.shape
+        self._strides = np.array([math.prod(dims[axis + 1:]) for axis in range(len(dims))])
+        self._stencil = list(itertools.product(range(4), repeat=len(dims)))
+        self._offsets = [int(np.dot(k, self._strides)) for k in self._stencil]
+        # tap weights and term buffer of one point block, kept across calls
+        self._scratch = None
 
     @classmethod
     def constant(cls, u: GridField, margin: float) -> "_SplineSampler":
@@ -414,35 +425,50 @@ class _SplineSampler:
         the tap weights are z^3/6, (3 y^2 (y - 2) + 4)/6, (3 z^2 (z - 2) +
         4)/6 and one minus those, the stencil starts at floor(x) - 1, and
         the terms (c w_0) w_1 ... are summed with the last axis fastest.
+
+        The points run in equal blocks of at most ``_POINT_BLOCK``, each
+        with its own coordinates, bounds check and tap weights (contiguous
+        per axis and tap), so the working set beyond ``pts`` and the result
+        is a few arrays of one block.  Each tap is one gather from the
+        coefficients shifted by its offset into the term buffer.  The
+        weight and term buffers outlive the call, so a sampler serves one
+        thread at a time.
         """
         pts = np.asarray(pts, dtype=float)
-        coords = ((pts - self._origin) / self._h - 0.5).reshape(-1, pts.shape[-1])
-        whole = np.floor(coords)
-        lo = whole.astype(np.intp) - 1
-        if np.any(lo < 0) or np.any(lo + 4 > self._coeffs.shape):
-            raise RateDomainError("a query's stencil reaches past the padded coefficients")
+        flat_pts = pts.reshape(-1, pts.shape[-1])
+        n = len(flat_pts)
+        blocks = max(1, -(-n // _POINT_BLOCK))
+        size = max(1, -(-n // blocks))  # equal blocks, the last one at most as long
         dims = self._coeffs.shape
-        strides = np.array([math.prod(dims[axis + 1:]) for axis in range(len(dims))])
-        stencil = list(itertools.product(range(4), repeat=len(dims)))
-        offsets = [int(np.dot(k, strides)) for k in stencil]
         flat = self._coeffs.ravel()
-        out = np.empty(len(coords))
-        for s in range(0, len(coords), _POINT_BLOCK):
-            y = coords[s:s + _POINT_BLOCK] - whole[s:s + _POINT_BLOCK]
+        out = np.empty(n)
+        if self._scratch is None or len(self._scratch[1]) < size:
+            self._scratch = (np.empty((len(dims), 4, size)), np.empty(size))
+        w, term_buf = self._scratch
+        for s in range(0, n, size):
+            coords = (flat_pts[s:s + size] - self._origin) / self._h - 0.5
+            whole = np.floor(coords)
+            lo = whole.astype(np.intp) - 1
+            if np.any(lo < 0) or np.any(lo + 4 > dims):
+                raise RateDomainError("a query's stencil reaches past the padded coefficients")
+            start = lo @ self._strides
+            m = len(start)
+            y = (coords - whole).T
             z = 1.0 - y
-            w = np.empty((4,) + y.shape)
-            w[0] = z * z * z / 6.0
-            w[1] = (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0
-            w[2] = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
-            w[3] = 1.0 - w[0] - w[1] - w[2]
-            start = lo[s:s + _POINT_BLOCK] @ strides
-            acc = np.zeros(len(y))
-            for taps, off in zip(stencil, offsets):
-                term = np.take(flat, start + off)
+            wb = w[:, :, :m]
+            wb[:, 0] = z * z * z / 6.0
+            wb[:, 1] = (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0
+            wb[:, 2] = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+            wb[:, 3] = 1.0 - wb[:, 0] - wb[:, 1] - wb[:, 2]
+            term = term_buf[:m]
+            acc = out[s:s + m]
+            acc.fill(0.0)
+            for taps, off in zip(self._stencil, self._offsets):
+                # in range by the check above; "clip" writes to ``out`` unbuffered
+                flat[off:].take(start, out=term, mode="clip")
                 for axis, k in enumerate(taps):
-                    term *= w[k, :, axis]
+                    term *= wb[axis, k]
                 acc += term
-            out[s:s + _POINT_BLOCK] = acc
         return out.reshape(pts.shape[:-1])
 
     def centers(self, margin: float) -> tuple[tuple, np.ndarray]:
@@ -586,7 +612,8 @@ def rate_limit_ddim(u: GridField, G: Kernel, f: Potential) -> float:
     return second_moment * acc / 24.0
 
 
-# lines per ``_e1d_rows`` call in the slice assembly, so its buffers stay in cache
+# lines per block of the slice assembly (sampler calls and ``_e1d_rows``),
+# so its buffers stay in cache
 _ROW_BLOCK = 16
 
 
@@ -614,6 +641,14 @@ def slicing_check(
     side extracts 1D profiles of the directional derivative along lines,
     feeds them through the 1D rate energy at width eps*|z|, and recombines
     with weight G(z)|z|^2.
+
+    The lines of a direction stream in blocks of ``_ROW_BLOCK``: each
+    block's points, its two probe samplings and its 1D energies are built
+    and dropped before the next, and only the (radius, line) table of
+    energies outlives a block.  Every line is evaluated on its own and the
+    table is summed per radius once it is full, so the result does not
+    depend on the block sizes, and the working set is a few MB whatever
+    the number of lines.
     """
     if u.d != 2:
         raise RateDomainError("the slice assembly cross-check runs in d=2")
@@ -648,25 +683,27 @@ def slicing_check(
         direct += w_ang * float(np.sum(radial_w * per_radius)) * cell
     direct /= eps * eps
 
-    # slice assembly: one batch of lines per direction, reused for all radii
+    # slice assembly: per direction, blocks of lines stream through the
+    # sampler and the 1D energies; only their (radius, line) table is kept
     assembled = 0.0
     half = len(dirs) // 2
     dt = eps * rs.min() / 8.0
-    for d_hat, w_ang in zip(dirs[:half], wa[:half]):
+    xi = np.arange(-half_diag, half_diag + h, h)
+    t_lo = -(half_diag + eps * r_eff)
+    t = np.arange(t_lo, -t_lo + dt, dt)
+    energies = np.empty((len(rs), len(xi)))
+
+    def slopes(d_hat, offsets):
+        """Probed derivative along d_hat on the lines at these offsets."""
         perp = np.array([-d_hat[1], d_hat[0]])
-        xi = np.arange(-half_diag, half_diag + h, h)
-        t_lo = -(half_diag + eps * r_eff)
-        t = np.arange(t_lo, -t_lo + dt, dt)
-        line_pts = (
-            center[None, None, :]
-            + xi[:, None, None] * perp[None, None, :]
-            + t[None, :, None] * d_hat[None, None, :]
-        )
-        v = (spl(line_pts + delta * d_hat) - spl(line_pts - delta * d_hat)) / (2.0 * delta)
-        energies = np.concatenate([
-            _e1d_rows(v[i:i + _ROW_BLOCK], t_lo, dt, f, eps * rs)
-            for i in range(0, len(v), _ROW_BLOCK)
-        ], axis=1)
+        pts = center + offsets[:, None, None] * perp + t[:, None] * d_hat
+        probe = delta * d_hat
+        return (spl(pts + probe) - spl(pts - probe)) / (2.0 * delta)
+
+    for d_hat, w_ang in zip(dirs[:half], wa[:half]):
+        for i in range(0, len(xi), _ROW_BLOCK):
+            v = slopes(d_hat, xi[i:i + _ROW_BLOCK])
+            energies[:, i:i + _ROW_BLOCK] = _e1d_rows(v, t_lo, dt, f, eps * rs)
         for r, wr, e_r in zip(rs, radial_w, energies):
             assembled += wr * (2.0 * w_ang) * (r * r) * float(np.sum(e_r)) * h
     return SlicingReport(eps, direct, assembled)

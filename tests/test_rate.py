@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def radial_bump(box):
 @pytest.fixture(scope="module")
 def bump64():
     return radial_bump(Box.cube(1.1, 64))
+
+
+@pytest.fixture(scope="module")
+def bump_slice(bump64):
+    return slicing_check(bump64, G_BALL, QUAD, 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -221,10 +227,40 @@ def test_rate_limit_matches_closed_form(bump64):
     assert val == pytest.approx(math.pi**2 / 3.0, rel=0.04)
 
 
-def test_slicing_assembly_matches_direct(bump64):
-    rep = slicing_check(bump64, G_BALL, QUAD, 0.1)
+def test_slicing_assembly_matches_direct(bump_slice):
+    rep = bump_slice
     assert rep.direct > 0 and rep.assembled > 0
     assert rep.rel_gap < 0.01
+
+
+@pytest.mark.parametrize("name, size", [
+    ("_ROW_BLOCK", 1), ("_ROW_BLOCK", 5), ("_ROW_BLOCK", 200),
+    ("_POINT_BLOCK", 1000), ("_POINT_BLOCK", 1 << 20),
+])
+def test_slicing_check_bits_do_not_depend_on_block_sizes(bump64, bump_slice, monkeypatch,
+                                                         name, size):
+    # the assembly streams lines and points in blocks; no sum may cross one
+    monkeypatch.setattr(rate, name, size)
+    rep = slicing_check(bump64, G_BALL, QUAD, 0.1)
+    assert rep.direct == bump_slice.direct
+    assert rep.assembled == bump_slice.assembled
+
+
+def test_slicing_check_working_set_stays_below_6_mb(bump64):
+    # one block of lines at a time: about 4.7 MB traced, against 13.8 MB
+    # when every line of a direction was sampled at once
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        slicing_check(bump64, G_BALL, QUAD, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_slicing_requires_2d():
@@ -413,8 +449,8 @@ def test_bump_rates_match_per_point_values(bump_sweep):
     assert limit == pytest.approx(BUMP_LIMIT, rel=1e-9)
 
 
-def test_bump_slicing_matches_per_point_values(bump64):
-    rep = slicing_check(bump64, G_BALL, QUAD, 0.1)
+def test_bump_slicing_matches_per_point_values(bump_slice):
+    rep = bump_slice
     assert rep.direct == pytest.approx(BUMP_SLICE[0], rel=1e-9)
     assert rep.assembled == pytest.approx(BUMP_SLICE[1], rel=1e-12)
 
@@ -461,7 +497,10 @@ def test_spline_sampler_matches_map_coordinates_bitwise():
     pts = (coords + 0.5) * spl._h + spl._origin
     ref = ndimage.map_coordinates(spl._coeffs, ((pts - spl._origin) / spl._h - 0.5).T,
                                   order=3, prefilter=False, mode="nearest")
-    assert np.array_equal(spl(pts), ref)
+    # one point, one full block, a block and one point, and one block of
+    # slicing_check's lines (16 x 1045), besides the whole batch
+    for count in (1, 16384, 16385, 16720, 20000):
+        assert np.array_equal(spl(pts[-count:]), ref[-count:])
     assert spl(pts.reshape(100, 200, 2)).shape == (100, 200)
 
 
