@@ -7,7 +7,8 @@ For a kernel K with finite first moment the direction-dependent weight
 is a norm; its gradient is the half-space first moment of K and its Hessian
 is the hyperplane second-moment matrix scaled by 1/|p|.  Every built-in
 kernel family is radial, so the radial-angular factorization gives
-sigma(p) = c |p| with one coefficient c, computed once per kernel.
+sigma(p) = c |p| with one coefficient c, computed once per kernel.  The
+directions p are planar, so the kernel must be too.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class AnisotropyDomainError(DomainError):
     pass
 
 
-# mean of |omega . e| over the unit sphere times its surface measure
-_ANGULAR_ABS = {2: 4.0, 3: 2.0 * math.pi}
+# mean of |omega . e| over the unit circle times its length
+_ANGULAR_ABS = 4.0
 
 #: exponent of the competitors' amplitude decay along the eps schedule in
 #: ``halfspace_cell_experiment``; at 0 the amplitude stays fixed, so no
@@ -37,13 +38,14 @@ COMPETITOR_SHRINK = 1.0
 
 @dataclass(frozen=True)
 class Anisotropy:
-    """sigma_K(p) = coef * |p| for a radial kernel K."""
+    """sigma_K(p) = coef * |p| for a planar radial kernel K."""
 
     kernel: Kernel
     coef: float = field(init=False)
 
     def __post_init__(self):
         k = self.kernel
+        kernels.require_planar(k)
         first = kernels.absolute_moment(k, 1.0)
         if not first.finite:
             raise AnisotropyDomainError(
@@ -51,12 +53,8 @@ class Anisotropy:
             )
         # radial-angular factorization: one radial moment serves every
         # direction (all supported families are radial)
-        coef = 0.5 * _ANGULAR_ABS[k.d] * float(kernels._radial_moment(k, k.d))
+        coef = 0.5 * _ANGULAR_ABS * float(kernels._radial_moment(k, 2))
         object.__setattr__(self, "coef", coef)
-
-    @property
-    def d(self) -> int:
-        return self.kernel.d
 
     def value(self, p) -> float:
         p = np.asarray(p, dtype=float)
@@ -91,7 +89,7 @@ def build(kernel: Kernel) -> Anisotropy:
 
 
 # --------------------------------------------------------------------------
-# halfspace cell-problem experiment (d = 2)
+# halfspace cell-problem experiment
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def _competitor_shape(p_hat, t_hat, amp, waves, phase):
         bump = amp * np.sin(waves * math.pi * s + phase) * cutoff
         return x @ p_hat - bump
 
-    return LevelShape(phi, d=2, name=f"sin{waves}")
+    return LevelShape(phi, name=f"sin{waves}")
 
 
 def halfspace_cell_experiment(
@@ -162,8 +160,6 @@ def halfspace_cell_experiment(
     from . import energy
     from .fields import Ball, Box, Halfspace
 
-    if aniso.d != 2:
-        raise AnisotropyDomainError("the cell experiment is two-dimensional")
     p_hat = np.asarray(p_hat, dtype=float)
     p_hat = p_hat / np.linalg.norm(p_hat)
     t_hat = np.array([-p_hat[1], p_hat[0]])

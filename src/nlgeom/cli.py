@@ -422,8 +422,14 @@ def _g(x: float) -> str:
 
 
 def _kernel_from(block: _Section, d_override: int | None = None):
+    """The kernel block's kernel.  Planar experiments pass no ``d_override``:
+    their block may give ``d`` only as 2.  effective-kernel takes the
+    dimension from its ``dims`` list instead and reads no ``d``."""
     family = block.str_("family")
-    d = d_override if d_override is not None else block.int_("d", 2)
+    d = d_override
+    if d is None:
+        block.only("d", "2")
+        d = 2
     if family == "ball":
         return kernels.ball_indicator(d, block.float_("radius", 1.0))
     if family == "annulus":
@@ -526,8 +532,6 @@ def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
     from . import anisotropy
 
     kern = _kernel_from(cfg.require_block("kernel"))
-    if kern.d != 2:
-        raise ConfigValueError("sigma-derivatives runs in d=2")
     n_dirs = cfg.root.count("directions", 8)
     yield
     an = anisotropy.build(kern)

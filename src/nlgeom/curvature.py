@@ -43,8 +43,6 @@ class CurvatureValue:
 
 
 def _boundary_point_check(shape: Shape, x: np.ndarray) -> None:
-    if shape.d != 2:
-        raise CurvatureDomainError("nonlocal curvature is evaluated in the plane (d = 2)")
     phi = float(np.asarray(shape.phi(x)))
     g = np.asarray(shape.grad_phi(x), dtype=float)
     gn = float(np.linalg.norm(g))
@@ -224,6 +222,7 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     increment sequence sets the divergence flag instead of pretending
     convergence.
     """
+    kernels.require_planar(kernel)
     x = np.asarray(x, dtype=float)
     _boundary_point_check(E, x)
     r_eff = kernel.effective_radius()
@@ -231,7 +230,7 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
         raise CurvatureDomainError("kernel needs a bounded quadrature window")
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
-    t_hat = kernels.hyperplane_basis(2, n_hat)[0]
+    t_hat = kernels.hyperplane_basis(n_hat)[0]
 
     shells = []
     r_hi = r_eff
@@ -292,6 +291,7 @@ def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     added.  Points without a graph chart (a vanishing level gradient, or a
     boundary that leaves the square) are rejected.
     """
+    kernels.require_planar(kernel)
     x = np.asarray(x, dtype=float)
     _boundary_point_check(E, x)
     r_eff = kernel.effective_radius()
@@ -301,7 +301,7 @@ def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
 
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
-    t = kernels.hyperplane_basis(2, n_hat)[0]
+    t = kernels.hyperplane_basis(n_hat)[0]
 
     # tangential quadrature nodes on both sides of x
     gl_x, gl_w = np.polynomial.legendre.leggauss(24)
@@ -408,7 +408,7 @@ def make_ellipse(a: float, b: float, center=(0.0, 0.0), angle: float = 0.0) -> L
         pts = np.stack([a * np.cos(th), b * np.sin(th)], axis=-1)
         return c + pts @ R.T
 
-    return LevelShape(phi, 2, grad_fn=grad, hess_fn=hess, boundary_fn=boundary,
+    return LevelShape(phi, grad_fn=grad, hess_fn=hess, boundary_fn=boundary,
                       name=f"ellipse({a},{b})")
 
 

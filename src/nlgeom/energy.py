@@ -203,8 +203,6 @@ def _omega_mask(omega: Shape | None, grid: Box) -> np.ndarray:
     """Cells of ``grid`` whose centers lie in the window; read-only, shared."""
     if omega is None:
         mask = np.ones(grid.resolution, dtype=bool)
-    elif omega.d != grid.d:
-        raise EnergyDomainError("window/grid dimension mismatch")
     else:
         mask = omega.contains(grid.centers())
     mask.flags.writeable = False
@@ -215,9 +213,8 @@ def _omega_mask(omega: Shape | None, grid: Box) -> np.ndarray:
 def _stencil(kernel: Kernel, grid: Box) -> tuple[np.ndarray, np.ndarray]:
     """``kernels.lattice_stencil`` on the grid's spacing, built once per
     (kernel, grid); the arrays are shared between calls, so read-only.
+    A kernel that is not planar fails here, in ``kernels.zgrid``.
     """
-    if kernel.d != grid.d:
-        raise EnergyDomainError("kernel/grid dimension mismatch")
     offsets, weights = kernels.lattice_stencil(kernel, grid.spacing)
     offsets.flags.writeable = False
     weights.flags.writeable = False

@@ -1,13 +1,16 @@
 """Grids, shapes, and the shift utility built on them.
 
+Geometry is planar: a :class:`Box` and every :class:`Shape` reject any
+dimension but d = 2 at construction, so the layers above never test it.
+
 A set is an analytic :class:`Shape`: the superlevel set ``{phi > 0}`` of its
 canonical level function, with exact membership tests, so the inner unit
 normal is the direction of ``grad phi``.  Balls and halfspaces carry exact
-first and second level derivatives and planar (d = 2) boundary samples;
-level shapes carry what their caller supplies.  :class:`GridField` holds
-sampled values on a uniform box grid (d = 1, 2 or 3): rasterized shapes,
-their superlevel indicators, phase fields and level sets.  Fields extend
-outside their box by a constant chosen at construction (default 0).
+first and second level derivatives and boundary samples; level shapes
+carry what their caller supplies.  :class:`GridField` holds sampled values
+on a uniform box grid: rasterized shapes, their superlevel indicators,
+phase fields and level sets.  Fields extend outside their box by a
+constant chosen at construction (default 0).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ TAGS = ("indicator", "phase", "level-set")
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box with a uniform cell grid (d = 1, 2 or 3)."""
+    """Axis-aligned planar box with a uniform cell grid."""
 
     origin: tuple
     size: tuple
@@ -47,9 +50,8 @@ class Box:
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "resolution", res)
-        d = len(origin)
-        if not (1 <= d <= 3) or len(size) != d or len(res) != d:
-            raise FieldDomainError("origin/size/resolution must share d in 1..3")
+        if not len(origin) == len(size) == len(res) == 2:
+            raise FieldDomainError("origin/size/resolution must be planar (d = 2)")
         if any(s <= 0 for s in size):
             raise FieldDomainError("box side lengths must be positive")
         if any(n < 4 for n in res):
@@ -74,9 +76,9 @@ class Box:
         return np.stack(grids, axis=-1)
 
     @staticmethod
-    def cube(half_width: float, n: int, d: int = 2) -> "Box":
-        """Symmetric box [-w, w]^d with n cells per axis."""
-        return Box((-half_width,) * d, (2 * half_width,) * d, (n,) * d)
+    def cube(half_width: float, n: int) -> "Box":
+        """Symmetric square [-w, w]^2 with n cells per axis."""
+        return Box((-half_width,) * 2, (2 * half_width,) * 2, (n,) * 2)
 
 
 @dataclass(frozen=True)
@@ -181,9 +183,9 @@ class BoundarySample(NamedTuple):
 
 
 class Shape:
-    """Base class: a set given as {phi > 0} with phi positive inside."""
+    """Base class: a planar set given as {phi > 0} with phi positive inside."""
 
-    d: int
+    d = 2
 
     def phi(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -212,12 +214,8 @@ class Ball(Shape):
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise FieldDomainError("ball radius must be positive")
-        if not (1 <= len(c) <= 3):
-            raise FieldDomainError("ball center must have d in 1..3")
-
-    @property
-    def d(self) -> int:
-        return len(self.center)
+        if len(c) != 2:
+            raise FieldDomainError("ball center must be planar (d = 2)")
 
     def phi(self, x):
         x = np.asarray(x, dtype=float)
@@ -236,12 +234,10 @@ class Ball(Shape):
         u = x - np.asarray(self.center)
         r = np.sqrt(np.sum(u * u, axis=-1))
         uhat = u / r[..., None]
-        eye = np.eye(self.d)
+        eye = np.eye(2)
         return -(eye - uhat[..., :, None] * uhat[..., None, :]) / r[..., None, None]
 
     def boundary_sample(self, n: int) -> BoundarySample:
-        if self.d != 2:
-            raise FieldDomainError("ball boundary samples are planar (d = 2)")
         theta = 2 * math.pi * (np.arange(n) + 0.5) / n
         u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         pts = np.asarray(self.center) + self.radius * u
@@ -258,25 +254,20 @@ class Halfspace(Shape):
 
     def __post_init__(self):
         nv = np.atleast_1d(np.asarray(self.normal, dtype=float))
+        if len(nv) != 2:
+            raise FieldDomainError("halfspace normal must be planar (d = 2)")
         norm = float(np.linalg.norm(nv))
         if norm == 0.0:
             raise FieldDomainError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", tuple(nv / norm))
         object.__setattr__(self, "offset", float(self.offset) / norm)
 
-    @property
-    def d(self) -> int:
-        return len(self.normal)
-
     def phi(self, x):
         # summed coordinate by coordinate, so a point rounds the same alone
         # and inside a batch (``x @ normal`` orders its fma differently in
         # the 1-D dot and the batched product)
         x = np.asarray(x, dtype=float)
-        dot = x[..., 0] * self.normal[0]
-        for i in range(1, self.d):
-            dot = dot + x[..., i] * self.normal[i]
-        return dot - self.offset
+        return x[..., 0] * self.normal[0] + x[..., 1] * self.normal[1] - self.offset
 
     def grad_phi(self, x):
         x = np.asarray(x, dtype=float)
@@ -285,7 +276,7 @@ class Halfspace(Shape):
 
     def hess_phi(self, x):
         x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (self.d, self.d))
+        return np.zeros(x.shape[:-1] + (2, 2))
 
     def boundary_sample(self, n: int) -> BoundarySample:
         """Uniform square patch of the boundary plane around the perpendicular foot.
@@ -293,8 +284,6 @@ class Halfspace(Shape):
         The patch has side 8.  The plane is unbounded, so callers windowing
         by a shape should keep the window within 4 of the foot point.
         """
-        if self.d != 2:
-            raise FieldDomainError("halfspace boundary samples are planar (d = 2)")
         extent = 8.0
         nv = np.asarray(self.normal)
         t = np.array([-nv[1], nv[0]])
@@ -314,12 +303,10 @@ class AxisBox(Shape):
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if len(lo) != len(hi) or not all(a < b for a, b in zip(lo, hi)):
+        if not len(lo) == len(hi) == 2:
+            raise FieldDomainError("box corners must be planar (d = 2)")
+        if not all(a < b for a, b in zip(lo, hi)):
             raise FieldDomainError("need lo < hi componentwise")
-
-    @property
-    def d(self) -> int:
-        return len(self.lo)
 
     def phi(self, x):
         # exact signed distance: inner L-inf margin inside, minus the
@@ -340,13 +327,11 @@ class LevelShape(Shape):
     def __init__(
         self,
         phi_fn: Callable[[np.ndarray], np.ndarray],
-        d: int,
         grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         hess_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         boundary_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         name: str = "",
     ):
-        self.d = d
         self._phi = phi_fn
         self._grad = grad_fn
         self._hess = hess_fn
@@ -386,8 +371,6 @@ class LevelShape(Shape):
 
 def rasterize(shape: Shape, box: Box) -> GridField:
     """Indicator of a shape on a box grid, by membership of the cell centers."""
-    if shape.d != box.d:
-        raise FieldDomainError("shape/box dimension mismatch")
     return GridField(box, shape.indicator(box.centers()), tag="indicator")
 
 

@@ -62,20 +62,21 @@ class FlowBlowUpError(RuntimeError):
     """The evolved field outgrew ``BLOWUP_FACTOR`` times its range; run aborted."""
 
 
-def _require_2d(field: GridField) -> None:
-    if field.d != 2:
-        raise FlowDomainError("the level-set schemes are two-dimensional")
-
-
 # --------------------------------------------------------------------------
 # finite differences
+
+
+def _central(p: np.ndarray, h) -> tuple:
+    """Central first differences at the cells of ``p`` padded by one cell."""
+    gx = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h[0])
+    gy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h[1])
+    return gx, gy
 
 
 def _derivatives(values: np.ndarray, outside: float, h) -> tuple:
     """Central first and second differences with the constant extension."""
     p = np.pad(values, 1, constant_values=outside)
-    gx = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h[0])
-    gy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h[1])
+    gx, gy = _central(p, h)
     pxx = (p[2:, 1:-1] - 2.0 * values + p[:-2, 1:-1]) / (h[0] * h[0])
     pyy = (p[1:-1, 2:] - 2.0 * values + p[1:-1, :-2]) / (h[1] * h[1])
     pxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h[0] * h[1])
@@ -83,10 +84,8 @@ def _derivatives(values: np.ndarray, outside: float, h) -> tuple:
 
 
 def _gradient(values: np.ndarray, outside: float, h) -> tuple:
-    p = np.pad(values, 1, constant_values=outside)
-    gx = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h[0])
-    gy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h[1])
-    return gx, gy
+    """Central first differences with the constant extension."""
+    return _central(np.pad(values, 1, constant_values=outside), h)
 
 
 # --------------------------------------------------------------------------
@@ -188,8 +187,6 @@ _MAX_REFINE = 256
 
 
 def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
-    if kernel.d != 2:
-        raise FlowDomainError("the level-set schemes are two-dimensional")
     if not eps > 0.0:
         raise FlowDomainError("eps must be positive")
     h = box.spacing
@@ -464,7 +461,6 @@ def zero_level_area(field: GridField) -> float:
     fraction is clip(1/2 + phi / (|gx| h1 + |gy| h2), 0, 1); flat cells
     count fully when phi >= 0.
     """
-    _require_2d(field)
     vals = field.values
     h = field.box.spacing
     gx, gy = _gradient(vals, field.outside, h)
@@ -524,7 +520,7 @@ def evolve(
     the initial value range are frozen.  A step that grows max|phi| past 10
     times its initial value (``BLOWUP_FACTOR``) aborts the run.
     """
-    _require_2d(u0)
+    kernels.require_planar(kernel)
     check_constant_ring(u0, FlowDomainError)
     if scheme not in SCHEMES:
         raise FlowDomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -655,8 +651,6 @@ def shrinking_circle_datum(box, radius: float, band: float = 0.28) -> GridField:
     2w (w = two cells), so the datum is C^1 with |gradient| <= 1 and is
     constant outside |x| = radius + band.
     """
-    if box.d != 2:
-        raise FlowDomainError("the circle datum is two-dimensional")
     if not 0.0 < radius:
         raise FlowDomainError("radius must be positive")
     w = 2.0 * float(np.max(box.spacing))

@@ -9,9 +9,21 @@ Quadrature conventions
 Radial integrals use composite Gauss-Legendre panels in log-radius between
 profile breakpoints, which resolves both power-law singularities at the
 origin and sharp cutoff radii.  Full-dimension node sets (:func:`zgrid`)
-combine the radial rule with angular rules chosen so that every node has its
-exact antipode on the grid; several callers pair nodes with their antipodes
-to cancel odd integrands exactly, so do not break this symmetry.
+combine the radial rule with an angular rule chosen so that every node has
+its exact antipode on the grid; several callers pair nodes with their
+antipodes to cancel odd integrands exactly, so do not break this symmetry.
+
+Two layers
+----------
+The radial layer -- :class:`Kernel`, :func:`rescale`, the moments,
+:func:`tail_mass`, :func:`hyperplane_second_moment`, :func:`parabolic_mass`
+and :func:`validate` -- holds for d = 2 and d = 3.  Everything directional
+is planar, as are the grids, shapes and fields of the package: the angular
+rule, :func:`zgrid`, :func:`lattice_stencil`, :func:`hyperplane_basis` and
+:func:`hyperplane_moment_matrix`.  :func:`require_planar` is the one check
+that a kernel may meet planar data: every public entry that pairs a kernel
+with planar data calls it, directly or through :func:`zgrid` or
+:func:`hyperplane_moment_matrix`.
 
 Moments of the indicator and power-law families are closed forms.  A
 custom profile's moment ∫_0^∞ r^q K̄(r) dr uses the same log-Gauss rule
@@ -49,7 +61,7 @@ SPHERE_SURFACE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _DEF_GL_ORDER = 8
 _DEF_PANELS_PER_DECADE = 3
-_DEF_ANGULAR = {2: 64, 3: (16, 32)}  # d=3: (polar GL, azimuth trapezoid)
+_DEF_ANGULAR = 64  # directions of the default angular rule
 _RMIN_FACTOR = 1e-6
 _CUSTOM_ORDERS = (8, 16)  # Gauss orders of a custom moment: (check, value)
 
@@ -184,6 +196,14 @@ class Kernel:
         return (self.d + self.sigma) if self.singular else 0.0
 
 
+def require_planar(kernel: Kernel) -> None:
+    """Raise unless ``kernel`` is planar (d = 2), as planar data needs."""
+    if kernel.d != 2:
+        raise KernelDomainError(
+            f"this operation is planar (d = 2); the kernel has d = {kernel.d}"
+        )
+
+
 def evaluate(kernel: Kernel, z) -> np.ndarray:
     """Pointwise kernel weight K(z); exactly even in z for all families."""
     z = np.asarray(z, dtype=float)
@@ -301,47 +321,28 @@ def radial_rule(
     return np.concatenate(rs), np.concatenate(ws)
 
 
-def angular_rule(d: int, n_angular=None) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions and weights integrating over S^{d-1} exactly antipodally.
+def angular_rule(n_angular: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions of the plane and weights integrating over the circle
+    exactly antipodally: the midpoint trapezoid rule in angle with
+    ``n_angular`` nodes (default 64), rounded up to an even count.
 
     The second half of the grid is the exact floating-point negation of the
     first half (node i + n/2 is -node i), so odd integrands cancel to the
-    last bit when accumulated in antipodal pairs.  d=2 uses a midpoint
-    trapezoid rule in angle, d=3 a Gauss-Legendre x trapezoid product rule
-    on the sphere.
+    last bit when accumulated in antipodal pairs.
     """
-    if d == 2:
-        n = n_angular if n_angular is not None else _DEF_ANGULAR[2]
-        n += n % 2
-        theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
-        half = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        dirs = np.concatenate([half, -half])
-        return dirs, np.full(n, 2.0 * math.pi / n)
-    n_mu, n_phi = n_angular if n_angular is not None else _DEF_ANGULAR[3]
-    n_mu += n_mu % 2  # even order: no equatorial node, hemispheres mirror
-    mu, wmu = _leggauss(n_mu)
-    upper = mu > 0.0
-    mu_u, wmu_u = mu[upper], wmu[upper]
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-    sin_t = np.sqrt(1.0 - mu_u**2)
-    half = np.stack(
-        [
-            np.outer(sin_t, np.cos(phi)).ravel(),
-            np.outer(sin_t, np.sin(phi)).ravel(),
-            np.outer(mu_u, np.ones(n_phi)).ravel(),
-        ],
-        axis=-1,
-    )
+    n = n_angular if n_angular is not None else _DEF_ANGULAR
+    n += n % 2
+    theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
+    half = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     dirs = np.concatenate([half, -half])
-    w_half = np.outer(wmu_u, np.full(n_phi, 2.0 * math.pi / n_phi)).ravel()
-    return dirs, np.concatenate([w_half, w_half])
+    return dirs, np.full(n, 2.0 * math.pi / n)
 
 
 @dataclass(frozen=True)
 class ZGrid:
-    """Product radial x angular quadrature grid for d-dimensional z-integrals.
+    """Product radial x angular quadrature grid for planar z-integrals.
 
-    ``nodes[i]`` carries weight ``weights[i]`` already including the r^{d-1}
+    ``nodes[i]`` carries weight ``weights[i]`` already including the r
     area factor, so ``sum(w * f(nodes))`` approximates ∫ f(z) dz over the
     annulus r_lo <= |z| <= r_hi.  ``antipode`` maps each node index to the
     index of its exact antipodal node.
@@ -350,8 +351,6 @@ class ZGrid:
     nodes: np.ndarray
     weights: np.ndarray
     radii: np.ndarray
-    r_lo: float
-    r_hi: float
     antipode: np.ndarray
 
     def __len__(self):
@@ -365,8 +364,8 @@ def zgrid(
     n_angular=None,
     panels_per_decade: float = _DEF_PANELS_PER_DECADE,
 ) -> ZGrid:
-    """Quadrature grid adapted to the kernel's support and breakpoints."""
-    d = kernel.d
+    """Quadrature grid adapted to the planar kernel's support and breakpoints."""
+    require_planar(kernel)
     if r_hi is None:
         r_hi = kernel.effective_radius()
         if not math.isfinite(r_hi):
@@ -376,10 +375,10 @@ def zgrid(
     if not r_lo < r_hi:
         raise ValueError(f"empty radial range [{r_lo}, {r_hi}]")
     r, wr = radial_rule(kernel, r_lo, r_hi, panels_per_decade)
-    dirs, wa = angular_rule(d, n_angular)
+    dirs, wa = angular_rule(n_angular)
     na = len(wa)
-    nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, d)
-    weights = (wr[:, None] * (r[:, None] ** (d - 1)) * wa[None, :]).ravel()
+    nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
+    weights = (wr[:, None] * r[:, None] * wa[None, :]).ravel()
     radii = np.repeat(r, na)
     # mirrored construction: the angular antipode of index j is j +- na/2
     ang_ant = (np.arange(na) + na // 2) % na
@@ -387,7 +386,7 @@ def zgrid(
         raise AssertionError("angular grid lost exact antipodal symmetry")
     base = np.arange(len(r))[:, None] * na
     antipode = (base + ang_ant[None, :]).ravel()
-    return ZGrid(nodes, weights, radii, r_lo, r_hi, antipode)
+    return ZGrid(nodes, weights, radii, antipode)
 
 
 def lattice_stencil(kernel: Kernel, spacing, zg: ZGrid | None = None):
@@ -396,7 +395,7 @@ def lattice_stencil(kernel: Kernel, spacing, zg: ZGrid | None = None):
     Each node of ``zg`` (by default the kernel's own z-grid) snaps to the
     nearest integer offset; the kernel value is taken at the exact node.
     Returns ``(offsets, weights)``: the distinct nonzero offsets in
-    lexicographic order, shape (m, d), and their accumulated masses.  The
+    lexicographic order, shape (m, 2), and their accumulated masses.  The
     zero offset and bins whose masses cancel to 0 are dropped.
     """
     if zg is None:
@@ -503,19 +502,11 @@ def _origin_remainder(kernel: Kernel, q: float, r_lo: float) -> float:
     return val * r_lo ** (q + 1) / expo
 
 
-def hyperplane_basis(d: int, e: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to e."""
+def hyperplane_basis(e: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, shape (1, 2), of the line orthogonal to e in the plane."""
     e = np.asarray(e, dtype=float)
     e = e / np.linalg.norm(e)
-    if d == 2:
-        return np.array([[-e[1], e[0]]])
-    pick = np.argmin(np.abs(e))
-    v = np.zeros(3)
-    v[pick] = 1.0
-    t1 = v - np.dot(v, e) * e
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(e, t1)
-    return np.stack([t1, t2])
+    return np.array([[-e[1], e[0]]])
 
 
 def hyperplane_second_moment(kernel: Kernel) -> float:
@@ -536,17 +527,11 @@ def hyperplane_second_moment(kernel: Kernel) -> float:
 
 
 def hyperplane_moment_matrix(kernel: Kernel, e) -> np.ndarray:
-    """Second-moment matrix ∫_{e⊥} K(z) z⊗z dH^{d-1}(z) (d x d, PSD, M e = 0)."""
-    d = kernel.d
-    basis = hyperplane_basis(d, np.asarray(e, dtype=float))
-    coef = hyperplane_second_moment(kernel)
-    if d == 2:
-        t = basis[0]
-        return coef * np.outer(t, t)
-    # plane nodes: r * (cos φ t1 + sin φ t2); the φ-average of u⊗u is isotropic
-    # in the plane, so integrate the radial part and distribute evenly.
-    t1, t2 = basis
-    return 0.5 * coef * (np.outer(t1, t1) + np.outer(t2, t2))
+    """Second-moment matrix ∫_{e⊥} K(z) z⊗z dH^1(z) of a planar kernel
+    (2 x 2, PSD, M e = 0)."""
+    require_planar(kernel)
+    t = hyperplane_basis(np.asarray(e, dtype=float))[0]
+    return hyperplane_second_moment(kernel) * np.outer(t, t)
 
 
 def parabolic_mass(kernel: Kernel, lam: float, rho_max: float | None = None) -> float:

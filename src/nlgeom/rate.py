@@ -4,9 +4,10 @@ For a convex potential f, the defect between a local energy built from
 slopes and its nonlocal counterpart built from averaged difference
 quotients is nonnegative and of order eps^2.  This module computes the
 rescaled defect (the rate energy), its local limit density f''(u)|u'|^2/24,
-a triangular-window lower bound, and the d-dimensional versions coupled to
+a triangular-window lower bound, and the planar grid versions coupled to
 an even interaction kernel, together with the slice decomposition that
-reduces the d-dimensional rate to a family of 1D ones.
+reduces the planar rate to a family of 1D ones.  The effective kernel of
+the window average is radial and holds in d = 2 and d = 3.
 
 Every batch of queries the grid energies make is a shifted lattice: the
 x-quadrature nodes (cell centers, or one of the 2^d Gauss sub-lattices)
@@ -294,7 +295,7 @@ def e1d_lower_bound(u: Profile1D, f: Potential, eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# d-dimensional rate energies
+# planar grid rate energies
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def _z_nodes(G: Kernel, n_angular):
     if not math.isfinite(r_eff):
         raise RateDomainError("kernel needs a bounded quadrature window")
     rs, ws = kernels.radial_rule(G, 1e-2 * r_eff, r_eff, 2.0, 6)
-    dirs, wa = kernels.angular_rule(G.d, n_angular)
+    dirs, wa = kernels.angular_rule(n_angular)
     return rs, ws, dirs, wa
 
 
@@ -533,10 +534,9 @@ def rate_ddim(
     the slope through a tiny symmetric probe -- so their discretization
     errors cancel in the difference instead of swamping the O(eps^2) defect.
     The field must agree with its constant extension on the window boundary
-    so all differences vanish far away.
+    so all differences vanish far away.  G must be planar, as the field is.
     """
-    if u.d not in (2, 3):
-        raise RateDomainError("grid rate energies support d in {2, 3}")
+    kernels.require_planar(G)
     if eps <= 0:
         raise RateDomainError("eps must be positive")
     check_constant_ring(u, RateDomainError)
@@ -553,7 +553,7 @@ def rate_ddim(
     shape, base = spl.centers(reach)
     subs, sub_w = _x_quadrature(u)
     u_x = [spl.lattice(shape, base, sub / h) for sub in subs]
-    radial_w = ws * rs ** (u.d - 1) * kv
+    radial_w = ws * rs * kv
     radial_total = float(np.sum(radial_w))
 
     f_0 = 0.0
@@ -585,15 +585,14 @@ def rate_limit_ddim(u: GridField, G: Kernel, f: Potential) -> float:
     cubic-spline interpolant the rate energies sample, so the two converge
     to a common value as eps shrinks.  The values are extended by odd
     reflection before prefiltering, which keeps affine trends exact right
-    up to the window edge (an affine field reports 0).
+    up to the window edge (an affine field reports 0).  G must be planar.
     """
-    if u.d not in (2, 3):
-        raise RateDomainError("grid rate energies support d in {2, 3}")
+    kernels.require_planar(G)
     rs, ws, dirs, wa = _z_nodes(G, None)
     kv = G.profile_at(rs)
-    second_moment = float(np.sum(ws * rs ** (u.d + 1) * kv))
+    second_moment = float(np.sum(ws * rs ** 3 * kv))
 
-    sample = _SplineSampler(u, (12,) * u.d, mode="reflect", reflect_type="odd")
+    sample = _SplineSampler(u, (12, 12), mode="reflect", reflect_type="odd")
     shape, base = sample.centers(0.0)
     subs, sub_w = _x_quadrature(u)
     h = u.spacing
@@ -648,14 +647,13 @@ def slicing_check(
     energies outlives a block.  Every line is evaluated on its own and the
     table is summed per radius once it is full, so the result does not
     depend on the block sizes, and the working set is a few MB whatever
-    the number of lines.
+    the number of lines.  G must be planar, as the field is.
     """
-    if u.d != 2:
-        raise RateDomainError("the slice assembly cross-check runs in d=2")
+    kernels.require_planar(G)
     check_constant_ring(u, RateDomainError)
     r_eff = G.effective_radius()
     rs, ws = kernels.gauss_log_panels(0.25 * r_eff, r_eff, 4.0, 6)
-    dirs, wa = kernels.angular_rule(2, 16)
+    dirs, wa = kernels.angular_rule(16)
     kv = G.profile_at(rs)
     cell = float(np.prod(u.spacing))
     h = float(np.min(u.spacing))

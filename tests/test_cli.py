@@ -14,7 +14,6 @@ import pytest
 from nlgeom import cli, flow, kernels
 from nlgeom.anisotropy import AnisotropyDomainError
 from nlgeom.curvature import CurvatureDomainError
-from nlgeom.energy import EnergyDomainError
 from nlgeom.fields import FieldDomainError
 from nlgeom.flow import FlowDomainError
 from nlgeom.kernels import KernelDomainError
@@ -483,10 +482,9 @@ DOMAIN_CASES = {
              + "geometry {\n  radius 0.4\n  band 0.1\n  resolution 32\n}\n"),
     "curvature": (CurvatureDomainError, CURVATURE_CFG.replace(
         "radius 1.0", "radius inf")),
-    "anisotropy": (AnisotropyDomainError, "experiment halfspace-cell\neps 0.2\n"
-                   "kernel {\n  family ball\n  d 3\n}\n"),
-    "energy": (EnergyDomainError, "experiment perimeter-limit\neps 0.4 0.2\n"
-               "kernel {\n  family ball\n  d 3\n}\ngeometry {\n  radius 0.5\n}\n"),
+    # an untruncated power law has an infinite first moment
+    "anisotropy": (AnisotropyDomainError, "experiment sigma-derivatives\n"
+                   "kernel {\n  family fractional\n  radius inf\n}\n"),
 }
 
 
@@ -531,6 +529,27 @@ def test_unread_keys_fail_the_run_before_any_artifact(tmp_path, capsys, monkeypa
     code, err = _main_exit_and_stderr(tmp_path, capsys, text)
     assert code == 2 and err.count("nlgeom: error:") == 1
     assert f"line {line}: {where} is not read by experiment" in err
+    assert not (tmp_path / "main_out").exists()
+
+
+# every config with a kernel block but effective-kernel, which takes 'dims'
+PLANAR_CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.cfg")
+                        if p.stem not in ("bbm-1d", "effective-kernel"))
+
+
+@pytest.mark.parametrize("name", PLANAR_CONFIGS)
+def test_planar_configs_take_kernel_d_only_as_2(tmp_path, capsys, name):
+    # 'd 3' fails at read time and names its line; a config that leaves d
+    # out gets it as the kernel block's first key
+    text = (CONFIG_DIR / name).read_text(encoding="utf-8")
+    if "\n  d 2\n" in text:
+        text = text.replace("\n  d 2\n", "\n  d 3\n")
+    else:
+        text = text.replace("kernel {\n", "kernel {\n  d 3\n")
+    line = text.splitlines().index("  d 3") + 1
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err.count("nlgeom: error:") == 1
+    assert f"line {line}: key 'd' in block 'kernel' is '3'; expected '2'" in err
     assert not (tmp_path / "main_out").exists()
 
 

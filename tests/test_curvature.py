@@ -74,17 +74,17 @@ def test_pv_divergence_flag():
     assert cv.diverged
 
 
-BALL3 = Ball((0.0, 0.0, 0.0), 0.5)
+DISK = Ball((0.0, 0.0), 0.5)
 LEVEL_SET = GridField(Box.cube(1.0, 16), np.zeros((16, 16)), tag="level-set")
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: hk_pv(BALL3, (0.5, 0.0, 0.0), kernels.ball_indicator(3)), CurvatureDomainError),
-    (lambda: hk_graph(BALL3, (0.5, 0.0, 0.0), kernels.ball_indicator(3)), CurvatureDomainError),
-    (lambda: BALL3.boundary_sample(64), FieldDomainError),
+    (lambda: hk_pv(DISK, (0.5, 0.0), kernels.ball_indicator(3)), kernels.KernelDomainError),
+    (lambda: hk_graph(DISK, (0.5, 0.0), kernels.ball_indicator(3)), kernels.KernelDomainError),
+    (lambda: Ball((0.0, 0.0, 0.0), 0.5).boundary_sample(64), FieldDomainError),
     (lambda: Halfspace((0.0, 0.0, 1.0), 0.0).boundary_sample(64), FieldDomainError),
     (lambda: h0(LEVEL_SET, (0.0, 0.0), BALL_K), CurvatureDomainError),
-    (lambda: LevelShape(lambda p: 1.0 - np.sum(p * p, axis=-1), 2).grad_phi((1.0, 0.0)),
+    (lambda: LevelShape(lambda p: 1.0 - np.sum(p * p, axis=-1)).grad_phi((1.0, 0.0)),
      FieldDomainError),
     (lambda: kernels.tail_mass(BALL_K, 0.0), kernels.KernelDomainError),
     (lambda: kernels.tail_mass(kernels.fractional(2, 0.5, math.inf), 0.5),
@@ -92,8 +92,9 @@ LEVEL_SET = GridField(Box.cube(1.0, 16), np.zeros((16, 16)), tag="level-set")
 ], ids=["hk_pv-3d", "hk_graph-3d", "ball-sample-3d", "halfspace-sample-3d",
         "h0-grid-field", "level-shape-no-gradient", "tail-mass-r0", "tail-mass-untruncated"])
 def test_planar_analytic_scope_is_guarded(call, error):
-    # curvature and boundary samples are planar, h0 reads analytic
-    # derivatives, and tail_mass needs r > 0 on a truncated kernel
+    # curvature takes planar kernels only, shapes are planar (a 3-D one
+    # fails at construction), h0 reads analytic derivatives, and tail_mass
+    # needs r > 0 on a truncated kernel
     with pytest.raises(error):
         call()
 
@@ -159,7 +160,6 @@ def test_h0_rotation_invariance():
 def test_h0_gradient_floor():
     saddle = LevelShape(
         lambda p: np.asarray(p)[..., 0] ** 2 - np.asarray(p)[..., 1] ** 2,
-        2,
         grad_fn=lambda p: np.stack([2 * np.asarray(p)[..., 0], -2 * np.asarray(p)[..., 1]], axis=-1),
         hess_fn=lambda p: np.array([[2.0, 0.0], [0.0, -2.0]]),
     )
@@ -339,7 +339,7 @@ def _scalar_hk_pv(E, x, kernel):
     x = np.asarray(x, dtype=float)
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
-    frame = kernels.hyperplane_basis(len(x), n_hat)
+    frame = kernels.hyperplane_basis(n_hat)
     quad_err = 0.0
     increments = []
     r_hi = kernel.effective_radius()

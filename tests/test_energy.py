@@ -464,6 +464,6 @@ def test_custom_kernels_with_different_profiles_do_not_share_a_stencil():
 
 
 def test_kernel_grid_dimension_mismatch_is_a_domain_error():
-    with pytest.raises(EnergyDomainError, match="dimension"):
+    with pytest.raises(kernels.KernelDomainError, match="planar"):
         energy.perimeter_k(Ball((0.0, 0.0), 0.5), None, kernels.ball_indicator(3),
                            Box.cube(1.0, 32))

@@ -5,6 +5,7 @@ import pytest
 
 from nlgeom import fields
 from nlgeom.fields import (
+    AxisBox,
     Ball,
     Box,
     FieldDomainError,
@@ -38,7 +39,7 @@ def test_rasterize_empty(unit_box):
     assert rasterize(Ball((5.0, 5.0), 0.5), unit_box).values.sum() == 0.0
 
 
-@pytest.mark.parametrize("normal", [(0.3, -0.7), (1.0, 0.0), (0.2, -0.5, 0.9)])
+@pytest.mark.parametrize("normal", [(0.3, -0.7), (1.0, 0.0), (0.2, -0.9)])
 def test_halfspace_phi_rounds_a_point_the_same_alone_and_in_a_batch(normal):
     # a point within an ulp of the plane must not change sides with the
     # way it is evaluated
@@ -105,6 +106,18 @@ def test_grid_field_validation(unit_box):
         GridField(unit_box, 2.0 * np.ones(unit_box.resolution), tag="phase")
     with pytest.raises(FieldDomainError):
         Box((0, 0), (1, 1), (2, 2))  # too coarse
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Box((0.0,), (1.0,), (8,)),
+    lambda: Box((0.0,) * 3, (1.0,) * 3, (8,) * 3),
+    lambda: Ball((0.0, 0.0, 0.0), 0.5),
+    lambda: Halfspace((0.0, 0.0, 1.0)),
+    lambda: AxisBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+], ids=["box-1d", "box-3d", "ball-3d", "halfspace-3d", "axis-box-3d"])
+def test_geometry_is_planar(make):
+    with pytest.raises(FieldDomainError, match="planar"):
+        make()
 
 
 def test_shift_taps_copies_unit_rows_and_sums_the_others():

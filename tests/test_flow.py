@@ -672,5 +672,3 @@ def test_circle_datum_validation(box64):
     with pytest.raises(FlowDomainError):
         # plateau does not close inside the box
         shrinking_circle_datum(box64, 0.9, band=0.28)
-    with pytest.raises(FlowDomainError):
-        shrinking_circle_datum(Box.cube(1.0, 8, d=3), 0.5)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgeom import kernels
+from nlgeom import anisotropy, curvature, energy, flow, kernels, rate
+from nlgeom.fields import Ball, Box, GridField
 
 
 E1 = np.array([1.0, 0.0])
@@ -75,20 +76,19 @@ def test_rescale_pointwise_scaling():
         kernels.rescale(k, 0.0)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_zgrid_antipodal_pairing_is_exact(d):
-    k = kernels.ball_indicator(d)
-    g = kernels.zgrid(k)
+# the smallest rule, and an odd count, which rounds up to 4 directions
+@pytest.mark.parametrize("n_angular", [2, 3])
+def test_zgrid_antipodal_pairing_is_exact(n_angular):
+    g = kernels.zgrid(kernels.ball_indicator(2), n_angular=n_angular)
     assert np.array_equal(g.nodes[g.antipode], -g.nodes)
     assert np.array_equal(g.antipode[g.antipode], np.arange(len(g)))
 
 
-@pytest.mark.parametrize("d,mass", [(2, math.pi), (3, 4 * math.pi / 3)])
-def test_zgrid_quadrature_recovers_mass(d, mass):
-    k = kernels.ball_indicator(d)
+def test_zgrid_quadrature_recovers_mass():
+    k = kernels.ball_indicator(2)
     g = kernels.zgrid(k)
     got = float(np.sum(g.weights * kernels.evaluate(k, g.nodes)))
-    assert got == pytest.approx(mass, rel=1e-9)
+    assert got == pytest.approx(math.pi, rel=1e-9)
 
 
 def test_zgrid_needs_truncation():
@@ -101,12 +101,12 @@ def test_zgrid_needs_truncation():
     (kernels.rescale(kernels.ball_indicator(2), 0.4), 2.2 / 288, None),
     (kernels.rescale(kernels.ball_indicator(2), 0.05), 2.2 / 288, None),
     (kernels.rescale(kernels.fractional(2, 0.5, 1.0), 0.2), 2.0 / 768, 256),
-    (kernels.ball_indicator(3, 0.3), 0.1, None),
+    (kernels.ball_indicator(2, 0.3), 0.1, None),  # a few cells across
 ])
 def test_lattice_stencil_matches_row_binning(kernel, h, n_angular):
     # reference: the same snapping binned by rows with np.unique(axis=0)
     zg = kernels.zgrid(kernel, n_angular=n_angular)
-    spacing = np.full(kernel.d, h)
+    spacing = np.full(2, h)
     masses = zg.weights * kernels.evaluate(kernel, zg.nodes)
     off = np.rint(zg.nodes / spacing).astype(np.int64)
     uniq, inv = np.unique(off, axis=0, return_inverse=True)
@@ -123,14 +123,6 @@ def test_hyperplane_moment_matrix_structure():
     M = kernels.hyperplane_moment_matrix(k2, E1)
     expect = np.array([[0.0, 0.0], [0.0, 2.0 / 3.0]])
     assert np.allclose(M, expect, atol=1e-10)
-
-    k3 = kernels.ball_indicator(3)
-    e = np.array([0.0, 0.0, 1.0])
-    M3 = kernels.hyperplane_moment_matrix(k3, e)
-    kappa = kernels.hyperplane_second_moment(k3)
-    expect3 = (kappa / 2) * (np.eye(3) - np.outer(e, e))
-    assert np.allclose(M3, expect3, atol=1e-9)
-    assert abs(np.trace(M3) - kappa) < 1e-9
 
 
 def test_parabolic_mass_small_opening_matches_moment():
@@ -205,3 +197,43 @@ def test_gauss_log_panels_reuse_one_read_only_rule_per_order():
     u = (mid[:, None] + half[:, None] * want_x[None, :]).ravel()
     assert np.array_equal(r, np.exp(u))
     assert np.array_equal(wr, (half[:, None] * want_w[None, :]).ravel() * np.exp(u))
+
+
+# ---------------------------------------------------------------------------
+# the planar check: a 3-D kernel never reaches planar data
+
+
+K3 = kernels.ball_indicator(3)
+DISK = Ball((0.0, 0.0), 0.5)
+GRID = Box.cube(1.0, 32)
+QUAD = rate.Potential.quadratic()
+
+
+def _bump():
+    box = Box.cube(1.1, 32)
+    r2 = np.sum(box.centers() ** 2, axis=-1)
+    return GridField(box, np.clip(1.0 - r2, 0.0, None) ** 2, "phase")
+
+
+PLANAR_ENTRIES = {
+    "perimeter_k": lambda: energy.perimeter_k(DISK, None, K3, GRID),
+    "coarea_check": lambda: energy.coarea_check(_bump(), None, K3),
+    "submodularity_check": lambda: energy.submodularity_check(
+        DISK, Ball((0.2, 0.0), 0.4), None, K3, GRID),
+    "limit_tv": lambda: energy.limit_tv(DISK, None, K3),
+    "evolve": lambda: flow.evolve(flow.shrinking_circle_datum(GRID, 0.5), "local", K3, 0.01),
+    "rate_ddim": lambda: rate.rate_ddim(_bump(), K3, QUAD, 0.1),
+    "rate_limit_ddim": lambda: rate.rate_limit_ddim(_bump(), K3, QUAD),
+    "slicing_check": lambda: rate.slicing_check(_bump(), K3, QUAD, 0.1),
+    "hk_pv": lambda: curvature.hk_pv(DISK, (0.5, 0.0), K3),
+    "hk_graph": lambda: curvature.hk_graph(DISK, (0.5, 0.0), K3),
+    "h0": lambda: curvature.h0(DISK, (0.5, 0.0), K3),
+    "halfspace_cell_experiment": lambda: anisotropy.halfspace_cell_experiment(
+        anisotropy.build(K3), (1.0, 0.0), (0.2,)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PLANAR_ENTRIES))
+def test_3d_kernel_on_planar_data_is_a_domain_error(entry):
+    with pytest.raises(kernels.KernelDomainError, match="planar"):
+        PLANAR_ENTRIES[entry]()
