@@ -76,23 +76,12 @@ class EnergyBreakdown:
 
 
 def _shifted(values: np.ndarray, off, fill: float) -> np.ndarray:
-    """values evaluated at index + off, constant fill beyond the box."""
-    d = values.ndim
+    """Planar values evaluated at index + off, constant fill beyond the box."""
     out = np.full_like(values, fill)
-    src = []
-    dst = []
-    for ax in range(d):
-        o = int(off[ax])
-        n = values.shape[ax]
-        if abs(o) >= n:
-            return out
-        if o >= 0:
-            src.append(slice(o, n))
-            dst.append(slice(0, n - o))
-        else:
-            src.append(slice(0, n + o))
-            dst.append(slice(-o, n))
-    out[tuple(dst)] = values[tuple(src)]
+    (nx, ny), ox, oy = values.shape, int(off[0]), int(off[1])
+    if abs(ox) < nx and abs(oy) < ny:
+        out[max(-ox, 0):nx - max(ox, 0), max(-oy, 0):ny - max(oy, 0)] = \
+            values[max(ox, 0):nx + min(ox, 0), max(oy, 0):ny + min(oy, 0)]
     return out
 
 
@@ -117,8 +106,7 @@ def _fft_size(shape, offsets) -> tuple[int, ...]:
 
 def _counts_at(spectrum: np.ndarray, size, offsets) -> np.ndarray:
     """Integer values at the offsets of the correlation with this spectrum."""
-    axes = tuple(range(len(size)))
-    c = np.fft.irfftn(spectrum, size, axes)[tuple(offsets.T)]  # negative offsets wrap
+    c = np.fft.irfftn(spectrum, size, (0, 1))[tuple(offsets.T)]  # negative offsets wrap
     counts = np.rint(c)
     if np.any(np.abs(c - counts) > 0.25):
         raise FloatingPointError("FFT pair counts lost integrality")
@@ -140,14 +128,13 @@ def _binary_pair_counts(u: np.ndarray, outside: float, omega: np.ndarray,
     a = omega.astype(float)
     b = a * u
     size = _fft_size(u.shape, offsets)
-    axes = tuple(range(u.ndim))
-    fb = np.fft.rfftn(b, size, axes)
-    fc = np.fft.rfftn(a - b, size, axes)
+    fb = np.fft.rfftn(b, size, (0, 1))
+    fc = np.fft.rfftn(a - b, size, (0, 1))
     both = _counts_at(fc.conj() * fb, size, np.concatenate([offsets, -offsets]))
     n1 = both[:len(offsets)] + both[len(offsets):]
     fc -= fb
     np.conjugate(fc, out=fc)
-    fc *= np.fft.rfftn(u - outside, size, axes)
+    fc *= np.fft.rfftn(u - outside, size, (0, 1))
     total = outside * a.sum() + (1.0 - 2.0 * outside) * b.sum() \
         + _counts_at(fc, size, offsets)
     return n1, total - n1
@@ -240,33 +227,21 @@ def perimeter_k(E: Shape, omega: Shape | None, kernel: Kernel, grid: Box) -> Ene
     return _breakdown(j1, j2, kernel, grid)
 
 
-def limit_tv(u, omega: Shape | None, kernel: Kernel) -> float:
-    """Local limit of the rescaled TVs.
+def limit_tv(E: Shape, omega: Shape | None, kernel: Kernel) -> float:
+    """Local limit of the rescaled TVs of a planar shape.
 
-    Planar shapes: integral of sigma over the boundary inside the window
-    (4096 samples from the shape's boundary parametrization).  Smooth grid
-    fields: integral of sigma(grad u) over window cells, using the central
-    difference gradient.  Indicator fields, rasterized shapes and superlevel
-    sets alike, are rejected: they have no gradient and no analytic boundary.
+    The integral of sigma over the shape's boundary inside the window, on
+    4096 samples of its boundary parametrization.
     """
     from .anisotropy import Anisotropy
 
-    an = Anisotropy(kernel)
-    if isinstance(u, Shape):
-        bs = u.boundary_sample(4096)
-        inside = np.ones(len(bs.points), dtype=bool) if omega is None \
-            else omega.contains(bs.points)
-        sig = an.values_at(bs.normals)
-        return float(np.sum(bs.weights[inside] * sig[inside]))
-    if u.tag == "indicator":
-        raise EnergyDomainError(
-            "indicator fields have no gradient; limit TV needs a smooth phase"
-        )
-    grads = np.stack(np.gradient(u.values, *u.spacing), axis=-1)
-    om = _omega_mask(omega, u.box)
-    cell = float(np.prod(u.spacing))
-    sig = an.values_at(grads)
-    return cell * float(np.sum(sig[om]))
+    if not isinstance(E, Shape):
+        raise EnergyDomainError(f"limit TV takes a shape, not a {type(E).__name__}")
+    bs = E.boundary_sample(4096)
+    inside = np.ones(len(bs.points), dtype=bool) if omega is None \
+        else omega.contains(bs.points)
+    sig = Anisotropy(kernel).values_at(bs.normals)
+    return float(np.sum(bs.weights[inside] * sig[inside]))
 
 
 def coarea_check(u: GridField, omega: Shape | None, kernel: Kernel,

@@ -58,10 +58,6 @@ class Box:
             raise FieldDomainError("need at least 4 cells per axis")
 
     @property
-    def d(self) -> int:
-        return len(self.origin)
-
-    @property
     def spacing(self) -> np.ndarray:
         return np.asarray(self.size) / np.asarray(self.resolution)
 
@@ -70,9 +66,8 @@ class Box:
         return self.origin[axis] + h * (np.arange(self.resolution[axis]) + 0.5)
 
     def centers(self) -> np.ndarray:
-        """Cell-center coordinates, shape ``resolution + (d,)`` (x-first)."""
-        axes = [self.axis_centers(i) for i in range(self.d)]
-        grids = np.meshgrid(*axes, indexing="ij")
+        """Cell-center coordinates, shape ``resolution + (2,)`` (x-first)."""
+        grids = np.meshgrid(self.axis_centers(0), self.axis_centers(1), indexing="ij")
         return np.stack(grids, axis=-1)
 
     @staticmethod
@@ -113,10 +108,6 @@ class GridField:
         object.__setattr__(self, "outside", float(self.outside))
 
     @property
-    def d(self) -> int:
-        return self.box.d
-
-    @property
     def spacing(self) -> np.ndarray:
         return self.box.spacing
 
@@ -131,11 +122,8 @@ def check_constant_ring(u: GridField, error: type[Exception]) -> None:
     """
     vals = u.values
     scale = max(float(np.ptp(vals)), 1e-30)
-    ring = []
-    for axis in range(vals.ndim):
-        ring.append(np.take(vals, 0, axis=axis).ravel())
-        ring.append(np.take(vals, -1, axis=axis).ravel())
-    gap = float(np.max(np.abs(np.concatenate(ring) - u.outside)))
+    ring = np.concatenate((vals[0], vals[-1], vals[:, 0], vals[:, -1]))
+    gap = float(np.max(np.abs(ring - u.outside)))
     if gap > 1e-9 * scale:
         raise error(
             "the field must match its constant extension on the window boundary "
@@ -184,8 +172,6 @@ class BoundarySample(NamedTuple):
 
 class Shape:
     """Base class: a planar set given as {phi > 0} with phi positive inside."""
-
-    d = 2
 
     def phi(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -388,7 +374,7 @@ def superlevel(field: GridField, c: float) -> GridField:
 def save_field(field: GridField, path) -> None:
     """Plain text: header lines then one %.17g value per cell, row-major."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"d {field.d}\n")
+        fh.write("d 2\n")
         fh.write("origin " + " ".join("%.17g" % v for v in field.box.origin) + "\n")
         fh.write("size " + " ".join("%.17g" % v for v in field.box.size) + "\n")
         fh.write("resolution " + " ".join(str(v) for v in field.box.resolution) + "\n")

@@ -10,12 +10,12 @@ reduces the planar rate to a family of 1D ones.  The effective kernel of
 the window average is radial and holds in d = 2 and d = 3.
 
 Every batch of queries the grid energies make is a shifted lattice: the
-x-quadrature nodes (cell centers, or one of the 2^d Gauss sub-lattices)
+x-quadrature nodes (cell centers, or one of the four Gauss sub-lattices)
 plus one constant displacement eps*r*z_hat or a slope probe.  The cubic
 spline is therefore evaluated by one separable 4-tap B-spline filter per
 axis on its prefiltered coefficients (``_SplineSampler.lattice``), the
 shift primitive the flow step also uses.  Only the rotated line samples of
-``slicing_check`` are off-lattice; they take the full 4^d-tap stencil per
+``slicing_check`` are off-lattice; they take the full 16-tap stencil per
 point.  The 1D energies sample their piecewise-linear rows one constant
 fraction past the half-cell nodes, so they read node arrays by slices
 rather than by per-point gathers.
@@ -38,7 +38,6 @@ moves ``direct`` by 1.1e-9.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -339,23 +338,23 @@ _POINT_BLOCK = 1 << 14
 
 
 def _spline_filter(values: np.ndarray) -> np.ndarray:
-    """Cubic B-spline coefficients that interpolate ``values`` at the nodes.
+    """Cubic B-spline coefficients that interpolate planar ``values`` at the nodes.
 
     scipy's ``spline_filter(values, order=3, mode="nearest")``, same
-    arithmetic: per axis, over all lines of that axis at once, the gain,
-    the causal init of a mirror-symmetric extension, the causal recursion,
-    the anticausal init and the anticausal recursion.
+    arithmetic: per axis, 0 then 1, over all lines of that axis at once,
+    the gain, the causal init of a mirror-symmetric extension, the causal
+    recursion, the anticausal init and the anticausal recursion.
     """
     z = _POLE
     out = np.array(values, dtype=float)
-    for axis in range(out.ndim):
+    for axis in (0, 1):
         c = np.ascontiguousarray(np.moveaxis(out, axis, 0))
         n = len(c)
         c *= (1.0 - z) * (1.0 - 1.0 / z)
         # c[0] accumulates z^i (c[i] + z^n c[n-1-i]) in place, so the last
         # term, i = n - 1, reads the running sum for c[0]
         z_n = z ** n
-        z_i = np.cumprod(np.full(n - 1, z)).reshape((n - 1,) + (1,) * (c.ndim - 1))
+        z_i = np.cumprod(np.full(n - 1, z)).reshape(n - 1, 1)
         terms = np.empty_like(c[:n - 1])
         terms[0] = c[0] + z_n * c[n - 1]
         terms[1:] = z_i[:n - 2] * (c[1:n - 1] + z_n * c[n - 2:0:-1])
@@ -388,7 +387,7 @@ class _SplineSampler:
     its fraction is the same at every node, so each axis takes one 4-tap
     B-spline filter (``fields.shift_taps``) over the block of coefficients
     the lattice covers.  Calling the sampler evaluates it at arbitrary
-    points, each through its own 4^d-tap stencil; only the rotated line
+    points, each through its own 4 x 4-tap stencil; only the rotated line
     samples of ``slicing_check`` need that.  A call works through its
     points in blocks of at most ``_POINT_BLOCK``, so its working set is
     bounded whatever the batch; the tap offsets are built once, here.
@@ -404,28 +403,27 @@ class _SplineSampler:
         self._h = h
         self._resolution = np.asarray(u.box.resolution)
         self._pads = np.asarray(pads)
-        # the per-point stencil: flat offset of each of the 4^d taps, last axis fastest
-        dims = self._coeffs.shape
-        self._strides = np.array([math.prod(dims[axis + 1:]) for axis in range(len(dims))])
-        self._stencil = list(itertools.product(range(4), repeat=len(dims)))
-        self._offsets = [int(np.dot(k, self._strides)) for k in self._stencil]
+        # the per-point stencil: taps (i, j) and their flat offsets, axis 1 fastest
+        self._stride = self._coeffs.shape[1]
+        self._stencil = [(i, j, i * self._stride + j) for i in range(4) for j in range(4)]
         # tap weights and term buffer of one point block, kept across calls
         self._scratch = None
 
     @classmethod
     def constant(cls, u: GridField, margin: float) -> "_SplineSampler":
         """Pad with the outside constant, clear of ``margin`` plus the stencil."""
-        pads = tuple(int(math.ceil(margin / u.spacing[i])) + 4 for i in range(u.d))
+        hx, hy = u.spacing
+        pads = (math.ceil(margin / hx) + 4, math.ceil(margin / hy) + 4)
         return cls(u, pads, constant_values=u.outside)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        """Spline values at points of shape (..., d).
+        """Spline values at points of shape (..., 2).
 
         The arithmetic of scipy's order-3 interpolation of prefiltered
         coefficients: with y the fraction past floor(x) and z = 1 - y,
         the tap weights are z^3/6, (3 y^2 (y - 2) + 4)/6, (3 z^2 (z - 2) +
         4)/6 and one minus those, the stencil starts at floor(x) - 1, and
-        the terms (c w_0) w_1 ... are summed with the last axis fastest.
+        the terms (c w_0) w_1 of the 16 taps are summed with axis 1 fastest.
 
         The points run in equal blocks of at most ``_POINT_BLOCK``, each
         with its own coordinates, bounds check and tap weights (contiguous
@@ -444,7 +442,7 @@ class _SplineSampler:
         flat = self._coeffs.ravel()
         out = np.empty(n)
         if self._scratch is None or len(self._scratch[1]) < size:
-            self._scratch = (np.empty((len(dims), 4, size)), np.empty(size))
+            self._scratch = (np.empty((2, 4, size)), np.empty(size))
         w, term_buf = self._scratch
         for s in range(0, n, size):
             coords = (flat_pts[s:s + size] - self._origin) / self._h - 0.5
@@ -452,7 +450,7 @@ class _SplineSampler:
             lo = whole.astype(np.intp) - 1
             if np.any(lo < 0) or np.any(lo + 4 > dims):
                 raise RateDomainError("a query's stencil reaches past the padded coefficients")
-            start = lo @ self._strides
+            start = lo[:, 0] * self._stride + lo[:, 1]
             m = len(start)
             y = (coords - whole).T
             z = 1.0 - y
@@ -464,11 +462,11 @@ class _SplineSampler:
             term = term_buf[:m]
             acc = out[s:s + m]
             acc.fill(0.0)
-            for taps, off in zip(self._stencil, self._offsets):
+            for i, j, off in self._stencil:
                 # in range by the check above; "clip" writes to ``out`` unbuffered
                 flat[off:].take(start, out=term, mode="clip")
-                for axis, k in enumerate(taps):
-                    term *= wb[axis, k]
+                term *= wb[0, i]
+                term *= wb[1, j]
                 acc += term
         return out.reshape(pts.shape[:-1])
 
@@ -492,30 +490,27 @@ class _SplineSampler:
         lo = np.asarray(base) + whole.astype(int) - 1
         if np.any(lo < 0) or np.any(lo + np.asarray(shape) + 3 > self._coeffs.shape):
             raise RateDomainError("the lattice reaches past the padded coefficients")
-        block = self._coeffs[tuple(slice(i, i + n + 3) for i, n in zip(lo, shape))]
-        dims = block.shape
-        flat = block.ravel()
-        for axis, t in enumerate(shift - whole):
-            flat = shift_taps(flat, _bspline_taps(t), math.prod(dims[axis + 1:]))[0]
-        return flat.reshape(dims)[tuple(slice(0, n) for n in shape)]
+        (x0, y0), (nx, ny), (tx, ty) = lo, shape, shift - whole
+        block = self._coeffs[x0:x0 + nx + 3, y0:y0 + ny + 3]
+        flat = shift_taps(block.ravel(), _bspline_taps(tx), ny + 3)[0]
+        flat = shift_taps(flat, _bspline_taps(ty), 1)[0]
+        return flat.reshape(block.shape)[:nx, :ny]
 
 
 def _x_quadrature(u: GridField):
-    """2^d-point product-Gauss rule for the x-integral, per cell.
+    """2 x 2-point product-Gauss rule for the x-integral, per cell.
 
-    Returns the (2^d, d) sub-cell offsets from the cell center and their
-    weights times the cell volume; each offset is one sub-lattice.  The
-    sub-cell nodes resolve structure the plain cell-center sum misses
+    Returns the (4, 2) sub-cell offsets from the cell center, y fastest,
+    and their weights times the cell area; each offset is one sub-lattice.
+    The sub-cell nodes resolve structure the plain cell-center sum misses
     (fields with gradient kinks, whose defect density varies on the cell
     scale).
     """
-    cell = float(np.prod(u.spacing))
+    hx, hy = u.spacing
     g, gw = np.polynomial.legendre.leggauss(2)
-    axes_off = [0.5 * u.spacing[i] * g for i in range(u.d)]
-    offs = np.stack(np.meshgrid(*axes_off, indexing="ij"), axis=-1).reshape(-1, u.d)
-    axes_w = np.meshgrid(*([0.5 * gw] * u.d), indexing="ij")
-    sub_w = np.prod(np.stack(axes_w, axis=0), axis=0).reshape(-1)
-    return offs, sub_w * cell
+    offs = np.array([(x, y) for x in 0.5 * hx * g for y in 0.5 * hy * g])
+    sub_w = np.array([a * b for a in 0.5 * gw for b in 0.5 * gw])
+    return offs, sub_w * float(hx * hy)
 
 
 def rate_ddim(
@@ -781,12 +776,10 @@ def regularity_criterion(
     values = tuple(rate_ddim(u, G, f, e, n_angular).e_eps for e in eps_sorted)
 
     h = u.spacing
-    grad = np.gradient(u.values, *h)
-    core = (slice(2, -2),) * u.d
     hess_sq = sum(
-        np.gradient(grad[i], h[j], axis=j)[core] ** 2
-        for i in range(u.d)
-        for j in range(u.d)
+        np.gradient(g, h[j], axis=j)[2:-2, 2:-2] ** 2
+        for g in np.gradient(u.values, *h)
+        for j in (0, 1)
     )
     hess_energy = float(np.sum(hess_sq)) * float(np.prod(h))
     bound = 0.5 * f.c * kernels.absolute_moment(G, 2.0).value * hess_energy

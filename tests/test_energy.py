@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nlgeom import energy, fields, kernels
+from nlgeom import energy, kernels
 from nlgeom.energy import EnergyDomainError
 from nlgeom.fields import AxisBox, Ball, Box, GridField, Halfspace, rasterize
 
@@ -205,25 +205,12 @@ def test_limit_tv_disk():
     assert v == pytest.approx((2.0 / 3.0) * math.pi, rel=1e-6)
 
 
-def test_limit_tv_smooth_field_matches_shape():
-    # smooth phase whose gradient integral is computable: u depends on x1
-    # only, so the limit is sigma(e1) * integral |u'| = sigma * height * width
-    grid = Box.cube(1.0, 128)
-    cc = grid.centers()
-    u = GridField(grid, np.clip(cc[..., 0] + 0.5, 0.0, 1.0), tag="phase")
-    omega = AxisBox((-0.75, -0.75), (0.75, 0.75))
-    v = energy.limit_tv(u, omega, K_QUARTER)
-    sigma = 2.0 * (0.25**3 / 3.0)
-    assert v == pytest.approx(sigma * 1.0 * 1.5, rel=2e-2)
-
-
-def test_limit_tv_rejects_indicator():
+def test_limit_tv_takes_a_shape_only():
     grid = Box.cube(1.0, 64)
-    ind = rasterize(Ball((0, 0), 0.5), grid)
-    with pytest.raises(EnergyDomainError):
-        energy.limit_tv(ind, None, K_UNIT)
-    with pytest.raises(EnergyDomainError):
-        energy.limit_tv(fields.superlevel(ind, 0.5), None, K_UNIT)
+    smooth = GridField(grid, np.clip(grid.centers()[..., 0] + 0.5, 0.0, 1.0), tag="phase")
+    for u in (smooth, rasterize(Ball((0, 0), 0.5), grid)):
+        with pytest.raises(EnergyDomainError, match="takes a shape"):
+            energy.limit_tv(u, None, K_UNIT)
 
 
 # ---------------------------------------------------------------------------

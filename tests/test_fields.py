@@ -120,6 +120,25 @@ def test_geometry_is_planar(make):
         make()
 
 
+@pytest.mark.parametrize("cell", [(0, 3), (-1, 4), (5, 0), (2, -1), (0, 0), (-1, -1)],
+                         ids=["x-first", "x-last", "y-first", "y-last", "corner", "far-corner"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+def test_check_constant_ring_reads_all_four_edges(cell, sign):
+    # the ring sits at the extension value 0.25 and the interior reaches 1,
+    # so the tolerance is 1e-9 of the range 0.75
+    box = Box.cube(1.0, 8)
+    vals = np.full(box.resolution, 0.25)
+    vals[3:5, 3:5] = 1.0
+    tol = 1e-9 * 0.75
+    near = vals.copy()
+    near[cell] += sign * 0.5 * tol
+    fields.check_constant_ring(GridField(box, near, "phase", 0.25), FieldDomainError)
+    off = vals.copy()
+    off[cell] += sign * 2.0 * tol
+    with pytest.raises(FieldDomainError, match="window boundary"):
+        fields.check_constant_ring(GridField(box, off, "phase", 0.25), FieldDomainError)
+
+
 def test_shift_taps_copies_unit_rows_and_sums_the_others():
     flat = np.array([0.0, 1.0, 2.0, -0.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
     taps = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.25, 0.5, 0.0, 0.25]])

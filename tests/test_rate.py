@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -353,31 +352,24 @@ def test_regularity_needs_bounded_curvature():
 # shifted-lattice evaluation against the per-point paths
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2])  # a GridField is planar
 @pytest.mark.parametrize("reflect", [False, True])
 @pytest.mark.parametrize("phase", ["zero", "near-one", "random"])
 def test_spline_lattice_matches_map_coordinates(d, reflect, phase):
-    # the sampler is written for any d; a GridField is planar, so the 3-D
-    # case runs on a stand-in with the attributes the sampler reads
     rng = np.random.default_rng(7 * d + reflect)
-    n = 12 if d == 2 else 6
-    values = rng.random((n,) * d)
-    if d == 2:
-        u = GridField(Box.cube(1.0, n), values, "phase")
-    else:
-        u = SimpleNamespace(values=values, d=d, spacing=np.full(d, 2.0 / n), outside=0.0,
-                            box=SimpleNamespace(origin=(-1.0,) * d, resolution=(n,) * d))
+    n = 12
+    u = GridField(Box.cube(1.0, n), rng.random((n, n)), "phase")
     if reflect:
-        spl = rate._SplineSampler(u, (5,) * d, mode="reflect", reflect_type="odd")
+        spl = rate._SplineSampler(u, (5, 5), mode="reflect", reflect_type="odd")
     else:
         spl = rate._SplineSampler.constant(u, 0.3)
-    shift = {"zero": np.zeros(d), "near-one": np.full(d, 1.0 - 1e-13),
-             "random": rng.uniform(-1.0, 2.0, d)}[phase]
+    shift = {"zero": np.zeros(2), "near-one": np.full(2, 1.0 - 1e-13),
+             "random": rng.uniform(-1.0, 2.0, 2)}[phase]
     shape, base = spl.centers(0.0)
     base = base - 1
     got = spl.lattice(shape, base, shift)
-    axes = [base[i] + shift[i] + np.arange(n) for i in range(d)]
-    ref = ndimage.map_coordinates(spl._coeffs, np.meshgrid(*axes, indexing="ij"),
+    xs, ys = (base[i] + shift[i] + np.arange(n) for i in (0, 1))
+    ref = ndimage.map_coordinates(spl._coeffs, np.meshgrid(xs, ys, indexing="ij"),
                                   order=3, prefilter=False, mode="nearest")
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(spl._coeffs))
 
@@ -478,13 +470,13 @@ def test_e1d_rows_do_not_depend_on_the_rows_beside_them():
 # numpy ports against the scipy calls they replace, bit for bit
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [2])  # the filter is planar
 @pytest.mark.parametrize("pad", ["constant", "odd-reflect"])
 def test_spline_filter_matches_scipy_bitwise(d, pad):
     rng = np.random.default_rng(5 * d + (pad == "constant"))
-    # short axes: the init's last term, z^(n-1) (c[n-1] + z^n c[0]), then
+    # a short axis: the init's last term, z^(n-1) (c[n-1] + z^n c[0]), then
     # reaches the last bits
-    values = rng.random({1: (5,), 2: (29, 3), 3: (13, 2, 7)}[d])
+    values = rng.random((29, 3))
     if pad == "constant":  # _SplineSampler.constant's narrowest pad
         padded = np.pad(values, 4, constant_values=0.25)
     else:  # rate_limit_ddim's extension
