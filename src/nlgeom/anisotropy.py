@@ -46,14 +46,14 @@ class Anisotropy:
     def __post_init__(self):
         k = self.kernel
         kernels.require_planar(k)
-        first = kernels.absolute_moment(k, 1.0)
-        if not first.finite:
+        # radial-angular factorization: one radial moment, the first absolute
+        # moment over 2 pi, serves every direction (all families are radial)
+        radial = kernels._radial_moment(k, 2)
+        if not radial.finite:
             raise AnisotropyDomainError(
                 "kernel has an infinite first moment; sigma is not defined"
             )
-        # radial-angular factorization: one radial moment serves every
-        # direction (all supported families are radial)
-        coef = 0.5 * _ANGULAR_ABS * float(kernels._radial_moment(k, 2))
+        coef = 0.5 * _ANGULAR_ABS * float(radial)
         object.__setattr__(self, "coef", coef)
 
     def value(self, p) -> float:
@@ -82,10 +82,6 @@ class Anisotropy:
         pts = np.asarray(points, dtype=float)
         norms = np.linalg.norm(pts, axis=-1)
         return norms * self.coef
-
-
-def build(kernel: Kernel) -> Anisotropy:
-    return Anisotropy(kernel)
 
 
 # --------------------------------------------------------------------------

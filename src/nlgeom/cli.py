@@ -534,7 +534,7 @@ def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
     kern = _kernel_from(cfg.require_block("kernel"))
     n_dirs = cfg.root.count("directions", 8)
     yield
-    an = anisotropy.build(kern)
+    an = anisotropy.Anisotropy(kern)
     h_grad, h_hess = 1e-5, 1e-3
 
     rows, csv_rows = [], []
@@ -609,7 +609,7 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
     n_competitors = cfg.root.count("competitors", 4)
     yield
     rep = anisotropy.halfspace_cell_experiment(
-        anisotropy.build(kern), direction, cfg.eps,
+        anisotropy.Anisotropy(kern), direction, cfg.eps,
         n_competitors=n_competitors, seed=cfg.seed, resolution=resolution,
     )
     rows = [_gap_row(e, v, rep.sigma_ref, rep.sigma_ref)

@@ -1,4 +1,4 @@
-"""Radial kernels: evaluation, rescaling, absolute and hyperplane moments, checks.
+"""Radial kernels: evaluation, rescaling, absolute and hyperplane moments.
 
 Every built-in kernel is radial, even, and nonnegative.  A kernel is an
 immutable description (family tag plus parameters); evaluation and quadrature
@@ -15,15 +15,18 @@ antipodes to cancel odd integrands exactly, so do not break this symmetry.
 
 Two layers
 ----------
-The radial layer -- :class:`Kernel`, :func:`rescale`, the moments,
-:func:`tail_mass`, :func:`hyperplane_second_moment`, :func:`parabolic_mass`
-and :func:`validate` -- holds for d = 2 and d = 3.  Everything directional
-is planar, as are the grids, shapes and fields of the package: the angular
-rule, :func:`zgrid`, :func:`lattice_stencil`, :func:`hyperplane_basis` and
+The radial layer -- :class:`Kernel`, :func:`rescale`, the radial rule and
+:func:`absolute_moment` -- holds for d = 2 and d = 3; the d = 3 kernels are
+those of the effective-kernel averaging in :mod:`nlgeom.rate`.  Everything
+else is planar, as are the grids, shapes and fields of the package: the
+angular rule, :func:`zgrid`, :func:`lattice_stencil`,
+:func:`hyperplane_basis`, :func:`hyperplane_second_moment` and
 :func:`hyperplane_moment_matrix`.  :func:`require_planar` is the one check
 that a kernel may meet planar data: every public entry that pairs a kernel
 with planar data calls it, directly or through :func:`zgrid` or
-:func:`hyperplane_moment_matrix`.
+:func:`hyperplane_second_moment`.  The curvature assumptions on a kernel
+follow from its family and a bounded window, so no numeric check of them
+is made here (see :func:`nlgeom.curvature.curvature_convergence`).
 
 Moments of the indicator and power-law families are closed forms.  A
 custom profile's moment ∫_0^∞ r^q K̄(r) dr uses the same log-Gauss rule
@@ -91,9 +94,7 @@ class Kernel:
         Ambient dimension, 2 or 3.
     sigma:
         Origin singularity exponent: profile ~ r**(-d-sigma) near 0.
-        Zero for bounded families.
-    s:
-        Tail decay exponent used by the fractional-decay check.
+        Zero for bounded families; in (0, 1) for the power law.
     r0, r1:
         Inner/outer cutoff radii of the unit-scale profile.  ``r1`` may be
         ``math.inf`` for the untruncated power law (useful to exercise the
@@ -110,7 +111,6 @@ class Kernel:
     family: str
     d: int
     sigma: float = 0.0
-    s: float = 0.5
     r0: float = 0.0
     r1: float = 1.0
     scale: float = 1.0
@@ -121,10 +121,14 @@ class Kernel:
             raise KernelDomainError(f"unknown kernel family {self.family!r}")
         if self.d not in (2, 3):
             raise KernelDomainError(f"dimension must be 2 or 3, got {self.d}")
+        if self.family == "fractional-truncated" and not 0.0 < self.sigma < 1.0:
+            raise KernelDomainError(
+                f"fractional kernel needs sigma in (0, 1), got sigma = {self.sigma:g}"
+            )
         if not 0.0 <= self.sigma < 1.0:
-            raise KernelDomainError("origin exponent must lie in [0, 1)")
-        if self.s <= 0.0:
-            raise KernelDomainError("tail exponent must be positive")
+            raise KernelDomainError(
+                f"origin exponent sigma must lie in [0, 1), got sigma = {self.sigma:g}"
+            )
         if self.r0 < 0.0 or self.r1 <= 0.0 or self.r1 <= self.r0:
             raise KernelDomainError("need 0 <= r0 < r1")
         if self.scale <= 0.0 or not math.isfinite(self.scale):
@@ -241,9 +245,9 @@ def annulus_indicator(d: int = 2, r0: float = 0.2, r1: float = 1.0) -> Kernel:
 
 
 def fractional(d: int = 2, sigma: float = 0.5, radius: float = 1.0) -> Kernel:
-    """Truncated power law r**(-d-sigma), whose tail exponent ``s`` is ``sigma``;
-    ``radius=math.inf`` removes the cutoff."""
-    return Kernel("fractional-truncated", d, sigma=sigma, s=sigma, r1=radius)
+    """Truncated power law r**(-d-sigma), 0 < sigma < 1; ``radius=math.inf``
+    removes the cutoff."""
+    return Kernel("fractional-truncated", d, sigma=sigma, r1=radius)
 
 
 def custom_radial(
@@ -474,19 +478,6 @@ def absolute_moment(kernel: Kernel, power: float) -> Moment:
     return Moment(s * m.value, True, s * m.err)
 
 
-def tail_mass(kernel: Kernel, r: float) -> float:
-    """∫_{|z| > r} K(z) dz for r > 0 on a kernel with a bounded window."""
-    if r <= 0.0 or not math.isfinite(kernel.r1):
-        raise KernelDomainError("tail mass needs r > 0 and a truncated kernel")
-    hi = kernel.effective_radius()
-    if r >= hi:
-        return 0.0
-    rs, ws = radial_rule(kernel, r, hi)
-    vals = kernel.profile_at(rs)
-    d = kernel.d
-    return SPHERE_SURFACE[d] * float(np.sum(ws * rs ** (d - 1) * vals))
-
-
 def _origin_remainder(kernel: Kernel, q: float, r_lo: float) -> float:
     """∫_0^{r_lo} r^q K̄(r) dr from the profile's origin power law.
 
@@ -510,157 +501,24 @@ def hyperplane_basis(e: np.ndarray) -> np.ndarray:
 
 
 def hyperplane_second_moment(kernel: Kernel) -> float:
-    """∫_{e⊥} K(z) |z|^2 dH^{d-1}(z) by quadrature on the hyperplane.
+    """∫_{e⊥} K(z) |z|^2 dH^1(z) of a planar kernel, by quadrature on the line.
 
     Every kernel is radial, so the value is the same for every unit normal e.
     """
+    require_planar(kernel)
     k = kernel
-    d = k.d
     if not math.isfinite(k.r1):
         # integrand ~ r^{-sigma} at infinity: diverges for every sigma < 1
         return math.inf
     r_lo = k.quadrature_rmin()
     rs, ws = radial_rule(k, r_lo, k.effective_radius(), 4.0)
-    radial = float(np.sum(ws * k.profile_at(rs) * rs**d)) + _origin_remainder(k, d, r_lo)
-    # times the unit sphere of e⊥: two rays (d = 2) or a circle (d = 3)
-    return (2.0 if d == 2 else 2.0 * math.pi) * radial
+    radial = float(np.sum(ws * k.profile_at(rs) * rs**2)) + _origin_remainder(k, 2, r_lo)
+    # the line e⊥ holds two rays from the origin
+    return 2.0 * radial
 
 
 def hyperplane_moment_matrix(kernel: Kernel, e) -> np.ndarray:
     """Second-moment matrix ∫_{e⊥} K(z) z⊗z dH^1(z) of a planar kernel
     (2 x 2, PSD, M e = 0)."""
-    require_planar(kernel)
     t = hyperplane_basis(np.asarray(e, dtype=float))[0]
     return hyperplane_second_moment(kernel) * np.outer(t, t)
-
-
-def parabolic_mass(kernel: Kernel, lam: float, rho_max: float | None = None) -> float:
-    """Mass of K over the parabolic slab {|y·e| <= (lam/2)|y_perp|^2}.
-
-    ``rho_max`` optionally restricts the tangential radius (the cylinder used
-    by graph-based curvature bounds).  Every kernel is radial, so the mass is
-    the same for every unit normal e.
-    """
-    if lam <= 0.0:
-        return 0.0
-    k = kernel
-    d = k.d
-    r_eff = k.effective_radius()
-    if not math.isfinite(r_eff):
-        raise KernelDomainError(
-            "parabolic mass needs a bounded quadrature window; truncate the kernel"
-        )
-    hi = r_eff if rho_max is None else min(rho_max, r_eff)
-    lo = k.quadrature_rmin()
-    if hi <= lo:
-        return 0.0
-    rho, wr = gauss_log_panels(lo, hi, panels_per_decade=6, order=8)
-    x, w = _leggauss(16)
-    a_hi = np.minimum(0.5 * lam * rho**2, r_eff)
-    # inner integral over the normal coordinate a in [0, a_hi(rho)]
-    half = 0.5 * a_hi
-    a_nodes = half[:, None] * (x[None, :] + 1.0)
-    r_full = np.sqrt(a_nodes**2 + rho[:, None] ** 2)
-    vals = k.profile_at(r_full)
-    inner = (half[:, None] * w[None, :] * vals).sum(axis=1)
-    if d == 2:
-        return 4.0 * float(np.sum(wr * inner))
-    return 4.0 * math.pi * float(np.sum(wr * rho * inner))
-
-
-# --------------------------------------------------------------------------
-# assumption checks
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: dict
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def validate(kernel: Kernel) -> AssumptionReport:
-    """Numerically check the curvature assumptions on a kernel; report, never raise."""
-    k = kernel
-    out = []
-    if not math.isfinite(k.effective_radius()):
-        return AssumptionReport((
-            CheckResult(
-                "bounded-quadrature-window",
-                False,
-                {"note": "unbounded support; truncate the kernel before checking"},
-            ),
-        ))
-    ref = min(k.effective_radius(), 1.0)
-    # 1) r * mass outside B(0, r) -> 0 along a decreasing radius sequence;
-    #    fit the decay exponent so slowly decaying kernels still register
-    radii = [0.1 * ref, 0.05 * ref, 0.025 * ref]
-    vals = [r * tail_mass(k, r) for r in radii]
-    decreasing = all(b < a for a, b in zip(vals, vals[1:]))
-    slope = float(np.polyfit(np.log(radii), np.log(np.maximum(vals, 1e-300)), 1)[0])
-    out.append(
-        CheckResult(
-            "origin-tail-product",
-            decreasing and slope >= 0.05,
-            {"radii": radii, "values": vals, "decay_exponent": slope},
-            "r * ∫_{|z|>r} K must decay as r -> 0",
-        )
-    )
-    kappa = hyperplane_second_moment(k)
-    # 2) parabolic slab masses finite for each sampled opening
-    lam_grid = [0.25, 1.0, 4.0]
-    masses = [parabolic_mass(k, lam) for lam in lam_grid]
-    out.append(
-        CheckResult(
-            "parabolic-mass-finite",
-            all(math.isfinite(v) for v in masses),
-            {"lambda": lam_grid, "mass": masses},
-        )
-    )
-    # 3) small-opening ratio bounded (and consistent with the hyperplane moment)
-    lam_small = [0.4, 0.2, 0.1]
-    ratios = [parabolic_mass(k, lam) / lam for lam in lam_small]
-    bound = 2.0 * kappa + 1e-12
-    out.append(
-        CheckResult(
-            "small-opening-ratio",
-            all(v <= bound for v in ratios),
-            {"lambda": lam_small, "ratio": ratios, "hyperplane_second": kappa},
-            "mass(Q_lam)/lam stays bounded as lam -> 0",
-        )
-    )
-    # 4) wide-opening ratio vanishes
-    lam_large = [4.0, 16.0, 64.0]
-    ratios_l = [parabolic_mass(k, lam) / lam for lam in lam_large]
-    out.append(
-        CheckResult(
-            "wide-opening-decay",
-            all(b < a for a, b in zip(ratios_l, ratios_l[1:]))
-            and ratios_l[-1] < 0.5 * ratios_l[0],
-            {"lambda": lam_large, "ratio": ratios_l},
-        )
-    )
-    # 5) decay at least as fast as the reference power law beyond radius 1
-    hi = max(2.0 * ref, 4.0)
-    rr = np.geomspace(1.0, hi, 48)
-    prof = k.profile_at(rr) * rr ** (k.d + 1 + k.s)
-    growing = prof[-1] > prof[0] * 1.05 and prof[-1] > 1e-300
-    out.append(
-        CheckResult(
-            "power-tail-domination",
-            not growing,
-            {"m": float(prof.max()), "at_one": float(prof[0]), "far": float(prof[-1])},
-            "K(y) |y|^{d+1+s} must not grow at infinity",
-        )
-    )
-    return AssumptionReport(tuple(out))

@@ -9,7 +9,7 @@ from nlgeom.anisotropy import AnisotropyDomainError
 
 @pytest.fixture(scope="module")
 def ball_aniso():
-    return anisotropy.build(kernels.ball_indicator(2))
+    return anisotropy.Anisotropy(kernels.ball_indicator(2))
 
 
 def test_sigma_closed_form(ball_aniso):
@@ -42,14 +42,14 @@ def test_sigma_is_coefficient_times_norm(ball_aniso):
 
 
 def test_fractional_sigma_closed_form():
-    an = anisotropy.build(kernels.fractional(2, 0.5, 1.0))
+    an = anisotropy.Anisotropy(kernels.fractional(2, 0.5, 1.0))
     # (1/2) * 4 * int_0^1 r^2 r^{-2.5} dr = 2 * 2
     assert an.value([0.0, 1.0]) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_sigma_rejects_untruncated():
     with pytest.raises(AnisotropyDomainError):
-        anisotropy.build(kernels.fractional(2, 0.5, math.inf))
+        anisotropy.Anisotropy(kernels.fractional(2, 0.5, math.inf))
 
 
 def test_gradient_halfdisk_moment(ball_aniso):
@@ -150,7 +150,7 @@ def test_hessian_continuity_in_direction(ball_aniso):
 
 @pytest.mark.slow
 def test_halfspace_cell_small():
-    an = anisotropy.build(kernels.ball_indicator(2))
+    an = anisotropy.Anisotropy(kernels.ball_indicator(2))
     rep = anisotropy.halfspace_cell_experiment(
         an, (1.0, 0.0), (0.2, 0.1), n_competitors=2, resolution=192, seed=3
     )
@@ -165,7 +165,7 @@ def test_halfspace_cell_small():
 def test_halfspace_cell_rejects_nonvanishing_perturbation(monkeypatch):
     # competitors whose amplitude does not shrink with eps
     monkeypatch.setattr(anisotropy, "COMPETITOR_SHRINK", 0.0)
-    an = anisotropy.build(kernels.ball_indicator(2))
+    an = anisotropy.Anisotropy(kernels.ball_indicator(2))
     rep = anisotropy.halfspace_cell_experiment(
         an, (1.0, 0.0), (0.2, 0.1), n_competitors=1, resolution=128, seed=5,
     )
@@ -176,7 +176,7 @@ def test_halfspace_cell_rejects_nonvanishing_perturbation(monkeypatch):
 
 
 def test_halfspace_cell_direction_symmetry():
-    an = anisotropy.build(kernels.ball_indicator(2))
+    an = anisotropy.Anisotropy(kernels.ball_indicator(2))
     r1 = anisotropy.halfspace_cell_experiment(an, (1.0, 0.0), (0.2,),
                                               n_competitors=0, resolution=160)
     r2 = anisotropy.halfspace_cell_experiment(an, (0.0, 1.0), (0.2,),

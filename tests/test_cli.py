@@ -497,6 +497,47 @@ def test_main_maps_library_domain_errors_to_exit_two(tmp_path, capsys, case):
     assert code == 2 and err.count("nlgeom: error:") == 1
 
 
+CURVATURE_KERNEL_CFG = """
+experiment curvature-limit
+eps 0.2 0.1 0.05
+boundary_samples 2
+kernel {{
+  family {family}
+  {key} {value}
+}}
+geometry {{
+  shape disk
+  radius 0.5
+}}
+"""
+
+
+# the curvature assumptions hold for these by the family alone, whatever
+# the kernel's scale
+@pytest.mark.parametrize("family, key, value", [
+    ("ball", "radius", "0.05"),
+    ("ball", "radius", "4"),
+    ("fractional", "sigma", "0.9"),
+    ("fractional", "radius", "0.3"),
+    ("fractional", "radius", "5"),
+])
+def test_curvature_limit_passes_at_any_kernel_scale(tmp_path, family, key, value):
+    text = CURVATURE_KERNEL_CFG.format(family=family, key=key, value=value)
+    report, _ = run_text(tmp_path, text)
+    assert report.passed and len(report.checks) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key, value, reason", [
+    ("sigma", "0", "fractional kernel needs sigma in (0, 1), got sigma = 0"),
+    ("radius", "inf", "kernel needs a bounded quadrature window"),
+])
+def test_curvature_limit_rejects_a_kernel_in_one_line(tmp_path, capsys, key, value, reason):
+    text = CURVATURE_KERNEL_CFG.format(family="fractional", key=key, value=value)
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err == f"nlgeom: error: {reason}\n"
+
+
 # a key the experiment never reads fails the run before any numerics and
 # any artifact: (config, line, key description)
 UNREAD_CASES = {

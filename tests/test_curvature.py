@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,15 +87,11 @@ LEVEL_SET = GridField(Box.cube(1.0, 16), np.zeros((16, 16)), tag="level-set")
     (lambda: h0(LEVEL_SET, (0.0, 0.0), BALL_K), CurvatureDomainError),
     (lambda: LevelShape(lambda p: 1.0 - np.sum(p * p, axis=-1)).grad_phi((1.0, 0.0)),
      FieldDomainError),
-    (lambda: kernels.tail_mass(BALL_K, 0.0), kernels.KernelDomainError),
-    (lambda: kernels.tail_mass(kernels.fractional(2, 0.5, math.inf), 0.5),
-     kernels.KernelDomainError),
 ], ids=["hk_pv-3d", "hk_graph-3d", "ball-sample-3d", "halfspace-sample-3d",
-        "h0-grid-field", "level-shape-no-gradient", "tail-mass-r0", "tail-mass-untruncated"])
+        "h0-grid-field", "level-shape-no-gradient"])
 def test_planar_analytic_scope_is_guarded(call, error):
     # curvature takes planar kernels only, shapes are planar (a 3-D one
-    # fails at construction), h0 reads analytic derivatives, and tail_mass
-    # needs r > 0 on a truncated kernel
+    # fails at construction), and h0 reads analytic derivatives
     with pytest.raises(error):
         call()
 
@@ -116,13 +113,6 @@ def test_graph_agrees_with_pv(eps):
     g = hk_graph(B, (0.5, 0.0), k)
     p = hk_pv(B, (0.5, 0.0), k)
     assert g.value == pytest.approx(p.value, rel=1e-2)
-
-
-def test_graph_bound_by_parabolic_plus_tail():
-    # hk_graph's cylinder half-width is 0.4 r_eff = 0.4 on the unit ball kernel
-    cv = hk_graph(Ball((0.0, 0.0), 1.0), (1.0, 0.0), BALL_K)
-    bound = kernels.parabolic_mass(BALL_K, 1.1, rho_max=0.4) + kernels.tail_mass(BALL_K, 0.4)
-    assert abs(cv.value) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +145,14 @@ def test_h0_rotation_invariance():
         x = np.array([0.6 * math.cos(a), 0.6 * math.sin(a)])
         vals.append(h0(ell, x, BALL_K).value)
     assert np.ptp(vals) < 1e-8
+
+
+def test_h0_rejects_untruncated_kernel():
+    # the hyperplane moment is infinite, and inf * 0 would fill M with nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurvatureDomainError, match="bounded quadrature window"):
+            h0(Ball((0.0, 0.0), 0.5), (0.5, 0.0), kernels.fractional(2, 0.5, math.inf))
 
 
 def test_h0_gradient_floor():

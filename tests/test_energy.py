@@ -404,7 +404,7 @@ def test_halfspace_cell_builds_one_stencil_per_eps():
 
     _clear_caches()
     rep = anisotropy.halfspace_cell_experiment(
-        anisotropy.build(K_UNIT), (1.0, 0.0), (0.2, 0.1, 0.05), n_competitors=4,
+        anisotropy.Anisotropy(K_UNIT), (1.0, 0.0), (0.2, 0.1, 0.05), n_competitors=4,
         resolution=96,
     )
     calls = 3 * (1 + sum(c.accepted for c in rep.competitors))

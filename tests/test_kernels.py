@@ -28,7 +28,7 @@ def test_ball_indicator_closed_form_moments():
 def test_ball_indicator_3d_moments():
     k = kernels.ball_indicator(3)
     assert kernels.absolute_moment(k, 0.0).value == pytest.approx(4 * math.pi / 3, rel=1e-12)
-    assert kernels.hyperplane_second_moment(k) == pytest.approx(math.pi / 2, rel=1e-9)
+    assert kernels.absolute_moment(k, 2.0).value == pytest.approx(4 * math.pi / 5, rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
@@ -125,33 +125,12 @@ def test_hyperplane_moment_matrix_structure():
     assert np.allclose(M, expect, atol=1e-10)
 
 
-def test_parabolic_mass_small_opening_matches_moment():
-    # mass of { |z.e| <= lam |z_perp|^2 / 2 } divided by lam approaches the
-    # hyperplane moment as the parabola flattens
-    k = kernels.ball_indicator(2)
-    kappa = kernels.hyperplane_second_moment(k)
-    lam = 0.01
-    mass = kernels.parabolic_mass(k, lam)
-    assert mass / lam == pytest.approx(kappa, rel=1e-3)
-
-
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda: kernels.ball_indicator(2),
-        lambda: kernels.fractional(2, 0.5, 1.0),
-        lambda: kernels.annulus_indicator(2),
-        lambda: kernels.ball_indicator(3),
-    ],
-)
-def test_validate_curvature_set(factory):
-    report = kernels.validate(factory())
-    assert report.passed, [c.name for c in report.checks if not c.passed]
-
-
 def test_constructor_argument_checks():
     with pytest.raises(kernels.KernelDomainError):
         kernels.fractional(2, 1.0, 1.0)  # sigma must stay below 1
+    for sigma in (0.0, -0.5):  # sigma 0 is r^-2, not integrable at 0
+        with pytest.raises(kernels.KernelDomainError, match="sigma"):
+            kernels.fractional(2, sigma, 1.0)
     with pytest.raises(kernels.KernelDomainError):
         kernels.ball_indicator(2, radius=-1.0)
     with pytest.raises(kernels.KernelDomainError):
@@ -228,8 +207,9 @@ PLANAR_ENTRIES = {
     "hk_pv": lambda: curvature.hk_pv(DISK, (0.5, 0.0), K3),
     "hk_graph": lambda: curvature.hk_graph(DISK, (0.5, 0.0), K3),
     "h0": lambda: curvature.h0(DISK, (0.5, 0.0), K3),
+    "hyperplane_second_moment": lambda: kernels.hyperplane_second_moment(K3),
     "halfspace_cell_experiment": lambda: anisotropy.halfspace_cell_experiment(
-        anisotropy.build(K3), (1.0, 0.0), (0.2,)),
+        anisotropy.Anisotropy(K3), (1.0, 0.0), (0.2,)),
 }
 
 
