@@ -4,11 +4,12 @@ For a kernel K with finite first moment the direction-dependent weight
 
     sigma(p) = (1/2) * integral K(z) |z . p| dz
 
-is a norm; its gradient is the half-space first moment of K and its Hessian
-is the hyperplane second-moment matrix scaled by 1/|p|.  Every built-in
-kernel family is radial, so the radial-angular factorization gives
-sigma(p) = c |p| with one coefficient c, computed once per kernel.  The
-directions p are planar, so the kernel must be too.
+is a norm.  Every built-in kernel family is radial, so the radial-angular
+factorization gives sigma(p) = kappa |p|, with kappa the hyperplane second
+moment of K, computed once per kernel.  The gradient, the half-space first
+moment of K, is kappa p/|p|, and the Hessian is kappa t⊗t/|p| with t the
+unit tangent orthogonal to p.  The directions p are planar, so the kernel
+must be too.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ class AnisotropyDomainError(DomainError):
     pass
 
 
-# mean of |omega . e| over the unit circle times its length
-_ANGULAR_ABS = 4.0
-
 #: exponent of the competitors' amplitude decay along the eps schedule in
 #: ``halfspace_cell_experiment``; at 0 the amplitude stays fixed, so no
 #: competitor converges to the halfspace in L^1
@@ -44,16 +42,14 @@ class Anisotropy:
     coef: float = field(init=False)
 
     def __post_init__(self):
-        k = self.kernel
-        kernels.require_planar(k)
-        # radial-angular factorization: one radial moment, the first absolute
-        # moment over 2 pi, serves every direction (all families are radial)
-        radial = kernels._radial_moment(k, 2)
-        if not radial.finite:
+        # radial-angular factorization: (1/2) ∫|omega . e| over the circle
+        # is 2, so one radial moment serves every direction and sigma's
+        # coefficient is the hyperplane second moment
+        coef = kernels.hyperplane_second_moment(self.kernel)
+        if math.isinf(coef):
             raise AnisotropyDomainError(
                 "kernel has an infinite first moment; sigma is not defined"
             )
-        coef = 0.5 * _ANGULAR_ABS * float(radial)
         object.__setattr__(self, "coef", coef)
 
     def value(self, p) -> float:
@@ -74,8 +70,9 @@ class Anisotropy:
         norm = float(np.linalg.norm(p))
         if norm == 0.0:
             raise AnisotropyDomainError("sigma is not differentiable at p = 0")
-        M = kernels.hyperplane_moment_matrix(self.kernel, p / norm)
-        return M / norm
+        p_hat = p / norm
+        t = np.array([-p_hat[1], p_hat[0]])
+        return self.coef * np.outer(t, t) / norm
 
     def values_at(self, points) -> np.ndarray:
         """Vectorized sigma over an array of vectors (trailing axis = d)."""

@@ -10,8 +10,8 @@ Hessian.  Two routes evaluate H: a principal-value annulus scheme whose
 antipodal node pairing cancels the odd part exactly, and a graph-chart
 scheme that integrates the boundary column profile near x, kept as an
 independent check of the first; they agree within error bars.  The local
-limit H_0 is read off the hyperplane moment matrix of the kernel, and
-eps^{-1} H(rescaled kernel) approaches it.
+limit H_0 is kappa times the curvature, kappa the hyperplane second moment
+of the kernel, and eps^{-1} H(rescaled kernel) approaches it.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     r_eff = _window(kernel)
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
-    t_hat = kernels.hyperplane_basis(n_hat)[0]
+    t_hat = np.array([-n_hat[1], n_hat[0]])
 
     shells = []
     r_hi = r_eff
@@ -305,7 +305,7 @@ def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
 
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
-    t = kernels.hyperplane_basis(n_hat)[0]
+    t = np.array([-n_hat[1], n_hat[0]])
 
     # tangential quadrature nodes on both sides of x
     gl_x, gl_w = np.polynomial.legendre.leggauss(24)
@@ -357,27 +357,28 @@ def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
 
 
 def h0(phi, x, kernel: Kernel) -> CurvatureValue:
-    """Anisotropic local curvature - trace(M_K(grad dir) Hessian) / |grad|.
+    """Local curvature -kappa (t^T Hessian t) / |grad|, t the unit tangent.
 
     Needs a Shape with analytic first and second level derivatives.  The
-    orientation ({phi > 0} inside, inner normal along grad phi) makes the value nonnegative on
-    convex sets; for a radial kernel and a ball of radius R in the plane it
-    equals (hyperplane second moment)/R.
+    orientation ({phi > 0} inside, inner normal along grad phi) makes the
+    value nonnegative on convex sets; for a radial kernel and a ball of
+    radius R in the plane it equals kappa / R, kappa the hyperplane second
+    moment.
     """
     x = np.asarray(x, dtype=float)
     if not isinstance(phi, Shape):
         raise CurvatureDomainError("phi must be a Shape with analytic level derivatives")
     grad = np.asarray(phi.grad_phi(x), dtype=float)
-    hess_fn = getattr(phi, "hess_phi", None)
-    if hess_fn is None:
-        raise CurvatureDomainError(f"{type(phi).__name__} exposes no level Hessian")
-    hess = np.asarray(hess_fn(x), dtype=float)
+    hess = np.asarray(phi.hess_phi(x), dtype=float)
     gn = float(np.linalg.norm(grad))
     if gn <= 1e-12:
         raise CurvatureDomainError("degenerate gradient at x")
     _window(kernel)
-    M = kernels.hyperplane_moment_matrix(kernel, grad / gn)
-    val = -float(np.trace(M @ hess)) / gn
+    n_hat = grad / gn
+    t = np.array([-n_hat[1], n_hat[0]])
+    kappa = kernels.hyperplane_second_moment(kernel)
+    # t^T hess t, summed as trace(t t^T hess)
+    val = -kappa * float(np.trace(np.outer(t, t) @ hess)) / gn
     return CurvatureValue(val, abs(val) * 1e-10 + 1e-14, "local-h0")
 
 

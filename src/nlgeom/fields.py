@@ -185,6 +185,9 @@ class Shape:
     def grad_phi(self, x) -> np.ndarray:
         raise FieldDomainError(f"{type(self).__name__} has no level gradient")
 
+    def hess_phi(self, x) -> np.ndarray:
+        raise FieldDomainError(f"{type(self).__name__} has no level Hessian")
+
     def boundary_sample(self, n: int) -> BoundarySample:
         raise FieldDomainError(f"{type(self).__name__} has no boundary sampler")
 

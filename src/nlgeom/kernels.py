@@ -19,11 +19,13 @@ The radial layer -- :class:`Kernel`, :func:`rescale`, the radial rule and
 :func:`absolute_moment` -- holds for d = 2 and d = 3; the d = 3 kernels are
 those of the effective-kernel averaging in :mod:`nlgeom.rate`.  Everything
 else is planar, as are the grids, shapes and fields of the package: the
-angular rule, :func:`zgrid`, :func:`lattice_stencil`,
-:func:`hyperplane_basis`, :func:`hyperplane_second_moment` and
-:func:`hyperplane_moment_matrix`.  :func:`require_planar` is the one check
-that a kernel may meet planar data: every public entry that pairs a kernel
-with planar data calls it, directly or through :func:`zgrid` or
+angular rule, :func:`zgrid`, :func:`lattice_stencil` and
+:func:`hyperplane_second_moment`.  The last is the kernel's one second
+moment κ, twice the radial moment ∫_0^∞ r^2 K̄(r) dr (see below); the
+anisotropy coefficient, the Hessian of σ, h0 and the flow's diffusivity
+all read it.  :func:`require_planar` is the one check that a
+kernel may meet planar data: every public entry that pairs a kernel with
+planar data calls it, directly or through :func:`zgrid` or
 :func:`hyperplane_second_moment`.  The curvature assumptions on a kernel
 follow from its family and a bounded window, so no numeric check of them
 is made here (see :func:`nlgeom.curvature.curvature_convergence`).
@@ -478,47 +480,13 @@ def absolute_moment(kernel: Kernel, power: float) -> Moment:
     return Moment(s * m.value, True, s * m.err)
 
 
-def _origin_remainder(kernel: Kernel, q: float, r_lo: float) -> float:
-    """∫_0^{r_lo} r^q K̄(r) dr from the profile's origin power law.
-
-    Exact for indicator and pure power-law profiles, O(r_lo) relative for the
-    smoothly modulated ones; used to close the inner gap left by quadrature
-    rules that start at a positive radius.
-    """
-    p = kernel.origin_exponent()
-    expo = q - p + 1.0
-    if expo <= 0.0:
-        return math.inf
-    val = float(kernel.profile_at(np.array([r_lo]))[0])
-    return val * r_lo ** (q + 1) / expo
-
-
-def hyperplane_basis(e: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, shape (1, 2), of the line orthogonal to e in the plane."""
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
-    return np.array([[-e[1], e[0]]])
-
-
 def hyperplane_second_moment(kernel: Kernel) -> float:
-    """∫_{e⊥} K(z) |z|^2 dH^1(z) of a planar kernel, by quadrature on the line.
+    """κ = ∫_{e⊥} K(z) |z|^2 dH^1(z) of a planar kernel, inf when it diverges.
 
-    Every kernel is radial, so the value is the same for every unit normal e.
+    Every kernel is radial, so the value is the same for every unit normal
+    e: the line e⊥ holds two rays from the origin, each carrying the radial
+    moment ∫_0^∞ r^2 K̄(r) dr.  κ is also the coefficient of the kernel's
+    anisotropy σ(p) = κ|p| and the diffusivity of the local curvature flow.
     """
     require_planar(kernel)
-    k = kernel
-    if not math.isfinite(k.r1):
-        # integrand ~ r^{-sigma} at infinity: diverges for every sigma < 1
-        return math.inf
-    r_lo = k.quadrature_rmin()
-    rs, ws = radial_rule(k, r_lo, k.effective_radius(), 4.0)
-    radial = float(np.sum(ws * k.profile_at(rs) * rs**2)) + _origin_remainder(k, 2, r_lo)
-    # the line e⊥ holds two rays from the origin
-    return 2.0 * radial
-
-
-def hyperplane_moment_matrix(kernel: Kernel, e) -> np.ndarray:
-    """Second-moment matrix ∫_{e⊥} K(z) z⊗z dH^1(z) of a planar kernel
-    (2 x 2, PSD, M e = 0)."""
-    t = hyperplane_basis(np.asarray(e, dtype=float))[0]
-    return hyperplane_second_moment(kernel) * np.outer(t, t)
+    return 2.0 * _radial_moment(kernel, 2).value

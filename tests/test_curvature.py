@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from nlgeom import curvature, kernels
+from nlgeom import DomainError, curvature, kernels
 from nlgeom.curvature import CurvatureDomainError, hk_graph, hk_pv, h0
-from nlgeom.fields import Ball, Box, FieldDomainError, GridField, Halfspace, LevelShape
+from nlgeom.fields import (AxisBox, Ball, Box, FieldDomainError, GridField, Halfspace,
+                           LevelShape)
 
 BALL_K = kernels.ball_indicator(2)
 FRAC_K = kernels.fractional(2, 0.5, 1.0)
@@ -87,8 +88,9 @@ LEVEL_SET = GridField(Box.cube(1.0, 16), np.zeros((16, 16)), tag="level-set")
     (lambda: h0(LEVEL_SET, (0.0, 0.0), BALL_K), CurvatureDomainError),
     (lambda: LevelShape(lambda p: 1.0 - np.sum(p * p, axis=-1)).grad_phi((1.0, 0.0)),
      FieldDomainError),
+    (lambda: h0(AxisBox((-0.5, -0.5), (0.5, 0.5)), (0.5, 0.0), BALL_K), DomainError),
 ], ids=["hk_pv-3d", "hk_graph-3d", "ball-sample-3d", "halfspace-sample-3d",
-        "h0-grid-field", "level-shape-no-gradient"])
+        "h0-grid-field", "level-shape-no-gradient", "h0-axis-box"])
 def test_planar_analytic_scope_is_guarded(call, error):
     # curvature takes planar kernels only, shapes are planar (a 3-D one
     # fails at construction), and h0 reads analytic derivatives
@@ -308,11 +310,9 @@ def test_brentq_lanes_fails_to_converge_where_scipy_does(f, a, b, xtol):
 # batched principal-value route against the scalar one it replaced
 
 
-def _scalar_sign_surface_integral(E, x, r, n_hat, frame):
+def _scalar_sign_surface_integral(E, x, r, n_hat, t_hat):
     """One radius at a time, two scalar brentq solves per circle."""
     from scipy import optimize
-
-    t_hat = frame[0]
 
     def f(th):
         u = math.cos(th) * t_hat + math.sin(th) * n_hat
@@ -337,7 +337,7 @@ def _scalar_hk_pv(E, x, kernel):
     x = np.asarray(x, dtype=float)
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
-    frame = kernels.hyperplane_basis(n_hat)
+    t_hat = np.array([-n_hat[1], n_hat[0]])
     quad_err = 0.0
     increments = []
     r_hi = kernel.effective_radius()
@@ -348,7 +348,7 @@ def _scalar_hk_pv(E, x, kernel):
         for r, w, k in zip(rs, ws, kernel.profile_at(rs)):
             if k == 0.0:
                 continue
-            S, e = _scalar_sign_surface_integral(E, x, r, n_hat, frame)
+            S, e = _scalar_sign_surface_integral(E, x, r, n_hat, t_hat)
             acc += w * r ** (len(x) - 1) * k * S
             quad_err += w * r ** (len(x) - 1) * k * e
         increments.append(acc)

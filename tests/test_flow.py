@@ -78,7 +78,7 @@ def test_evolve_dt_guard(dt, circle64):
 
 def test_curvature_coefficient_ball_closed_form():
     # mean of the squared coordinate over the unit disk against e1
-    assert curvature_coefficient(BALL) == pytest.approx(2.0 / 3.0, rel=1e-6)
+    assert curvature_coefficient(BALL) == 2.0 / 3.0
 
 
 def test_dt_bound_formula(box64):

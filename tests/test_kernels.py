@@ -9,9 +9,6 @@ from nlgeom import anisotropy, curvature, energy, flow, kernels, rate
 from nlgeom.fields import Ball, Box, GridField
 
 
-E1 = np.array([1.0, 0.0])
-
-
 def test_ball_indicator_closed_form_moments():
     k = kernels.ball_indicator(2)
     mass = kernels.absolute_moment(k, 0.0)
@@ -22,7 +19,7 @@ def test_ball_indicator_closed_form_moments():
     # the radial normalization int_0^1 r^d dr
     assert kernels._radial_moment(k, 2).value == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert kernels.absolute_moment(k, 2.0).value == pytest.approx(math.pi / 2, rel=1e-12)
-    assert kernels.hyperplane_second_moment(k) == pytest.approx(2.0 / 3.0, rel=1e-9)
+    assert kernels.hyperplane_second_moment(k) == 2.0 / 3.0
 
 
 def test_ball_indicator_3d_moments():
@@ -118,11 +115,18 @@ def test_lattice_stencil_matches_row_binning(kernel, h, n_angular):
     assert np.array_equal(weights, acc[keep])
 
 
-def test_hyperplane_moment_matrix_structure():
-    k2 = kernels.ball_indicator(2)
-    M = kernels.hyperplane_moment_matrix(k2, E1)
-    expect = np.array([[0.0, 0.0], [0.0, 2.0 / 3.0]])
-    assert np.allclose(M, expect, atol=1e-10)
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.05])
+@pytest.mark.parametrize("kernel", [
+    kernels.ball_indicator(2),
+    kernels.ball_indicator(2, 0.25),
+    kernels.annulus_indicator(2, 0.2, 1.0),
+    kernels.fractional(2, 0.5),
+    kernels.fractional(2, 0.9),
+], ids=["ball-1", "ball-0.25", "annulus", "frac-0.5", "frac-0.9"])
+def test_hyperplane_moment_is_sigma_coefficient(kernel, eps):
+    # one second moment kappa: sigma(p) = kappa |p| reads the same bits
+    k = kernels.rescale(kernel, eps)
+    assert kernels.hyperplane_second_moment(k) == anisotropy.Anisotropy(k).coef
 
 
 def test_constructor_argument_checks():

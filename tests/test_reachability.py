@@ -31,9 +31,6 @@ ALLOWED = {
     "rate_limit_ddim",
     # reads the .field artifacts that the CLI writes
     "load_field",
-    # curvature.h0 reads the shapes' exact Hessians through
-    # getattr(phi, "hess_phi", None), a string no name pass sees
-    "hess_phi",
 }
 
 
