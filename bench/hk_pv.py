@@ -7,8 +7,11 @@ kernel sigma 0.5 radius 1, 16 boundary samples) and times every sample's
 ``hk_pv`` call at each eps, after one untimed warm-up pass.  One more,
 untimed pass counts the work per point: Brent lanes (crossing angles
 solved), batched Brent passes per solve (the slowest lane's iterations)
-and dense-fallback radii.  Prints one line per eps with those counts and
-the median and quartiles of the per-point time in ms.
+and dense-fallback radii.  Prints one line per eps with those counts,
+the median and quartiles of the per-point time in ms, and the median over
+the points of the actual error |hk_pv - H| beside the median error
+estimate ``err`` that hk_pv reports, H the disk's curvature from
+``kernels.disk_reference``.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def main(argv=None) -> None:
     disk = Ball((0.0, 0.0), 0.5)
     base = kernels.fractional(2, 0.5, 1.0)
     points = disk.boundary_sample(16).points
-    print("eps   lanes/pt  passes/solve  dense/pt   median_ms  q1_ms  q3_ms")
+    print("eps   lanes/pt  passes/solve  dense/pt   median_ms  q1_ms  q3_ms"
+          "  actual_err  est_err")
     for eps in (0.4, 0.2, 0.1, 0.05):
         kernel = kernels.rescale(base, eps)
         for p in points:
@@ -75,8 +79,12 @@ def main(argv=None) -> None:
                 ms.append(1e3 * (time.perf_counter() - t0))
         lanes, passes, dense = _count_work(disk, points, kernel)
         q1, med, q3 = np.percentile(ms, [25, 50, 75])
+        _, want = kernels.disk_reference(kernel, 0.5)
+        cvs = [curvature.hk_pv(disk, p, kernel) for p in points]
+        actual = np.median([abs(cv.value - want) for cv in cvs])
+        estimate = np.median([cv.err for cv in cvs])
         print(f"{eps:<5g} {lanes:>8g} {passes:>13d} {dense:>9g} {med:>11.3f} "
-              f"{q1:>6.3f} {q3:>6.3f}")
+              f"{q1:>6.3f} {q3:>6.3f} {actual:>11.2e} {estimate:>8.2e}")
 
 
 if __name__ == "__main__":

@@ -130,7 +130,7 @@ def _competitor_shape(p_hat, t_hat, amp, waves, phase):
         bump = amp * np.sin(waves * math.pi * s + phase) * cutoff
         return x @ p_hat - bump
 
-    return LevelShape(phi, name=f"sin{waves}")
+    return LevelShape(phi)
 
 
 def halfspace_cell_experiment(

@@ -6,12 +6,13 @@ The nonlocal curvature used here is
 
 nonnegative on convex sets.  Sets are analytic planar shapes (d = 2) with
 an exact level gradient; the local limit also reads their exact level
-Hessian.  Two routes evaluate H: a principal-value annulus scheme whose
-antipodal node pairing cancels the odd part exactly, and a graph-chart
-scheme that integrates the boundary column profile near x, kept as an
-independent check of the first; they agree within error bars.  The local
-limit H_0 is kappa times the curvature, kappa the hyperplane second moment
-of the kernel, and eps^{-1} H(rescaled kernel) approaches it.
+Hessian.  One route evaluates H: a principal-value annulus scheme that
+integrates the membership sign over each circle about x from its exact
+crossing angles, so the odd part cancels identically.  On disks it is
+checked against the 1-D radial integral of
+:func:`nlgeom.kernels.disk_reference`.  The local limit H_0 is kappa times
+the curvature, kappa the hyperplane second moment of the kernel, and
+eps^{-1} H(rescaled kernel) approaches it.
 """
 
 from __future__ import annotations
@@ -35,11 +36,7 @@ class CurvatureDomainError(DomainError):
 class CurvatureValue:
     value: float
     err: float
-    method: str
     diverged: bool = False
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _boundary_point_check(shape: Shape, x: np.ndarray) -> None:
@@ -162,7 +159,7 @@ def _dense_sign_mean(E, x, r):
     prev = None
     n = 256
     while True:
-        u = _circle_dirs(n)
+        u, _ = kernels.angular_rule(n)
         s = _signs(E, x[None, :] + r * u)
         cur = float(np.mean(s))
         if prev is not None and (abs(cur - prev) <= 1e-3 * max(abs(cur), 1e-3)):
@@ -171,11 +168,6 @@ def _dense_sign_mean(E, x, r):
             return cur, abs(cur - prev) if prev is not None else 1.0
         prev = cur
         n *= 2
-
-
-def _circle_dirs(n):
-    th = 2 * math.pi * (np.arange(n) + 0.5) / n
-    return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
 def _sign_surface_integrals(E, x, rs, n_hat, t_hat):
@@ -280,76 +272,7 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
         tail = increments[-1] * q / (1.0 - q)
         err = abs(tail) * (1.0 - q) + noise + quad_err
         total += tail
-    return CurvatureValue(total, err, "pv-annulus", diverged)
-
-
-# ---------------------------------------------------------------------------
-# graph-chart scheme
-
-
-def hk_graph(E: Shape, x, kernel: Kernel) -> CurvatureValue:
-    """Nonlocal curvature through a local boundary graph over the tangent line.
-
-    Inside the square {|tau| <= delta, |a| <= delta}, delta = 0.4 r_eff,
-    aligned with the inner normal, the two indicator contributions collapse
-    to a column integral of K between the boundary graph and its
-    reflection; outside the square the paired-quadrature far field is
-    added.  Points without a graph chart (a vanishing level gradient, or a
-    boundary that leaves the square) are rejected.
-    """
-    kernels.require_planar(kernel)
-    x = np.asarray(x, dtype=float)
-    _boundary_point_check(E, x)
-    r_eff = _window(kernel)
-    delta = 0.4 * r_eff
-
-    g = np.asarray(E.grad_phi(x), dtype=float)
-    n_hat = g / np.linalg.norm(g)
-    t = np.array([-n_hat[1], n_hat[0]])
-
-    # tangential quadrature nodes on both sides of x
-    gl_x, gl_w = np.polynomial.legendre.leggauss(24)
-    tau, tw = kernels.gauss_log_panels(delta * 1e-6, delta, 4, 10)
-    tau_vecs = np.concatenate([tau[:, None] * t, -tau[:, None] * t])
-    tau_w = np.concatenate([tw, tw])
-    tau_r = np.concatenate([tau, tau])
-
-    # boundary depth along the normal above each node, one Brent lane each
-    bases = x + tau_vecs
-
-    def psi(b, lanes):
-        return np.asarray(E.phi(bases[lanes] + b[:, None] * n_hat))
-
-    every = np.arange(len(bases))
-    lo, hi = np.full(len(bases), -0.95 * delta), np.full(len(bases), 0.95 * delta)
-    if np.any(psi(lo, every) * psi(hi, every) > 0.0):
-        raise CurvatureDomainError("no graph chart: the boundary leaves the square")
-    depth = _brentq_lanes(psi, lo, hi, 1e-14)
-
-    inner = 0.0
-    for b, w, tr in zip(depth, tau_w, tau_r):
-        if abs(b) < 1e-300:
-            continue
-        half = 0.5 * abs(b)
-        a_nodes = half * (gl_x + 1.0)
-        rads = np.sqrt(tr * tr + a_nodes * a_nodes)
-        vals = kernel.profile_at(np.maximum(rads, kernel.quadrature_rmin()))
-        col = 2.0 * half * float(np.sum(gl_w * vals))
-        inner += w * math.copysign(col, b)
-
-    # far field: paired quadrature outside the square
-    zg = kernels.zgrid(kernel, r_lo=0.5 * delta, r_hi=r_eff, n_angular=512)
-    kv = kernels.evaluate(kernel, zg.nodes)
-    outside = (np.abs(zg.nodes @ t) > delta) | (np.abs(zg.nodes @ n_hat) > delta)
-    s = _signs(E, x[None, :] + zg.nodes)
-    idx = np.nonzero(np.arange(len(zg)) < zg.antipode)[0]
-    mask = outside[idx]
-    paired = s[idx] + s[zg.antipode[idx]]
-    far = float(np.sum((zg.weights[idx] * kv[idx] * paired)[mask]))
-
-    n_ang = len(zg) // max(len(np.unique(zg.radii)), 1)
-    err = abs(inner) * 1e-4 + 8.0 * (abs(far) + 0.1 * abs(inner)) / max(n_ang, 1)
-    return CurvatureValue(inner + far, err, "graph")
+    return CurvatureValue(total, err, diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +302,7 @@ def h0(phi, x, kernel: Kernel) -> CurvatureValue:
     kappa = kernels.hyperplane_second_moment(kernel)
     # t^T hess t, summed as trace(t t^T hess)
     val = -kappa * float(np.trace(np.outer(t, t) @ hess)) / gn
-    return CurvatureValue(val, abs(val) * 1e-10 + 1e-14, "local-h0")
+    return CurvatureValue(val, abs(val) * 1e-10 + 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +337,7 @@ def make_ellipse(a: float, b: float, center=(0.0, 0.0), angle: float = 0.0) -> L
         pts = np.stack([a * np.cos(th), b * np.sin(th)], axis=-1)
         return c + pts @ R.T
 
-    return LevelShape(phi, grad_fn=grad, hess_fn=hess, boundary_fn=boundary,
-                      name=f"ellipse({a},{b})")
+    return LevelShape(phi, grad_fn=grad, hess_fn=hess, boundary_fn=boundary)
 
 
 # ---------------------------------------------------------------------------

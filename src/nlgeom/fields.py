@@ -319,13 +319,11 @@ class LevelShape(Shape):
         grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         hess_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         boundary_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        name: str = "",
     ):
         self._phi = phi_fn
         self._grad = grad_fn
         self._hess = hess_fn
         self._boundary = boundary_fn
-        self.name = name
 
     def phi(self, x):
         return self._phi(np.asarray(x, dtype=float))

@@ -599,10 +599,6 @@ class FlowMonitorReport:
     rows: tuple
 
     @property
-    def times(self) -> tuple:
-        return tuple(r[0] for r in self.rows)
-
-    @property
     def spatial_lipschitz(self) -> tuple:
         return tuple(r[2] for r in self.rows)
 

@@ -9,9 +9,12 @@ Quadrature conventions
 Radial integrals use composite Gauss-Legendre panels in log-radius between
 profile breakpoints, which resolves both power-law singularities at the
 origin and sharp cutoff radii.  Full-dimension node sets (:func:`zgrid`)
-combine the radial rule with an angular rule chosen so that every node has
-its exact antipode on the grid; several callers pair nodes with their
-antipodes to cancel odd integrands exactly, so do not break this symmetry.
+combine the radial rule with the angular rule, whose second half of
+directions is the exact negation of the first.  Two callers still need
+that antipodal symmetry: :func:`lattice_stencil`, whose binned stencil is
+then even bit for bit (offset -o carries the very mass of o), and the
+half-circle sum of :func:`nlgeom.rate.slicing_check`, which walks one
+direction of each antipodal pair.  So do not break it.
 
 Two layers
 ----------
@@ -19,16 +22,19 @@ The radial layer -- :class:`Kernel`, :func:`rescale`, the radial rule and
 :func:`absolute_moment` -- holds for d = 2 and d = 3; the d = 3 kernels are
 those of the effective-kernel averaging in :mod:`nlgeom.rate`.  Everything
 else is planar, as are the grids, shapes and fields of the package: the
-angular rule, :func:`zgrid`, :func:`lattice_stencil` and
-:func:`hyperplane_second_moment`.  The last is the kernel's one second
-moment κ, twice the radial moment ∫_0^∞ r^2 K̄(r) dr (see below); the
-anisotropy coefficient, the Hessian of σ, h0 and the flow's diffusivity
-all read it.  :func:`require_planar` is the one check that a
-kernel may meet planar data: every public entry that pairs a kernel with
-planar data calls it, directly or through :func:`zgrid` or
-:func:`hyperplane_second_moment`.  The curvature assumptions on a kernel
-follow from its family and a bounded window, so no numeric check of them
-is made here (see :func:`nlgeom.curvature.curvature_convergence`).
+angular rule, :func:`zgrid`, :func:`lattice_stencil`,
+:func:`hyperplane_second_moment` and :func:`disk_reference`.  The second
+moment is the kernel's one κ, twice the radial moment ∫_0^∞ r^2 K̄(r) dr
+(see below); the anisotropy coefficient, the Hessian of σ, h0 and the
+flow's diffusivity all read it.  :func:`disk_reference` gives the
+nonlocal perimeter and curvature of a disk as 1-D radial integrals, the
+continuum values the grid and boundary routes are checked against.
+:func:`require_planar` is the one check that a kernel may meet planar
+data: every public entry that pairs a kernel with planar data calls it,
+directly or through :func:`zgrid` or :func:`hyperplane_second_moment`.
+The curvature assumptions on a kernel follow from its family and a
+bounded window, so no numeric check of them is made here (see
+:func:`nlgeom.curvature.curvature_convergence`).
 
 Moments of the indicator and power-law families are closed forms.  A
 custom profile's moment ∫_0^∞ r^q K̄(r) dr uses the same log-Gauss rule
@@ -286,10 +292,7 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_log_panels(
-    r_lo: float,
-    r_hi: float,
-    panels_per_decade: float = _DEF_PANELS_PER_DECADE,
-    order: int = _DEF_GL_ORDER,
+    r_lo: float, r_hi: float, panels_per_decade: float, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for ∫_{r_lo}^{r_hi} g(r) dr, Gauss-Legendre in log r.
 
@@ -344,33 +347,20 @@ def angular_rule(n_angular: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return dirs, np.full(n, 2.0 * math.pi / n)
 
 
-@dataclass(frozen=True)
-class ZGrid:
-    """Product radial x angular quadrature grid for planar z-integrals.
-
-    ``nodes[i]`` carries weight ``weights[i]`` already including the r
-    area factor, so ``sum(w * f(nodes))`` approximates ∫ f(z) dz over the
-    annulus r_lo <= |z| <= r_hi.  ``antipode`` maps each node index to the
-    index of its exact antipodal node.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    radii: np.ndarray
-    antipode: np.ndarray
-
-    def __len__(self):
-        return len(self.weights)
-
-
 def zgrid(
     kernel: Kernel,
     r_lo: float | None = None,
     r_hi: float | None = None,
     n_angular=None,
     panels_per_decade: float = _DEF_PANELS_PER_DECADE,
-) -> ZGrid:
-    """Quadrature grid adapted to the planar kernel's support and breakpoints."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product radial x angular rule for planar z-integrals, adapted to the
+    kernel's support and breakpoints.
+
+    Returns ``(nodes, weights)``, nodes of shape (n, 2) radius-major; the
+    weights include the r area factor, so ``sum(weights * f(nodes))``
+    approximates ∫ f(z) dz over the annulus r_lo <= |z| <= r_hi.
+    """
     require_planar(kernel)
     if r_hi is None:
         r_hi = kernel.effective_radius()
@@ -382,32 +372,24 @@ def zgrid(
         raise ValueError(f"empty radial range [{r_lo}, {r_hi}]")
     r, wr = radial_rule(kernel, r_lo, r_hi, panels_per_decade)
     dirs, wa = angular_rule(n_angular)
-    na = len(wa)
     nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     weights = (wr[:, None] * r[:, None] * wa[None, :]).ravel()
-    radii = np.repeat(r, na)
-    # mirrored construction: the angular antipode of index j is j +- na/2
-    ang_ant = (np.arange(na) + na // 2) % na
-    if not np.array_equal(dirs[ang_ant], -dirs):
-        raise AssertionError("angular grid lost exact antipodal symmetry")
-    base = np.arange(len(r))[:, None] * na
-    antipode = (base + ang_ant[None, :]).ravel()
-    return ZGrid(nodes, weights, radii, antipode)
+    return nodes, weights
 
 
-def lattice_stencil(kernel: Kernel, spacing, zg: ZGrid | None = None):
+def lattice_stencil(kernel: Kernel, spacing, zg: tuple | None = None):
     """Quadrature masses weight * K binned on the lattice with this spacing.
 
-    Each node of ``zg`` (by default the kernel's own z-grid) snaps to the
-    nearest integer offset; the kernel value is taken at the exact node.
+    Each node of the ``(nodes, weights)`` rule ``zg`` (by default the
+    kernel's own :func:`zgrid`) snaps to the nearest integer offset; the
+    kernel value is taken at the exact node.
     Returns ``(offsets, weights)``: the distinct nonzero offsets in
     lexicographic order, shape (m, 2), and their accumulated masses.  The
     zero offset and bins whose masses cancel to 0 are dropped.
     """
-    if zg is None:
-        zg = zgrid(kernel)
-    masses = zg.weights * evaluate(kernel, zg.nodes)
-    off = np.rint(zg.nodes / np.asarray(spacing, dtype=float)).astype(np.int64)
+    nodes, weights = zgrid(kernel) if zg is None else zg
+    masses = weights * evaluate(kernel, nodes)
+    off = np.rint(nodes / np.asarray(spacing, dtype=float)).astype(np.int64)
     lo = off.min(axis=0)
     dims = tuple(off.max(axis=0) - lo + 1)
     # row-major keys sort like the offset rows themselves
@@ -431,9 +413,6 @@ class Moment:
     value: float
     finite: bool = True
     err: float = 0.0
-
-    def __float__(self):
-        return self.value
 
 
 def _radial_moment(kernel: Kernel, q: float) -> Moment:
@@ -490,3 +469,42 @@ def hyperplane_second_moment(kernel: Kernel) -> float:
     """
     require_planar(kernel)
     return 2.0 * _radial_moment(kernel, 2).value
+
+
+def disk_reference(kernel: Kernel, radius: float) -> tuple[float, float]:
+    """Nonlocal perimeter and curvature ``(Per, H)`` of the disk B_a, a = radius.
+
+    For a radial kernel both are 1-D radial integrals over |z| = r.  A
+    shift by z moves the area lune(r) = 2a^2 asin(r/2a) + (r/2)√(4a^2 - r^2)
+    of B_a out of itself, and the circle of radius r about a boundary point
+    has an angle 4 asin(r/2a) more outside B_a than inside.  The leading
+    terms 2ar and 2r/a of the two integrate to the local values 2πaκ and
+    κ/a (κ the hyperplane second moment), so each value is written as that
+    local value plus a correction whose integrand vanishes to higher order
+    at r = 0 and so carries no cancellation there:
+
+        Per = 2πaκ + 2π Σ m r (lune(r) - 2ar)
+        H   = κ/a  + Σ m (4r asin(r/2a) - 2r^2/a)
+
+    with m = w K̄(r) over one radial rule from ``quadrature_rmin()`` to the
+    effective radius, at 6 panels per decade.  The formulas hold while the
+    kernel's reach stays within 2a, which also keeps the kink of asin at
+    r = 2a out of the quadrature.
+    """
+    require_planar(kernel)
+    a = radius
+    r_eff = kernel.effective_radius()
+    if not math.isfinite(r_eff):
+        raise KernelDomainError("disk reference needs a truncated kernel")
+    if r_eff > 2.0 * a:
+        raise KernelDomainError(
+            f"kernel reach {r_eff:g} exceeds the disk diameter {2.0 * a:g}"
+        )
+    r, w = radial_rule(kernel, kernel.quadrature_rmin(), r_eff, panels_per_decade=6.0)
+    m = w * kernel.profile_at(r)
+    arc = np.arcsin(r / (2.0 * a))
+    kappa = hyperplane_second_moment(kernel)
+    lune_rest = 2.0 * a * a * arc + 0.5 * r * np.sqrt(4.0 * a * a - r * r) - 2.0 * a * r
+    per = 2.0 * math.pi * a * kappa + 2.0 * math.pi * float(np.sum(m * r * lune_rest))
+    curv = kappa / a + float(np.sum(m * (4.0 * r * arc - 2.0 * r * r / a)))
+    return per, curv

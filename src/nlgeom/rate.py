@@ -70,7 +70,6 @@ class Potential:
     d2f: Callable[[np.ndarray], np.ndarray]
     alpha: float = 0.0
     c: float | None = None
-    name: str = ""
 
     def __post_init__(self):
         if abs(float(self.f(0.0))) > 1e-12:
@@ -91,7 +90,6 @@ class Potential:
             d2f=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
             alpha=2.0,
             c=2.0,
-            name="t^2",
         )
 
 

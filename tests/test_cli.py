@@ -660,11 +660,10 @@ u = GridField(box, np.clip(1.0 - r2, 0.0, None) ** 2, "phase")
 rate.rate_limit_ddim(u, kernels.ball_indicator(d=2), rate.Potential.quadratic())
 """
 
-HK_GRAPH_CALL = """
-from nlgeom import curvature, kernels
-from nlgeom.fields import Ball
+DISK_REFERENCE_CALL = """
+from nlgeom import kernels
 kernel = kernels.rescale(kernels.fractional(2, 0.5, 1.0), 0.4)
-curvature.hk_graph(Ball((0.0, 0.0), 0.5), (0.5, 0.0), kernel)
+kernels.disk_reference(kernel, 0.5)
 """
 
 # case: (configs, library calls after the runs, layers beyond the
@@ -694,7 +693,7 @@ BUDGET_CASES = {
     ), RATE_LIMIT_CALL, {"rate"}),
     "effective-kernel": (("experiment effective-kernel\nsamples 10\n" + BALL,), "",
                          {"rate"}),
-    "curvature": ((CURVATURE_CFG,), HK_GRAPH_CALL, {"curvature"}),
+    "curvature": ((CURVATURE_CFG,), DISK_REFERENCE_CALL, {"curvature"}),
 }
 
 

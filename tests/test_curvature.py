@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlgeom import DomainError, curvature, kernels
-from nlgeom.curvature import CurvatureDomainError, hk_graph, hk_pv, h0
+from nlgeom.curvature import CurvatureDomainError, hk_pv, h0
 from nlgeom.fields import (AxisBox, Ball, Box, FieldDomainError, GridField, Halfspace,
                            LevelShape)
 
@@ -35,7 +35,6 @@ def test_pv_disk_lens_area_oracle():
     # integrable kernel: the value is an area difference of circle overlaps
     cv = hk_pv(Ball((0.0, 0.0), 1.0), (1.0, 0.0), BALL_K)
     assert cv.value == pytest.approx(LENS_ORACLE, rel=1e-9)
-    assert cv.method == "pv-annulus"
 
 
 def test_pv_positive_on_convex():
@@ -82,14 +81,14 @@ LEVEL_SET = GridField(Box.cube(1.0, 16), np.zeros((16, 16)), tag="level-set")
 
 @pytest.mark.parametrize("call, error", [
     (lambda: hk_pv(DISK, (0.5, 0.0), kernels.ball_indicator(3)), kernels.KernelDomainError),
-    (lambda: hk_graph(DISK, (0.5, 0.0), kernels.ball_indicator(3)), kernels.KernelDomainError),
+    (lambda: kernels.disk_reference(kernels.ball_indicator(3), 0.5), kernels.KernelDomainError),
     (lambda: Ball((0.0, 0.0, 0.0), 0.5).boundary_sample(64), FieldDomainError),
     (lambda: Halfspace((0.0, 0.0, 1.0), 0.0).boundary_sample(64), FieldDomainError),
     (lambda: h0(LEVEL_SET, (0.0, 0.0), BALL_K), CurvatureDomainError),
     (lambda: LevelShape(lambda p: 1.0 - np.sum(p * p, axis=-1)).grad_phi((1.0, 0.0)),
      FieldDomainError),
     (lambda: h0(AxisBox((-0.5, -0.5), (0.5, 0.5)), (0.5, 0.0), BALL_K), DomainError),
-], ids=["hk_pv-3d", "hk_graph-3d", "ball-sample-3d", "halfspace-sample-3d",
+], ids=["hk_pv-3d", "disk_reference-3d", "ball-sample-3d", "halfspace-sample-3d",
         "h0-grid-field", "level-shape-no-gradient", "h0-axis-box"])
 def test_planar_analytic_scope_is_guarded(call, error):
     # curvature takes planar kernels only, shapes are planar (a 3-D one
@@ -99,22 +98,34 @@ def test_planar_analytic_scope_is_guarded(call, error):
 
 
 # ---------------------------------------------------------------------------
-# graph route
+# the 1-D disk reference
 
 
-def test_graph_matches_lens_oracle():
-    cv = hk_graph(Ball((0.0, 0.0), 1.0), (1.0, 0.0), BALL_K)
-    assert cv.value == pytest.approx(LENS_ORACLE, rel=1e-2)
-    assert abs(cv.value - LENS_ORACLE) <= 3 * cv.err
+def test_disk_reference_matches_lens_oracle():
+    # unit ball kernel on the unit disk: the closed-form lens difference
+    _, curv = kernels.disk_reference(BALL_K, 1.0)
+    assert curv == pytest.approx(LENS_ORACLE, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("eps", [0.4, 0.2])
-def test_graph_agrees_with_pv(eps):
-    k = kernels.rescale(FRAC_K, eps)
-    B = Ball((0.0, 0.0), 0.5)
-    g = hk_graph(B, (0.5, 0.0), k)
-    p = hk_pv(B, (0.5, 0.0), k)
-    assert g.value == pytest.approx(p.value, rel=1e-2)
+# worst relative gap of hk_pv to the reference, measured 5e-13 (ball),
+# 3e-14 (annulus), 1.4e-6 (sigma 0.5) and 5.7e-5 (sigma 0.9)
+PV_REFERENCE_CASES = [
+    (BALL_K, 1e-11),
+    (kernels.annulus_indicator(2, 0.2, 1.0), 1e-11),
+    (FRAC_K, 1e-5),
+    (kernels.fractional(2, 0.9, 1.0), 2e-4),
+]
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
+def test_pv_matches_disk_reference(eps):
+    disk = Ball((0.0, 0.0), 0.5)
+    points = disk.boundary_sample(16).points[:3]
+    for kernel, rel in PV_REFERENCE_CASES:
+        k = kernels.rescale(kernel, eps)
+        _, want = kernels.disk_reference(k, 0.5)
+        for p in points:
+            assert hk_pv(disk, p, k).value == pytest.approx(want, rel=rel, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +135,6 @@ def test_graph_agrees_with_pv(eps):
 def test_h0_ball_closed_form():
     cv = h0(Ball((0.0, 0.0), 0.5), (0.5, 0.0), BALL_K)
     assert cv.value == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert cv.method == "local-h0"
 
 
 def test_h0_halfspace_zero():
@@ -369,7 +379,7 @@ def _scalar_hk_pv(E, x, kernel):
         tail = increments[-1] * q / (1.0 - q)
         err = abs(tail) * (1.0 - q) + noise + quad_err
         total += tail
-    return curvature.CurvatureValue(total, err, "pv-annulus", diverged)
+    return curvature.CurvatureValue(total, err, diverged)
 
 
 BITWISE_CASES = {

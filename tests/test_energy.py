@@ -60,9 +60,11 @@ def test_perimeter_disk_against_lune_quadrature():
         return math.pi * R * R - inter
 
     oracle, _ = integrate.quad(lambda t: 2 * math.pi * t * lune(t), 0.0, 0.25)
+    per, _ = kernels.disk_reference(K_QUARTER, R)
+    assert per == pytest.approx(oracle, rel=1e-12, abs=0.0)
     grid = Box.cube(1.0, 256)
     got = energy.perimeter_k(Ball((0.0, 0.0), R), None, K_QUARTER, grid).total
-    assert got == pytest.approx(oracle, rel=2e-2)
+    assert got == pytest.approx(per, rel=2e-2)
 
 
 def test_perimeter_matches_brute_force_double_sum():
@@ -274,9 +276,8 @@ def test_bv_upper_bound_for_rectangles():
     rect = AxisBox((-0.3, -0.2), (0.3, 0.2))
     area = 0.6 * 0.4
     per = 2 * (0.6 + 0.4)
-    bound_kernel = float(
-        kernels.absolute_moment(K_QUARTER, 1.0)
-    )  # int K |z| >= int K (1 and |z|) on support < 1
+    # int K |z| >= int K (1 and |z|) on support < 1
+    bound_kernel = kernels.absolute_moment(K_QUARTER, 1.0).value
     got = energy.perimeter_k(rect, None, K_QUARTER, grid).total
     assert got <= (area + 0.5 * per) * bound_kernel + 1e-12
 

@@ -637,7 +637,7 @@ def test_monitor_report_and_rows(circle64, dtb64):
     assert rows[0][0] == 0.0 and rows[0][3] == 0.0
     ts = [r[0] for r in rows]
     assert ts == sorted(ts)
-    assert rep.times == tr.times
+    assert tuple(ts) == tr.times
     assert [r[1] for r in rows] == [zero_level_area(f) for f in tr.snapshots]
     # the largest quotient over all snapshot pairs, whichever pass finds it
     pairs = max(

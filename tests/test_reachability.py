@@ -21,9 +21,10 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # Public definitions that only the tests reach, kept on purpose.
 ALLOWED = {
-    # the only independent oracle for hk_pv on a singular kernel
-    # (test_graph_agrees_with_pv)
-    "hk_graph",
+    # the continuum disk reference for hk_pv and perimeter_k
+    # (test_pv_matches_disk_reference), due to reach the CLI as the
+    # reference of curvature-limit and perimeter-limit
+    "disk_reference",
     # the tests' only non-circular boundary
     "make_ellipse",
     # the grid limit of the rate energies, due to become regularity's
