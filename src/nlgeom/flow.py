@@ -19,13 +19,15 @@ Two updates are available:
   scheme falls back to the plain sign of the bilinear value with ties
   counting zero, which extends the antipodal cancellation at the center
   cell to every tied pair and keeps halfspace data exactly stationary.
-  A step evaluates the stamp sum at active cells only.  It first builds
-  one table per interpolant holding the padded field shifted by every
-  sub-cell phase of the refined lattice, cropped to the box of padded
-  cells the active cells' stamps can reach; each (stamp offset, active
-  cell) pair then reads its values at a flat table index, and the sum
-  adds one phase's weighted indicators at a time, in the phases' sort
-  order.  The plateau fallback lives in the tables: where the spread is 0
+  A step evaluates the stamp sum at active cells only, over the box of
+  padded cells the active cells' stamps can reach.  It takes the stamp's
+  sub-cell phases one row phase (a slab) at a time: it builds one table
+  per interpolant holding the padded field shifted by the slab's phases,
+  each (stamp offset, active cell) pair of the slab reads its values at a
+  flat table index, and the sum adds one phase's weighted indicators at a
+  time, in the phases' sort order, before the next slab is built.  So the
+  tables take memory in proportion to the refinement, not its square.
+  The plateau fallback lives in the tables: where the spread is 0
   the cubic table holds the bilinear value and the spread table the
   smallest normal double, so the clipped quotient is exactly the sign of
   the bilinear difference, and +0 for a tie.
@@ -38,6 +40,7 @@ to per-snapshot rows of the flow's a-priori estimates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -144,17 +147,20 @@ class _Stamp:
 
     A stamp offset o = refine * q + f (0 <= f < refine per axis) reads the
     field at whole-cell offset q, shifted by the sub-cell phase f / refine.
-    Each step stacks the padded field shifted by every phase into one table
-    per interpolant (``_phase_tables``), over the box of the padded grid
-    that active cells can reach.  For active rows from i0 and columns from
-    j0, offset k reads cell (i, j) at block ``phase[k]`` of the tables, row
-    ``row[k] + i - i0`` and column ``col[k] + j - j0``, so a step re-bases
-    the entries from the box's shape alone, with no division.  Entries are
-    sorted by phase, keeping the lattice order within a phase; ``bounds``
-    delimits each phase's run (one group of the stamp sum).  ``pad`` is
-    the constant-extension margin per axis, ``(before, after)`` in whole
-    cells: the stencils of an offset with whole-cell part q span nodes
-    q - 1 .. q + 2, so it is (1 - min q, max q + 2).  ``grid`` is the
+    Entries are sorted by phase (f0, f1), keeping the lattice order within
+    a phase, so each row phase f0 is one stretch of entries: a slab.
+    ``slabs`` holds, per slab in f0 order, ``(f0, bounds)``, where
+    ``bounds`` delimits the slab's phases (each one group of the stamp
+    sum) in entry numbers.  Each step builds, one slab at a time, the
+    padded field shifted by the slab's refine phases as one table per
+    interpolant (``_phase_tables``), over the box of the padded grid that
+    active cells can reach.  For active rows from i0 and columns from j0,
+    offset k reads cell (i, j) at block ``f1[k]`` of its slab's tables,
+    row ``row[k] + i - i0`` and column ``col[k] + j - j0``, so a step
+    re-bases the entries from the box's shape alone, with no division.
+    ``pad`` is the constant-extension margin per axis, ``(before, after)``
+    in whole cells: the stencils of an offset with whole-cell part q span
+    nodes q - 1 .. q + 2, so it is (1 - min q, max q + 2).  ``grid`` is the
     (n0, n1) grid the stamp was laid out for.  ``scratch`` holds the flat
     (chi, index, spread) buffers of the stamp sum, large enough for
     every cell of the grid to be active.  Every step reuses them: allocated
@@ -166,11 +172,11 @@ class _Stamp:
     refine: int
     pad: tuple
     grid: tuple
-    phase: np.ndarray
+    f1: np.ndarray
     row: np.ndarray
     col: np.ndarray
     weights: np.ndarray
-    bounds: tuple
+    slabs: tuple
     scratch: tuple
 
 
@@ -220,22 +226,26 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
     q0, f0 = np.divmod(offsets[:, 0], refine)
     q1, f1 = np.divmod(offsets[:, 1], refine)
     n0, n1 = box.resolution
-    # the sum takes the phases in (f0, f1) order; the tables stack them
-    # f1-major, each block of the cropped box's shape
-    key = f0 * refine + f1
-    order = np.argsort(key, kind="stable")
-    phase = (f1 * refine + f0)[order]
+    # the sum takes the phases in (f0, f1) order, one row phase f0 (a
+    # slab) at a time
+    order = np.argsort(f0 * refine + f1, kind="stable")
+    key = (f0 * refine + f1)[order]
     row, col = (q0 - q0.min())[order], (q1 - q1.min())[order]
-    starts = np.flatnonzero(np.diff(key[order])) + 1
+    starts = np.flatnonzero(np.diff(key)) + 1
     bounds = (0, *(int(b) for b in starts), len(order))
+    slabs, g = [], 0
+    for f, phases in itertools.groupby(int(key[b]) // refine for b in bounds[:-1]):
+        stop = g + len(list(phases))
+        slabs.append((f, bounds[g:stop + 1]))
+        g = stop
     # the stamp sum's buffers, large enough for any active set and run
     cols = -(-n0 * n1 // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
     block = max(_BLOCK_PAIRS, cols)
     scratch = (np.empty(max(block, int(np.max(np.diff(bounds))) * cols)),
                np.empty(block, dtype=np.int64), np.empty(block))
     pad = tuple((1 - int(q.min()), int(q.max()) + 2) for q in (q0, q1))
-    return _Stamp(refine, pad, (n0, n1), phase, row, col, weights[order], bounds,
-                  scratch)
+    return _Stamp(refine, pad, (n0, n1), f1[order], row, col, weights[order],
+                  tuple(slabs), scratch)
 
 
 def _cubic_weights(a: float) -> np.ndarray:
@@ -268,30 +278,39 @@ def _tap_weights(refine: int, order: int) -> np.ndarray:
 
 
 def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
-    """Phase tables of the field (cubic) and of ``wf`` (bilinear) over a box.
+    """Phase tables of the field (cubic) and of ``wf`` (bilinear), slab by slab.
 
     For ``cells`` (ascending flat indices) in rows i0 .. i1 and columns
     j0 .. j1 and stamp pad ((before0, after0), (before1, after1)), the box
     is the grid's rows i0 - before0 .. i1 + after0 and columns
     j0 - before1 .. j1 + after1: the nodes that the 4-node stencils of the
-    active cells span.  On the circle datum at t = 0 it is 68², 62² and
-    58² at eps 0.2, 0.1 and 0.05, against the padded grid's 80², 74² and
-    70².  Each table is built separably, rows first, and has refine^2
-    blocks of the box's shape; phase (f0, f1) is block
-    ``f1 * refine + f0``, whose element (r, c) holds the value at box
-    position (r + 1, c + 1) plus the phase (the last 3 rows and columns of
-    a block are not read).
+    active cells span.  On the circle datum at t = 0 it is 68², 62², 58²
+    and 56² at eps 0.2, 0.1, 0.05 and 0.025, against the padded grid's
+    80², 74², 70² and 68².  The tables are built separably.  The row pass
+    runs once per step: for each interpolant it gives refine row phases of
+    the box.  The column pass runs per slab (one row phase f0, see
+    ``_Stamp``) and gives the slab's table: refine blocks, block f1 holding
+    phase (f0, f1), each with the box's width and all but its last 3 rows,
+    which no stencil completes.  Element (r, c) of a block is the value at
+    box position (r + 1, c + 1) plus the phase; the last 3 columns are
+    not read.  So a step holds the 3 row-pass tables and one or two slabs'
+    tables at a time, O(refine * box) doubles, not the refine^2 blocks of
+    all phases: on the circle datum after 10 steps at eps 0.05 the step's
+    traced peak is 2.7 MB against 7.5 MB with all phases built at once.
 
-    Where the spread table is 0 (a plateau site) the cubic table takes the
-    bilinear value and the spread table ``_PLATEAU_SPREAD``, the smallest
-    normal double 2^-1022.  Each pair reads both tables at one index, so
-    only plateau pairs see the swap, and for them the clipped quotient
-    (v - c) / 2^-1022 is exactly the sign of the bilinear difference, +0
-    for a tie (v is +0 for a zero cell value, see ``_stamp_sum``): the
-    plateau fallback, without a pass of its own.  (The bilinear value, not
-    the cubic one: the cubic stencil can manufacture tiny extrema at kinks,
-    which a hard sign would amplify.)  A normal divisor, because dividing
-    by a subnormal one is about 18 times slower.
+    Where a slab's spread table is 0 outside the last 3 elements of a
+    block, which ``shift_taps`` sets to 0 (a plateau site), the cubic
+    table takes the bilinear value and the spread table
+    ``_PLATEAU_SPREAD``, the smallest normal double 2^-1022; a slab without
+    a plateau site builds no bilinear table.  Each pair reads both
+    tables at one index, so only plateau pairs see the swap, and for them
+    the clipped quotient (v - c) / 2^-1022 is exactly the sign of the
+    bilinear difference, +0 for a tie (v is +0 for a zero cell value, see
+    ``_stamp_sum``): the plateau fallback, without a pass of its own.
+    (The bilinear value, not the cubic one: the cubic stencil can
+    manufacture tiny extrema at kinks, which a hard sign would amplify.)
+    A normal divisor, because dividing by a subnormal one is about 18
+    times slower.
 
     The sign is exact only if every nonzero difference v - c of a cell
     value v and a plateau bilinear value c is at least 2^-1022 in
@@ -307,29 +326,48 @@ def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
     multiple of 2^-1020, as is v, and a nonzero v - c is at least 2^-1020,
     four times 2^-1022.
 
-    Returns ``(cubic, spread, entries, at)``: the pair of stamp offset k
-    and cell ``cells[m]`` reads flat index ``entries[k] + at[m]`` of both
-    tables.
+    Returns ``(slabs, entries, at)``.  ``slabs`` is an iterator that builds
+    each slab's ``(cubic, spread)`` tables when asked for it, in the order
+    of ``stamp.slabs``; the pair of stamp offset k and cell ``cells[m]``
+    reads flat index ``entries[k] + at[m]`` of both tables of k's slab.
     """
     n1 = values.shape[1]
     ci, cj = cells // n1, cells % n1
     i0, j0 = int(ci[0]), int(cj.min())
     (b0, a0), (b1, a1) = stamp.pad
     rows, width = int(ci[-1]) - i0 + b0 + a0 + 1, int(cj.max()) - j0 + b1 + a1 + 1
-    box = np.s_[i0:i0 + rows, j0:j0 + width]
+    # the box's first row and column in grid indices; the box reads the
+    # grid where it overlaps it and the constant extension elsewhere
+    r0, c0 = i0 - b0, j0 - b1
+    inner = np.s_[max(-r0, 0):, max(-c0, 0):]
+    refine = stamp.refine
+    cubic_taps, linear_taps = _tap_weights(refine, 3), _tap_weights(refine, 1)
 
-    def table(arr, fill, order):
-        w = _tap_weights(stamp.refine, order)
-        by_rows = shift_taps(np.pad(arr, stamp.pad, constant_values=fill)[box].ravel(), w, width)
-        return shift_taps(by_rows.ravel(), w, 1).reshape(stamp.refine ** 2, rows, width)
+    def row_pass(arr, fill, taps):
+        box = np.full((rows, width), fill)
+        part = arr[max(r0, 0):r0 + rows, max(c0, 0):c0 + width]
+        box[inner][:part.shape[0], :part.shape[1]] = part
+        return shift_taps(box.ravel(), taps, width)
 
-    cubic, spread, linear = table(values, outside, 3), table(wf, 0.0, 1), table(values, outside, 1)
-    # the mask after the last table, so it adds nothing to a build's peak
-    plateau = spread == 0.0
-    np.copyto(cubic, linear, where=plateau)
-    np.copyto(spread, _PLATEAU_SPREAD, where=plateau)
-    entries = (stamp.phase * rows + stamp.row) * width + stamp.col
-    return cubic, spread, entries, (ci - i0) * width + cj - j0
+    by_rows = (row_pass(values, outside, cubic_taps), row_pass(wf, 0.0, linear_taps),
+               row_pass(values, outside, linear_taps))
+
+    def slab(f0):
+        def column_pass(table, taps):
+            # the last 3 rows of a row pass lack a full stencil and are not read
+            flat = by_rows[table][f0, :(rows - 3) * width]
+            return shift_taps(flat, taps, 1).reshape(refine, rows - 3, width)
+
+        cubic, spread = column_pass(0, cubic_taps), column_pass(1, linear_taps)
+        plateau = spread == 0.0
+        # nor are the last 3 elements of a block, which shift_taps sets to 0
+        if plateau.reshape(refine, -1)[:, :-3].any():
+            np.copyto(cubic, column_pass(2, linear_taps), where=plateau)
+            np.copyto(spread, _PLATEAU_SPREAD, where=plateau)
+        return cubic, spread
+
+    entries = (stamp.f1 * (rows - 3) + stamp.row) * width + stamp.col
+    return (slab(f0) for f0, _ in stamp.slabs), entries, (ci - i0) * width + cj - j0
 
 
 # The flow step's working set: pairs (offset, cell) per elementwise pass,
@@ -371,8 +409,16 @@ def _phase_runs(bounds: tuple, rows: int) -> list:
 # * splitting the phases between two threads: numpy's ``divide`` runs
 #   only 1.25 times faster on two threads of a 2-core host, so the step
 #   is no faster;
-# * building and consuming the tables one row phase at a time: 12% faster
-#   at eps 0.05, 7% slower at eps 0.1;
+# * building every phase's tables before the sum, in place of one row
+#   phase at a time: tables of 0.34-0.37, 0.63-0.65, 1.9-2.0 and 9.1-9.6
+#   ms against 0.35-0.44, 0.70-0.74, 2.0-2.2 and 6.5-6.7 ms per step at
+#   eps 0.2, 0.1, 0.05 and 0.025 (10, 10, 10 and 3 steps into the run,
+#   three alternating processes each), the rest of the step the same, but
+#   a traced peak of 7.5 against 2.7 MB at eps 0.05 and 24.9 against
+#   4.6 MB at eps 0.025;
+# * column passes of a slab one tap row at a time in ``shift_taps``:
+#   tables of 2.5-2.6 against 2.2 ms at eps 0.05 and 8.8 against 6.6-6.8
+#   ms at eps 0.025, from 8 numpy calls per tap row;
 # * summing over the whole active box with sliding-window copies of the
 #   tables, in place of the gathers: 14-40 ms against 10-15 ms per step
 #   at t = 10 steps;
@@ -381,7 +427,7 @@ def _phase_runs(bounds: tuple, rows: int) -> list:
 #   ``take``, the index add and ``clip`` only 1.23-1.35 times.
 def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
     """sum_k weight_k * chi_k at the flat ``cells``, one phase at a time."""
-    cubic, spread, entries, at = _phase_tables(values, outside, wf, cells, stamp)
+    slabs, entries, at = _phase_tables(values, outside, wf, cells, stamp)
     n = len(cells)
     cols = -(-n // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
     # padding columns repeat cell 0; their sums are dropped
@@ -389,30 +435,30 @@ def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
     at = np.concatenate([at, at[fill]])
     # + 0.0 turns a -0 cell value into +0, so a tie's quotient is +0
     v = values.ravel()[np.concatenate([cells, cells[fill]])] + 0.0
-    bounds = stamp.bounds
     rows = max(1, _BLOCK_PAIRS // cols)
     chi, idx, ww = (buf[:len(buf) // cols * cols].reshape(-1, cols) for buf in stamp.scratch)
     hk = np.zeros(cols)
     # a plateau quotient overflows to +-inf once |v - c| >= 4; the clip
     # turns it into the sign all the same
     with np.errstate(over="ignore"):
-        for first, stop in _phase_runs(bounds, rows):
-            base = bounds[first]
-            for lo in range(base, bounds[stop], rows):
-                k = min(rows, bounds[stop] - lo)
-                ix, c, w = idx[:k], chi[lo - base:lo - base + k], ww[:k]
-                np.add(entries[lo:lo + k, None], at, out=ix)
-                # the indices are in range: "wrap" only skips a buffered
-                # check; the ndarray methods skip numpy's Python wrappers
-                cubic.take(ix, out=c, mode="wrap")
-                np.subtract(v, c, out=c)
-                spread.take(ix, out=w, mode="wrap")
-                np.divide(c, w, out=c)
-                c.clip(-1.0, 1.0, out=c)
-            for j in range(first, stop):
-                # np.tensordot(weights, chi, axes=(0, 0)) makes this same call
-                wts = stamp.weights[None, bounds[j]:bounds[j + 1]]
-                hk += np.dot(wts, chi[bounds[j] - base:bounds[j + 1] - base])[0]
+        for (_, bounds), (cubic, spread) in zip(stamp.slabs, slabs):
+            for first, stop in _phase_runs(bounds, rows):
+                base = bounds[first]
+                for lo in range(base, bounds[stop], rows):
+                    k = min(rows, bounds[stop] - lo)
+                    ix, c, w = idx[:k], chi[lo - base:lo - base + k], ww[:k]
+                    np.add(entries[lo:lo + k, None], at, out=ix)
+                    # the indices are in range: "wrap" only skips a buffered
+                    # check; the ndarray methods skip numpy's Python wrappers
+                    cubic.take(ix, out=c, mode="wrap")
+                    np.subtract(v, c, out=c)
+                    spread.take(ix, out=w, mode="wrap")
+                    np.divide(c, w, out=c)
+                    c.clip(-1.0, 1.0, out=c)
+                for j in range(first, stop):
+                    # np.tensordot(weights, chi, axes=(0, 0)) makes this same call
+                    wts = stamp.weights[None, bounds[j]:bounds[j + 1]]
+                    hk += np.dot(wts, chi[bounds[j] - base:bounds[j + 1] - base])[0]
     return hk[:n]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlgeom import fields
+from nlgeom import fields, flow, rate
 from nlgeom.fields import (
     AxisBox,
     Ball,
@@ -139,10 +139,29 @@ def test_check_constant_ring_reads_all_four_edges(cell, sign):
         fields.check_constant_ring(GridField(box, off, "phase", 0.25), FieldDomainError)
 
 
+def _shift_taps_row_by_row(flat, taps, stride):
+    """Each tap row on its own: a unit row copies node 1, any other row adds
+    its nonzero taps' products in node order onto 0."""
+    n = flat.size - 3 * stride
+    out = np.zeros((len(taps), flat.size))
+    for row, acc in zip(taps, out):
+        nonzero = [i for i in range(4) if row[i]]
+        node = [flat[i * stride:i * stride + n] for i in range(4)]
+        if nonzero == [1] and row[1] == 1.0:
+            acc[:n] = node[1]
+            continue
+        total = row[nonzero[0]] * node[nonzero[0]] + 0.0
+        for i in nonzero[1:]:
+            total = total + row[i] * node[i]
+        acc[:n] = total
+    return out
+
+
 def test_shift_taps_copies_unit_rows_and_sums_the_others():
     flat = np.array([0.0, 1.0, 2.0, -0.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
     taps = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.25, 0.5, 0.0, 0.25]])
     out = fields.shift_taps(flat, taps, 2)
+    assert out.tobytes() == _shift_taps_row_by_row(flat, taps, 2).tobytes()
     # a unit row copies node 1, keeping the sign of a zero
     assert np.array_equal(out[0, :4], flat[2:6])
     assert np.signbit(out[0, 1])
@@ -152,3 +171,19 @@ def test_shift_taps_copies_unit_rows_and_sums_the_others():
     assert np.array_equal(out[2, :4], 0.25 * flat[0:4] + 0.5 * flat[2:6] + 0.25 * flat[6:10])
     # the last 3 * stride elements lack a full stencil
     assert np.all(out[:, 4:] == 0.0)
+    # the taps the library shifts by, on data with zeros of both signs: the
+    # flow's cubic and linear phase rows, whose first row is a unit row and
+    # whose linear rows tap nodes 1 and 2 only, and the rate layer's one
+    # B-spline row, whose last tap is 0 at t = 0
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=101)
+    data[rng.choice(101, 30, replace=False)] = 0.0
+    data[rng.choice(101, 30, replace=False)] = -0.0
+    zeros = np.signbit(data[data == 0.0])
+    assert zeros.any() and not zeros.all()
+    cases = [flow._tap_weights(refine, order) for refine in (1, 2, 4, 8) for order in (1, 3)]
+    cases += [rate._bspline_taps(0.0), rate._bspline_taps(0.3)]
+    for taps in cases:
+        for stride in (1, 7):
+            got = fields.shift_taps(data, taps, stride)
+            assert got.tobytes() == _shift_taps_row_by_row(data, taps, stride).tobytes()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,46 +369,62 @@ def test_active_step_bitwise_offcentre_circle():
         _assert_steps_match(f, eps, 3)
 
 
+def _entry_f0(stamp):
+    """The row phase f0 of every stamp entry, from the stamp's slabs."""
+    return np.concatenate([np.full(bounds[-1] - bounds[0], f0) for f0, bounds in stamp.slabs])
+
+
 def _reference_reads(values, outside, wf, cells, stamp):
-    """Per phase of the stamp: its entries k, its f1, and the cubic,
+    """Per phase of the stamp: its entries k, its (f0, f1), and the cubic,
     bilinear and spread values that each pair (k, cell) reads, from the
     whole-grid shifts of that phase at cell + q."""
     refine = stamp.refine
     P = np.pad(values, stamp.pad, constant_values=outside)
     W = np.pad(wf, stamp.pad, constant_values=0.0)
     ci, cj = np.divmod(cells, values.shape[1])
-    for p in np.unique(stamp.phase):
-        k = np.flatnonzero(stamp.phase == p)
+    phase = _entry_f0(stamp) * refine + stamp.f1
+    for p in np.unique(phase):
+        k = np.flatnonzero(phase == p)
         at_q = np.s_[stamp.row[k, None] + ci, stamp.col[k, None] + cj]
-        f0, f1 = p % refine, p // refine
-        yield k, f1, *(_reference_sub_shift(arr, refine, f0, f1, order)[at_q]
-                       for arr, order in ((P, 3), (P, 1), (W, 1)))
+        f0, f1 = divmod(int(p), refine)
+        yield k, f0, f1, *(_reference_sub_shift(arr, refine, f0, f1, order)[at_q]
+                           for arr, order in ((P, 3), (P, 1), (W, 1)))
+
+
+def _active_cells(vals, outside, h):
+    """Active cells of ``vals`` and its central gradient, as a step finds them."""
+    gx, gy = flow._gradient(vals, outside, h)
+    gmag = np.sqrt(gx * gx + gy * gy)
+    return np.flatnonzero((gmag >= 1e-6 * float(np.ptp(vals))) & (gmag > 0.0)), gx, gy
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
 def test_phase_tables_read_the_reference_shifts(eps):
-    # every table entry a pair reads, in both tables, against the whole-grid
-    # shift of its phase at cell + q.  The disk's band runs off the first
-    # rows, so pairs read the pad's plateau; beyond it the field tilts
-    # along the columns with a gradient below the activity floor.  On this
-    # grid the stamp's last column carries phases f1 > 0, whose cubic taps
-    # read the box's last column; those pairs keep a cubic value, and the
-    # box's left and right edges differ, so a crop one column short, whose
-    # rows borrow the next row's first value, shows in the cubic table
+    # every slab table entry a pair reads, in both tables, against the
+    # whole-grid shift of its phase at cell + q.  The disk's band runs off
+    # the first rows, so pairs read the pad's plateau; beyond it the field
+    # tilts along the columns with a gradient below the activity floor.  On
+    # this grid the stamp's last column carries phases f1 > 0, whose cubic
+    # taps read the box's last column; those pairs keep a cubic value, and
+    # the box's left and right edges differ, so a crop one column short,
+    # whose rows borrow the next row's first value, shows in the cubic table
     box = Box.cube(1.0, 48)
     cc = box.centers()
     vals = np.clip(0.35 - np.hypot(cc[..., 0] + 0.45, cc[..., 1]), -0.28, 0.28)
     vals = vals + 1e-9 * cc[..., 1]
     outside, h = -0.28, box.spacing
-    gx, gy = flow._gradient(vals, outside, h)
-    gmag = np.sqrt(gx * gx + gy * gy)
-    cells = np.flatnonzero((gmag >= 1e-6 * float(np.ptp(vals))) & (gmag > 0.0))
+    cells, gx, gy = _active_cells(vals, outside, h)
     ci, cj = np.divmod(cells, box.resolution[1])
     stamp = _build_stamp(BALL, eps, box)
     wf = 0.5 * (np.abs(gx) * h[0] + np.abs(gy) * h[1]) / stamp.refine
-    cubic, spread, entries, at = flow._phase_tables(vals, outside, wf, cells, stamp)
+    slabs, entries, at = flow._phase_tables(vals, outside, wf, cells, stamp)
+    # a slab's tables hold its refine phases
+    tables = {f0: tabs for (f0, _), tabs in zip(stamp.slabs, slabs)}
+    assert sorted(tables) == list(range(stamp.refine))
+    assert all(t.shape[0] == stamp.refine for tabs in tables.values() for t in tabs)
     plateau = edge = 0
-    for k, f1, C, B, S in _reference_reads(vals, outside, wf, cells, stamp):
+    for k, f0, f1, C, B, S in _reference_reads(vals, outside, wf, cells, stamp):
+        cubic, spread = tables[f0]
         flat = S == 0.0
         ix = entries[k, None] + at
         assert np.array_equal(cubic.ravel()[ix], np.where(flat, B, C))
@@ -425,36 +443,92 @@ def test_phase_tables_read_the_reference_shifts(eps):
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
 def test_every_pair_indicator_matches_the_reference(eps):
-    # with 21 active cells one phase run holds the whole stamp, so after a
-    # step the stamp's chi buffer holds every pair's indicator: compare
-    # them with the reference's, the sign of a zero included.  The field's
-    # zeros and the outside are -0, and its active zeros tie with +0
-    # plateau values; a tie counts +0, as the reference's np.sign gives
+    # with 21 active cells one phase run holds a whole slab, so after a
+    # step with a stamp cut down to one slab, the stamp's chi buffer holds
+    # every indicator of that slab's pairs: compare them, slab by slab,
+    # with the reference's, the sign of a zero included.  The field's zeros
+    # and the outside are -0, and its active zeros tie with +0 plateau
+    # values; a tie counts +0, as the reference's np.sign gives
     box = Box.cube(1.0, 40)
     vals = np.full(box.resolution, -0.0)
     vals[18:21, 18:21] = np.arange(1.0, 10.0).reshape(3, 3) / 32.0
     h = box.spacing
-    gx, gy = flow._gradient(vals, -0.0, h)
-    gmag = np.sqrt(gx * gx + gy * gy)
+    cells, gx, gy = _active_cells(vals, -0.0, h)
     floor = 1e-6 * float(np.ptp(vals))
-    cells = np.flatnonzero((gmag >= floor) & (gmag > 0.0))
     stamp = _build_stamp(BALL, eps, box)
     cols = -(-len(cells) // flow._COLUMN_QUANTUM) * flow._COLUMN_QUANTUM
-    assert len(flow._phase_runs(stamp.bounds, flow._BLOCK_PAIRS // cols)) == 1
-    _step_nonlocal_values(vals, -0.0, h, stamp, eps, 1e-4, floor)
-    chi = stamp.scratch[0][:len(stamp.weights) * cols].reshape(-1, cols)[:, :len(cells)]
+    chi = np.empty((len(stamp.weights), len(cells)))
+    for slab in stamp.slabs:
+        bounds = slab[1]
+        assert len(flow._phase_runs(bounds, flow._BLOCK_PAIRS // cols)) == 1
+        one = dataclasses.replace(stamp, slabs=(slab,))
+        _step_nonlocal_values(vals, -0.0, h, one, eps, 1e-4, floor)
+        run = one.scratch[0][:(bounds[-1] - bounds[0]) * cols].reshape(-1, cols)
+        chi[bounds[0]:bounds[-1]] = run[:, :len(cells)]
+    assert len(stamp.slabs) == stamp.refine > 1
 
     wf = 0.5 * (np.abs(gx) * h[0] + np.abs(gy) * h[1]) / stamp.refine
     v = vals.ravel()[cells]
     want = np.empty_like(chi)
     negative = 0
-    for k, _, C, B, S in _reference_reads(vals, -0.0, wf, cells, stamp):
+    for k, _, _, C, B, S in _reference_reads(vals, -0.0, wf, cells, stamp):
         spread = S > 0.0
         soft = np.clip((v - C) / np.where(spread, S, 1.0), -1.0, 1.0)
         want[k] = np.where(spread, soft + 0.0, np.sign(v - B))
         negative += np.count_nonzero(~spread & (v == B) & np.signbit(v - B))
     assert negative > 0
     assert chi.tobytes() == want.tobytes()
+
+
+def test_active_step_bitwise_plateau_in_one_slab():
+    # one cell inside the active band has an exactly zero central gradient
+    # and every other cell of the tables' box a nonzero one (a tilt below
+    # the activity floor outside the band).  So only row phase 0 reads a
+    # zero spread, at that cell's whole-cell position: slab 0 swaps in the
+    # bilinear value there, and the other slabs build no bilinear table
+    box = Box.cube(1.0, 40)
+    cc = box.centers()
+    vals = 1e-9 * (cc[..., 0] + 2.0 * cc[..., 1])
+    vals[12:29, 12:29] = np.random.default_rng(3).uniform(-0.25, 0.25, (17, 17))
+    vals[21, 20], vals[20, 21] = vals[19, 20], vals[20, 19]
+    f = GridField(box, vals, "level-set", 0.0)
+    h = box.spacing
+    cells, gx, gy = _active_cells(vals, 0.0, h)
+    assert 20 * 40 + 20 not in cells
+    for eps in (0.2, 0.1):
+        stamp = _build_stamp(BALL, eps, box)
+        wf = 0.5 * (np.abs(gx) * h[0] + np.abs(gy) * h[1]) / stamp.refine
+        slabs, _, _ = flow._phase_tables(vals, 0.0, wf, cells, stamp)
+        sites = {f0: np.count_nonzero(spread == flow._PLATEAU_SPREAD)
+                 for (f0, _), (_, spread) in zip(stamp.slabs, slabs)}
+        assert sites[0] > 0
+        assert not any(sites[f0] for f0 in range(1, stamp.refine))
+        _assert_steps_match(f, eps, 2)
+
+
+@pytest.mark.parametrize("eps, steps, bound_mb", [(0.05, 10, 3.5), (0.025, 3, 6.0)])
+def test_step_memory_peak(eps, steps, bound_mb, circle64):
+    # a step holds the tables of one row phase at a time, so its traced
+    # peak grows as refine, not refine^2: with all refine^2 phases built
+    # at once it was 7.5 MB at eps 0.05 and 24.9 MB at eps 0.025
+    box = circle64.box
+    stamp = _build_stamp(BALL, eps, box)
+    dt = dt_bound(curvature_coefficient(BALL), box)
+    floor = 1e-6 * float(np.ptp(circle64.values))
+
+    def step(v):
+        return _step_nonlocal_values(v, circle64.outside, box.spacing, stamp, eps, dt, floor)
+
+    vals = circle64.values
+    for _ in range(steps):
+        vals = step(vals)
+    tracemalloc.start()
+    try:
+        step(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 def test_constant_field_nonlocal_bitwise(box64, dtb64):

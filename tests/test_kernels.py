@@ -145,7 +145,8 @@ def test_flow_stamp_is_even_bitwise(eps):
     # the flow-compare / flow-monitors stamp, its offsets rebuilt from the
     # whole-cell part (row, col past the pad) and the sub-cell phase
     stamp = flow._build_stamp(kernels.ball_indicator(2), eps, Box.cube(1.0, 64))
-    f0, f1 = stamp.phase % stamp.refine, stamp.phase // stamp.refine
+    f0 = np.concatenate([np.full(b[-1] - b[0], f) for f, b in stamp.slabs])
+    f1 = stamp.f1
     q0 = stamp.row + 1 - stamp.pad[0][0]
     q1 = stamp.col + 1 - stamp.pad[1][0]
     offsets = np.stack([q0 * stamp.refine + f0, q1 * stamp.refine + f1], axis=1)
