@@ -140,35 +140,23 @@ def shift_taps(flat: np.ndarray, taps: np.ndarray, stride: int) -> np.ndarray:
     adds its nonzero taps ``taps[f, i] * flat[p + i * stride]`` in node
     order onto 0, the arithmetic of a Python ``sum`` over the taps.  The
     last 3 * stride elements of each row lack a full stencil and are set to
-    0.
-
-    All rows at once: one multiply and one add per node that any row taps,
-    broadcast over the rows from the first to the last that is not a unit
-    row (the flow's first row is one), then the unit rows are copied.  A
-    row's zero tap adds a zero product, which leaves a nonzero partial sum
-    as it is and a zero one +0 (the leading ``+ 0.0`` has made it +0
-    already), so on finite data each row is bit for bit the multiply-add
-    over its own nonzero taps.
+    0.  One row at a time, so the operands stay in cache.
     """
     n = flat.size - 3 * stride
     out = np.empty((len(taps), flat.size))
     out[:, n:] = 0.0
-    # the few tap rows are sorted out in Python: numpy's per-call cost on
-    # so small an array would dominate the flow's per-slab calls
-    rows = taps.tolist()
-    unit = [f for f, row in enumerate(rows) if row == [0.0, 1.0, 0.0, 0.0]]
-    mixed = [f for f in range(len(rows)) if f not in unit]
-    if mixed:
-        span = slice(mixed[0], mixed[-1] + 1)
-        acc, term, w = out[span, :n], np.empty((span.stop - span.start, n)), taps[span]
-        nodes = [i for i in range(4) if any(row[i] for row in rows[span])]
-        np.multiply(w[:, nodes[0], None], flat[nodes[0] * stride:nodes[0] * stride + n], out=acc)
+    node = [flat[i * stride:i * stride + n] for i in range(4)]
+    term = np.empty(n)
+    for row, acc in zip(taps, out[:, :n]):
+        nonzero = [i for i in range(4) if row[i]]
+        if nonzero == [1] and row[1] == 1.0:
+            acc[...] = node[1]
+            continue
+        np.multiply(row[nonzero[0]], node[nonzero[0]], out=acc)
         acc += 0.0
-        for i in nodes[1:]:
-            np.multiply(w[:, i, None], flat[i * stride:i * stride + n], out=term)
+        for i in nonzero[1:]:
+            np.multiply(row[i], node[i], out=term)
             acc += term
-    for f in unit:
-        out[f, :n] = flat[stride:stride + n]
     return out
 
 

@@ -296,16 +296,14 @@ def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
     not read.  So a step holds the 3 row-pass tables and one or two slabs'
     tables at a time, O(refine * box) doubles, not the refine^2 blocks of
     all phases: on the circle datum after 10 steps at eps 0.05 the step's
-    traced peak is 2.7 MB against 7.5 MB with all phases built at once.
+    traced peak is 2.5 MB against 7.5 MB with all phases built at once.
 
-    Where a slab's spread table is 0 outside the last 3 elements of a
-    block, which ``shift_taps`` sets to 0 (a plateau site), the cubic
-    table takes the bilinear value and the spread table
-    ``_PLATEAU_SPREAD``, the smallest normal double 2^-1022; a slab without
-    a plateau site builds no bilinear table.  Each pair reads both
-    tables at one index, so only plateau pairs see the swap, and for them
-    the clipped quotient (v - c) / 2^-1022 is exactly the sign of the
-    bilinear difference, +0 for a tie (v is +0 for a zero cell value, see
+    Where a slab's spread table is 0 (a plateau site), the cubic table
+    takes the bilinear value and the spread table ``_PLATEAU_SPREAD``, the
+    smallest normal double 2^-1022.  Each pair reads both tables at one
+    index, so only plateau pairs see the swap, and for them the clipped
+    quotient (v - c) / 2^-1022 is exactly the sign of the bilinear
+    difference, +0 for a tie (v is +0 for a zero cell value, see
     ``_stamp_sum``): the plateau fallback, without a pass of its own.
     (The bilinear value, not the cubic one: the cubic stencil can
     manufacture tiny extrema at kinks, which a hard sign would amplify.)
@@ -360,10 +358,8 @@ def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
 
         cubic, spread = column_pass(0, cubic_taps), column_pass(1, linear_taps)
         plateau = spread == 0.0
-        # nor are the last 3 elements of a block, which shift_taps sets to 0
-        if plateau.reshape(refine, -1)[:, :-3].any():
-            np.copyto(cubic, column_pass(2, linear_taps), where=plateau)
-            np.copyto(spread, _PLATEAU_SPREAD, where=plateau)
+        np.copyto(cubic, column_pass(2, linear_taps), where=plateau)
+        np.copyto(spread, _PLATEAU_SPREAD, where=plateau)
         return cubic, spread
 
     entries = (stamp.f1 * (rows - 3) + stamp.row) * width + stamp.col
@@ -410,15 +406,17 @@ def _phase_runs(bounds: tuple, rows: int) -> list:
 #   only 1.25 times faster on two threads of a 2-core host, so the step
 #   is no faster;
 # * building every phase's tables before the sum, in place of one row
-#   phase at a time: tables of 0.34-0.37, 0.63-0.65, 1.9-2.0 and 9.1-9.6
-#   ms against 0.35-0.44, 0.70-0.74, 2.0-2.2 and 6.5-6.7 ms per step at
-#   eps 0.2, 0.1, 0.05 and 0.025 (10, 10, 10 and 3 steps into the run,
-#   three alternating processes each), the rest of the step the same, but
-#   a traced peak of 7.5 against 2.7 MB at eps 0.05 and 24.9 against
-#   4.6 MB at eps 0.025;
-# * column passes of a slab one tap row at a time in ``shift_taps``:
-#   tables of 2.5-2.6 against 2.2 ms at eps 0.05 and 8.8 against 6.6-6.8
-#   ms at eps 0.025, from 8 numpy calls per tap row;
+#   phase at a time: tables of 0.40-0.74, 0.62-1.06, 1.9-2.3 and 9.0-9.9
+#   ms against 0.23, 0.65-0.66, 2.2-2.3 and 8.4-9.5 ms per step at eps
+#   0.2, 0.1, 0.05 and 0.025 (10, 10, 10 and 3 steps into the run, three
+#   alternating processes each), the rest of the step the same, but a
+#   traced peak of 7.5 against 2.5 MB at eps 0.05 and 24.9 against 4.2 MB
+#   at eps 0.025;
+# * a slab's column passes with all tap rows at once in ``shift_taps``
+#   (one broadcast multiply-add per node): tables of 0.39-0.47, 0.64-0.66,
+#   2.0-2.3 and 6.4-6.5 ms at the same eps, so no faster at the eps of the
+#   flow configs, and a buffer as large as the slab raises the traced
+#   peak to 2.7 and 4.6 MB;
 # * summing over the whole active box with sliding-window copies of the
 #   tables, in place of the gathers: 14-40 ms against 10-15 ms per step
 #   at t = 10 steps;
