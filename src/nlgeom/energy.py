@@ -124,19 +124,37 @@ def _binary_pair_counts(u: np.ndarray, outside: float, omega: np.ndarray,
         total(o)    = outside * sum a + (1 - 2 outside) * sum b + C_{a-2b,v}(o)
 
     and the J2 count is total - J1 count.
+
+    A call holds at most four spectra of the padded size at once.  The sums
+    of a and b are taken first and a - b overwrites a, so each real input
+    dies with its forward transform, F(b) and then F(a - b).  The difference
+    d = F(a - b) - F(b) is formed while both are live (three spectra); then
+    conj(F(a - b)) F(b) overwrites F(a - b) and F(b) dies.  The J1 inverse
+    adds its two temporaries, a complex pass and the real output, to that
+    product and d: the peak of four.  The product dies after it, and
+    conj(d) F(v), formed in d's buffer, goes through the second inverse.
+    Every sum and product takes the same operands in the same order as when
+    each was a fresh array, so the counts are the same bits.
     """
     a = omega.astype(float)
     b = a * u
+    base = outside * a.sum() + (1.0 - 2.0 * outside) * b.sum()
+    a -= b
     size = _fft_size(u.shape, offsets)
     fb = np.fft.rfftn(b, size, (0, 1))
-    fc = np.fft.rfftn(a - b, size, (0, 1))
-    both = _counts_at(fc.conj() * fb, size, np.concatenate([offsets, -offsets]))
-    n1 = both[:len(offsets)] + both[len(offsets):]
-    fc -= fb
+    del b
+    fc = np.fft.rfftn(a, size, (0, 1))
+    del a
+    d = fc - fb
     np.conjugate(fc, out=fc)
-    fc *= np.fft.rfftn(u - outside, size, (0, 1))
-    total = outside * a.sum() + (1.0 - 2.0 * outside) * b.sum() \
-        + _counts_at(fc, size, offsets)
+    fc *= fb
+    del fb
+    both = _counts_at(fc, size, np.concatenate([offsets, -offsets]))
+    del fc
+    n1 = both[:len(offsets)] + both[len(offsets):]
+    np.conjugate(d, out=d)
+    d *= np.fft.rfftn(u - outside, size, (0, 1))
+    total = base + _counts_at(d, size, offsets)
     return n1, total - n1
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,29 @@ def test_fft_counts_match_sweep_and_brute_force(outside):
         b1, b2 = _brute_tv(u, outside, omega, offsets, weights, cell)
         assert j1 == pytest.approx(b1, rel=1e-12)
         assert j2 == pytest.approx(b2, rel=1e-12)
+
+
+def test_fft_pair_counts_hold_at_most_four_and_a_half_spectra():
+    # halfspace-cell's 256^2 grid and window at eps 0.2: with every spectrum
+    # a fresh array, one call peaked at 6.6 spectra of the padded size
+    grid = Box.cube(1.25, 256)
+    u = rasterize(Halfspace((1.0, 0.0), 0.0), grid).values
+    omega = energy._omega_mask(Ball((0.0, 0.0), 1.0), grid)
+    offsets, _ = energy._stencil(kernels.rescale(K_UNIT, 0.2), grid)
+    size = energy._fft_size(u.shape, offsets)
+    spectrum = size[0] * (size[1] // 2 + 1) * np.dtype(complex).itemsize
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        energy._binary_pair_counts(u, 0.0, omega, offsets)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 4.5 * spectrum
 
 
 def test_fast_len_matches_scipy_next_fast_len():

@@ -263,6 +263,18 @@ def test_slicing_check_working_set_stays_below_6_mb(bump64):
     assert peak < 6e6
 
 
+def test_slicing_check_pads_for_the_direct_lattice_on_a_small_box():
+    # eps r_eff = 0.4 on a 0.5-wide box: the direct side's shifted lattice
+    # reaches 2 eps r_eff = 0.8 past the box, farther than the lines (0.58);
+    # the sampler's pad must cover both
+    box = Box.cube(0.25, 16)
+    r2 = np.sum((box.centers() / 0.2) ** 2, axis=-1)
+    u = GridField(box, (np.clip(1.0 - r2, 0.0, None) ** 2).reshape(box.resolution), "phase")
+    rep = slicing_check(u, G_BALL, QUAD, 0.4)
+    assert rep.direct == pytest.approx(25.231415994931268, rel=1e-12)
+    assert rep.rel_gap < 0.01
+
+
 def test_slicing_requires_2d():
     box = Box.cube(0.5, 8)
     u = GridField(box, np.zeros(box.resolution), "phase")
@@ -471,7 +483,7 @@ def test_e1d_rows_do_not_depend_on_the_rows_beside_them():
 
 
 @pytest.mark.parametrize("d", [2])  # the filter is planar
-@pytest.mark.parametrize("pad", ["constant", "odd-reflect"])
+@pytest.mark.parametrize("pad", ["constant", "odd-reflect", "wide-constant"])
 def test_spline_filter_matches_scipy_bitwise(d, pad):
     rng = np.random.default_rng(5 * d + (pad == "constant"))
     # a short axis: the init's last term, z^(n-1) (c[n-1] + z^n c[0]), then
@@ -479,6 +491,8 @@ def test_spline_filter_matches_scipy_bitwise(d, pad):
     values = rng.random((29, 3))
     if pad == "constant":  # _SplineSampler.constant's narrowest pad
         padded = np.pad(values, 4, constant_values=0.25)
+    elif pad == "wide-constant":  # wider than slicing_check's 98 cells: 308 x 282
+        padded = np.pad(values, 140, constant_values=0.25)
     else:  # rate_limit_ddim's extension
         padded = np.pad(values, 12, mode="reflect", reflect_type="odd")
     ref = ndimage.spline_filter(padded, order=3, mode="nearest")
