@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -287,6 +286,19 @@ def h0(phi, x, kernel: Kernel) -> CurvatureValue:
     value nonnegative on convex sets; for a radial kernel and a ball of
     radius R in the plane it equals kappa / R, kappa the hyperplane second
     moment.
+
+    The kernel's curvature assumptions need no numeric check: they are
+    invariant under K -> K_eps (same mass, more concentrated), and every
+    kernel the constructors accept with a bounded window meets them in
+    closed form.  Ball and annulus kernels are bounded with compact support.
+    For the power law r^(-2-sigma), 0 < sigma < 1, the tail product
+    r * ∫_{|z|>r} K ~ r^(1-sigma) -> 0, and the parabolic-slab mass and the
+    hyperplane second moment are both ∫ r^(-sigma) dr < inf near the origin
+    (Chambolle-Morini-Ponsiglione, "Nonlocal curvature flows", ARMA 2015).
+    What stays gated is the window: this function rejects an untruncated
+    kernel, so a caller that evaluates it before any :func:`hk_pv` gates
+    the whole table, and ``hk_pv`` flags a custom profile that blows up
+    faster than its declared sigma.
     """
     x = np.asarray(x, dtype=float)
     if not isinstance(phi, Shape):
@@ -338,69 +350,3 @@ def make_ellipse(a: float, b: float, center=(0.0, 0.0), angle: float = 0.0) -> L
         return c + pts @ R.T
 
     return LevelShape(phi, grad_fn=grad, hess_fn=hess, boundary_fn=boundary)
-
-
-# ---------------------------------------------------------------------------
-# convergence experiment
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    eps: float
-    sup_err: float
-    mean_err: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    eps: tuple
-    rows: tuple                 # ConvergenceRow per eps
-    samples: np.ndarray         # boundary points (n, d)
-    h0_values: np.ndarray       # local limit per sample
-    hk_over_eps: np.ndarray     # (n_eps, n_samples)
-    hk_over_eps_err: np.ndarray  # hk_pv error estimate / eps, same shape
-    diverged: np.ndarray        # hk_pv divergence flags, same shape
-
-    @property
-    def sup_errors(self) -> tuple:
-        return tuple(r.sup_err for r in self.rows)
-
-
-def curvature_convergence(
-    E: Shape,
-    kernel: Kernel,
-    eps_list: Sequence[float],
-    boundary_samples: int = 16,
-) -> ConvergenceReport:
-    """Table of sup/mean gaps between eps^{-1} H(K_eps) and the local limit.
-
-    The kernel's curvature assumptions need no numeric check: they are
-    invariant under K -> K_eps (same mass, more concentrated), and every
-    kernel the constructors accept with a bounded window meets them in
-    closed form.  Ball and annulus kernels are bounded with compact support.
-    For the power law r^(-2-sigma), 0 < sigma < 1, the tail product
-    r * ∫_{|z|>r} K ~ r^(1-sigma) -> 0, and the parabolic-slab mass and the
-    hyperplane second moment are both ∫ r^(-sigma) dr < inf near the origin
-    (Chambolle-Morini-Ponsiglione, "Nonlocal curvature flows", ARMA 2015).
-    What stays gated is the window: :func:`h0`, called before any
-    :func:`hk_pv`, rejects an untruncated kernel, and ``hk_pv`` flags a
-    custom profile that blows up faster than its declared sigma.
-    """
-    eps_list = tuple(sorted((float(e) for e in eps_list), reverse=True))
-    bs = E.boundary_sample(boundary_samples)
-    pts = bs.points[:boundary_samples]
-    h0_vals = np.array([h0(E, p, kernel).value for p in pts])
-    table = np.empty((len(eps_list), len(pts)))
-    table_err = np.empty_like(table)
-    diverged = np.zeros(table.shape, dtype=bool)
-    rows = []
-    for i, eps in enumerate(eps_list):
-        k_eps = kernels.rescale(kernel, eps)
-        for j, p in enumerate(pts):
-            cv = hk_pv(E, p, k_eps)
-            table[i, j] = cv.value / eps
-            table_err[i, j] = cv.err / eps
-            diverged[i, j] = cv.diverged
-        errs = np.abs(table[i] - h0_vals)
-        rows.append(ConvergenceRow(eps, float(errs.max()), float(errs.mean())))
-    return ConvergenceReport(eps_list, tuple(rows), pts, h0_vals, table, table_err, diverged)

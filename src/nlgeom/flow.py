@@ -651,7 +651,7 @@ class FlowMonitorReport:
         """Largest Hölder quotient over all snapshot pairs."""
         return max(r[3] for r in self.rows)
 
-    def lipschitz_within(self, slack: float = 1.05) -> bool:
+    def lipschitz_within(self, slack: float) -> bool:
         """Every snapshot constant stays below slack * the initial one."""
         lips = self.spatial_lipschitz
         return max(lips) <= slack * lips[0] + 1e-15

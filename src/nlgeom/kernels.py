@@ -34,7 +34,7 @@ data: every public entry that pairs a kernel with planar data calls it,
 directly or through :func:`zgrid` or :func:`hyperplane_second_moment`.
 The curvature assumptions on a kernel follow from its family and a
 bounded window, so no numeric check of them is made here (see
-:func:`nlgeom.curvature.curvature_convergence`).
+:func:`nlgeom.curvature.h0`).
 
 Moments of the indicator and power-law families are closed forms.  A
 custom profile's moment ∫_0^∞ r^q K̄(r) dr uses the same log-Gauss rule

@@ -739,40 +739,23 @@ def effective_kernel(G: Kernel) -> Kernel:
     return kernels.custom_radial(profile, d=d, r_max=r1, r0=r0)
 
 
+
 # ---------------------------------------------------------------------------
 # regularity criterion
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    eps: tuple
-    e_eps: tuple
-    bound: float
+def curvature_bound(u: GridField, G: Kernel, f: Potential) -> float:
+    """The curvature-capped upper bound (c/2) (int G|z|^2) (int |hess u|^2)
+    of the grid rate energies.
 
-    @property
-    def within_bound(self) -> bool:
-        return max(self.e_eps) <= self.bound * (1.0 + 1e-9)
-
-    @property
-    def growth_ratio(self) -> float:
-        return self.e_eps[-1] / max(self.e_eps[0], 1e-300)
-
-
-def regularity_criterion(
-    u: GridField, G: Kernel, f: Potential, eps_list: Sequence[float], n_angular=None
-) -> RegularityReport:
-    """Rate energies against the curvature-capped upper bound.
-
-    The bound (c/2) (int G|z|^2) (int |hess u|^2) is finite exactly when the
-    field has square-integrable second differences; rate energies staying
-    below it indicate that regularity, while growth under eps-refinement
-    (large ``growth_ratio``) flags a gradient kink.
+    It is finite exactly when the field has square-integrable second
+    differences; rate energies staying below it indicate that regularity,
+    while their growth under eps-refinement flags a gradient kink.  G must
+    be planar, as the field is.
     """
+    kernels.require_planar(G)
     if f.c is None:
         raise RateDomainError("regularity criterion needs a potential with bounded f''")
-    eps_sorted = tuple(sorted((float(e) for e in eps_list), reverse=True))
-    values = tuple(rate_ddim(u, G, f, e, n_angular).e_eps for e in eps_sorted)
-
     h = u.spacing
     hess_sq = sum(
         np.gradient(g, h[j], axis=j)[2:-2, 2:-2] ** 2
@@ -780,5 +763,4 @@ def regularity_criterion(
         for j in (0, 1)
     )
     hess_energy = float(np.sum(hess_sq)) * float(np.prod(h))
-    bound = 0.5 * f.c * kernels.absolute_moment(G, 2.0).value * hess_energy
-    return RegularityReport(eps_sorted, values, bound)
+    return 0.5 * f.c * kernels.absolute_moment(G, 2.0).value * hess_energy

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlgeom import anisotropy, kernels
+from nlgeom import anisotropy, cli, kernels
 from nlgeom.anisotropy import AnisotropyDomainError
 
 
@@ -144,42 +144,47 @@ def test_hessian_continuity_in_direction(ball_aniso):
 
 
 # ---------------------------------------------------------------------------
-# cell formula experiment (kept small here; the acceptance suite runs the
-# full-resolution version)
+# cell formula experiment through the CLI (kept small here; the shipped
+# halfspace-cell config runs the full-resolution version)
+
+
+def run_cell(tmp_path, direction="1 0", eps="0.2 0.1", competitors=1, resolution=128,
+             seed=0):
+    """(report, rows of halfspace_cell.csv) of a small halfspace-cell run."""
+    tmp_path.mkdir(exist_ok=True)
+    cfg = tmp_path / "halfspace-cell.cfg"
+    cfg.write_text(
+        f"experiment halfspace-cell\neps {eps}\nseed {seed}\ncompetitors {competitors}\n"
+        f"kernel {{\n  family ball\n}}\ngeometry {{\n  direction {direction}\n"
+        f"  resolution {resolution}\n}}\n", encoding="utf-8")
+    report, out = cli.run(cfg, tmp_path / "out")
+    rows = (out / "halfspace_cell.csv").read_text(encoding="utf-8").splitlines()[1:]
+    return report, [row.split(",") for row in rows]
 
 
 @pytest.mark.slow
-def test_halfspace_cell_small():
-    an = anisotropy.Anisotropy(kernels.ball_indicator(2))
-    rep = anisotropy.halfspace_cell_experiment(
-        an, (1.0, 0.0), (0.2, 0.1), n_competitors=2, resolution=192, seed=3
-    )
-    assert rep.sigma_ref == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert rep.halfspace_rel_gap < 0.05
-    assert rep.no_competitor_beats(0.02)
-    accepted = [c for c in rep.competitors if c.accepted]
-    for c in accepted:
-        assert c.l1_gap[-1] < c.l1_gap[0]
+def test_halfspace_cell_small(tmp_path):
+    report, rows = run_cell(tmp_path, competitors=2, resolution=192, seed=3)
+    assert report.rows[-1].reference == pytest.approx(2.0 / 3.0, rel=1e-12)
+    gap, beats = report.checks
+    assert gap.passed and report.rows[-1].rel_gap < 0.05
+    # amplitudes shrink with eps, so every competitor converges in L^1
+    assert beats.passed and beats.detail == "accepted=2"
+    assert len(rows) == 2 * 3
 
 
-def test_halfspace_cell_rejects_nonvanishing_perturbation(monkeypatch):
+def test_halfspace_cell_rejects_nonvanishing_perturbation(tmp_path, monkeypatch):
     # competitors whose amplitude does not shrink with eps
-    monkeypatch.setattr(anisotropy, "COMPETITOR_SHRINK", 0.0)
-    an = anisotropy.Anisotropy(kernels.ball_indicator(2))
-    rep = anisotropy.halfspace_cell_experiment(
-        an, (1.0, 0.0), (0.2, 0.1), n_competitors=1, resolution=128, seed=5,
-    )
-    c = rep.competitors[0]
-    assert not c.accepted
-    assert "does not vanish" in c.reason
-    assert c.normalized_j1 == ()
+    monkeypatch.setattr(cli, "COMPETITOR_SHRINK", 0.0)
+    report, rows = run_cell(tmp_path, seed=5)
+    detail = report.checks[1].detail
+    assert detail.startswith("accepted=0 rejected: sin")
+    assert "does not vanish" in detail
+    assert [row[1] for row in rows] == ["halfspace", "halfspace"]
 
 
-def test_halfspace_cell_direction_symmetry():
-    an = anisotropy.Anisotropy(kernels.ball_indicator(2))
-    r1 = anisotropy.halfspace_cell_experiment(an, (1.0, 0.0), (0.2,),
-                                              n_competitors=0, resolution=160)
-    r2 = anisotropy.halfspace_cell_experiment(an, (0.0, 1.0), (0.2,),
-                                              n_competitors=0, resolution=160)
-    a, b = r1.halfspace_values[0], r2.halfspace_values[0]
+def test_halfspace_cell_direction_symmetry(tmp_path):
+    r1, _ = run_cell(tmp_path / "x", direction="1 0", eps="0.2", resolution=160)
+    r2, _ = run_cell(tmp_path / "y", direction="0 1", eps="0.2", resolution=160)
+    a, b = r1.rows[0].measured, r2.rows[0].measured
     assert abs(a - b) / a < 1e-2  # lattice symmetry only approximate off-axis

@@ -399,6 +399,23 @@ def test_main_maps_config_problems_to_exit_two(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+UNREADABLE_CASES = {
+    "config-is-a-directory": lambda d: ["run", str(d)],
+    "config-not-utf8": lambda d: ["run", str(d / "latin1.cfg")],
+    "out-is-a-file": lambda d: ["run", str(d / "ok.cfg"), "--out", str(d / "ok.cfg")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CASES))
+def test_main_maps_unreadable_input_to_exit_two(tmp_path, capsys, case):
+    # exit 1 is kept for a failed check: input the run cannot read or write is 2
+    (tmp_path / "ok.cfg").write_text(COAREA_CFG, encoding="utf-8")
+    (tmp_path / "latin1.cfg").write_bytes(COAREA_CFG.encode() + b"# caf\xe9\n")
+    assert cli.main(UNREADABLE_CASES[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nlgeom: error: ") and err.count("\n") == 1
+
+
 def test_main_field_snapshot_round_trips(tmp_path):
     # the flow experiments store final fields in the grid file format; a
     # tiny run checks the files reload exactly
@@ -495,6 +512,17 @@ def test_main_maps_library_domain_errors_to_exit_two(tmp_path, capsys, case):
         run_text(tmp_path, text)
     code, err = _main_exit_and_stderr(tmp_path, capsys, text)
     assert code == 2 and err.count("nlgeom: error:") == 1
+
+
+# a tolerance no gap can meet, or every gap meets, fails before any numerics
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
+    text = COAREA_CFG + f"tolerance {value}\n"
+    with pytest.raises(ConfigValueError, match="tolerance must be finite and positive"):
+        ExperimentConfig.from_text(text)
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err.count("nlgeom: error:") == 1
+    assert not (tmp_path / "main_out").exists()
 
 
 CURVATURE_KERNEL_CFG = """

@@ -181,41 +181,54 @@ def test_h0_gradient_floor():
 # convergence of the rescaled family
 
 
+def hk_table(shape, kernel, eps_list, n):
+    """h0 at n boundary samples, and eps^{-1} H(K_eps) there per eps."""
+    pts = shape.boundary_sample(n).points
+    h0_vals = np.array([h0(shape, p, kernel).value for p in pts])
+    table = np.array([[hk_pv(shape, p, kernels.rescale(kernel, e)).value / e for p in pts]
+                      for e in eps_list])
+    return h0_vals, table
+
+
 def test_convergence_ball_fractional():
-    report = curvature.curvature_convergence(
-        Ball((0.0, 0.0), 0.5), FRAC_K, [0.4, 0.2, 0.1, 0.05], boundary_samples=16
-    )
-    sups = report.sup_errors
+    h0_vals, table = hk_table(Ball((0.0, 0.0), 0.5), FRAC_K, [0.4, 0.2, 0.1, 0.05], 16)
+    sups = np.abs(table - h0_vals).max(axis=1)
     assert all(a > b for a, b in zip(sups, sups[1:]))
     target = kernels.hyperplane_second_moment(FRAC_K) / 0.5
     assert sups[-1] < 0.05 * target
-    assert np.allclose(report.h0_values, target, rtol=1e-10)
+    assert np.allclose(h0_vals, target, rtol=1e-10)
 
 
 def test_convergence_ellipse_per_point():
     ell = curvature.make_ellipse(0.6, 0.3)
-    report = curvature.curvature_convergence(ell, FRAC_K, [0.4, 0.2, 0.1, 0.05], boundary_samples=16)
-    errs = np.abs(report.hk_over_eps - report.h0_values[None, :])
+    h0_vals, table = hk_table(ell, FRAC_K, [0.4, 0.2, 0.1, 0.05], 16)
+    errs = np.abs(table - h0_vals[None, :])
     assert np.all(errs[:-1] >= errs[1:] - 1e-12)
 
 
-def test_convergence_report_keeps_error_and_divergence():
+def test_convergence_report_keeps_error_and_divergence(tmp_path):
+    # curvature-limit's sample table carries hk_pv's own error and flag
+    from nlgeom import cli
+
+    cfg = tmp_path / "curvature-limit.cfg"
+    cfg.write_text("experiment curvature-limit\neps 0.2 0.1\nboundary_samples 4\n"
+                   "kernel {\n  family fractional\n  sigma 0.5\n}\n"
+                   "geometry {\n  shape disk\n  radius 0.5\n}\n", encoding="utf-8")
+    _, out = cli.run(cfg, tmp_path / "out")
+    rows = (out / "curvature_samples.csv").read_text(encoding="utf-8").splitlines()[1:]
     disk = Ball((0.0, 0.0), 0.5)
-    report = curvature.curvature_convergence(disk, FRAC_K, [0.2, 0.1], boundary_samples=4)
-    for i, eps in enumerate(report.eps):
-        for j, p in enumerate(report.samples):
-            cv = hk_pv(disk, p, kernels.rescale(FRAC_K, eps))
-            assert report.hk_over_eps_err[i, j] == cv.err / eps
-            assert report.diverged[i, j] == cv.diverged
-    assert np.all(report.hk_over_eps_err > 0.0)
-    assert not report.diverged.any()
+    assert len(rows) == 8
+    for row in rows:
+        eps, _, x, y, hk, _, _, err, diverged = map(float, row.split(","))
+        cv = hk_pv(disk, (x, y), kernels.rescale(FRAC_K, eps))
+        assert (hk, err, diverged) == (cv.value / eps, cv.err / eps, cv.diverged)
+        assert err > 0.0 and diverged == 0.0
 
 
 def test_convergence_rejects_bad_kernel():
+    # h0 gates the window before any hk_pv of the table
     with pytest.raises(CurvatureDomainError):
-        curvature.curvature_convergence(
-            Ball((0.0, 0.0), 0.5), kernels.fractional(2, 0.5, math.inf), [0.1]
-        )
+        hk_table(Ball((0.0, 0.0), 0.5), kernels.fractional(2, 0.5, math.inf), [0.1], 4)
 
 
 def test_supersolution_ratio_bounded():

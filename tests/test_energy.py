@@ -424,15 +424,18 @@ def test_cached_arrays_reject_writes():
             arr[...] = 0
 
 
-def test_halfspace_cell_builds_one_stencil_per_eps():
-    from nlgeom import anisotropy
+def test_halfspace_cell_builds_one_stencil_per_eps(tmp_path):
+    from nlgeom import cli
 
+    cfg = tmp_path / "halfspace-cell.cfg"
+    cfg.write_text("experiment halfspace-cell\neps 0.2 0.1 0.05\ncompetitors 4\n"
+                   "kernel {\n  family ball\n}\ngeometry {\n  resolution 96\n}\n",
+                   encoding="utf-8")
     _clear_caches()
-    rep = anisotropy.halfspace_cell_experiment(
-        anisotropy.Anisotropy(K_UNIT), (1.0, 0.0), (0.2, 0.1, 0.05), n_competitors=4,
-        resolution=96,
-    )
-    calls = 3 * (1 + sum(c.accepted for c in rep.competitors))
+    _, out = cli.run(cfg, tmp_path / "out")
+    # one perimeter_k call per row: the halfspace and each accepted competitor
+    calls = len((out / "halfspace_cell.csv").read_text(encoding="utf-8").splitlines()) - 1
+    assert calls >= 3
     stencils = energy._stencil.cache_info()
     assert (stencils.misses, stencils.hits) == (3, calls - 3)
     masks = energy._omega_mask.cache_info()

@@ -273,8 +273,7 @@ PLANAR_ENTRIES = {
     "disk_reference": lambda: kernels.disk_reference(K3, 0.5),
     "h0": lambda: curvature.h0(DISK, (0.5, 0.0), K3),
     "hyperplane_second_moment": lambda: kernels.hyperplane_second_moment(K3),
-    "halfspace_cell_experiment": lambda: anisotropy.halfspace_cell_experiment(
-        anisotropy.Anisotropy(K3), (1.0, 0.0), (0.2,)),
+    "curvature_bound": lambda: rate.curvature_bound(_bump(), K3, QUAD),
 }
 
 

@@ -12,13 +12,13 @@ from nlgeom.rate import (
     Potential,
     Profile1D,
     RateDomainError,
+    curvature_bound,
     e1d,
     e1d_limit,
     e1d_lower_bound,
     effective_kernel,
     rate_ddim,
     rate_limit_ddim,
-    regularity_criterion,
     slicing_check,
 )
 
@@ -323,19 +323,21 @@ def test_effective_kernel_needs_compact_support():
 # regularity criterion
 
 
+def rate_energies(u, f, eps_list, n_angular):
+    return [rate_ddim(u, G_BALL, f, e, n_angular).e_eps for e in eps_list]
+
+
 def test_regularity_smooth_field_within_bound(bump64):
-    rep = regularity_criterion(bump64, G_BALL, QUAD, [0.1, 0.05], n_angular=32)
-    assert rep.eps == (0.1, 0.05)
-    assert rep.within_bound
-    assert rep.growth_ratio < 1.2
+    values = rate_energies(bump64, QUAD, [0.1, 0.05], 32)
+    assert max(values) <= curvature_bound(bump64, G_BALL, QUAD) * (1.0 + 1e-9)
+    assert values[-1] / values[0] < 1.2
 
 
 def test_regularity_constant_field_trivial():
     box = Box.cube(1.0, 32)
     u = GridField(box, np.zeros(box.resolution), "phase")
-    rep = regularity_criterion(u, G_BALL, QUAD, [0.1], n_angular=8)
-    assert rep.e_eps == (0.0,) and rep.bound == 0.0
-    assert rep.within_bound
+    assert rate_energies(u, QUAD, [0.1], 8) == [0.0]
+    assert curvature_bound(u, G_BALL, QUAD) == 0.0
 
 
 def test_regularity_flags_gradient_kink():
@@ -346,8 +348,8 @@ def test_regularity_flags_gradient_kink():
     vals = (np.clip(0.5 - np.abs(cc[..., 0]), 0.0, None)
             * np.clip(1.0 - (cc[..., 1] / 0.9) ** 2, 0.0, None) ** 2)
     u = GridField(box, vals.reshape(box.resolution), "phase")
-    rep = regularity_criterion(u, G_BALL, QUAD, [0.1, 0.025], n_angular=16)
-    assert rep.growth_ratio > 2.0
+    values = rate_energies(u, QUAD, [0.1, 0.025], 16)
+    assert values[-1] / values[0] > 2.0
 
 
 def test_regularity_needs_bounded_curvature():
@@ -357,7 +359,7 @@ def test_regularity_needs_bounded_curvature():
     soft = Potential(f=lambda t: np.square(t) + 0.25 * np.asarray(t, dtype=float) ** 4,
                      d2f=lambda t: 2.0 + 3.0 * np.square(t), alpha=2.0, c=None)
     with pytest.raises(RateDomainError):
-        regularity_criterion(u, G_BALL, soft, [0.1])
+        curvature_bound(u, G_BALL, soft)
 
 
 # ---------------------------------------------------------------------------
