@@ -654,22 +654,22 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
     def normalized_j1(shape, e):
         return energy.perimeter_k(shape, window, kernels.rescale(kern, e), grid).j1 / (2.0 * e)
 
+    rng = np.random.default_rng(cfg.seed)
+    # all draws precede the sweeps: waves, phase and amplitude per competitor
+    draws = [(int(rng.integers(1, 5)), float(rng.uniform(0, 2 * math.pi)),
+              0.12 * float(rng.uniform(0.5, 1.0))) for _ in range(n_competitors)]
     halfspace = Halfspace(tuple(p_hat), 0.0)
-    hs = [normalized_j1(halfspace, e) for e in eps]
+    hs = _parallel_map(lambda e: normalized_j1(halfspace, e), eps, workers)
     rows = [_gap_row(e, v, sigma, sigma) for e, v in zip(eps, hs)]
     csv_rows = [(e, "halfspace", v) for e, v in zip(eps, hs)]
 
-    rng = np.random.default_rng(cfg.seed)
     cell_area = float(np.prod(grid.spacing))
     centers = grid.centers()
     in_window = window.contains(centers)
     hs_members = halfspace.contains(centers)
     floor = hs[-1] * (1.0 - 0.02)
     accepted, rejected, beaten = 0, [], False
-    for _ in range(n_competitors):
-        waves = int(rng.integers(1, 5))
-        phase = float(rng.uniform(0, 2 * math.pi))
-        amp0 = 0.12 * float(rng.uniform(0.5, 1.0))
+    for waves, phase, amp0 in draws:
         cid = f"sin{waves}-a{amp0:.3f}"
         shapes = [_competitor_shape(p_hat, t_hat, amp0 * (e / eps[0]) ** COMPETITOR_SHRINK,
                                     waves, phase) for e in eps]
@@ -683,7 +683,7 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
                             f"vanish (final |E dif H| = {gaps[-1]:.4f}); "
                             "not an admissible family)")
             continue
-        vals = [normalized_j1(s, e) for s, e in zip(shapes, eps)]
+        vals = _parallel_map(lambda pair: normalized_j1(*pair), zip(shapes, eps), workers)
         csv_rows.extend((e, cid, v) for e, v in zip(eps, vals))
         accepted += 1
         beaten = beaten or min(vals) < floor
@@ -717,12 +717,15 @@ def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
     pts = shape.boundary_sample(samples).points
     # h0 gates the kernel's window before any hk_pv
     h0 = np.array([curvature.h0(shape, p, kern).value for p in pts])
-    rows, sample_rows, sup_mean = [], [], []
-    for e in cfg.eps:
+
+    def sweep(e):
         k_eps = kernels.rescale(kern, e)
+        return [curvature.hk_pv(shape, p, k_eps) for p in pts]
+
+    rows, sample_rows, sup_mean = [], [], []
+    for e, cvs in zip(cfg.eps, _parallel_map(sweep, cfg.eps, workers)):
         hk = np.empty(len(pts))
-        for j, p in enumerate(pts):
-            cv = curvature.hk_pv(shape, p, k_eps)
+        for j, (p, cv) in enumerate(zip(pts, cvs)):
             hk[j] = cv.value / e
             sample_rows.append((e, j, p[0], p[1], hk[j], h0[j], abs(hk[j] - h0[j]),
                                 cv.err / e, int(cv.diverged)))
@@ -1068,7 +1071,8 @@ def _exp_regularity(cfg: ExperimentConfig, workers: int):
     n_angular = cfg.root.count("angular", 32)
     yield
     bound = rate.curvature_bound(u, kern, pot)
-    values = [rate.rate_ddim(u, kern, pot, e, n_angular).e_eps for e in cfg.eps]
+    values = _parallel_map(lambda e: rate.rate_ddim(u, kern, pot, e, n_angular).e_eps,
+                           cfg.eps, workers)
     rows = [_gap_row(e, v, bound, max(bound, 1e-300)) for e, v in zip(cfg.eps, values)]
     # growth under eps refinement flags a gradient kink
     growth = values[-1] / max(values[0], 1e-300)
@@ -1154,7 +1158,8 @@ def run(config_path, out_dir=None, workers: int = 1):
     including the library domain errors that a config value leads to and a
     config or output path that cannot be read or made.  A key that the
     experiment does not read is a config error too, raised after the
-    experiment has read its config and before it computes.
+    experiment has read its config; then the output directory is made,
+    and only then does the experiment compute.
     """
     if workers < 1:
         raise UsageError("worker count must be at least 1")
@@ -1170,13 +1175,13 @@ def run(config_path, out_dir=None, workers: int = 1):
         raise ConfigValueError(
             f"line {line}: {where} is not read by experiment {cfg.experiment!r}"
         )
-    rows, checks, artifacts = next(body)
-    report = _make_report(cfg, spec, rows, checks)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file already at that path
         raise UsageError(f"cannot make the output directory: {exc}") from None
+    rows, checks, artifacts = next(body)
+    report = _make_report(cfg, spec, rows, checks)
     write_csv(
         out / "report.csv",
         (report.key_label, "measured", "reference", "abs_gap", "rel_gap"),

@@ -130,27 +130,37 @@ class Profile1D:
         return float(np.sum(np.diff(v) ** 2) / h)
 
 
-def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+def _cumulative_trapezoid(y: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """Running trapezoid integrals along the last axis, starting at 0.
 
     ``scipy.integrate.cumulative_trapezoid(y, dx=dx, axis=-1, initial=0)``,
-    same expressions.
+    same expressions, into ``out`` (the shape of ``y``).
     """
-    res = np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
-    return np.concatenate((np.full(res.shape[:-1] + (1,), 0.0), res), axis=-1)
+    out[..., 0] = 0.0
+    res = out[..., 1:]
+    np.add(y[..., 1:], y[..., :-1], out=res)
+    res *= dx
+    res /= 2.0
+    np.cumsum(res, axis=-1, out=res)
+    return out
 
 
-def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
+def _simpson(y: np.ndarray, dx: float, halves: np.ndarray) -> np.ndarray:
     """Composite Simpson's rule along the last axis of uniform samples.
 
     ``scipy.integrate.simpson(y, dx=dx, axis=-1)``, same expressions: for an
-    even count the last interval takes Cartwright's correction.
+    even count the last interval takes Cartwright's correction.  The
+    per-pair sums go to ``halves`` (leading shape of ``y``, at least
+    ``y.shape[-1] // 2`` long).
     """
     n = y.shape[-1]
 
     def basic(stop):
-        total = np.sum(y[..., 0:stop:2] + 4.0 * y[..., 1:stop + 1:2] + y[..., 2:stop + 2:2],
-                       axis=-1)
+        pair = halves[..., :len(range(0, stop, 2))]
+        np.multiply(y[..., 1:stop + 1:2], 4.0, out=pair)
+        np.add(y[..., 0:stop:2], pair, out=pair)
+        pair += y[..., 2:stop + 2:2]
+        total = np.sum(pair, axis=-1)
         total *= dx / 3.0
         return total
 
@@ -166,8 +176,15 @@ def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return result
 
 
-def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.ndarray:
-    """Rate energies of profile rows sharing one grid, one result row per width.
+# most doubles in one ``f.f`` result of ``_RowRates``: glibc's default mmap
+# threshold, 128 KiB, so the result comes back from the heap on every call;
+# a whole 8-line block's (275 KB on bbm-slice) is mapped and faulted afresh
+# (fresh bbm-slice runs: 64.9k minor faults against 5.8k)
+_F_VALUES = 1 << 14
+
+
+class _RowRates:
+    """Rate energies of blocks of profile rows sharing one grid, one row per width.
 
     Precondition: h <= eps / 8 for every width eps (``e1d`` checks it, and
     the line spacing of ``slicing_check`` satisfies it by construction).
@@ -179,58 +196,99 @@ def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.
 
     The samples sit one constant fraction past the half-cell nodes
     a + p h/2, and x + eps sits on them.  So u(x), its running integral
-    U(x) and U(x + eps) are slices of half-node arrays, built once for all
-    widths: the values, U, and half the cell slopes, extended by 0 on the
-    left and by 0, U(b) and 0 on the right.  U is exact for the
+    U(x) and U(x + eps) are slices of half-node arrays: the values, U, and
+    half the cell slopes, padded by ceil(max eps / dx) + 4 half-cells of 0
+    on the left and of 0, U(b) and 0 on the right.  U is exact for the
     interpolant with zero extension; u is 0 off [a, b].
+
+    One object serves every block of up to ``lines`` rows of ``n`` samples:
+    the per-width sample grid (count, start, phase and the range inside
+    [a, b]) is set up here, and a call fills buffers the object owns: the
+    three half-node arrays, u(x) stacked on the window slopes, a term
+    buffer and Simpson's pair sums.  ``f.f`` runs per width on the stacked
+    pairs of as many rows as keep its result, the one array a call
+    allocates, within ``_F_VALUES`` doubles (3 rows, 103 KB, on bbm-slice's
+    lines).  An object serves one thread at a time.
     """
-    m, n = rows.shape
-    b = a + (n - 1) * h
-    dx = 0.5 * h
-    pad = int(math.ceil(max(widths) / dx)) + 4
-    nodes = 2 * n - 1
-    U = _cumulative_trapezoid(rows, h)
-    slopes = np.diff(rows, axis=1) / h
-    vals = np.zeros((m, nodes + 2 * pad))
-    integ = np.zeros_like(vals)
-    half_slope = np.zeros_like(vals)
-    on = slice(pad, pad + nodes)
-    vals[:, on][:, 0::2] = rows
-    vals[:, on][:, 1::2] = 0.5 * (rows[:, :-1] + rows[:, 1:])
-    integ[:, on][:, 0::2] = U
-    integ[:, on][:, 1::2] = U[:, :-1] + rows[:, :-1] * dx + 0.5 * slopes * dx * dx
-    integ[:, pad + nodes:] = U[:, -1:]
-    half_slope[:, on][:, 0:-1:2] = 0.5 * slopes
-    half_slope[:, on][:, 1::2] = 0.5 * slopes
-    # U(x) takes no slope past b
-    head = vals.copy()
-    head[:, pad + nodes - 1] = 0.0
-    longest = len(np.arange(a - max(widths), b + dx, dx))
-    slope_buf, u_buf, term_buf = (np.empty((m, longest)) for _ in range(3))
-    out = np.empty((len(widths), m))
-    for j, eps in enumerate(widths):
-        xs = np.arange(a - eps, b + dx, dx)
-        k = len(xs)
-        t = -eps / dx
-        start = pad + math.floor(t)
-        phase = t - math.floor(t)
-        s = phase * dx
-        at, nxt = slice(start, start + k), slice(start + 1, start + k + 1)
-        slope, u_x, term = slope_buf[:, :k], u_buf[:, :k], term_buf[:, :k]
-        # window slopes (U(x + eps) - U(x)) / eps
-        np.multiply(head[:, at], s, out=slope)
-        slope += integ[:, at]
-        slope += np.multiply(half_slope[:, at], s * s, out=term)
-        np.subtract(integ[:, pad:pad + k], slope, out=slope)
-        slope /= eps
-        np.multiply(vals[:, at], 1.0 - phase, out=u_x)
-        u_x += np.multiply(vals[:, nxt], phase, out=term)
-        inside = np.flatnonzero((xs >= a) & (xs <= b))
-        u_x[:, :inside[0]] = 0.0
-        u_x[:, inside[-1] + 1:] = 0.0
-        integrand = np.subtract(f.f(u_x), f.f(slope), out=term)
-        out[j] = _simpson(integrand, dx) / (eps * eps)
-    return out
+
+    def __init__(self, lines: int, n: int, a: float, h: float, widths):
+        b = a + (n - 1) * h
+        self._dx = dx = 0.5 * h
+        self._h = h
+        self._pad = pad = int(math.ceil(max(widths) / dx)) + 4
+        self._nodes = nodes = 2 * n - 1
+        self._widths = []
+        for eps in widths:
+            xs = np.arange(a - eps, b + dx, dx)
+            t = -eps / dx
+            inside = np.flatnonzero((xs >= a) & (xs <= b))
+            self._widths.append((eps, len(xs), pad + math.floor(t), t - math.floor(t),
+                                 inside[0], inside[-1] + 1))
+        longest = max(k for _, k, *_ in self._widths)
+        self._f_lines = max(1, _F_VALUES // (2 * longest))
+        self._vals, self._integ, self._half_slope = (
+            np.zeros((lines, nodes + 2 * pad)) for _ in range(3))
+        self._window = np.empty((2, lines, longest))  # u(x), then the window slopes
+        self._term = np.empty((lines, longest))
+        self._halves = np.empty((lines, longest // 2))
+
+    def __call__(self, rows: np.ndarray, f: Potential, out: np.ndarray) -> np.ndarray:
+        """Fill ``out[j, i]`` with the energy of ``rows[i]`` at width j; return it."""
+        m, n = rows.shape
+        h, dx, pad, nodes = self._h, self._dx, self._pad, self._nodes
+        on = slice(pad, pad + nodes)
+        vals, integ = self._vals[:m], self._integ[:m]
+        half_slope = self._half_slope[:m]
+        # per-cell values go to the term buffer; the pads stay 0 from
+        # construction, but for U(b) on integ's right
+        cell = self._term[:m, :n - 1]
+        vals[:, on][:, 0::2] = rows
+        np.add(rows[:, :-1], rows[:, 1:], out=cell)
+        np.multiply(cell, 0.5, out=vals[:, on][:, 1::2])
+        U = _cumulative_trapezoid(rows, h, integ[:, on][:, 0::2])
+        np.subtract(rows[:, 1:], rows[:, :-1], out=cell)
+        cell /= h
+        cell *= 0.5
+        half_slope[:, on][:, 0:-1:2] = cell
+        half_slope[:, on][:, 1::2] = cell
+        mid = integ[:, on][:, 1::2]
+        np.multiply(rows[:, :-1], dx, out=mid)
+        mid += U[:, :-1]
+        cell *= dx
+        cell *= dx
+        mid += cell
+        integ[:, pad + nodes:] = U[:, -1:]
+        for j, (eps, k, start, phase, lo, hi) in enumerate(self._widths):
+            s = phase * dx
+            at, nxt = slice(start, start + k), slice(start + 1, start + k + 1)
+            both = self._window[:, :m, :k]
+            u_x, slope, term = both[0], both[1], self._term[:m, :k]
+            # window slopes (U(x + eps) - U(x)) / eps
+            np.multiply(vals[:, at], s, out=slope)
+            if 0 <= pad + nodes - 1 - start < k:  # U(x) takes no slope past b
+                slope[:, pad + nodes - 1 - start] = 0.0
+            slope += integ[:, at]
+            slope += np.multiply(half_slope[:, at], s * s, out=term)
+            np.subtract(integ[:, pad:pad + k], slope, out=slope)
+            slope /= eps
+            np.multiply(vals[:, at], 1.0 - phase, out=u_x)
+            u_x += np.multiply(vals[:, nxt], phase, out=term)
+            u_x[:, :lo] = 0.0
+            u_x[:, hi:] = 0.0
+            for i in range(0, m, self._f_lines):
+                values = f.f(both[:, i:i + self._f_lines])
+                np.subtract(values[0], values[1], out=term[i:i + self._f_lines])
+            out[j] = _simpson(term, dx, self._halves[:m]) / (eps * eps)
+        return out
+
+
+def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.ndarray:
+    """Rate energies of profile rows on one grid, one result row per width.
+
+    One ``_RowRates`` call with buffers of its own for these rows; its
+    half-node arrays are padded by ceil(max eps / (h/2)) + 4 half-cells.
+    """
+    return _RowRates(*rows.shape, a, h, widths)(rows, f, np.empty((len(widths), len(rows))))
 
 
 def e1d(u: Profile1D, f: Potential, eps: float) -> float:
@@ -329,9 +387,10 @@ def _bspline_taps(t: float) -> np.ndarray:
 # The cubic B-spline's pole sqrt(3) - 2, spelled as scipy's spline filter
 # spells it: math.sqrt(3) - 2 is one ulp away and changes the coefficients.
 _POLE = -0.267949192431122706472553658494127633
-# most points per block of the per-point stencil, so its operands stay in
-# cache; a call splits into equal blocks, so one block of slice-assembly
-# lines (16 x 1045 points) runs as two halves, not 16384 plus 336
+# most points per block of the per-point stencil: its buffers take 16
+# doubles a point, 1.1 MB for one block of slice-assembly lines (8 x 1045
+# points), which this holds whole, so each sampler call pays the tap
+# loop's fixed cost once; a call splits into equal blocks
 _POINT_BLOCK = 1 << 14
 
 
@@ -404,18 +463,27 @@ class _SplineSampler:
         # the per-point stencil: taps (i, j) and their flat offsets, axis 1 fastest
         self._stride = self._coeffs.shape[1]
         self._stencil = [(i, j, i * self._stride + j) for i in range(4) for j in range(4)]
-        # tap weights and term buffer of one point block, kept across calls
+        # coordinate, index, weight and term buffers of one point block,
+        # kept across calls
         self._scratch = None
 
     @classmethod
     def constant(cls, u: GridField, margin: float) -> "_SplineSampler":
-        """Pad with the outside constant, clear of ``margin`` plus the stencil."""
+        """Pad with the outside constant, clear of ``margin`` plus the stencil.
+
+        Each axis takes ceil(margin / h) + 4 cells, so a query up to
+        ``margin`` past the box keeps its 4 x 4 stencil inside, and so does
+        the lattice ``centers(m)`` shifted by up to ``margin - m``.
+        ``slicing_check`` passes max(reach of its lines past the box,
+        2 eps r_eff) + delta; the 2 eps r_eff floor covers its direct side's
+        lattice, ``centers(eps r_eff)`` shifted by up to eps r_eff.
+        """
         hx, hy = u.spacing
         pads = (math.ceil(margin / hx) + 4, math.ceil(margin / hy) + 4)
         return cls(u, pads, constant_values=u.outside)
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        """Spline values at points of shape (..., 2).
+    def __call__(self, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Spline values at points of shape (..., 2), into ``out`` if given.
 
         The arithmetic of scipy's order-3 interpolation of prefiltered
         coefficients: with y the fraction past floor(x) and z = 1 - y,
@@ -425,48 +493,69 @@ class _SplineSampler:
 
         The points run in equal blocks of at most ``_POINT_BLOCK``, each
         with its own coordinates, bounds check and tap weights (contiguous
-        per axis and tap), so the working set beyond ``pts`` and the result
-        is a few arrays of one block.  Each tap is one gather from the
-        coefficients shifted by its offset into the term buffer.  The
-        weight and term buffers outlive the call, so a sampler serves one
-        thread at a time.
+        per axis and tap).  Each tap is one gather from the coefficients
+        shifted by its offset into the term buffer.  The coordinate, index,
+        weight and term buffers of one block belong to the sampler and
+        outlive the call, so a call with ``out`` (C-contiguous, shape
+        ``pts.shape[:-1]``) allocates nothing of the points' size, and a
+        sampler serves one thread at a time.
         """
         pts = np.asarray(pts, dtype=float)
         flat_pts = pts.reshape(-1, pts.shape[-1])
         n = len(flat_pts)
         blocks = max(1, -(-n // _POINT_BLOCK))
         size = max(1, -(-n // blocks))  # equal blocks, the last one at most as long
-        dims = self._coeffs.shape
+        dims = np.asarray(self._coeffs.shape)
         flat = self._coeffs.ravel()
-        out = np.empty(n)
-        if self._scratch is None or len(self._scratch[1]) < size:
-            self._scratch = (np.empty((2, 4, size)), np.empty(size))
-        w, term_buf = self._scratch
+        if out is None:
+            out = np.empty(pts.shape[:-1])
+        flat_out = out.reshape(n)
+        if self._scratch is None or self._scratch[0].shape[1] < size:
+            # per axis: coordinate (then y), floor (then z) and four tap
+            # weights, and the term; the stencil's first node per axis and flat
+            self._scratch = (np.empty((13, size)), np.empty((3, size), dtype=np.intp))
+        real, index = self._scratch
+        weights = real[4:12].reshape(2, 4, -1)
         for s in range(0, n, size):
-            coords = (flat_pts[s:s + size] - self._origin) / self._h - 0.5
-            whole = np.floor(coords)
-            lo = whole.astype(np.intp) - 1
-            if np.any(lo < 0) or np.any(lo + 4 > dims):
+            block = flat_pts[s:s + size]
+            m = len(block)
+            y, z, w = real[0:2, :m], real[2:4, :m], weights[:, :, :m]
+            term, lo, start = real[12, :m], index[0:2, :m], index[2, :m]
+            np.subtract(block.T, self._origin[:, None], out=y)
+            y /= self._h[:, None]
+            y -= 0.5
+            np.floor(y, out=z)
+            np.copyto(lo, z, casting="unsafe")
+            lo -= 1
+            if lo.min() < 0 or np.any(lo.max(axis=1) + 4 > dims):
                 raise RateDomainError("a query's stencil reaches past the padded coefficients")
-            start = lo[:, 0] * self._stride + lo[:, 1]
-            m = len(start)
-            y = (coords - whole).T
-            z = 1.0 - y
-            wb = w[:, :, :m]
-            wb[:, 0] = z * z * z / 6.0
-            wb[:, 1] = (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0
-            wb[:, 2] = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
-            wb[:, 3] = 1.0 - wb[:, 0] - wb[:, 1] - wb[:, 2]
-            term = term_buf[:m]
-            acc = out[s:s + m]
+            np.multiply(lo[0], self._stride, out=start)
+            start += lo[1]
+            y -= z
+            np.subtract(1.0, y, out=z)
+            w0, w1, w2, w3 = (w[:, i] for i in range(4))
+            np.multiply(z, z, out=w0)
+            w0 *= z
+            w0 /= 6.0
+            for wk, v in ((w1, y), (w2, z)):  # (3 v^2 (v - 2) + 4) / 6
+                np.subtract(v, 2.0, out=w3)
+                np.multiply(v, v, out=wk)
+                wk *= w3
+                wk *= 3.0
+                wk += 4.0
+                wk /= 6.0
+            np.subtract(1.0, w0, out=w3)
+            w3 -= w1
+            w3 -= w2
+            acc = flat_out[s:s + m]
             acc.fill(0.0)
             for i, j, off in self._stencil:
                 # in range by the check above; "clip" writes to ``out`` unbuffered
                 flat[off:].take(start, out=term, mode="clip")
-                term *= wb[0, i]
-                term *= wb[1, j]
+                term *= w[0, i]
+                term *= w[1, j]
                 acc += term
-        return out.reshape(pts.shape[:-1])
+        return out
 
     def centers(self, margin: float) -> tuple[tuple, np.ndarray]:
         """Cell centers of the grid widened by ceil(margin / h) cells per axis.
@@ -604,9 +693,12 @@ def rate_limit_ddim(u: GridField, G: Kernel, f: Potential) -> float:
     return second_moment * acc / 24.0
 
 
-# lines per block of the slice assembly (sampler calls and ``_e1d_rows``),
-# so its buffers stay in cache
-_ROW_BLOCK = 16
+# lines per block of the slice assembly (sampler calls and ``_RowRates``):
+# a line takes about 280 KB of block buffers on bbm-slice (112 KB of 1D
+# energies, 134 KB of sampler, 33 KB of points and values), so 8 lines
+# keep them near 2 MB, one core's L2; 16 lines take the same time and
+# 2 MB more peak RSS, 4 lines about 15% more time in per-block overhead
+_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -634,13 +726,21 @@ def slicing_check(
     feeds them through the 1D rate energy at width eps*|z|, and recombines
     with weight G(z)|z|^2.
 
-    The lines of a direction stream in blocks of ``_ROW_BLOCK``: each
-    block's points, its two probe samplings and its 1D energies are built
-    and dropped before the next, and only the (radius, line) table of
-    energies outlives a block.  Every line is evaluated on its own and the
-    table is summed per radius once it is full, so the result does not
-    depend on the block sizes, and the working set is a few MB whatever
-    the number of lines.  G must be planar, as the field is.
+    One spline serves both sides.  Its pad is max(R - s/2, 2 eps r_eff)
+    + delta, with R the farthest line sample from the box center and s
+    the shorter box side: the lines reach R - s/2 past the box, and the
+    direct side's lattice, widened by eps r_eff and shifted by up to
+    eps r_eff, reaches 2 eps r_eff, farther on a box small next to the
+    kernel.  The probes add delta.
+
+    The lines of a direction stream in blocks of ``_ROW_BLOCK``.  Each
+    block's points, its two probe samplings and its 1D energies go to
+    buffers sized for one block, which this call owns (the point and
+    value arrays here, the sampler's block buffers and one ``_RowRates``),
+    so a block allocates only what ``f.f`` returns; only the (radius,
+    line) table of energies spans blocks.  Every line is evaluated on its
+    own and the table is summed per radius once it is full, so the result
+    does not depend on the block sizes.  G must be planar, as the field is.
     """
     kernels.require_planar(G)
     check_constant_ring(u, RateDomainError)
@@ -654,8 +754,14 @@ def slicing_check(
 
     center = np.asarray(u.box.origin) + 0.5 * np.asarray(u.box.size)
     half_diag = 0.5 * float(np.linalg.norm(u.box.size))
-    # one interpolant serves both sides; lines overshoot the window corners
-    spl = _SplineSampler.constant(u, 2.0 * half_diag + eps * r_eff + delta)
+    # lines at offsets xi through the center, sampled at t along them;
+    # they overshoot the window corners
+    dt = eps * rs.min() / 8.0
+    xi = np.arange(-half_diag, half_diag + h, h)
+    t_lo = -(half_diag + eps * r_eff)
+    t = np.arange(t_lo, -t_lo + dt, dt)
+    reach = math.hypot(np.abs(xi).max(), np.abs(t).max()) - 0.5 * min(u.box.size)
+    spl = _SplineSampler.constant(u, max(reach, 2.0 * eps * r_eff) + delta)
 
     shape, base = spl.centers(eps * r_eff)
     step = np.asarray(u.spacing)
@@ -677,24 +783,30 @@ def slicing_check(
     # slice assembly: per direction, blocks of lines stream through the
     # sampler and the 1D energies; only their (radius, line) table is kept
     assembled = 0.0
-    half = len(dirs) // 2
-    dt = eps * rs.min() / 8.0
-    xi = np.arange(-half_diag, half_diag + h, h)
-    t_lo = -(half_diag + eps * r_eff)
-    t = np.arange(t_lo, -t_lo + dt, dt)
+    lines = min(_ROW_BLOCK, len(xi))
+    rates = _RowRates(lines, len(t), t_lo, dt, eps * rs)
+    pts = np.empty((lines, len(t), 2))
+    plus, minus = np.empty((lines, len(t))), np.empty((lines, len(t)))
     energies = np.empty((len(rs), len(xi)))
-
-    def slopes(d_hat, offsets):
-        """Probed derivative along d_hat on the lines at these offsets."""
-        perp = np.array([-d_hat[1], d_hat[0]])
-        pts = center + offsets[:, None, None] * perp + t[:, None] * d_hat
-        probe = delta * d_hat
-        return (spl(pts + probe) - spl(pts - probe)) / (2.0 * delta)
-
+    half = len(dirs) // 2
     for d_hat, w_ang in zip(dirs[:half], wa[:half]):
-        for i in range(0, len(xi), _ROW_BLOCK):
-            v = slopes(d_hat, xi[i:i + _ROW_BLOCK])
-            energies[:, i:i + _ROW_BLOCK] = _e1d_rows(v, t_lo, dt, f, eps * rs)
+        perp = np.array([-d_hat[1], d_hat[0]])
+        along = t[:, None] * d_hat
+        probe = delta * d_hat
+        for i in range(0, len(xi), lines):
+            # the probed derivative along d_hat on the lines at these offsets
+            offsets = xi[i:i + lines]
+            m = len(offsets)
+            across = center + offsets[:, None, None] * perp
+            np.add(across, along, out=pts[:m])
+            pts[:m] += probe
+            spl(pts[:m], out=plus[:m])
+            np.add(across, along, out=pts[:m])
+            pts[:m] -= probe
+            spl(pts[:m], out=minus[:m])
+            slopes = np.subtract(plus[:m], minus[:m], out=plus[:m])
+            slopes /= 2.0 * delta
+            rates(slopes, f, energies[:, i:i + m])
         for r, wr, e_r in zip(rs, radial_w, energies):
             assembled += wr * (2.0 * w_ang) * (r * r) * float(np.sum(e_r)) * h
     return SlicingReport(eps, direct, assembled)

@@ -287,12 +287,72 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_worker_count_does_not_change_artifacts(tmp_path):
-    cfg = CONFIG_DIR / "bbm-1d.cfg"
-    _, out1 = cli.run(cfg, tmp_path / "w1", workers=1)
-    _, out4 = cli.run(cfg, tmp_path / "w4", workers=4)
-    for p in sorted(out1.iterdir()):
-        assert p.read_bytes() == (out4 / p.name).read_bytes()
+# the eps sweeps of three more experiments, cut to test size
+SMALL_SWEEPS = {
+    "halfspace-cell": """
+    experiment halfspace-cell
+    eps 0.2 0.1 0.05
+    seed 3
+    competitors 3
+    kernel {
+      family ball
+    }
+    geometry {
+      direction 0.6 0.8
+      resolution 64
+    }
+    """,
+    "curvature-limit": """
+    experiment curvature-limit
+    eps 0.4 0.2 0.1
+    boundary_samples 3
+    kernel {
+      family fractional
+      sigma 0.5
+      radius 1.0
+    }
+    geometry {
+      shape disk
+      radius 0.5
+    }
+    """,
+    "regularity": """
+    experiment regularity
+    eps 0.2 0.1
+    angular 8
+    kernel {
+      family ball
+    }
+    geometry {
+      field bump
+      resolution 32
+    }
+    """,
+}
+
+
+def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
+    counts = []
+    parallel_map = cli._parallel_map
+
+    def counting_map(fn, items, workers):
+        counts.append(workers)
+        return parallel_map(fn, items, workers)
+
+    monkeypatch.setattr(cli, "_parallel_map", counting_map)
+    runs = [(CONFIG_DIR / "bbm-1d.cfg", 4)]
+    for name, text in SMALL_SWEEPS.items():
+        (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
+        runs.append((tmp_path / f"{name}.cfg", 2))
+    for cfg, workers in runs:
+        _, out1 = cli.run(cfg, tmp_path / cfg.stem / "1", workers=1)
+        counts.clear()
+        _, out_n = cli.run(cfg, tmp_path / cfg.stem / str(workers), workers=workers)
+        assert workers in counts, cfg.stem  # the sweep reached the thread pool
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out_n.iterdir()) and "report.csv" in names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out_n / name).read_bytes(), (cfg.stem, name)
 
 
 def test_worker_count_does_not_change_artifacts_in_fresh_processes(tmp_path):
@@ -414,6 +474,20 @@ def test_main_maps_unreadable_input_to_exit_two(tmp_path, capsys, case):
     assert cli.main(UNREADABLE_CASES[case](tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("nlgeom: error: ") and err.count("\n") == 1
+
+
+def test_out_that_is_a_file_exits_two_before_any_numerics(tmp_path, capsys, monkeypatch):
+    from nlgeom import energy
+
+    def computed(*args, **kwargs):
+        raise AssertionError("the experiment computed before its output directory was made")
+
+    monkeypatch.setattr(energy, "coarea_check", computed)
+    (tmp_path / "ok.cfg").write_text(COAREA_CFG, encoding="utf-8")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert cli.main(["run", str(tmp_path / "ok.cfg"), "--out", str(taken)]) == 2
+    assert "cannot make the output directory" in capsys.readouterr().err
 
 
 def test_main_field_snapshot_round_trips(tmp_path):

@@ -247,20 +247,24 @@ def test_slicing_check_bits_do_not_depend_on_block_sizes(bump64, bump_slice, mon
 
 
 def test_slicing_check_working_set_stays_below_6_mb(bump64):
-    # one block of lines at a time: about 4.7 MB traced, against 13.8 MB
-    # when every line of a direction was sampled at once
+    # one block of lines at a time in buffers of one block, and a pad only
+    # as wide as the lines reach: about 2.8 MB traced at 64² and 3.1 MB at
+    # 96², against 13.8 MB at 64² when every line of a direction was
+    # sampled at once, and 4.7 and 8.4 MB with the pad of twice the half
+    # diagonal and fresh arrays per block
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        slicing_check(bump64, G_BALL, QUAD, 0.1)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        for u in (bump64, radial_bump(Box.cube(1.1, 96))):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            slicing_check(u, G_BALL, QUAD, 0.1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < 4e6, u.box.resolution
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak < 6e6
 
 
 def test_slicing_check_pads_for_the_direct_lattice_on_a_small_box():
@@ -513,10 +517,14 @@ def test_spline_sampler_matches_map_coordinates_bitwise():
     pts = (coords + 0.5) * spl._h + spl._origin
     ref = ndimage.map_coordinates(spl._coeffs, ((pts - spl._origin) / spl._h - 0.5).T,
                                   order=3, prefilter=False, mode="nearest")
-    # one point, one full block, a block and one point, and one block of
-    # slicing_check's lines (16 x 1045), besides the whole batch
-    for count in (1, 16384, 16385, 16720, 20000):
+    # one point, one block of slicing_check's lines (8 x 1045), one full
+    # block, a block and one point, two blocks of lines, and the whole
+    # batch; also into a caller's buffer
+    for count in (1, 8360, 16384, 16385, 16720, 20000):
         assert np.array_equal(spl(pts[-count:]), ref[-count:])
+        out = np.full(count, np.nan)
+        assert spl(pts[-count:], out=out) is out
+        assert np.array_equal(out, ref[-count:])
     assert spl(pts.reshape(100, 200, 2)).shape == (100, 200)
 
 
@@ -535,6 +543,7 @@ def test_spline_sampler_rejects_queries_past_the_pad():
 def test_simpson_and_cumulative_trapezoid_match_scipy_bitwise(n):
     y = np.random.default_rng(n).normal(size=(64, n))
     dx = 1.3e-3 / 3.0
-    assert np.array_equal(rate._simpson(y, dx), simpson(y, dx=dx, axis=1))
-    assert np.array_equal(rate._cumulative_trapezoid(y, dx),
+    assert np.array_equal(rate._simpson(y, dx, np.empty((64, n // 2))),
+                          simpson(y, dx=dx, axis=1))
+    assert np.array_equal(rate._cumulative_trapezoid(y, dx, np.empty_like(y)),
                           cumulative_trapezoid(y, dx=dx, axis=1, initial=0.0))
