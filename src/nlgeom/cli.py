@@ -8,7 +8,13 @@ nested key-value blocks (see :func:`parse_config`), and a run rejects any
 key its experiment does not read, before any numerics; reruns with the same
 config and seed produce byte-identical artifacts, and the optional per-eps
 parallelism is a pure scheduling choice (results are reduced in config
-order, so the worker count never changes the output).  Each experiment body
+order, so the worker count never changes the output).  The worker threads
+share the interpreter lock, so only numpy calls that release it overlap.
+On an idle 2-core host two workers took flow-monitors from 11.7-12.8 s to
+8.9-10.8 s, left halfspace-cell no faster and slowed regularity from
+0.8-1.3 s to 1.5-2.1 s; they raised halfspace-cell's peak RSS from 51 to
+62 MB.  With the cores busy with other work, flow-monitors too was slower
+at two workers (20.5-21.1 s against 18.0-19.6 s).  Each experiment body
 imports the library layers it calls, so a run loads only those, and
 ``--list`` none beyond ``kernels`` and ``fields``.
 
@@ -578,7 +584,7 @@ def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
         CheckLine("euler identity p.grad(sigma) = sigma",
                   euler_err < 1e-6, f"max rel err={_g(euler_err)}"),
     ]
-    if kern.family == "ball-indicator" and kern.r1 == 1.0:
+    if kern.family == "indicator" and kern.r0 == 0.0 and kern.r1 == 1.0:
         e1 = np.array([1.0, 0.0])
         v = an.value(e1)
         gv = an.gradient(e1)
@@ -961,6 +967,11 @@ def _flow_setup(cfg: ExperimentConfig):
         if not 0.0 < frac < 1.0:
             raise ConfigValueError("stop_fraction must lie in (0, 1)")
         T = radius**2 * (1.0 - frac**2) / (2.0 * kappa)
+    elif not 0.0 < T < radius**2 / (2.0 * kappa):
+        raise ConfigValueError(
+            f"T must lie in (0, {radius**2 / (2.0 * kappa):.4g}), before the circle's "
+            "extinction time r^2 / (2 kappa)"
+        )
     n_snap = f.count("snapshots", 10)
     dt = f.float_("dt", None)
 
@@ -1210,7 +1221,10 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the experiment config file")
     run_p.add_argument("--out", default=None, help="override the output directory")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="threads for the eps sweep (default 1)")
+                       help="threads for the eps sweep (default 1); they share the "
+                       "interpreter lock, so on 2 idle cores 2 speed up the flow "
+                       "sweeps by about a fifth, slow regularity down and use "
+                       "more memory")
     args = parser.parse_args(argv)
 
     if args.list:

@@ -6,9 +6,11 @@ The nonlocal curvature used here is
 
 nonnegative on convex sets.  Sets are analytic planar shapes (d = 2) with
 an exact level gradient; the local limit also reads their exact level
-Hessian.  One route evaluates H: a principal-value annulus scheme that
-integrates the membership sign over each circle about x from its exact
-crossing angles, so the odd part cancels identically.  On disks it is
+Hessian.  Of the package's shapes, balls and halfspaces define both; any
+other :class:`~nlgeom.fields.Shape` subclass that defines ``grad_phi`` and
+``hess_phi`` is accepted too.  One route evaluates H: a principal-value
+annulus scheme that integrates the membership sign over each circle about
+x from its exact crossing angles, so the odd part cancels identically.  On disks it is
 checked against the 1-D radial integral of
 :func:`nlgeom.kernels.disk_reference`.  The local limit H_0 is kappa times
 the curvature, kappa the hyperplane second moment of the kernel, and
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DomainError, kernels
-from .fields import LevelShape, Shape
+from .fields import Shape
 from .kernels import Kernel
 
 
@@ -290,7 +292,7 @@ def h0(phi, x, kernel: Kernel) -> CurvatureValue:
     The kernel's curvature assumptions need no numeric check: they are
     invariant under K -> K_eps (same mass, more concentrated), and every
     kernel the constructors accept with a bounded window meets them in
-    closed form.  Ball and annulus kernels are bounded with compact support.
+    closed form.  Indicator kernels are bounded with compact support.
     For the power law r^(-2-sigma), 0 < sigma < 1, the tail product
     r * ∫_{|z|>r} K ~ r^(1-sigma) -> 0, and the parabolic-slab mass and the
     hyperplane second moment are both ∫ r^(-sigma) dr < inf near the origin
@@ -315,38 +317,3 @@ def h0(phi, x, kernel: Kernel) -> CurvatureValue:
     # t^T hess t, summed as trace(t t^T hess)
     val = -kappa * float(np.trace(np.outer(t, t) @ hess)) / gn
     return CurvatureValue(val, abs(val) * 1e-10 + 1e-14)
-
-
-# ---------------------------------------------------------------------------
-# shapes with analytic second derivatives for the experiments
-
-
-def make_ellipse(a: float, b: float, center=(0.0, 0.0), angle: float = 0.0) -> LevelShape:
-    """Axis lengths a, b; the level function 1 - quadratic form is smooth."""
-    c = np.asarray(center, dtype=float)
-    ca, sa = math.cos(angle), math.sin(angle)
-    R = np.array([[ca, -sa], [sa, ca]])
-    D = R @ np.diag([1.0 / a**2, 1.0 / b**2]) @ R.T
-
-    def phi(pts):
-        pts = np.asarray(pts, dtype=float)
-        rel = pts - c
-        return 1.0 - np.einsum("...i,ij,...j->...", rel, D, rel)
-
-    def grad(pts):
-        pts = np.asarray(pts, dtype=float)
-        return -2.0 * (pts - c) @ D
-
-    def hess(pts):
-        pts = np.asarray(pts, dtype=float)
-        H = -2.0 * D
-        if pts.ndim == 1:
-            return H
-        return np.broadcast_to(H, pts.shape[:-1] + (2, 2)).copy()
-
-    def boundary(t):
-        th = 2 * math.pi * np.asarray(t)
-        pts = np.stack([a * np.cos(th), b * np.sin(th)], axis=-1)
-        return c + pts @ R.T
-
-    return LevelShape(phi, grad_fn=grad, hess_fn=hess, boundary_fn=boundary)

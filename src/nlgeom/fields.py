@@ -6,9 +6,10 @@ dimension but d = 2 at construction, so the layers above never test it.
 A set is an analytic :class:`Shape`: the superlevel set ``{phi > 0}`` of its
 canonical level function, with exact membership tests, so the inner unit
 normal is the direction of ``grad phi``.  Balls and halfspaces carry exact
-first and second level derivatives and boundary samples; level shapes
-carry what their caller supplies.  :class:`GridField` holds sampled values
-on a uniform box grid: rasterized shapes, their superlevel indicators,
+first and second level derivatives, and balls a boundary sampler.  An axis
+box and a :class:`LevelShape` are only their level functions, since
+membership is all their callers read.  :class:`GridField` holds sampled
+values on a uniform box grid: rasterized shapes, their superlevel indicators,
 phase fields and level sets.  Fields extend outside their box by a
 constant chosen at construction (default 0).
 """
@@ -267,20 +268,6 @@ class Halfspace(Shape):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (2, 2))
 
-    def boundary_sample(self, n: int) -> BoundarySample:
-        """Uniform square patch of the boundary plane around the perpendicular foot.
-
-        The patch has side 8.  The plane is unbounded, so callers windowing
-        by a shape should keep the window within 4 of the foot point.
-        """
-        extent = 8.0
-        nv = np.asarray(self.normal)
-        t = np.array([-nv[1], nv[0]])
-        s = extent * ((np.arange(n) + 0.5) / n - 0.5)
-        pts = self.offset * nv + s[:, None] * t[None, :]
-        w = np.full(n, extent / n)
-        return BoundarySample(pts, np.tile(nv, (n, 1)), w)
-
 
 @dataclass(frozen=True)
 class AxisBox(Shape):
@@ -298,58 +285,19 @@ class AxisBox(Shape):
             raise FieldDomainError("need lo < hi componentwise")
 
     def phi(self, x):
-        # exact signed distance: inner L-inf margin inside, minus the
-        # Euclidean distance to the box outside
+        # the inner margin: positive exactly on the open box
         x = np.asarray(x, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        inner = np.minimum(x - lo, hi - x).min(axis=-1)
-        outer = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        dist_out = np.sqrt(np.sum(outer**2, axis=-1))
-        return np.where(dist_out > 0.0, -dist_out, inner)
-
+        return np.minimum(x - np.asarray(self.lo), np.asarray(self.hi) - x).min(axis=-1)
 
 
 class LevelShape(Shape):
-    """Set {phi > 0} of a user-supplied level function (ellipses, graphs...)."""
+    """Set {phi > 0} of a user-supplied level function."""
 
-    def __init__(
-        self,
-        phi_fn: Callable[[np.ndarray], np.ndarray],
-        grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        hess_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        boundary_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
+    def __init__(self, phi_fn: Callable[[np.ndarray], np.ndarray]):
         self._phi = phi_fn
-        self._grad = grad_fn
-        self._hess = hess_fn
-        self._boundary = boundary_fn
 
     def phi(self, x):
         return self._phi(np.asarray(x, dtype=float))
-
-    def grad_phi(self, x):
-        if self._grad is None:
-            raise FieldDomainError("no level gradient available for this level shape")
-        return self._grad(np.asarray(x, dtype=float))
-
-    def hess_phi(self, x):
-        if self._hess is None:
-            raise FieldDomainError("no Hessian available for this level shape")
-        return self._hess(np.asarray(x, dtype=float))
-
-    def boundary_sample(self, n: int) -> BoundarySample:
-        if self._boundary is None:
-            raise FieldDomainError("no boundary parametrization for this level shape")
-        t = (np.arange(n) + 0.5) / n
-        pts = np.asarray(self._boundary(t), dtype=float)
-        # weights from the closed-curve chord lengths, normals from grad phi
-        nxt = np.roll(pts, -1, axis=0)
-        prv = np.roll(pts, 1, axis=0)
-        w = 0.5 * (np.linalg.norm(nxt - pts, axis=1) + np.linalg.norm(pts - prv, axis=1))
-        g = np.atleast_2d(self.grad_phi(pts))
-        g = g / np.linalg.norm(g, axis=1, keepdims=True)
-        return BoundarySample(pts, g, w)
 
 
 # --------------------------------------------------------------------------

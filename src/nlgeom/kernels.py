@@ -1,8 +1,10 @@
 """Radial kernels: evaluation, rescaling, absolute and hyperplane moments.
 
-Every built-in kernel is radial, even, and nonnegative.  A kernel is an
-immutable description (family tag plus parameters); evaluation and quadrature
-never mutate it, so instances can be shared freely across worker processes.
+Every built-in kernel is radial, even, and nonnegative: the indicator of an
+annulus r0 <= |z| <= r1 (the ball when r0 = 0), the truncated power law, or
+a custom radial profile.  A kernel is an immutable description (family
+tag plus parameters); evaluation and quadrature never mutate it, so
+instances can be shared freely across worker processes.
 
 Quadrature conventions
 ----------------------
@@ -61,8 +63,7 @@ from numpy.polynomial.legendre import leggauss
 from . import DomainError
 
 FAMILIES = (
-    "ball-indicator",
-    "annulus-indicator",
+    "indicator",
     "fractional-truncated",
     "custom-radial-profile",
 )
@@ -182,9 +183,7 @@ class Kernel:
     def _base(self, u: np.ndarray) -> np.ndarray:
         """Unit-scale radial profile at radii ``u >= 0``."""
         fam = self.family
-        if fam == "ball-indicator":
-            return (u <= self.r1).astype(float)
-        if fam == "annulus-indicator":
+        if fam == "indicator":
             return ((u >= self.r0) & (u <= self.r1)).astype(float)
         if fam == "fractional-truncated":
             with np.errstate(divide="ignore"):
@@ -245,11 +244,13 @@ def rescale(kernel: Kernel, eps: float) -> Kernel:
 
 
 def ball_indicator(d: int = 2, radius: float = 1.0) -> Kernel:
-    return Kernel("ball-indicator", d, r1=radius)
+    """The indicator of the ball |z| <= radius: the annulus with r0 = 0."""
+    return annulus_indicator(d, 0.0, radius)
 
 
 def annulus_indicator(d: int = 2, r0: float = 0.2, r1: float = 1.0) -> Kernel:
-    return Kernel("annulus-indicator", d, r0=r0, r1=r1)
+    """The indicator of the annulus r0 <= |z| <= r1."""
+    return Kernel("indicator", d, r0=r0, r1=r1)
 
 
 def fractional(d: int = 2, sigma: float = 0.5, radius: float = 1.0) -> Kernel:
@@ -425,10 +426,7 @@ def _radial_moment(kernel: Kernel, q: float) -> Moment:
     if not math.isfinite(k.r1) and q - (k.d + k.sigma) >= -1.0:
         return Moment(math.inf, False)
     fam = k.family
-    if fam == "ball-indicator":
-        val = k.r1 ** (q + 1) / (q + 1)
-        return Moment(pref * val, True, abs(pref * val) * 1e-15)
-    if fam == "annulus-indicator":
+    if fam == "indicator":
         val = (k.r1 ** (q + 1) - k.r0 ** (q + 1)) / (q + 1)
         return Moment(pref * val, True, abs(pref * val) * 1e-15)
     if fam == "fractional-truncated":

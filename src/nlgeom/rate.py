@@ -116,10 +116,9 @@ class Profile1D:
 
     def at(self, x) -> np.ndarray:
         """Piecewise-linear value, zero outside the interval."""
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.grid, self.values, left=0.0, right=0.0)
-        a, b = self.interval
-        return np.where((x < a) | (x > b), 0.0, out)
+        # the grid starts at a and ends at b exactly, so the fill values
+        # are the zero extension
+        return np.interp(x, self.grid, self.values, left=0.0, right=0.0)
 
     def derivative_values(self) -> np.ndarray:
         return np.gradient(self.values, self.spacing)

@@ -599,6 +599,24 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
     assert not (tmp_path / "main_out").exists()
 
 
+# a flow past the circle's extinction time r^2 / (2 kappa), 0.12 here, has
+# no zero level to compare, so its end time fails before any numerics
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("experiment", ["flow-compare", "flow-monitors"])
+@pytest.mark.parametrize("line, reason", [
+    ("T 2.0", "T must lie in (0, 0.12)"),
+    ("T 0.13", "T must lie in (0, 0.12)"),
+    ("T 0", "T must lie in (0, 0.12)"),
+    ("stop_fraction 1", "stop_fraction must lie in (0, 1)"),
+])
+def test_flow_end_time_lies_before_extinction(tmp_path, capsys, experiment, line, reason):
+    text = (f"experiment {experiment}\neps 0.2\n" + BALL + FLOW_GEOMETRY
+            + f"flow {{\n  {line}\n}}\n")
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err.startswith(f"nlgeom: error: {reason}")
+    assert not (tmp_path / "main_out").exists()
+
+
 CURVATURE_KERNEL_CFG = """
 experiment curvature-limit
 eps 0.2 0.1 0.05

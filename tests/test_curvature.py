@@ -7,7 +7,7 @@ import pytest
 from nlgeom import DomainError, curvature, kernels
 from nlgeom.curvature import CurvatureDomainError, hk_pv, h0
 from nlgeom.fields import (AxisBox, Ball, Box, FieldDomainError, GridField, Halfspace,
-                           LevelShape)
+                           LevelShape, Shape)
 
 BALL_K = kernels.ball_indicator(2)
 FRAC_K = kernels.fractional(2, 0.5, 1.0)
@@ -15,6 +15,47 @@ FRAC_K = kernels.fractional(2, 0.5, 1.0)
 # two overlapping unit disks at center distance 1
 LENS_AREA = 2 * math.acos(0.5) - 0.5 * math.sqrt(3)
 LENS_ORACLE = math.pi - 2 * LENS_AREA  # |B cap E^c| - |B cap E|
+
+
+class Ellipse(Shape):
+    """Axis lengths a, b turned by ``angle``; the level function 1 - quadratic
+    form is smooth, so the tests' non-circular boundary has exact level
+    derivatives."""
+
+    def __init__(self, a, b, angle=0.0):
+        ca, sa = math.cos(angle), math.sin(angle)
+        self.a, self.b = a, b
+        self.R = np.array([[ca, -sa], [sa, ca]])
+        self.D = self.R @ np.diag([1.0 / a**2, 1.0 / b**2]) @ self.R.T
+
+    def phi(self, x):
+        x = np.asarray(x, dtype=float)
+        return 1.0 - np.einsum("...i,ij,...j->...", x, self.D, x)
+
+    def grad_phi(self, x):
+        return -2.0 * np.asarray(x, dtype=float) @ self.D
+
+    def hess_phi(self, x):
+        return -2.0 * self.D
+
+    def boundary_points(self, n):
+        th = 2 * math.pi * ((np.arange(n) + 0.5) / n)
+        return np.stack([self.a * np.cos(th), self.b * np.sin(th)], axis=-1) @ self.R.T
+
+
+class Saddle(Shape):
+    """{x^2 > y^2}, whose level gradient vanishes at the origin."""
+
+    def phi(self, x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] ** 2 - x[..., 1] ** 2
+
+    def grad_phi(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([2.0 * x[..., 0], -2.0 * x[..., 1]], axis=-1)
+
+    def hess_phi(self, x):
+        return np.array([[2.0, 0.0], [0.0, -2.0]])
 
 
 @pytest.mark.parametrize("normal", [(1, 0), (0, 1), (0.3, -0.7), (1, 1)])
@@ -83,12 +124,12 @@ LEVEL_SET = GridField(Box.cube(1.0, 16), np.zeros((16, 16)), tag="level-set")
     (lambda: hk_pv(DISK, (0.5, 0.0), kernels.ball_indicator(3)), kernels.KernelDomainError),
     (lambda: kernels.disk_reference(kernels.ball_indicator(3), 0.5), kernels.KernelDomainError),
     (lambda: Ball((0.0, 0.0, 0.0), 0.5).boundary_sample(64), FieldDomainError),
-    (lambda: Halfspace((0.0, 0.0, 1.0), 0.0).boundary_sample(64), FieldDomainError),
+    (lambda: Halfspace((0.0, 0.0, 1.0), 0.0).phi((0.0, 0.0, 0.0)), FieldDomainError),
     (lambda: h0(LEVEL_SET, (0.0, 0.0), BALL_K), CurvatureDomainError),
     (lambda: LevelShape(lambda p: 1.0 - np.sum(p * p, axis=-1)).grad_phi((1.0, 0.0)),
      FieldDomainError),
     (lambda: h0(AxisBox((-0.5, -0.5), (0.5, 0.5)), (0.5, 0.0), BALL_K), DomainError),
-], ids=["hk_pv-3d", "disk_reference-3d", "ball-sample-3d", "halfspace-sample-3d",
+], ids=["hk_pv-3d", "disk_reference-3d", "ball-sample-3d", "halfspace-phi-3d",
         "h0-grid-field", "level-shape-no-gradient", "h0-axis-box"])
 def test_planar_analytic_scope_is_guarded(call, error):
     # curvature takes planar kernels only, shapes are planar (a 3-D one
@@ -144,8 +185,7 @@ def test_h0_halfspace_zero():
 def test_h0_ellipse_hand_value():
     # phi = 1 - (x/a)^2 - (y/b)^2 at (a, 0): curvature a/b^2 times the
     # tangential second moment of the kernel
-    ell = curvature.make_ellipse(0.6, 0.3)
-    cv = h0(ell, (0.6, 0.0), BALL_K)
+    cv = h0(Ellipse(0.6, 0.3), (0.6, 0.0), BALL_K)
     assert cv.value == pytest.approx((0.6 / 0.09) * (2.0 / 3.0), rel=1e-12)
 
 
@@ -153,9 +193,8 @@ def test_h0_rotation_invariance():
     angles = [0.0, 0.37, 1.1, 2.9]
     vals = []
     for a in angles:
-        ell = curvature.make_ellipse(0.6, 0.3, angle=a)
         x = np.array([0.6 * math.cos(a), 0.6 * math.sin(a)])
-        vals.append(h0(ell, x, BALL_K).value)
+        vals.append(h0(Ellipse(0.6, 0.3, angle=a), x, BALL_K).value)
     assert np.ptp(vals) < 1e-8
 
 
@@ -168,22 +207,16 @@ def test_h0_rejects_untruncated_kernel():
 
 
 def test_h0_gradient_floor():
-    saddle = LevelShape(
-        lambda p: np.asarray(p)[..., 0] ** 2 - np.asarray(p)[..., 1] ** 2,
-        grad_fn=lambda p: np.stack([2 * np.asarray(p)[..., 0], -2 * np.asarray(p)[..., 1]], axis=-1),
-        hess_fn=lambda p: np.array([[2.0, 0.0], [0.0, -2.0]]),
-    )
     with pytest.raises(CurvatureDomainError):
-        h0(saddle, (0.0, 0.0), BALL_K)
+        h0(Saddle(), (0.0, 0.0), BALL_K)
 
 
 # ---------------------------------------------------------------------------
 # convergence of the rescaled family
 
 
-def hk_table(shape, kernel, eps_list, n):
-    """h0 at n boundary samples, and eps^{-1} H(K_eps) there per eps."""
-    pts = shape.boundary_sample(n).points
+def hk_table(shape, kernel, eps_list, pts):
+    """h0 at the boundary points, and eps^{-1} H(K_eps) there per eps."""
     h0_vals = np.array([h0(shape, p, kernel).value for p in pts])
     table = np.array([[hk_pv(shape, p, kernels.rescale(kernel, e)).value / e for p in pts]
                       for e in eps_list])
@@ -191,7 +224,9 @@ def hk_table(shape, kernel, eps_list, n):
 
 
 def test_convergence_ball_fractional():
-    h0_vals, table = hk_table(Ball((0.0, 0.0), 0.5), FRAC_K, [0.4, 0.2, 0.1, 0.05], 16)
+    disk = Ball((0.0, 0.0), 0.5)
+    h0_vals, table = hk_table(disk, FRAC_K, [0.4, 0.2, 0.1, 0.05],
+                              disk.boundary_sample(16).points)
     sups = np.abs(table - h0_vals).max(axis=1)
     assert all(a > b for a, b in zip(sups, sups[1:]))
     target = kernels.hyperplane_second_moment(FRAC_K) / 0.5
@@ -200,8 +235,8 @@ def test_convergence_ball_fractional():
 
 
 def test_convergence_ellipse_per_point():
-    ell = curvature.make_ellipse(0.6, 0.3)
-    h0_vals, table = hk_table(ell, FRAC_K, [0.4, 0.2, 0.1, 0.05], 16)
+    ell = Ellipse(0.6, 0.3)
+    h0_vals, table = hk_table(ell, FRAC_K, [0.4, 0.2, 0.1, 0.05], ell.boundary_points(16))
     errs = np.abs(table - h0_vals[None, :])
     assert np.all(errs[:-1] >= errs[1:] - 1e-12)
 
@@ -228,7 +263,9 @@ def test_convergence_report_keeps_error_and_divergence(tmp_path):
 def test_convergence_rejects_bad_kernel():
     # h0 gates the window before any hk_pv of the table
     with pytest.raises(CurvatureDomainError):
-        hk_table(Ball((0.0, 0.0), 0.5), kernels.fractional(2, 0.5, math.inf), [0.1], 4)
+        disk = Ball((0.0, 0.0), 0.5)
+        hk_table(disk, kernels.fractional(2, 0.5, math.inf), [0.1],
+                 disk.boundary_sample(4).points)
 
 
 def test_supersolution_ratio_bounded():
@@ -425,9 +462,9 @@ def test_pv_batched_oblique_halfspace_near_scalar_route():
 
 def test_pv_batched_ellipse_near_scalar_route():
     # the ellipse's einsum level function need not round a batch like a point
-    ell = curvature.make_ellipse(0.6, 0.3)
+    ell = Ellipse(0.6, 0.3)
     k = kernels.rescale(FRAC_K, 0.1)
-    for p in ell.boundary_sample(8).points:
+    for p in ell.boundary_points(8):
         got, want = hk_pv(ell, p, k), _scalar_hk_pv(ell, p, k)
         assert got.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
         assert got.diverged == want.diverged

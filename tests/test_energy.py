@@ -187,18 +187,23 @@ def test_rescaled_tv_disk_sequence_approaches_limit():
     assert gaps[0] < 0.05
 
 
-def test_limit_tv_halfspace_chord():
+def test_limit_tv_clips_the_arc_to_the_window():
+    # the circle of radius 0.5 about (1, 0) runs inside the unit disk along
+    # an arc of length acos(1/4)
     omega = Ball((0.0, 0.0), 1.0)
-    v = energy.limit_tv(Halfspace((1.0, 0.0), 0.0), omega, K_UNIT)
-    assert v == pytest.approx((2.0 / 3.0) * 2.0, rel=1e-3)
+    v = energy.limit_tv(Ball((1.0, 0.0), 0.5), omega, K_UNIT)
+    assert v == pytest.approx((2.0 / 3.0) * math.acos(0.25), rel=1e-3)
 
 
 def test_limit_tv_direction_independent():
+    # the same clipped arc about centers turned by whole steps of the
+    # 4096-point boundary rule: the arcs hold the same number of samples,
+    # with normals pointing in different directions
     omega = Ball((0.0, 0.0), 1.0)
-    vals = [
-        energy.limit_tv(Halfspace((math.cos(a), math.sin(a)), 0.0), omega, K_UNIT)
-        for a in (0.0, 0.7, 2.1, 4.0)
-    ]
+    vals = []
+    for step in (0, 456, 1369, 2608):
+        a = 2.0 * math.pi * step / 4096
+        vals.append(energy.limit_tv(Ball((math.cos(a), math.sin(a)), 0.5), omega, K_UNIT))
     assert np.ptp(vals) < 1e-8
 
 

@@ -50,6 +50,17 @@ def test_halfspace_phi_rounds_a_point_the_same_alone_and_in_a_batch(normal):
     assert np.array_equal(hs.phi(x.reshape(100, 200, -1)), single.reshape(100, 200))
 
 
+def test_axis_box_contains_the_open_box():
+    # the level function is the inner margin, positive exactly where
+    # lo < x < hi: inside, outside, on the edges and at the corners
+    box = AxisBox((-0.3, -0.2), (0.5, 0.4))
+    edges = [[-0.3, 0.0], [0.5, 0.0], [0.0, -0.2], [0.0, 0.4], [-0.3, -0.2], [0.5, 0.4]]
+    x = np.concatenate([np.random.default_rng(5).uniform(-1.0, 1.0, (20000, 2)), edges])
+    want = np.all((x > box.lo) & (x < box.hi), axis=1)
+    assert np.array_equal(box.contains(x), want)
+    assert 0 < np.count_nonzero(want) < len(x) - len(edges)
+
+
 def test_superlevel_monotone_and_extremes(unit_box):
     phi = GridField(unit_box, np.sqrt(np.sum(unit_box.centers() ** 2, axis=-1)) - 0.5)
     full = superlevel(phi, phi.values.min() - 1.0)

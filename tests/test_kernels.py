@@ -22,6 +22,19 @@ def test_ball_indicator_closed_form_moments():
     assert kernels.hyperplane_second_moment(k) == 2.0 / 3.0
 
 
+@pytest.mark.parametrize("d, radius, eps", [(2, 1.0, 1.0), (2, 0.25, 0.1), (3, 1.0, 0.05)])
+def test_ball_is_the_annulus_at_r0_zero(d, radius, eps):
+    # the same kernel, with the ball's closed-form moments r1^(q+1) / (q+1)
+    # bit for bit and the value 1 down to r = 0
+    k = kernels.rescale(kernels.ball_indicator(d, radius), eps)
+    assert k == kernels.rescale(kernels.annulus_indicator(d, 0.0, radius), eps)
+    for q in (d - 1, d, d + 1):
+        val = k.scale ** (q + 1 - d) * (radius ** (q + 1) / (q + 1))
+        assert kernels._radial_moment(k, q) == kernels.Moment(val, True, abs(val) * 1e-15)
+    r = eps * radius * np.array([0.0, 0.5, 0.999, 1.001])
+    assert np.array_equal(k.profile_at(r), eps ** -d * np.array([1.0, 1.0, 1.0, 0.0]))
+
+
 def test_ball_indicator_3d_moments():
     k = kernels.ball_indicator(3)
     assert kernels.absolute_moment(k, 0.0).value == pytest.approx(4 * math.pi / 3, rel=1e-12)

@@ -25,8 +25,6 @@ ALLOWED = {
     # (test_pv_matches_disk_reference), due to reach the CLI as the
     # reference of curvature-limit and perimeter-limit
     "disk_reference",
-    # the tests' only non-circular boundary
-    "make_ellipse",
     # the grid limit of the rate energies, due to become regularity's
     # reference value
     "rate_limit_ddim",
