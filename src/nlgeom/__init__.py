@@ -8,8 +8,8 @@ Imports follow what a run executes.  ``nlgeom.cli`` loads ``kernels`` and
 ``fields`` at import, because every run needs them; it imports ``energy``,
 ``anisotropy``, ``flow``, ``rate`` and ``curvature`` inside the experiment
 bodies that call them, ``energy`` imports ``anisotropy`` inside
-``limit_tv``, and ``concurrent.futures`` is loaded only for more than one
-worker.  So ``nlgeom --list`` loads no layer beyond those two, and a run
+``limit_tv``, and ``concurrent.futures`` is loaded only for a flow run
+with more than one worker.  So ``nlgeom --list`` loads no layer beyond those two, and a run
 loads the layers its experiment calls.  The package imports no scipy: its
 only runtime dependency is numpy.  The import-budget probe in
 ``tests/test_cli.py`` checks the module sets of ``--list`` and of one run

@@ -6,17 +6,20 @@ from their return values in one pass (a ratio, a gap, a worst sample), so
 any CSV cell can be recomputed in a REPL.  Configs use
 nested key-value blocks (see :func:`parse_config`), and a run rejects any
 key its experiment does not read, before any numerics; reruns with the same
-config and seed produce byte-identical artifacts, and the optional per-eps
-parallelism is a pure scheduling choice (results are reduced in config
-order, so the worker count never changes the output).  The worker threads
-share the interpreter lock, so only numpy calls that release it overlap.
-On an idle 2-core host two workers took flow-monitors from 11.7-12.8 s to
-8.9-10.8 s, left halfspace-cell no faster and slowed regularity from
-0.8-1.3 s to 1.5-2.1 s; they raised halfspace-cell's peak RSS from 51 to
-62 MB.  With the cores busy with other work, flow-monitors too was slower
-at two workers (20.5-21.1 s against 18.0-19.6 s).  Each experiment body
-imports the library layers it calls, so a run loads only those, and
-``--list`` none beyond ``kernels`` and ``fields``.
+config and seed produce byte-identical artifacts.  ``--workers`` threads
+only the eps sweeps of flow-compare and flow-monitors; every other sweep
+runs its eps in a plain loop in config order.  The threads share the
+interpreter lock, and their results are reduced in config order, so the
+worker count never changes the output.  On an idle 2-core host
+``bench/workers.py`` (medians of 5 alternating fresh runs per count) took
+flow-compare from 12.8 to 10.5 s and flow-monitors from 13.5 to 10.7 s at
+two workers, for about 4 MB more peak RSS and 12% more CPU time; with
+the cores busy with other work, the second thread can cost more than it
+saves.  Threads did not pay off in the other sweeps: they made regularity
+1.9 times as slow, and raised halfspace-cell's peak RSS from 50 to 61 MB
+for 10% off its 0.9 s.  Each experiment body imports the library layers it
+calls, so a run loads only those, and ``--list`` none beyond ``kernels``
+and ``fields``.
 
 Usage::
 
@@ -275,7 +278,6 @@ class ReportRow(NamedTuple):
 
 class RateFit(NamedTuple):
     slope: float
-    intercept: float
     band95: float  # half-width of the 95% confidence interval on the slope
     points: int
 
@@ -332,7 +334,7 @@ def fit_rate(rows: Sequence[ReportRow]) -> RateFit | None:
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(max(float(np.sum(resid**2)), 0.0) / (n - 2) / sxx)
     band = _t_quantile_975(n - 2) * se
-    return RateFit(float(slope), float(intercept), band, n)
+    return RateFit(float(slope), band, n)
 
 
 class CheckLine(NamedTuple):
@@ -509,11 +511,8 @@ def _exp_perimeter_limit(cfg: ExperimentConfig, workers: int):
     eps = cfg.eps
     yield
     limit = energy.limit_tv(shape, window, kern)
-
-    def one(e):
-        return energy.perimeter_k(shape, window, kernels.rescale(kern, e), grid)
-
-    breakdowns = _parallel_map(one, eps, workers)
+    breakdowns = [energy.perimeter_k(shape, window, kernels.rescale(kern, e), grid)
+                  for e in eps]
     rows = [_gap_row(e, bd.total / e, limit, abs(limit))
             for e, bd in zip(eps, breakdowns)]
     cross = breakdowns[-1].j2 / eps[-1]
@@ -660,22 +659,22 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
     def normalized_j1(shape, e):
         return energy.perimeter_k(shape, window, kernels.rescale(kern, e), grid).j1 / (2.0 * e)
 
-    rng = np.random.default_rng(cfg.seed)
-    # all draws precede the sweeps: waves, phase and amplitude per competitor
-    draws = [(int(rng.integers(1, 5)), float(rng.uniform(0, 2 * math.pi)),
-              0.12 * float(rng.uniform(0.5, 1.0))) for _ in range(n_competitors)]
     halfspace = Halfspace(tuple(p_hat), 0.0)
-    hs = _parallel_map(lambda e: normalized_j1(halfspace, e), eps, workers)
+    hs = [normalized_j1(halfspace, e) for e in eps]
     rows = [_gap_row(e, v, sigma, sigma) for e, v in zip(eps, hs)]
     csv_rows = [(e, "halfspace", v) for e, v in zip(eps, hs)]
 
+    rng = np.random.default_rng(cfg.seed)
     cell_area = float(np.prod(grid.spacing))
     centers = grid.centers()
     in_window = window.contains(centers)
     hs_members = halfspace.contains(centers)
     floor = hs[-1] * (1.0 - 0.02)
     accepted, rejected, beaten = 0, [], False
-    for waves, phase, amp0 in draws:
+    for _ in range(n_competitors):
+        waves = int(rng.integers(1, 5))
+        phase = float(rng.uniform(0, 2 * math.pi))
+        amp0 = 0.12 * float(rng.uniform(0.5, 1.0))
         cid = f"sin{waves}-a{amp0:.3f}"
         shapes = [_competitor_shape(p_hat, t_hat, amp0 * (e / eps[0]) ** COMPETITOR_SHRINK,
                                     waves, phase) for e in eps]
@@ -689,7 +688,7 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
                             f"vanish (final |E dif H| = {gaps[-1]:.4f}); "
                             "not an admissible family)")
             continue
-        vals = _parallel_map(lambda pair: normalized_j1(*pair), zip(shapes, eps), workers)
+        vals = [normalized_j1(s, e) for s, e in zip(shapes, eps)]
         csv_rows.extend((e, cid, v) for e, v in zip(eps, vals))
         accepted += 1
         beaten = beaten or min(vals) < floor
@@ -723,15 +722,12 @@ def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
     pts = shape.boundary_sample(samples).points
     # h0 gates the kernel's window before any hk_pv
     h0 = np.array([curvature.h0(shape, p, kern).value for p in pts])
-
-    def sweep(e):
-        k_eps = kernels.rescale(kern, e)
-        return [curvature.hk_pv(shape, p, k_eps) for p in pts]
-
     rows, sample_rows, sup_mean = [], [], []
-    for e, cvs in zip(cfg.eps, _parallel_map(sweep, cfg.eps, workers)):
+    for e in cfg.eps:
+        k_eps = kernels.rescale(kern, e)
         hk = np.empty(len(pts))
-        for j, (p, cv) in enumerate(zip(pts, cvs)):
+        for j, p in enumerate(pts):
+            cv = curvature.hk_pv(shape, p, k_eps)
             hk[j] = cv.value / e
             sample_rows.append((e, j, p[0], p[1], hk[j], h0[j], abs(hk[j] - h0[j]),
                                 cv.err / e, int(cv.diverged)))
@@ -841,14 +837,10 @@ def _exp_bbm_1d(cfg: ExperimentConfig, workers: int):
         np.trapezoid(pot.f(prof.derivative_values()), dx=prof.spacing)
     )
     upper = 0.5 * pot.c * prof.derivative_energy()
-
-    def one(e):
-        return rate.e1d(prof, pot, e), rate.e1d_lower_bound(prof, pot, e)
-
-    results = _parallel_map(one, eps, workers)
     rows, csv_rows = [], []
     lower_ok = upper_ok = True
-    for e, (val, low) in zip(eps, results):
+    for e in eps:
+        val, low = rate.e1d(prof, pot, e), rate.e1d_lower_bound(prof, pot, e)
         rows.append(_gap_row(e, val, limit, abs(limit)))
         csv_rows.append((e, f_0 - e * e * val, f_0, val, limit, low, upper))
         scale = float(np.trapezoid(pot.f(prof.values), dx=prof.spacing)) / e**2
@@ -879,11 +871,7 @@ def _exp_bbm_slice(cfg: ExperimentConfig, workers: int):
     pot = _potential_from(cfg.root.block("potential"))
     u = _bump_field(cfg.root.block("geometry"))
     yield
-
-    def one(e):
-        return rate.slicing_check(u, kern, pot, e)
-
-    reps = _parallel_map(one, cfg.eps, workers)
+    reps = [rate.slicing_check(u, kern, pot, e) for e in cfg.eps]
     rows = [_gap_row(rep.eps, rep.direct, rep.assembled, max(abs(rep.direct), 1e-300))
             for rep in reps]
     checks = [
@@ -1082,8 +1070,7 @@ def _exp_regularity(cfg: ExperimentConfig, workers: int):
     n_angular = cfg.root.count("angular", 32)
     yield
     bound = rate.curvature_bound(u, kern, pot)
-    values = _parallel_map(lambda e: rate.rate_ddim(u, kern, pot, e, n_angular).e_eps,
-                           cfg.eps, workers)
+    values = [rate.rate_ddim(u, kern, pot, e, n_angular).e_eps for e in cfg.eps]
     rows = [_gap_row(e, v, bound, max(bound, 1e-300)) for e, v in zip(cfg.eps, values)]
     # growth under eps refinement flags a gradient kink
     growth = values[-1] / max(values[0], 1e-300)
@@ -1221,10 +1208,10 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the experiment config file")
     run_p.add_argument("--out", default=None, help="override the output directory")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="threads for the eps sweep (default 1); they share the "
-                       "interpreter lock, so on 2 idle cores 2 speed up the flow "
-                       "sweeps by about a fifth, slow regularity down and use "
-                       "more memory")
+                       help="threads for the eps sweep of flow-compare and "
+                       "flow-monitors (default 1); on 2 idle cores 2 cut their wall "
+                       "time by about a fifth for about 4 MB more memory; the other "
+                       "experiments run their eps in one thread")
     args = parser.parse_args(argv)
 
     if args.list:

@@ -528,8 +528,6 @@ class MonitorRow(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    scheme: str
-    eps: float | None
     dt: float
     times: tuple
     snapshots: tuple
@@ -619,8 +617,6 @@ def evolve(
         record(step, vals)
 
     return Trajectory(
-        scheme=scheme,
-        eps=None if scheme == "local" else float(eps),
         dt=dt_run,
         times=tuple(times),
         snapshots=tuple(snaps),

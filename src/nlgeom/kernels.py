@@ -351,7 +351,6 @@ def angular_rule(n_angular: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 def zgrid(
     kernel: Kernel,
     r_lo: float | None = None,
-    r_hi: float | None = None,
     n_angular=None,
     panels_per_decade: float = _DEF_PANELS_PER_DECADE,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -360,13 +359,13 @@ def zgrid(
 
     Returns ``(nodes, weights)``, nodes of shape (n, 2) radius-major; the
     weights include the r area factor, so ``sum(weights * f(nodes))``
-    approximates ∫ f(z) dz over the annulus r_lo <= |z| <= r_hi.
+    approximates ∫ f(z) dz over the annulus r_lo <= |z| <= r_hi, r_hi the
+    kernel's effective radius.
     """
     require_planar(kernel)
-    if r_hi is None:
-        r_hi = kernel.effective_radius()
-        if not math.isfinite(r_hi):
-            raise KernelDomainError("untruncated kernel needs an explicit r_hi")
+    r_hi = kernel.effective_radius()
+    if not math.isfinite(r_hi):
+        raise KernelDomainError("untruncated kernel has no finite z-grid")
     if r_lo is None:
         r_lo = kernel.quadrature_rmin()
     if not r_lo < r_hi:
@@ -420,8 +419,9 @@ def _radial_moment(kernel: Kernel, q: float) -> Moment:
     """∫_0^∞ r^q K̄(r) dr for the scaled profile, with divergence detection."""
     k = kernel
     pref = k.scale ** (q + 1 - k.d)
-    # origin/tail convergence from the family exponents
-    if k.singular and q - k.origin_exponent() <= -1.0:
+    # origin/tail convergence from the family exponents; a profile with
+    # r0 = 0 is nonzero at the origin, like r**(-origin_exponent)
+    if k.r0 == 0.0 and q - k.origin_exponent() <= -1.0:
         return Moment(math.inf, False)
     if not math.isfinite(k.r1) and q - (k.d + k.sigma) >= -1.0:
         return Moment(math.inf, False)

@@ -222,7 +222,7 @@ def test_t_quantile_matches_scipy_stdtrit():
 ])
 def test_summary_marks_uninformative_rate(slope, band, marked):
     report = cli.ExperimentReport("perimeter-limit", 0, "eps", (),
-                                  cli.RateFit(slope, 0.0, band, 4), "", ())
+                                  cli.RateFit(slope, band, 4), "", ())
     lines = cli.summary_text(report).splitlines()
     rate = f"rate: slope={slope:.6g} band95={band:.4g} points=4"
     assert lines[3] == rate + (" uninformative" if marked else "")
@@ -287,8 +287,53 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-# the eps sweeps of three more experiments, cut to test size
-SMALL_SWEEPS = {
+def small_flow_configs(tmp_path):
+    """flow-compare and flow-monitors at three eps, two steps of dt each."""
+    cfgs = {}
+    for name in ("flow-compare", "flow-monitors"):
+        cfgs[name] = tmp_path / f"{name}.cfg"
+        cfgs[name].write_text(f"experiment {name}\neps 0.2 0.1 0.05\n" + BALL + FLOW_STEPS,
+                              encoding="utf-8")
+    return cfgs
+
+
+def assert_same_artifacts(out1, out2):
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir()) and "report.csv" in names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
+    counts = []
+    parallel_map = cli._parallel_map
+
+    def counting_map(fn, items, workers):
+        counts.append(workers)
+        return parallel_map(fn, items, workers)
+
+    monkeypatch.setattr(cli, "_parallel_map", counting_map)
+    for cfg in small_flow_configs(tmp_path).values():
+        _, out1 = cli.run(cfg, tmp_path / cfg.stem / "1", workers=1)
+        counts.clear()
+        _, out2 = cli.run(cfg, tmp_path / cfg.stem / "2", workers=2)
+        assert counts == [2], cfg.stem  # the sweep reached the thread pool
+        assert_same_artifacts(out1, out2)
+
+
+# eps sweeps whose threads were measured not to help, cut to test size
+PLAIN_SWEEPS = {
+    "perimeter-limit": """
+    experiment perimeter-limit
+    eps 0.4 0.2
+    kernel {
+      family ball
+    }
+    geometry {
+      radius 0.5
+      resolution 48
+    }
+    """,
     "halfspace-cell": """
     experiment halfspace-cell
     eps 0.2 0.1 0.05
@@ -316,6 +361,16 @@ SMALL_SWEEPS = {
       radius 0.5
     }
     """,
+    "bbm-slice": """
+    experiment bbm-slice
+    eps 0.4
+    kernel {
+      family ball
+    }
+    geometry {
+      resolution 24
+    }
+    """,
     "regularity": """
     experiment regularity
     eps 0.2 0.1
@@ -331,40 +386,26 @@ SMALL_SWEEPS = {
 }
 
 
-def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
-    counts = []
-    parallel_map = cli._parallel_map
+def test_only_the_flow_sweeps_reach_the_thread_pool(tmp_path, monkeypatch):
+    def no_pool(fn, items, workers):
+        raise AssertionError("the sweep reached the thread pool")
 
-    def counting_map(fn, items, workers):
-        counts.append(workers)
-        return parallel_map(fn, items, workers)
-
-    monkeypatch.setattr(cli, "_parallel_map", counting_map)
-    runs = [(CONFIG_DIR / "bbm-1d.cfg", 4)]
-    for name, text in SMALL_SWEEPS.items():
-        (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
-        runs.append((tmp_path / f"{name}.cfg", 2))
-    for cfg, workers in runs:
-        _, out1 = cli.run(cfg, tmp_path / cfg.stem / "1", workers=1)
-        counts.clear()
-        _, out_n = cli.run(cfg, tmp_path / cfg.stem / str(workers), workers=workers)
-        assert workers in counts, cfg.stem  # the sweep reached the thread pool
-        names = sorted(p.name for p in out1.iterdir())
-        assert names == sorted(p.name for p in out_n.iterdir()) and "report.csv" in names
-        for name in names:
-            assert (out1 / name).read_bytes() == (out_n / name).read_bytes(), (cfg.stem, name)
+    monkeypatch.setattr(cli, "_parallel_map", no_pool)
+    cfgs = [CONFIG_DIR / "bbm-1d.cfg"]
+    for name, text in PLAIN_SWEEPS.items():
+        cfgs.append(tmp_path / f"{name}.cfg")
+        cfgs[-1].write_text(text, encoding="utf-8")
+    for cfg in cfgs:
+        cli.run(cfg, tmp_path / cfg.stem, workers=2)
 
 
 def test_worker_count_does_not_change_artifacts_in_fresh_processes(tmp_path):
-    cfg = str(CONFIG_DIR / "bbm-1d.cfg")
-    for n in ("1", "4"):
+    # flow-monitors passes its checks, so the run exits 0
+    cfg = str(small_flow_configs(tmp_path)["flow-monitors"])
+    for n in ("1", "2"):
         fresh_python("-m", "nlgeom.cli", "run", cfg, "--out", str(tmp_path / n),
                      "--workers", n)
-    names = sorted(p.name for p in (tmp_path / "1").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "4").iterdir())
-    assert "report.csv" in names
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
+    assert_same_artifacts(tmp_path / "1", tmp_path / "2")
 
 
 def test_coarea_run_writes_report_and_summary(tmp_path):
@@ -731,17 +772,19 @@ def test_run_subcommand_has_no_list_flag(capsys):
 # import budget: a run loads the layers its experiment calls, and no scipy
 #
 # Each probe runs small configs of one experiment family
-# through ``cli.main`` with one worker in a fresh interpreter (earlier tests
-# in this process have loaded every layer and scipy), then runs the
-# family's library calls that no config reaches.  It reports the nlgeom
-# and scipy modules in ``sys.modules`` and whether ``concurrent.futures``
-# was loaded.
+# through ``cli.main`` in a fresh interpreter (earlier tests in this
+# process have loaded every layer and scipy), then runs the family's
+# library calls that no config reaches.  It reports the nlgeom and scipy
+# modules in ``sys.modules`` and whether ``concurrent.futures`` was
+# loaded.  Only a flow sweep of more than one eps reaches the thread pool,
+# so the other families run with two workers and still leave it unloaded.
 
 BUDGET_PROBE = """
 import json, sys
 from nlgeom import cli
-out, cfgs = sys.argv[1], sys.argv[2:]
-codes = [cli.main(["run", c, "--out", f"{out}/{i}"]) for i, c in enumerate(cfgs)]
+out, workers, cfgs = sys.argv[1], sys.argv[2], sys.argv[3:]
+codes = [cli.main(["run", c, "--out", f"{out}/{i}", "--workers", workers])
+         for i, c in enumerate(cfgs)]
 {extra}
 print(json.dumps([codes,
                   sorted(m for m in sys.modules if m.split(".")[0] == "nlgeom"),
@@ -824,8 +867,9 @@ def test_run_loads_only_its_layers(tmp_path, case):
     for i, text in enumerate(texts):
         cfgs.append(tmp_path / f"{i}.cfg")
         cfgs[-1].write_text(text, encoding="utf-8")
+    workers = "1" if case == "flow" else "2"
     done = fresh_python("-c", BUDGET_PROBE.replace("{extra}", extra), str(tmp_path),
-                        *map(str, cfgs))
+                        workers, *map(str, cfgs))
     codes, loaded, scipy, futures = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(codes)
     assert set(loaded) == ALWAYS_LOADED | {f"nlgeom.{m}" for m in layers}

@@ -35,6 +35,16 @@ def test_ball_is_the_annulus_at_r0_zero(d, radius, eps):
     assert np.array_equal(k.profile_at(r), eps ** -d * np.array([1.0, 1.0, 1.0, 0.0]))
 
 
+def test_ball_moments_diverge_at_the_origin():
+    # r^q is not integrable at 0 for q <= -1, and the ball's profile is 1 there
+    k = kernels.ball_indicator(2)
+    for power in (-2.5, -2.0):
+        m = kernels.absolute_moment(k, power)
+        assert not m.finite and math.isinf(m.value)
+    assert kernels.absolute_moment(k, -1.5).value == 12.566370614359172
+    assert kernels.absolute_moment(kernels.annulus_indicator(2, 0.5, 1.0), -2.5).finite
+
+
 def test_ball_indicator_3d_moments():
     k = kernels.ball_indicator(3)
     assert kernels.absolute_moment(k, 0.0).value == pytest.approx(4 * math.pi / 3, rel=1e-12)
