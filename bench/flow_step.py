@@ -89,7 +89,7 @@ def main(argv=None) -> None:
     kernel = kernels.ball_indicator(d=2, radius=1.0)
     box = Box.cube(1.0, 64)
     u0 = flow.shrinking_circle_datum(box, 0.5, band=0.28)
-    dt = flow.dt_bound(flow.curvature_coefficient(kernel), box)
+    dt = flow.dt_bound(kernels.hyperplane_second_moment(kernel), box)
     floor = 1e-6 * float(np.ptp(u0.values))
     counters = []
     print(f"{'':38}{'t = 0':<52}after {LATER_STEPS} steps")

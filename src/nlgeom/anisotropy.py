@@ -14,7 +14,6 @@ must be too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +36,9 @@ class Anisotropy:
     def __post_init__(self):
         # radial-angular factorization: (1/2) ∫|omega . e| over the circle
         # is 2, so one radial moment serves every direction and sigma's
-        # coefficient is the hyperplane second moment
-        coef = kernels.hyperplane_second_moment(self.kernel)
-        if math.isinf(coef):
-            raise AnisotropyDomainError(
-                "kernel has an infinite first moment; sigma is not defined"
-            )
-        object.__setattr__(self, "coef", coef)
+        # coefficient is the hyperplane second moment, which rejects an
+        # untruncated kernel (its sigma is infinite)
+        object.__setattr__(self, "coef", kernels.hyperplane_second_moment(self.kernel))
 
     def value(self, p) -> float:
         p = np.asarray(p, dtype=float)

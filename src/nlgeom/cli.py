@@ -30,9 +30,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -223,7 +224,8 @@ def parse_config(text: str) -> _Section:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run description: experiment name, declared shared keys, blocks."""
+    """Validated run description: experiment name, declared shared keys,
+    blocks, and the thread count of the flow sweeps (set by :func:`run`)."""
 
     experiment: str
     eps: tuple
@@ -231,6 +233,7 @@ class ExperimentConfig:
     tol: float | None
     output: str
     root: _Section
+    workers: int = 1
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -500,7 +503,7 @@ def _bump_field(g: _Section) -> GridField:
 # once with no numerics done, then yields (report rows, check lines, artifacts)
 
 
-def _exp_perimeter_limit(cfg: ExperimentConfig, workers: int):
+def _exp_perimeter_limit(cfg: ExperimentConfig):
     from . import energy
 
     kern = _kernel_from(cfg.require_block("kernel"))
@@ -536,7 +539,7 @@ def _exp_perimeter_limit(cfg: ExperimentConfig, workers: int):
     yield rows, checks, art
 
 
-def _exp_sigma_derivatives(cfg: ExperimentConfig, workers: int):
+def _exp_sigma_derivatives(cfg: ExperimentConfig):
     from . import anisotropy
 
     kern = _kernel_from(cfg.require_block("kernel"))
@@ -627,7 +630,7 @@ def _competitor_shape(p_hat, t_hat, amp, waves, phase):
     return LevelShape(phi)
 
 
-def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
+def _exp_halfspace_cell(cfg: ExperimentConfig):
     """Normalized interior energies of the halfspace and sampled competitors.
 
     The halfspace curve (omega_1 eps)^{-1} J1_eps(H; B), omega_1 = 2,
@@ -712,7 +715,7 @@ def _exp_halfspace_cell(cfg: ExperimentConfig, workers: int):
     yield rows, checks, art
 
 
-def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
+def _exp_curvature_limit(cfg: ExperimentConfig):
     from . import curvature
 
     kern = _kernel_from(cfg.require_block("kernel"))
@@ -760,7 +763,7 @@ def _exp_curvature_limit(cfg: ExperimentConfig, workers: int):
     yield rows, checks, art
 
 
-def _exp_coarea(cfg: ExperimentConfig, workers: int):
+def _exp_coarea(cfg: ExperimentConfig):
     from . import energy
 
     kern = _kernel_from(cfg.require_block("kernel"))
@@ -788,7 +791,7 @@ def _exp_coarea(cfg: ExperimentConfig, workers: int):
     yield [row], checks, art
 
 
-def _exp_submodularity(cfg: ExperimentConfig, workers: int):
+def _exp_submodularity(cfg: ExperimentConfig):
     from . import energy
 
     kern = _kernel_from(cfg.require_block("kernel"))
@@ -825,7 +828,7 @@ def _exp_submodularity(cfg: ExperimentConfig, workers: int):
     yield rows, checks, art
 
 
-def _exp_bbm_1d(cfg: ExperimentConfig, workers: int):
+def _exp_bbm_1d(cfg: ExperimentConfig):
     from . import rate
 
     eps = cfg.eps
@@ -864,7 +867,7 @@ def _exp_bbm_1d(cfg: ExperimentConfig, workers: int):
     yield rows, checks, art
 
 
-def _exp_bbm_slice(cfg: ExperimentConfig, workers: int):
+def _exp_bbm_slice(cfg: ExperimentConfig):
     from . import rate
 
     kern = _kernel_from(cfg.require_block("kernel"))
@@ -888,7 +891,7 @@ def _exp_bbm_slice(cfg: ExperimentConfig, workers: int):
     yield rows, checks, art
 
 
-def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
+def _exp_effective_kernel(cfg: ExperimentConfig):
     from . import rate
 
     block = cfg.require_block("kernel")
@@ -937,8 +940,9 @@ def _exp_effective_kernel(cfg: ExperimentConfig, workers: int):
 
 
 def _flow_setup(cfg: ExperimentConfig):
-    """(radius, kappa, evolve): evolve() runs the local flow, evolve(e) the
-    nonlocal one at eps e."""
+    """(radius, kappa, evolve): ``flow.evolve`` on the config's datum,
+    kernel and clock, so evolve() runs the local flow and evolve(eps=e)
+    the nonlocal one at eps e."""
     from . import flow
 
     kern = _kernel_from(cfg.require_block("kernel"))
@@ -948,7 +952,8 @@ def _flow_setup(cfg: ExperimentConfig):
     band = g.float_("band", 0.28)
     u0 = flow.shrinking_circle_datum(box, radius, band=band)
     f = cfg.root.block("flow")
-    kappa = flow.curvature_coefficient(kern)
+    kappa = kernels.hyperplane_second_moment(kern)
+    flow.dt_bound(kappa, box)  # rejects a kappa of 0, which T divides by
     T = f.float_("T", None)
     if T is None:
         frac = f.float_("stop_fraction", 0.3)
@@ -961,12 +966,8 @@ def _flow_setup(cfg: ExperimentConfig):
             "extinction time r^2 / (2 kappa)"
         )
     n_snap = f.count("snapshots", 10)
-    dt = f.float_("dt", None)
-
-    def evolve(eps=None):
-        scheme = "local" if eps is None else "nonlocal"
-        return flow.evolve(u0, scheme, kern, T, eps=eps, dt=dt, n_snapshots=n_snap)
-
+    evolve = functools.partial(flow.evolve, u0, kern, T, dt=f.float_("dt", None),
+                               n_snapshots=n_snap)
     return radius, kappa, evolve
 
 
@@ -980,7 +981,7 @@ def _traj_csv(name: str, traj) -> CsvArtifact:
     )
 
 
-def _exp_flow_compare(cfg: ExperimentConfig, workers: int):
+def _exp_flow_compare(cfg: ExperimentConfig):
     from . import flow
 
     radius, kappa, evolve = _flow_setup(cfg)
@@ -993,11 +994,11 @@ def _exp_flow_compare(cfg: ExperimentConfig, workers: int):
     local_err = float(np.max(np.abs(r_loc - r_ref) / r_ref))
 
     def one(e):
-        traj = evolve(e)
+        traj = evolve(eps=e)
         r_nl = np.array([flow.zero_level_radius(s) for s in traj.snapshots])
         return traj, float(np.max(np.abs(r_nl - r_loc)))
 
-    runs = _parallel_map(one, eps, workers)
+    runs = _parallel_map(one, eps, cfg.workers)
     gaps = [gap for _, gap in runs]
     rows = [_gap_row(e, gap, 0.0, radius) for e, gap in zip(eps, gaps)]
     checks = [
@@ -1021,13 +1022,13 @@ def _exp_flow_compare(cfg: ExperimentConfig, workers: int):
     yield rows, checks, art
 
 
-def _exp_flow_monitors(cfg: ExperimentConfig, workers: int):
+def _exp_flow_monitors(cfg: ExperimentConfig):
     from . import flow
 
     _, _, evolve = _flow_setup(cfg)
     eps = cfg.eps
     yield
-    reps = _parallel_map(lambda e: flow.monitors(evolve(e)), eps, workers)
+    reps = _parallel_map(lambda e: flow.monitors(evolve(eps=e)), eps, cfg.workers)
     holders = [rep.holder_constant for rep in reps]
     mean_h = float(np.mean(holders))
     slack, band = 1.05, 0.2
@@ -1061,7 +1062,7 @@ def _exp_flow_monitors(cfg: ExperimentConfig, workers: int):
     yield rows, checks, art
 
 
-def _exp_regularity(cfg: ExperimentConfig, workers: int):
+def _exp_regularity(cfg: ExperimentConfig):
     from . import rate
 
     kern = _kernel_from(cfg.require_block("kernel"))
@@ -1094,7 +1095,7 @@ def _exp_regularity(cfg: ExperimentConfig, workers: int):
 
 
 class _Spec(NamedTuple):
-    body: Callable  # (cfg, workers) -> generator, see the experiments above
+    body: Callable  # (cfg) -> generator, see the experiments above
     key_label: str = "eps"
     fit: bool = False  # fit a convergence rate to the rows' gaps
     eps: bool = False  # the config must give an 'eps' sweep
@@ -1165,9 +1166,9 @@ def run(config_path, out_dir=None, workers: int = 1):
         text = Path(config_path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise UsageError(f"cannot read config: {exc}") from None
-    cfg = ExperimentConfig.from_text(text)
+    cfg = replace(ExperimentConfig.from_text(text), workers=workers)
     spec = EXPERIMENTS[cfg.experiment]
-    body = spec.body(cfg, workers)
+    body = spec.body(cfg)
     next(body)  # the whole config is read, nothing computed yet
     for line, where in cfg.root.unread():  # the first one is enough
         raise ConfigValueError(

@@ -52,14 +52,6 @@ def _boundary_point_check(shape: Shape, x: np.ndarray) -> None:
         )
 
 
-def _window(kernel: Kernel) -> float:
-    """The kernel's effective radius, which must be finite."""
-    r_eff = kernel.effective_radius()
-    if not math.isfinite(r_eff):
-        raise CurvatureDomainError("kernel needs a bounded quadrature window")
-    return r_eff
-
-
 def _signs(shape: Shape, points: np.ndarray) -> np.ndarray:
     """chi_complement - chi_set at the given points; 0 exactly on the level."""
     return -np.sign(np.asarray(shape.phi(points)))
@@ -226,7 +218,7 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     kernels.require_planar(kernel)
     x = np.asarray(x, dtype=float)
     _boundary_point_check(E, x)
-    r_eff = _window(kernel)
+    r_eff = kernel.effective_radius()
     g = np.asarray(E.grad_phi(x), dtype=float)
     n_hat = g / np.linalg.norm(g)
     t_hat = np.array([-n_hat[1], n_hat[0]])
@@ -297,10 +289,11 @@ def h0(phi, x, kernel: Kernel) -> CurvatureValue:
     r * ∫_{|z|>r} K ~ r^(1-sigma) -> 0, and the parabolic-slab mass and the
     hyperplane second moment are both ∫ r^(-sigma) dr < inf near the origin
     (Chambolle-Morini-Ponsiglione, "Nonlocal curvature flows", ARMA 2015).
-    What stays gated is the window: this function rejects an untruncated
-    kernel, so a caller that evaluates it before any :func:`hk_pv` gates
-    the whole table, and ``hk_pv`` flags a custom profile that blows up
-    faster than its declared sigma.
+    What stays gated is the window, in
+    :func:`nlgeom.kernels.hyperplane_second_moment`: it rejects an
+    untruncated kernel, as ``hk_pv`` does through the kernel's effective
+    radius, and ``hk_pv`` flags a custom profile that blows up faster than
+    its declared sigma.
     """
     x = np.asarray(x, dtype=float)
     if not isinstance(phi, Shape):
@@ -310,7 +303,6 @@ def h0(phi, x, kernel: Kernel) -> CurvatureValue:
     gn = float(np.linalg.norm(grad))
     if gn <= 1e-12:
         raise CurvatureDomainError("degenerate gradient at x")
-    _window(kernel)
     n_hat = grad / gn
     t = np.array([-n_hat[1], n_hat[0]])
     kappa = kernels.hyperplane_second_moment(kernel)

@@ -2,7 +2,8 @@
 
 ``evolve`` is the one runner: it applies an explicit update to a level-set
 field phi on a grid, step after step, and records snapshots and monitors.
-Two updates are available:
+Its ``eps`` picks one of two updates: ``eps=None`` the local one, a given
+``eps`` the nonlocal one at that scale.
 
 * ``local``: phi gains ``dt * tr(M(g_hat) D2phi)`` per step, the anisotropic
   mean-curvature speed written with the hyperplane second-moment matrix of
@@ -51,8 +52,6 @@ from . import DomainError, kernels
 from .fields import GridField, check_constant_ring, shift_taps
 from .kernels import Kernel
 
-SCHEMES = ("local", "nonlocal")
-
 #: a step that grows max|phi| past this multiple of its initial value aborts
 BLOWUP_FACTOR = 10.0
 
@@ -93,17 +92,6 @@ def _gradient(values: np.ndarray, outside: float, h) -> tuple:
 
 # --------------------------------------------------------------------------
 # stability
-
-
-def curvature_coefficient(kernel: Kernel) -> float:
-    """Hyperplane second moment kappa; the diffusivity of the local limit."""
-    kappa = kernels.hyperplane_second_moment(kernel)
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise FlowDomainError(
-            "flow needs a finite positive hyperplane second moment; "
-            "truncate the kernel"
-        )
-    return float(kappa)
 
 
 def dt_bound(kappa: float, box) -> float:
@@ -202,8 +190,6 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
         )
     k_eps = kernels.rescale(kernel, eps)
     r_hi = k_eps.effective_radius()
-    if not math.isfinite(r_hi):
-        raise FlowDomainError("flow needs a kernel with a finite quadrature radius")
     if r_hi <= 0.5 * float(np.min(h)):
         raise FlowDomainError(
             f"rescaled kernel support {r_hi:.3g} lies below half a grid cell "
@@ -540,7 +526,6 @@ class Trajectory:
 
 def evolve(
     u0: GridField,
-    scheme: str,
     kernel: Kernel,
     T: float,
     *,
@@ -550,29 +535,27 @@ def evolve(
 ) -> Trajectory:
     """Run an explicit level-set evolution and collect snapshots + monitors.
 
-    ``dt`` defaults to the parabolic stability bound and is then shrunk so
-    an integer number of steps lands exactly on ``T``.  The ``n_snapshots``
-    + 1 evenly spaced snapshot times snap to the nearest step; the recorded
-    times are the actual ones.  Cells whose gradient falls below 1e-6 times
-    the initial value range are frozen.  A step that grows max|phi| past 10
-    times its initial value (``BLOWUP_FACTOR``) aborts the run.
+    ``eps=None`` runs the local update, with the kernel's hyperplane second
+    moment as diffusivity; a given ``eps`` runs the nonlocal update with
+    the kernel rescaled by it.  Either way the stability bound on ``dt``
+    reads that second moment.  ``dt`` defaults to the bound and is then
+    shrunk so an integer number of steps lands exactly on ``T``.  The
+    ``n_snapshots`` + 1 evenly spaced snapshot times snap to the nearest
+    step; the recorded times are the actual ones.  Cells whose gradient
+    falls below 1e-6 times the initial value range are frozen.  A step that
+    grows max|phi| past 10 times its initial value (``BLOWUP_FACTOR``)
+    aborts the run.
     """
     kernels.require_planar(kernel)
     check_constant_ring(u0, FlowDomainError)
-    if scheme not in SCHEMES:
-        raise FlowDomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if not (math.isfinite(T) and T >= 0.0):
         raise FlowDomainError("T must be finite and nonnegative")
 
-    kappa = curvature_coefficient(kernel)
+    kappa = kernels.hyperplane_second_moment(kernel)
     bound = dt_bound(kappa, u0.box)
     dt_req = bound if dt is None else float(dt)
     _check_dt(dt_req, bound)
-    stamp = None
-    if scheme == "nonlocal":
-        if eps is None:
-            raise FlowDomainError("nonlocal runs need eps")
-        stamp = _build_stamp(kernel, eps, u0.box)
+    stamp = None if eps is None else _build_stamp(kernel, eps, u0.box)
 
     h = u0.box.spacing
     outside = u0.outside
@@ -604,7 +587,7 @@ def evolve(
 
     record(0, vals)
     for step in range(1, n_steps + 1):
-        if scheme == "local":
+        if stamp is None:
             vals = _step_local_values(vals, outside, h, kappa, dt_run, floor)
         else:
             vals = _step_nonlocal_values(vals, outside, h, stamp, eps, dt_run, floor)

@@ -34,9 +34,13 @@ continuum values the grid and boundary routes are checked against.
 :func:`require_planar` is the one check that a kernel may meet planar
 data: every public entry that pairs a kernel with planar data calls it,
 directly or through :func:`zgrid` or :func:`hyperplane_second_moment`.
-The curvature assumptions on a kernel follow from its family and a
-bounded window, so no numeric check of them is made here (see
-:func:`nlgeom.curvature.h0`).
+:meth:`Kernel.effective_radius` is the one truncation check: it raises for
+the untruncated power law, whose first moment (and so σ, κ and every
+quadrature window) is infinite, and every entry that needs a finite
+kernel reaches it, directly or through :func:`zgrid`,
+:func:`disk_reference` or :func:`hyperplane_second_moment`.  The curvature
+assumptions on a kernel follow from its family and a bounded window, so
+no numeric check of them is made here (see :func:`nlgeom.curvature.h0`).
 
 Moments of the indicator and power-law families are closed forms.  A
 custom profile's moment ∫_0^∞ r^q K̄(r) dr uses the same log-Gauss rule
@@ -45,9 +49,11 @@ one Gauss-Legendre panel on [0, rmin], at orders 8 and 16.  The order-16
 sum is the value; its ``Moment.err`` is the change from order 8 plus the
 roundoff bound n u Σ|term| of the n-term sum (u the unit roundoff).
 
-Divergent moments are detected analytically from the family's origin and
-tail exponents and reported with an explicit ``finite=False`` flag rather
-than a sentinel number.
+Divergent absolute moments are detected analytically from the family's
+origin and tail exponents and reported with an explicit ``finite=False``
+flag rather than a sentinel number.  An ``r0 > 0`` cuts the profile off
+near the origin only for the indicator family; the power law ignores it,
+and a custom profile's ``r0`` marks a kink.
 """
 
 from __future__ import annotations
@@ -107,7 +113,9 @@ class Kernel:
     r0, r1:
         Inner/outer cutoff radii of the unit-scale profile.  ``r1`` may be
         ``math.inf`` for the untruncated power law (useful to exercise the
-        divergence flags).  A custom profile's ``r0`` marks a kink.
+        divergence flags), which :meth:`effective_radius` rejects.  ``r0``
+        is a cutoff only for the indicator; a custom profile's ``r0``
+        marks a kink.
     scale:
         Concentration scale; see above.
     profile:
@@ -138,15 +146,12 @@ class Kernel:
             raise KernelDomainError(
                 f"origin exponent sigma must lie in [0, 1), got sigma = {self.sigma:g}"
             )
-        if self.r0 < 0.0 or self.r1 <= 0.0 or self.r1 <= self.r0:
+        if not 0.0 <= self.r0 < self.r1:  # NaN fails too
             raise KernelDomainError("need 0 <= r0 < r1")
         if self.scale <= 0.0 or not math.isfinite(self.scale):
             raise KernelDomainError("scale must be positive and finite")
-        if self.family == "custom-radial-profile":
-            if self.profile is None:
-                raise KernelDomainError("custom family requires a profile")
-            if not math.isfinite(self.r1):
-                raise KernelDomainError("custom profiles must be truncated")
+        if self.family == "custom-radial-profile" and self.profile is None:
+            raise KernelDomainError("custom family requires a profile")
         if math.isinf(self.r1) and self.family != "fractional-truncated":
             raise KernelDomainError("only the power-law family may be untruncated")
 
@@ -154,15 +159,21 @@ class Kernel:
 
     @property
     def singular(self) -> bool:
-        """True when K blows up at the origin."""
+        """True when K blows up at the origin (a custom profile's ``r0``
+        is a kink, not a cutoff)."""
         return self.sigma > 0.0 and self.family in (
             "fractional-truncated",
             "custom-radial-profile",
-        ) and self.r0 == 0.0
+        )
 
     def effective_radius(self) -> float:
-        """Radius beyond which K vanishes identically: inf for the
-        untruncated power law, which callers must truncate."""
+        """Radius beyond which K vanishes identically.
+
+        The package's one truncation check: raises KernelDomainError for
+        the untruncated power law, whose first moment is infinite.
+        """
+        if math.isinf(self.r1):
+            raise KernelDomainError("the kernel is untruncated; give it a finite radius")
         return self.r1 * self.scale
 
     def breakpoints(self) -> list[float]:
@@ -364,8 +375,6 @@ def zgrid(
     """
     require_planar(kernel)
     r_hi = kernel.effective_radius()
-    if not math.isfinite(r_hi):
-        raise KernelDomainError("untruncated kernel has no finite z-grid")
     if r_lo is None:
         r_lo = kernel.quadrature_rmin()
     if not r_lo < r_hi:
@@ -419,9 +428,11 @@ def _radial_moment(kernel: Kernel, q: float) -> Moment:
     """∫_0^∞ r^q K̄(r) dr for the scaled profile, with divergence detection."""
     k = kernel
     pref = k.scale ** (q + 1 - k.d)
-    # origin/tail convergence from the family exponents; a profile with
-    # r0 = 0 is nonzero at the origin, like r**(-origin_exponent)
-    if k.r0 == 0.0 and q - k.origin_exponent() <= -1.0:
+    # origin/tail convergence from the family exponents; a profile is
+    # nonzero at the origin, like r**(-origin_exponent), unless an
+    # indicator's r0 cuts it off
+    cut = k.family == "indicator" and k.r0 > 0.0
+    if not cut and q - k.origin_exponent() <= -1.0:
         return Moment(math.inf, False)
     if not math.isfinite(k.r1) and q - (k.d + k.sigma) >= -1.0:
         return Moment(math.inf, False)
@@ -458,14 +469,17 @@ def absolute_moment(kernel: Kernel, power: float) -> Moment:
 
 
 def hyperplane_second_moment(kernel: Kernel) -> float:
-    """κ = ∫_{e⊥} K(z) |z|^2 dH^1(z) of a planar kernel, inf when it diverges.
+    """κ = ∫_{e⊥} K(z) |z|^2 dH^1(z) of a planar, truncated kernel.
 
     Every kernel is radial, so the value is the same for every unit normal
     e: the line e⊥ holds two rays from the origin, each carrying the radial
     moment ∫_0^∞ r^2 K̄(r) dr.  κ is also the coefficient of the kernel's
     anisotropy σ(p) = κ|p| and the diffusivity of the local curvature flow.
+    It is finite for every truncated kernel; an untruncated one raises in
+    :meth:`Kernel.effective_radius`.
     """
     require_planar(kernel)
+    kernel.effective_radius()  # the truncation check
     return 2.0 * _radial_moment(kernel, 2).value
 
 
@@ -492,8 +506,6 @@ def disk_reference(kernel: Kernel, radius: float) -> tuple[float, float]:
     require_planar(kernel)
     a = radius
     r_eff = kernel.effective_radius()
-    if not math.isfinite(r_eff):
-        raise KernelDomainError("disk reference needs a truncated kernel")
     if r_eff > 2.0 * a:
         raise KernelDomainError(
             f"kernel reach {r_eff:g} exceeds the disk diameter {2.0 * a:g}"

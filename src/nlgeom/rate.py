@@ -366,8 +366,6 @@ class RateValue:
 def _z_nodes(G: Kernel, n_angular):
     """Radial and angular rules of the grid rate energies, from r_eff/100 up."""
     r_eff = G.effective_radius()
-    if not math.isfinite(r_eff):
-        raise RateDomainError("kernel needs a bounded quadrature window")
     rs, ws = kernels.radial_rule(G, 1e-2 * r_eff, r_eff, 2.0, 6)
     dirs, wa = kernels.angular_rule(n_angular)
     return rs, ws, dirs, wa
@@ -826,8 +824,6 @@ def effective_kernel(G: Kernel) -> Kernel:
     ball whose radius is a known dimensional fraction of the support of G.
     """
     r1 = G.effective_radius()
-    if not math.isfinite(r1):
-        raise RateDomainError("effective kernel needs a compactly supported input")
     d = G.d
     r0 = G.r0 if G.r0 > 0 else 0.0
     gl_x, gl_w = np.polynomial.legendre.leggauss(48)

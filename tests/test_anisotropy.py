@@ -48,7 +48,8 @@ def test_fractional_sigma_closed_form():
 
 
 def test_sigma_rejects_untruncated():
-    with pytest.raises(AnisotropyDomainError):
+    # the kernel's one truncation check, in its effective radius
+    with pytest.raises(kernels.KernelDomainError, match="untruncated"):
         anisotropy.Anisotropy(kernels.fractional(2, 0.5, math.inf))
 
 

@@ -4,6 +4,7 @@ import budget."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,6 @@ import numpy as np
 import pytest
 
 from nlgeom import cli, flow, kernels
-from nlgeom.anisotropy import AnisotropyDomainError
-from nlgeom.curvature import CurvatureDomainError
 from nlgeom.fields import FieldDomainError
 from nlgeom.flow import FlowDomainError
 from nlgeom.kernels import KernelDomainError
@@ -154,7 +153,7 @@ def test_shipped_configs_are_read_whole_before_any_numerics(path):
     # the cheap total check: each body stops at its bare yield, before any
     # numerics, having read every key of its config
     cfg = ExperimentConfig.from_text(path.read_text(encoding="utf-8"))
-    assert next(cli.EXPERIMENTS[cfg.experiment].body(cfg, 1)) is None
+    assert next(cli.EXPERIMENTS[cfg.experiment].body(cfg)) is None
     assert list(cfg.root.unread()) == []
 
 
@@ -612,11 +611,9 @@ DOMAIN_CASES = {
                "kernel {\n  family ball\n  radius -1\n}\n"),
     "flow": (FlowDomainError, "experiment flow-monitors\neps 0.2\n" + BALL
              + "geometry {\n  radius 0.4\n  band 0.1\n  resolution 32\n}\n"),
-    "curvature": (CurvatureDomainError, CURVATURE_CFG.replace(
-        "radius 1.0", "radius inf")),
-    # an untruncated power law has an infinite first moment
-    "anisotropy": (AnisotropyDomainError, "experiment sigma-derivatives\n"
-                   "kernel {\n  family fractional\n  radius inf\n}\n"),
+    # a second moment that underflows to 0, which the end time divides by
+    "flow-kappa": (FlowDomainError, "experiment flow-monitors\neps 0.2\n"
+                   "kernel {\n  family ball\n  radius 1e-120\n}\n" + FLOW_GEOMETRY),
 }
 
 
@@ -627,6 +624,32 @@ def test_main_maps_library_domain_errors_to_exit_two(tmp_path, capsys, case):
         run_text(tmp_path, text)
     code, err = _main_exit_and_stderr(tmp_path, capsys, text)
     assert code == 2 and err.count("nlgeom: error:") == 1
+
+
+# every experiment that reads a kernel block, its kernel swapped for one
+# without a finite radius: the untruncated power law, whose first moment
+# is infinite, and a NaN radius
+KERNEL_EXPERIMENTS = sorted(
+    path.stem for path in CONFIG_DIR.glob("*.cfg")
+    if "kernel {" in path.read_text(encoding="utf-8"))
+BAD_KERNELS = {
+    "inf": ("fractional", "inf", "the kernel is untruncated; give it a finite radius"),
+    "nan": ("ball", "nan", "need 0 <= r0 < r1"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("experiment", KERNEL_EXPERIMENTS)
+@pytest.mark.parametrize("radius", sorted(BAD_KERNELS))
+def test_kernel_without_a_finite_radius_exits_two(tmp_path, capsys, radius, experiment):
+    family, value, reason = BAD_KERNELS[radius]
+    text = re.sub(r"kernel \{.*?\}", f"kernel {{\n  family {family}\n  radius {value}\n}}",
+                  (CONFIG_DIR / f"{experiment}.cfg").read_text(encoding="utf-8"),
+                  flags=re.S)
+    with pytest.raises(KernelDomainError, match=re.escape(reason)):
+        run_text(tmp_path, text)
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err == f"nlgeom: error: {reason}\n"
 
 
 # a tolerance no gap can meet, or every gap meets, fails before any numerics
@@ -691,7 +714,7 @@ def test_curvature_limit_passes_at_any_kernel_scale(tmp_path, family, key, value
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("key, value, reason", [
     ("sigma", "0", "fractional kernel needs sigma in (0, 1), got sigma = 0"),
-    ("radius", "inf", "kernel needs a bounded quadrature window"),
+    ("radius", "inf", "the kernel is untruncated; give it a finite radius"),
 ])
 def test_curvature_limit_rejects_a_kernel_in_one_line(tmp_path, capsys, key, value, reason):
     text = CURVATURE_KERNEL_CFG.format(family="fractional", key=key, value=value)

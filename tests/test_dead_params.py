@@ -2,8 +2,7 @@
 
 A parameter the body never reads is an option that changes nothing.  The
 check walks the source with ``ast``; functions whose body only raises (the
-abstract ``Shape`` methods) are exempt, and so is the ``workers`` argument
-that every experiment body takes whether or not it sweeps in parallel.
+abstract ``Shape`` methods) are exempt.
 """
 
 import ast
@@ -41,8 +40,6 @@ def dead_params(source: str, filename: str = "<source>") -> list:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         for name in _params(fn):
-            if name == "workers" and fn.name.startswith("_exp_"):
-                continue
             if name not in read:
                 out.append(f"{filename}:{fn.lineno} {fn.name}({name})")
     return out

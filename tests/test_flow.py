@@ -11,11 +11,9 @@ from nlgeom.fields import Box, GridField
 from nlgeom.flow import (
     FlowBlowUpError,
     FlowDomainError,
-    SCHEMES,
     _build_stamp,
     _step_local_values,
     _step_nonlocal_values,
-    curvature_coefficient,
     dt_bound,
     evolve,
     max_lipschitz,
@@ -36,7 +34,7 @@ def linear_field(box, p, offset=0.0):
 
 def one_step(f, kernel, dt, eps=0.1):
     """Values after exactly one nonlocal step of length dt."""
-    return evolve(f, "nonlocal", kernel, dt, dt=dt, eps=eps, n_snapshots=1).final.values
+    return evolve(f, kernel, dt, dt=dt, eps=eps, n_snapshots=1).final.values
 
 
 @pytest.fixture(scope="module")
@@ -51,36 +49,27 @@ def circle64(box64):
 
 @pytest.fixture(scope="module")
 def dtb64(box64):
-    return dt_bound(curvature_coefficient(BALL), box64)
+    return dt_bound(kernels.hyperplane_second_moment(BALL), box64)
 
 
 # ---------------------------------------------------------------------------
 # state and parameter validation
 
 
-def test_scheme_registry():
-    assert SCHEMES == ("local", "nonlocal")
-
-
 def test_state_validation(circle64):
     # the clock and stepping parameters evolve checks before its first step
     with pytest.raises(FlowDomainError):
-        evolve(circle64, "local", BALL, math.inf)
+        evolve(circle64, BALL, math.inf)
     with pytest.raises(FlowDomainError):
-        evolve(circle64, "local", BALL, 1e-3, dt=0.0)
+        evolve(circle64, BALL, 1e-3, dt=0.0)
     with pytest.raises(FlowDomainError):
-        evolve(circle64, "nonlocal", BALL, 1e-3, eps=0.0)
+        evolve(circle64, BALL, 1e-3, eps=0.0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-4, math.inf, math.nan])
 def test_evolve_dt_guard(dt, circle64):
     with pytest.raises(FlowDomainError, match="finite and positive"):
-        evolve(circle64, "local", BALL, 1e-3, dt=dt)
-
-
-def test_curvature_coefficient_ball_closed_form():
-    # mean of the squared coordinate over the unit disk against e1
-    assert curvature_coefficient(BALL) == 2.0 / 3.0
+        evolve(circle64, BALL, 1e-3, dt=dt)
 
 
 def test_dt_bound_formula(box64):
@@ -94,28 +83,24 @@ def test_dt_above_bound_rejected(circle64, dtb64):
     with pytest.raises(FlowDomainError, match="stability bound"):
         one_step(circle64, BALL, 3.0 * dtb64)
     with pytest.raises(FlowDomainError):
-        evolve(circle64, "local", BALL, 0.01, dt=3.0 * dtb64)
+        evolve(circle64, BALL, 0.01, dt=3.0 * dtb64)
 
 
 def test_evolve_input_guards(circle64):
     with pytest.raises(FlowDomainError):
-        evolve(circle64, "upwind", BALL, 0.01)
-    with pytest.raises(FlowDomainError):
-        evolve(circle64, "local", BALL, -0.01)
-    with pytest.raises(FlowDomainError):
-        evolve(circle64, "nonlocal", BALL, 0.01)  # eps missing
+        evolve(circle64, BALL, -0.01)
     ramp = linear_field(Box.cube(1.0, 32), (1.0, 0.0))
     with pytest.raises(FlowDomainError):
-        evolve(ramp, "local", BALL, 0.01)  # not constant near the boundary
+        evolve(ramp, BALL, 0.01)  # not constant near the boundary
 
 
 def test_stamp_guards(circle64, box64):
     frac = kernels.fractional(d=2, radius=1.0)
-    dt = dt_bound(curvature_coefficient(frac), box64)
+    dt = dt_bound(kernels.hyperplane_second_moment(frac), box64)
     with pytest.raises(FlowDomainError, match="4 grid cells"):
         one_step(circle64, frac, dt, eps=0.05)  # singular and under 4 cells
     tiny = kernels.ball_indicator(d=2, radius=0.25)
-    dt = dt_bound(curvature_coefficient(tiny), box64)
+    dt = dt_bound(kernels.hyperplane_second_moment(tiny), box64)
     with pytest.raises(FlowDomainError, match="half a grid cell"):
         one_step(circle64, tiny, dt, eps=0.05)  # support below half a cell
     # cells 16 times longer than wide: the stamp would refine 300 times
@@ -127,7 +112,7 @@ def test_stamp_guards(circle64, box64):
 def test_snapshot_count_guard(n, circle64, dtb64):
     # without it, 0 makes .final the initial field and -1 leaves no snapshot
     with pytest.raises(FlowDomainError, match="n_snapshots"):
-        evolve(circle64, "local", BALL, 2.0 * dtb64, n_snapshots=n)
+        evolve(circle64, BALL, 2.0 * dtb64, n_snapshots=n)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +195,7 @@ def _assert_steps_match(field, eps, n_steps, floor=None):
     ref = _reference_stamp(BALL, eps, box, stamp.refine)
     assert ref[2] == stamp.pad
     assert sum(len(g[3]) for g in ref[1]) == len(stamp.weights)
-    dt = dt_bound(curvature_coefficient(BALL), box)
+    dt = dt_bound(kernels.hyperplane_second_moment(BALL), box)
     floor = 1e-6 * float(np.ptp(field.values)) if floor is None else floor
     a = b = field.values
     for step in range(n_steps):
@@ -515,7 +500,7 @@ def test_step_memory_peak(eps, steps, bound_mb, circle64):
     # at once it was 7.5 MB at eps 0.05 and 24.9 MB at eps 0.025
     box = circle64.box
     stamp = _build_stamp(BALL, eps, box)
-    dt = dt_bound(curvature_coefficient(BALL), box)
+    dt = dt_bound(kernels.hyperplane_second_moment(BALL), box)
     floor = 1e-6 * float(np.ptp(circle64.values))
 
     def step(v):
@@ -536,7 +521,7 @@ def test_step_memory_peak(eps, steps, bound_mb, circle64):
 def test_constant_field_nonlocal_bitwise(box64, dtb64):
     # no active cell: nothing to gather, the values come back unchanged
     const = GridField(box64, np.full(box64.resolution, -0.3), "level-set", -0.3)
-    tr = evolve(const, "nonlocal", BALL, 5.0 * dtb64, eps=0.1, n_snapshots=5)
+    tr = evolve(const, BALL, 5.0 * dtb64, eps=0.1, n_snapshots=5)
     for snap in tr.snapshots:
         assert np.array_equal(snap.values, const.values)
 
@@ -571,7 +556,7 @@ def test_stamp_grid_guard(circle64):
 def test_nonlocal_halfspace_interior_stationary(p):
     box = Box.cube(1.0, 48)
     f = linear_field(box, p)
-    dt = dt_bound(curvature_coefficient(BALL), box)
+    dt = dt_bound(kernels.hyperplane_second_moment(BALL), box)
     scale = float(np.ptp(f.values))
     stepped = _step_nonlocal_values(f.values, f.outside, box.spacing,
                                     _build_stamp(BALL, 0.1, box), 0.1, dt, 1e-6 * scale)
@@ -583,7 +568,7 @@ def test_nonlocal_halfspace_interior_stationary(p):
 def test_local_halfspace_interior_stationary():
     box = Box.cube(1.0, 48)
     f = linear_field(box, (0.6, -0.45))
-    kappa = curvature_coefficient(BALL)
+    kappa = kernels.hyperplane_second_moment(BALL)
     scale = float(np.ptp(f.values))
     stepped = _step_local_values(f.values, f.outside, box.spacing, kappa,
                                  dt_bound(kappa, box), 1e-6 * scale)
@@ -606,14 +591,14 @@ def test_nonlocal_rot90_equivariant(circle64, dtb64):
     assert np.abs(np.rot90(a) - b).max() <= 1e-12 * float(np.ptp(a))
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_comparison_order_preserved(scheme, box64, circle64, dtb64):
+@pytest.mark.parametrize("eps", [None, 0.1], ids=["local", "nonlocal"])
+def test_comparison_order_preserved(eps, box64, circle64, dtb64):
     lower = shrinking_circle_datum(box64, 0.42, band=0.28)
     low = GridField(box64, lower.values - 1e-3, "level-set", lower.outside - 1e-3)
     assert np.all(low.values <= circle64.values)
     T = 5.0 * dtb64
-    ta = evolve(low, scheme, BALL, T, eps=0.1, n_snapshots=2)
-    tb = evolve(circle64, scheme, BALL, T, eps=0.1, n_snapshots=2)
+    ta = evolve(low, BALL, T, eps=eps, n_snapshots=2)
+    tb = evolve(circle64, BALL, T, eps=eps, n_snapshots=2)
     for a, b in zip(ta.snapshots, tb.snapshots):
         assert float(np.max(a.values - b.values)) <= 1e-9
 
@@ -647,9 +632,9 @@ def test_max_lipschitz_linear(box64):
 def test_local_circle_tracks_ode():
     box = Box.cube(1.0, 64)
     u0 = shrinking_circle_datum(box, 0.4, band=0.28)
-    kappa = curvature_coefficient(BALL)
+    kappa = kernels.hyperplane_second_moment(BALL)
     T = (0.4**2 - 0.3**2) / (2.0 * kappa)
-    tr = evolve(u0, "local", BALL, T, n_snapshots=8)
+    tr = evolve(u0, BALL, T, n_snapshots=8)
     ts = np.array(tr.times)
     want = np.sqrt(0.4**2 - 2.0 * kappa * ts)
     got = np.array([zero_level_radius(f) for f in tr.snapshots])
@@ -657,31 +642,31 @@ def test_local_circle_tracks_ode():
 
 
 def test_nonlocal_circle_close_to_local(circle64):
-    kappa = curvature_coefficient(BALL)
+    kappa = kernels.hyperplane_second_moment(BALL)
     T = 0.25 * (0.5**2 - 0.15**2) / (2.0 * kappa)
-    loc = evolve(circle64, "local", BALL, T, n_snapshots=4)
-    non = evolve(circle64, "nonlocal", BALL, T, eps=0.1, n_snapshots=4)
+    loc = evolve(circle64, BALL, T, n_snapshots=4)
+    non = evolve(circle64, BALL, T, eps=0.1, n_snapshots=4)
     r_loc = np.array([zero_level_radius(f) for f in loc.snapshots])
     r_non = np.array([zero_level_radius(f) for f in non.snapshots])
     assert np.abs(r_non - r_loc).max() < 0.01
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_zero_level_area_nonincreasing(scheme, circle64, dtb64):
-    tr = evolve(circle64, scheme, BALL, 20.0 * dtb64, eps=0.1, n_snapshots=2)
+@pytest.mark.parametrize("eps", [None, 0.1], ids=["local", "nonlocal"])
+def test_zero_level_area_nonincreasing(eps, circle64, dtb64):
+    tr = evolve(circle64, BALL, 20.0 * dtb64, eps=eps, n_snapshots=2)
     areas = [row.zero_level_area for row in tr.monitor]
     assert all(b <= a + 1e-12 for a, b in zip(areas, areas[1:]))
 
 
 def test_evolve_zero_horizon(circle64):
-    tr = evolve(circle64, "nonlocal", BALL, 0.0, eps=0.1)
+    tr = evolve(circle64, BALL, 0.0, eps=0.1)
     assert len(tr.snapshots) == 1 and tr.times == (0.0,)
     assert np.array_equal(tr.final.values, circle64.values)
 
 
 def test_constant_field_stays_put(box64, dtb64):
     const = GridField(box64, np.full(box64.resolution, 0.7), "level-set", 0.7)
-    tr = evolve(const, "local", BALL, 10.0 * dtb64, n_snapshots=2)
+    tr = evolve(const, BALL, 10.0 * dtb64, n_snapshots=2)
     rep = monitors(tr)
     assert rep.spatial_lipschitz == (0.0, 0.0, 0.0)
     assert rep.holder_constant == 0.0
@@ -691,7 +676,7 @@ def test_constant_field_stays_put(box64, dtb64):
 def test_snapshot_times_snap_to_steps(circle64, dtb64):
     # 10 steps; the requested times 0, T/3, 2T/3, T land on steps 0, 3, 7, 10
     T = 10.0 * dtb64
-    tr = evolve(circle64, "local", BALL, T, n_snapshots=3)
+    tr = evolve(circle64, BALL, T, n_snapshots=3)
     assert len(tr.times) == 4
     assert tr.times[:3] == (0.0, 3 * tr.dt, 7 * tr.dt)
     assert tr.times[-1] == pytest.approx(T)
@@ -700,11 +685,11 @@ def test_snapshot_times_snap_to_steps(circle64, dtb64):
 def test_blowup_guard_fires(circle64, monkeypatch):
     monkeypatch.setattr(flow, "BLOWUP_FACTOR", 1e-6)
     with pytest.raises(FlowBlowUpError):
-        evolve(circle64, "nonlocal", BALL, 0.01, eps=0.1)
+        evolve(circle64, BALL, 0.01, eps=0.1)
 
 
 def test_monitor_report_and_rows(circle64, dtb64):
-    tr = evolve(circle64, "nonlocal", BALL, 20.0 * dtb64, eps=0.1, n_snapshots=4)
+    tr = evolve(circle64, BALL, 20.0 * dtb64, eps=0.1, n_snapshots=4)
     rep = monitors(tr)
     assert rep.lipschitz_within(1.05)
     assert rep.holder_constant > 0.0

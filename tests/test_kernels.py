@@ -9,6 +9,9 @@ from nlgeom import anisotropy, curvature, energy, flow, kernels, rate
 from nlgeom.fields import Ball, Box, GridField
 
 
+UNTRUNCATED = "the kernel is untruncated; give it a finite radius"
+
+
 def test_ball_indicator_closed_form_moments():
     k = kernels.ball_indicator(2)
     mass = kernels.absolute_moment(k, 0.0)
@@ -74,7 +77,17 @@ def test_untruncated_fractional_divergence_flags():
     assert not mass.finite and math.isinf(mass.value)
     assert not kernels.absolute_moment(k, 1.0).finite
     assert not kernels.absolute_moment(k, 2.0).finite
-    assert math.isinf(kernels.hyperplane_second_moment(k))
+    with pytest.raises(kernels.KernelDomainError, match=UNTRUNCATED):
+        kernels.hyperplane_second_moment(k)
+
+
+def test_custom_r0_is_a_kink_not_a_cutoff():
+    # the profile is 1 down to r = 0, so r^-2.5 diverges there, r0 or not
+    flat = kernels.custom_radial(lambda u: np.ones_like(u), 2, 1.0, r0=0.5)
+    assert kernels.absolute_moment(flat, -2.5) == kernels.Moment(math.inf, False)
+    # a declared singular profile stays singular with a kink at r0
+    k = kernels.custom_radial(lambda u: u ** -2.5, 2, 1.0, sigma=0.5, r0=0.5)
+    assert k.singular and k.origin_exponent() == 2.5
 
 
 def test_rescale_composes_exactly():
@@ -216,6 +229,9 @@ def test_hyperplane_moment_is_sigma_coefficient(kernel, eps):
 def test_constructor_argument_checks():
     with pytest.raises(kernels.KernelDomainError):
         kernels.fractional(2, 1.0, 1.0)  # sigma must stay below 1
+    for r0, r1 in ((0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)):
+        with pytest.raises(kernels.KernelDomainError, match="need 0 <= r0 < r1"):
+            kernels.annulus_indicator(2, r0, r1)
     for sigma in (0.0, -0.5):  # sigma 0 is r^-2, not integrable at 0
         with pytest.raises(kernels.KernelDomainError, match="sigma"):
             kernels.fractional(2, sigma, 1.0)
@@ -282,25 +298,39 @@ def _bump():
     return GridField(box, np.clip(1.0 - r2, 0.0, None) ** 2, "phase")
 
 
+# every public entry that pairs a kernel with planar data, as a call on a kernel
 PLANAR_ENTRIES = {
-    "perimeter_k": lambda: energy.perimeter_k(DISK, None, K3, GRID),
-    "coarea_check": lambda: energy.coarea_check(_bump(), None, K3),
-    "submodularity_check": lambda: energy.submodularity_check(
-        DISK, Ball((0.2, 0.0), 0.4), None, K3, GRID),
-    "limit_tv": lambda: energy.limit_tv(DISK, None, K3),
-    "evolve": lambda: flow.evolve(flow.shrinking_circle_datum(GRID, 0.5), "local", K3, 0.01),
-    "rate_ddim": lambda: rate.rate_ddim(_bump(), K3, QUAD, 0.1),
-    "rate_limit_ddim": lambda: rate.rate_limit_ddim(_bump(), K3, QUAD),
-    "slicing_check": lambda: rate.slicing_check(_bump(), K3, QUAD, 0.1),
-    "hk_pv": lambda: curvature.hk_pv(DISK, (0.5, 0.0), K3),
-    "disk_reference": lambda: kernels.disk_reference(K3, 0.5),
-    "h0": lambda: curvature.h0(DISK, (0.5, 0.0), K3),
-    "hyperplane_second_moment": lambda: kernels.hyperplane_second_moment(K3),
-    "curvature_bound": lambda: rate.curvature_bound(_bump(), K3, QUAD),
+    "perimeter_k": lambda k: energy.perimeter_k(DISK, None, k, GRID),
+    "coarea_check": lambda k: energy.coarea_check(_bump(), None, k),
+    "submodularity_check": lambda k: energy.submodularity_check(
+        DISK, Ball((0.2, 0.0), 0.4), None, k, GRID),
+    "limit_tv": lambda k: energy.limit_tv(DISK, None, k),
+    "evolve": lambda k: flow.evolve(flow.shrinking_circle_datum(GRID, 0.5), k, 0.01),
+    "rate_ddim": lambda k: rate.rate_ddim(_bump(), k, QUAD, 0.1),
+    "rate_limit_ddim": lambda k: rate.rate_limit_ddim(_bump(), k, QUAD),
+    "slicing_check": lambda k: rate.slicing_check(_bump(), k, QUAD, 0.1),
+    "hk_pv": lambda k: curvature.hk_pv(DISK, (0.5, 0.0), k),
+    "disk_reference": lambda k: kernels.disk_reference(k, 0.5),
+    "h0": lambda k: curvature.h0(DISK, (0.5, 0.0), k),
+    "hyperplane_second_moment": lambda k: kernels.hyperplane_second_moment(k),
+    "curvature_bound": lambda k: rate.curvature_bound(_bump(), k, QUAD),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(PLANAR_ENTRIES))
 def test_3d_kernel_on_planar_data_is_a_domain_error(entry):
     with pytest.raises(kernels.KernelDomainError, match="planar"):
-        PLANAR_ENTRIES[entry]()
+        PLANAR_ENTRIES[entry](K3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", sorted(PLANAR_ENTRIES))
+def test_untruncated_kernel_is_a_domain_error(entry):
+    # its first moment, so sigma, kappa and every quadrature window, is
+    # infinite; curvature_bound reports the diverged moment as it is
+    k = kernels.fractional(2, 0.5, math.inf)
+    if entry == "curvature_bound":
+        assert math.isinf(PLANAR_ENTRIES[entry](k))
+        return
+    with pytest.raises(kernels.KernelDomainError, match=UNTRUNCATED):
+        PLANAR_ENTRIES[entry](k)

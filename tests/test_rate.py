@@ -319,7 +319,7 @@ def test_effective_kernel_positive_and_mass_preserving(d, make):
 
 
 def test_effective_kernel_needs_compact_support():
-    with pytest.raises(RateDomainError):
+    with pytest.raises(kernels.KernelDomainError, match="untruncated"):
         effective_kernel(kernels.fractional(2, 0.5, math.inf))
 
 
