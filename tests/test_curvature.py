@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ def test_h0_rotation_invariance():
     assert np.ptp(vals) < 1e-8
 
 
+def test_h0_rejects_untruncated_kernel():
+    # the hyperplane moment is infinite, and inf * 0 would fill M with nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kernels.KernelDomainError, match="untruncated"):
+            h0(Ball((0.0, 0.0), 0.5), (0.5, 0.0), kernels.fractional(2, 0.5, math.inf))
+
+
 def test_h0_gradient_floor():
     with pytest.raises(CurvatureDomainError):
         h0(Saddle(), (0.0, 0.0), BALL_K)
@@ -244,6 +253,14 @@ def test_convergence_report_keeps_error_and_divergence(tmp_path):
         cv = hk_pv(disk, (x, y), kernels.rescale(FRAC_K, eps))
         assert (hk, err, diverged) == (cv.value / eps, cv.err / eps, cv.diverged)
         assert err > 0.0 and diverged == 0.0
+
+
+def test_convergence_rejects_bad_kernel():
+    # h0 rejects the kernel before any hk_pv of the table
+    with pytest.raises(kernels.KernelDomainError):
+        disk = Ball((0.0, 0.0), 0.5)
+        hk_table(disk, kernels.fractional(2, 0.5, math.inf), [0.1],
+                 disk.boundary_sample(4).points)
 
 
 def test_supersolution_ratio_bounded():

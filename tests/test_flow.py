@@ -72,6 +72,11 @@ def test_evolve_dt_guard(dt, circle64):
         evolve(circle64, BALL, 1e-3, dt=dt)
 
 
+def test_curvature_coefficient_ball_closed_form():
+    # mean of the squared coordinate over the unit disk against e1
+    assert kernels.hyperplane_second_moment(BALL) == 2.0 / 3.0
+
+
 def test_dt_bound_formula(box64):
     h = float(np.min(box64.spacing))
     assert dt_bound(1.0, box64) == pytest.approx(0.25 * h * h)
