@@ -13,7 +13,9 @@ on ``PYTHONPATH``.  Prints four things:
 - the ``-X importtime`` total of ``import nlgeom.cli`` (the cumulative
   microseconds of its top-level ``nlgeom`` lines), median of N;
 - for each config (default: every ``configs/*.cfg``), the ``nlgeom``
-  modules and the scipy subpackages its run leaves in ``sys.modules``.
+  modules and the scipy subpackages its run leaves in ``sys.modules``,
+  and whether it loaded ``numpy.random`` and ``hashlib`` (``numpy.random``
+  pulls in OpenSSL through ``secrets`` and ``hashlib``).
   The run goes through ``cli.run`` with one worker into a temporary
   directory, so running every shipped config takes about as long as the
   configs themselves.
@@ -41,6 +43,8 @@ cli.run(sys.argv[1], sys.argv[2])
 print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("nlgeom."))))
 print(" ".join(sorted({m.split(".")[1] for m in sys.modules
                        if m.startswith("scipy.") and not m.split(".")[1].startswith("_")})))
+print(" ".join(f"{m}: {'yes' if m in sys.modules else 'no'}"
+               for m in ("numpy.random", "hashlib")))
 """
 
 
@@ -99,8 +103,9 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in configs:
             out = python("-c", PROBE, str(cfg), str(Path(tmp) / cfg.stem)).stdout
-            layers, scipy = out.splitlines()[-2:]
-            print(f"{cfg.stem:<18} nlgeom: {layers:<45} scipy: {scipy.strip() or '-'}")
+            layers, scipy, loaded = out.splitlines()[-3:]
+            print(f"{cfg.stem:<18} nlgeom: {layers:<45} scipy: {scipy.strip() or '-':<4} "
+                  f"{loaded}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,11 @@ Imports follow what a run executes.  ``nlgeom.cli`` loads ``kernels`` and
 bodies that call them, ``energy`` imports ``anisotropy`` inside
 ``limit_tv``, and ``concurrent.futures`` is loaded only for a flow run
 with more than one worker.  So ``nlgeom --list`` loads no layer beyond those two, and a run
-loads the layers its experiment calls.  The package imports no scipy: its
-only runtime dependency is numpy.  The import-budget probe in
+loads the layers its experiment calls.  The seeded bodies (halfspace-cell,
+submodularity, effective-kernel) import ``draws``, which reproduces
+numpy's ``default_rng`` stream, so no run loads numpy's ``random``
+subpackage or the ``hashlib`` it pulls in.  The package imports no scipy:
+its only runtime dependency is numpy.  The import-budget probe in
 ``tests/test_cli.py`` checks the module sets of ``--list`` and of one run
 per experiment family.
 

@@ -38,7 +38,10 @@ class Anisotropy:
         # is 2, so one radial moment serves every direction and sigma's
         # coefficient is the hyperplane second moment, which rejects an
         # untruncated kernel (its sigma is infinite)
-        object.__setattr__(self, "coef", kernels.hyperplane_second_moment(self.kernel))
+        coef = kernels.hyperplane_second_moment(self.kernel)
+        if not coef > 0.0:  # a tiny kernel's moment underflows to 0
+            raise AnisotropyDomainError(f"sigma's coefficient must be positive, got {coef:g}")
+        object.__setattr__(self, "coef", coef)
 
     def value(self, p) -> float:
         p = np.asarray(p, dtype=float)

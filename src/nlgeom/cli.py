@@ -641,7 +641,7 @@ def _exp_halfspace_cell(cfg: ExperimentConfig):
     of the first) are rejected: they do not converge in L^1, so the cell
     formula says nothing about them.
     """
-    from . import anisotropy, energy
+    from . import anisotropy, draws, energy
 
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.root.block("geometry")
@@ -667,7 +667,7 @@ def _exp_halfspace_cell(cfg: ExperimentConfig):
     rows = [_gap_row(e, v, sigma, sigma) for e, v in zip(eps, hs)]
     csv_rows = [(e, "halfspace", v) for e, v in zip(eps, hs)]
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = draws.Generator(cfg.seed)
     cell_area = float(np.prod(grid.spacing))
     centers = grid.centers()
     in_window = window.contains(centers)
@@ -792,13 +792,13 @@ def _exp_coarea(cfg: ExperimentConfig):
 
 
 def _exp_submodularity(cfg: ExperimentConfig):
-    from . import energy
+    from . import draws, energy
 
     kern = _kernel_from(cfg.require_block("kernel"))
     grid = _box_from(cfg.root.block("geometry"), halfwidth=1.0, resolution=96)
     pairs = cfg.root.count("pairs", 100)
     yield
-    rng = np.random.default_rng(cfg.seed)
+    rng = draws.Generator(cfg.seed)
 
     rows, csv_rows = [], []
     failures = 0
@@ -892,14 +892,14 @@ def _exp_bbm_slice(cfg: ExperimentConfig):
 
 
 def _exp_effective_kernel(cfg: ExperimentConfig):
-    from . import rate
+    from . import draws, rate
 
     block = cfg.require_block("kernel")
     dims = cfg.root.int_("dims", (2, 3), n=None)
     inputs = [_kernel_from(block, d_override=d) for d in dims]
     n_samples = cfg.root.count("samples", 1000)
     yield
-    rng = np.random.default_rng(cfg.seed)
+    rng = draws.Generator(cfg.seed)
     rows, csv_rows, checks = [], [], []
     for d, G in zip(dims, inputs):
         Gt = rate.effective_kernel(G)
@@ -960,10 +960,20 @@ def _flow_setup(cfg: ExperimentConfig):
         if not 0.0 < frac < 1.0:
             raise ConfigValueError("stop_fraction must lie in (0, 1)")
         T = radius**2 * (1.0 - frac**2) / (2.0 * kappa)
+        r_end = frac * radius
     elif not 0.0 < T < radius**2 / (2.0 * kappa):
         raise ConfigValueError(
             f"T must lie in (0, {radius**2 / (2.0 * kappa):.4g}), before the circle's "
             "extinction time r^2 / (2 kappa)"
+        )
+    else:
+        r_end = math.sqrt(max(radius**2 - 2.0 * kappa * T, 0.0))
+    # the radius errors divide by the local radius, which the grid must resolve
+    h = float(np.min(box.spacing))
+    if r_end < h:
+        raise ConfigValueError(
+            f"the circle's local radius at T is {r_end:.3g}, below one grid cell "
+            f"({h:.3g}); end the flow earlier"
         )
     n_snap = f.count("snapshots", 10)
     evolve = functools.partial(flow.evolve, u0, kern, T, dt=f.float_("dt", None),
@@ -1099,7 +1109,9 @@ class _Spec(NamedTuple):
     key_label: str = "eps"
     fit: bool = False  # fit a convergence rate to the rows' gaps
     eps: bool = False  # the config must give an 'eps' sweep
-    seed: bool = False  # draws random numbers from the config's 'seed'
+    # draws from the config's 'seed': numpy's default_rng(seed) stream
+    # (PCG64), reproduced in nlgeom.draws
+    seed: bool = False
     tol: float | None = None  # default of the config's 'tolerance'
 
 

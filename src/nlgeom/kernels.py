@@ -378,7 +378,10 @@ def zgrid(
     if r_lo is None:
         r_lo = kernel.quadrature_rmin()
     if not r_lo < r_hi:
-        raise ValueError(f"empty radial range [{r_lo}, {r_hi}]")
+        raise KernelDomainError(
+            f"empty radial range [{r_lo:.3g}, {r_hi:.3g}]: the kernel radius lies "
+            "below the quadrature's inner radius"
+        )
     r, wr = radial_rule(kernel, r_lo, r_hi, panels_per_decade)
     dirs, wa = angular_rule(n_angular)
     nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 2)

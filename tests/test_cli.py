@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgeom import cli, flow, kernels
+from nlgeom import DomainError, cli, flow, kernels
 from nlgeom.fields import FieldDomainError
 from nlgeom.flow import FlowDomainError
 from nlgeom.kernels import KernelDomainError
@@ -638,18 +638,47 @@ BAD_KERNELS = {
 }
 
 
+def _with_kernel(experiment, family, radius):
+    """The shipped config of ``experiment``, its kernel block swapped."""
+    return re.sub(r"kernel \{.*?\}", f"kernel {{\n  family {family}\n  radius {radius}\n}}",
+                  (CONFIG_DIR / f"{experiment}.cfg").read_text(encoding="utf-8"),
+                  flags=re.S)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment", KERNEL_EXPERIMENTS)
 @pytest.mark.parametrize("radius", sorted(BAD_KERNELS))
 def test_kernel_without_a_finite_radius_exits_two(tmp_path, capsys, radius, experiment):
     family, value, reason = BAD_KERNELS[radius]
-    text = re.sub(r"kernel \{.*?\}", f"kernel {{\n  family {family}\n  radius {value}\n}}",
-                  (CONFIG_DIR / f"{experiment}.cfg").read_text(encoding="utf-8"),
-                  flags=re.S)
+    text = _with_kernel(experiment, family, value)
     with pytest.raises(KernelDomainError, match=re.escape(reason)):
         run_text(tmp_path, text)
     code, err = _main_exit_and_stderr(tmp_path, capsys, text)
     assert code == 2 and err == f"nlgeom: error: {reason}\n"
+
+
+# a ball of radius 1e-120: its radius lies below the z-grid's inner radius
+# 1e-6, and its hyperplane second moment, sigma's coefficient, underflows
+# to 0; the experiments that reach either fail in one line
+TINY_KERNEL_REASONS = {
+    "coarea": "empty radial range [1e-06, 1e-120]",
+    "halfspace-cell": "sigma's coefficient must be positive, got 0",
+    "perimeter-limit": "sigma's coefficient must be positive, got 0",
+    "sigma-derivatives": "sigma's coefficient must be positive, got 0",
+    "submodularity": "empty radial range [1e-06, 1e-120]",
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("experiment", sorted(TINY_KERNEL_REASONS))
+def test_kernel_below_the_quadrature_floor_exits_two(tmp_path, capsys, experiment):
+    reason = TINY_KERNEL_REASONS[experiment]
+    text = _with_kernel(experiment, "ball", "1e-120")
+    with pytest.raises(DomainError, match=re.escape(reason)):
+        run_text(tmp_path, text)
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err.startswith(f"nlgeom: error: {reason}")
+    assert err.count("\n") == 1
 
 
 # a tolerance no gap can meet, or every gap meets, fails before any numerics
@@ -664,7 +693,9 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
 
 
 # a flow past the circle's extinction time r^2 / (2 kappa), 0.12 here, has
-# no zero level to compare, so its end time fails before any numerics
+# no zero level to compare, and one that ends with the circle inside a grid
+# cell (h = 0.0625 here) has none the grid resolves, so its end time fails
+# before any numerics
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment", ["flow-compare", "flow-monitors"])
 @pytest.mark.parametrize("line, reason", [
@@ -672,6 +703,8 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
     ("T 0.13", "T must lie in (0, 0.12)"),
     ("T 0", "T must lie in (0, 0.12)"),
     ("stop_fraction 1", "stop_fraction must lie in (0, 1)"),
+    ("T 0.12", "the circle's local radius at T is 7.45e-09, below one grid cell (0.0625)"),
+    ("stop_fraction 0.1", "the circle's local radius at T is 0.04, below one grid cell"),
 ])
 def test_flow_end_time_lies_before_extinction(tmp_path, capsys, experiment, line, reason):
     text = (f"experiment {experiment}\neps 0.2\n" + BALL + FLOW_GEOMETRY
@@ -798,9 +831,12 @@ def test_run_subcommand_has_no_list_flag(capsys):
 # through ``cli.main`` in a fresh interpreter (earlier tests in this
 # process have loaded every layer and scipy), then runs the family's
 # library calls that no config reaches.  It reports the nlgeom and scipy
-# modules in ``sys.modules`` and whether ``concurrent.futures`` was
-# loaded.  Only a flow sweep of more than one eps reaches the thread pool,
-# so the other families run with two workers and still leave it unloaded.
+# modules in ``sys.modules`` and whether ``concurrent.futures``,
+# ``numpy.random`` and ``hashlib`` were loaded.  Only a flow sweep of more
+# than one eps reaches the thread pool, so the other families run with two
+# workers and still leave it unloaded.  The seeded bodies draw from
+# ``nlgeom.draws``, so no family loads ``numpy.random`` or the ``hashlib``
+# it pulls in.
 
 BUDGET_PROBE = """
 import json, sys
@@ -812,7 +848,8 @@ codes = [cli.main(["run", c, "--out", f"{out}/{i}", "--workers", workers])
 print(json.dumps([codes,
                   sorted(m for m in sys.modules if m.split(".")[0] == "nlgeom"),
                   sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  "concurrent.futures" in sys.modules]))
+                  [m in sys.modules
+                   for m in ("concurrent.futures", "numpy.random", "hashlib")]]))
 """
 
 ALWAYS_LOADED = {"nlgeom", "nlgeom.cli", "nlgeom.fields", "nlgeom.kernels"}
@@ -860,11 +897,11 @@ BUDGET_CASES = {
         + "geometry {\n  radius 0.5\n  resolution 48\n}\n",
         "experiment halfspace-cell\neps 0.4 0.2\ncompetitors 1\n" + BALL
         + "geometry {\n  resolution 64\n}\n",
-    ), "", {"energy", "anisotropy"}),
+    ), "", {"energy", "anisotropy", "draws"}),
     "energy": ((
         COAREA_CFG,
         "experiment submodularity\npairs 2\n" + BALL + "geometry {\n  resolution 32\n}\n",
-    ), "", {"energy"}),
+    ), "", {"energy", "draws"}),
     "anisotropy": (("experiment sigma-derivatives\ndirections 4\n" + BALL,), "",
                    {"anisotropy"}),
     "flow": ((
@@ -878,7 +915,7 @@ BUDGET_CASES = {
         + "geometry {\n  resolution 24\n}\n",
     ), RATE_LIMIT_CALL, {"rate"}),
     "effective-kernel": (("experiment effective-kernel\nsamples 10\n" + BALL,), "",
-                         {"rate"}),
+                         {"rate", "draws"}),
     "curvature": ((CURVATURE_CFG,), DISK_REFERENCE_CALL, {"curvature"}),
 }
 
@@ -893,10 +930,12 @@ def test_run_loads_only_its_layers(tmp_path, case):
     workers = "1" if case == "flow" else "2"
     done = fresh_python("-c", BUDGET_PROBE.replace("{extra}", extra), str(tmp_path),
                         workers, *map(str, cfgs))
-    codes, loaded, scipy, futures = json.loads(done.stdout.splitlines()[-1])
+    codes, loaded, scipy, (futures, nprandom, hashlib) = json.loads(
+        done.stdout.splitlines()[-1])
     assert codes == [0] * len(codes)
     assert set(loaded) == ALWAYS_LOADED | {f"nlgeom.{m}" for m in layers}
     assert scipy == [] and not futures
+    assert not nprandom and not hashlib
     if case == "flow":
         rows = (tmp_path / "0" / "trajectory_nonlocal_eps0.2.csv").read_text().splitlines()
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 0.001, 0.002]
