@@ -19,7 +19,7 @@ Prints one line per config (result and wall), the physical line count of
 ``src/nlgeom`` (as ``wc -l`` counts it), the executed and missed statement
 totals, how many of the missed statements are not ``raise`` statements,
 and, for each function that holds such a statement, their line numbers.
-Tracing all 12 configs takes about 30 s on a 2-core x86-64 host, so this
+Tracing all 11 configs takes about 15 s on a 2-core x86-64 host, so this
 stays out of the test suite and the benchmark.
 """
 

@@ -37,11 +37,9 @@ class Anisotropy:
         # radial-angular factorization: (1/2) ∫|omega . e| over the circle
         # is 2, so one radial moment serves every direction and sigma's
         # coefficient is the hyperplane second moment, which rejects an
-        # untruncated kernel (its sigma is infinite)
-        coef = kernels.hyperplane_second_moment(self.kernel)
-        if not coef > 0.0:  # a tiny kernel's moment underflows to 0
-            raise AnisotropyDomainError(f"sigma's coefficient must be positive, got {coef:g}")
-        object.__setattr__(self, "coef", coef)
+        # untruncated kernel (its sigma is infinite) and one whose moment
+        # underflows to 0
+        object.__setattr__(self, "coef", kernels.hyperplane_second_moment(self.kernel))
 
     def value(self, p) -> float:
         p = np.asarray(p, dtype=float)

@@ -7,19 +7,18 @@ any CSV cell can be recomputed in a REPL.  Configs use
 nested key-value blocks (see :func:`parse_config`), and a run rejects any
 key its experiment does not read, before any numerics; reruns with the same
 config and seed produce byte-identical artifacts.  ``--workers`` threads
-only the eps sweeps of flow-compare and flow-monitors; every other sweep
-runs its eps in a plain loop in config order.  The threads share the
-interpreter lock, and their results are reduced in config order, so the
-worker count never changes the output.  On an idle 2-core host
-``bench/workers.py`` (medians of 5 alternating fresh runs per count) took
-flow-compare from 12.8 to 10.5 s and flow-monitors from 13.5 to 10.7 s at
-two workers, for about 4 MB more peak RSS and 12% more CPU time; with
-the cores busy with other work, the second thread can cost more than it
-saves.  Threads did not pay off in the other sweeps: they made regularity
-1.9 times as slow, and raised halfspace-cell's peak RSS from 50 to 61 MB
-for 10% off its 0.9 s.  Each experiment body imports the library layers it
-calls, so a run loads only those, and ``--list`` none beyond ``kernels``
-and ``fields``.
+only the nonlocal eps sweep of flow-monitors, the one flow experiment;
+every other sweep runs its eps in a plain loop in config order.  The
+threads share the interpreter lock, and their results are reduced in
+config order, so the worker count never changes the output.  On a 2-core
+x86-64 host ``bench/workers.py`` (medians of 5 alternating fresh runs per
+count) took flow-monitors from 10.9 to 8.6 s at two workers, for about
+4 MB more peak RSS and 9% more CPU time; with the cores busy with other
+work, the second thread can cost more than it saves.  Threads did not pay
+off in the other sweeps: they made regularity 1.9 times as slow, and
+raised halfspace-cell's peak RSS from 50 to 61 MB for 10% off its 0.9 s.
+Each experiment body imports the library layers it calls, so a run loads
+only those, and ``--list`` none beyond ``kernels`` and ``fields``.
 
 Usage::
 
@@ -952,8 +951,7 @@ def _flow_setup(cfg: ExperimentConfig):
     band = g.float_("band", 0.28)
     u0 = flow.shrinking_circle_datum(box, radius, band=band)
     f = cfg.root.block("flow")
-    kappa = kernels.hyperplane_second_moment(kern)
-    flow.dt_bound(kappa, box)  # rejects a kappa of 0, which T divides by
+    kappa = kernels.hyperplane_second_moment(kern)  # positive, which T divides by
     T = f.float_("T", None)
     if T is None:
         frac = f.float_("stop_fraction", 0.3)
@@ -981,36 +979,31 @@ def _flow_setup(cfg: ExperimentConfig):
     return radius, kappa, evolve
 
 
-def _traj_csv(name: str, traj) -> CsvArtifact:
-    from . import flow
-
-    return CsvArtifact(
-        name,
-        ("t", "zero_level_area", "max_lipschitz", "holder_stat"),
-        flow.monitors(traj).rows,
-    )
-
-
-def _exp_flow_compare(cfg: ExperimentConfig):
+def _exp_flow_monitors(cfg: ExperimentConfig):
     from . import flow
 
     radius, kappa, evolve = _flow_setup(cfg)
     eps = cfg.eps
     yield
-    loc = evolve()
-    t_arr = np.asarray(loc.times)
-    r_loc = np.array([flow.zero_level_radius(s) for s in loc.snapshots])
-    r_ref = np.sqrt(np.clip(radius**2 - 2.0 * kappa * t_arr, 0.0, None))
-    local_err = float(np.max(np.abs(r_loc - r_ref) / r_ref))
 
     def one(e):
+        # what the checks and artifacts read; the trajectory itself is dropped
         traj = evolve(eps=e)
-        r_nl = np.array([flow.zero_level_radius(s) for s in traj.snapshots])
-        return traj, float(np.max(np.abs(r_nl - r_loc)))
+        radii = np.array([flow.zero_level_radius(s) for s in traj.snapshots])
+        return flow.monitors(traj), traj.final, radii
 
+    loc_rep, loc_final, r_loc = one(None)
+    t_arr = np.array([row[0] for row in loc_rep.rows])
+    r_ref = np.sqrt(np.clip(radius**2 - 2.0 * kappa * t_arr, 0.0, None))
+    local_err = float(np.max(np.abs(r_loc - r_ref) / r_ref))
     runs = _parallel_map(one, eps, cfg.workers)
-    gaps = [gap for _, gap in runs]
-    rows = [_gap_row(e, gap, 0.0, radius) for e, gap in zip(eps, gaps)]
+    reps = [rep for rep, _, _ in runs]
+    gaps = [float(np.max(np.abs(r_nl - r_loc))) for _, _, r_nl in runs]
+    holders = [rep.holder_constant for rep in reps]
+    mean_h = float(np.mean(holders))
+    slack, band = 1.05, 0.2
+    rows = [_gap_row(e, h, mean_h, mean_h) for e, h in zip(eps, holders)]
+    spread = max(r.rel_gap for r in rows)
     checks = [
         _below("local scheme tracks the shrinking-circle solution",
                local_err, cfg.tol, "max rel err"),
@@ -1019,32 +1012,6 @@ def _exp_flow_compare(cfg: ExperimentConfig):
             all(b < a for a, b in zip(gaps, gaps[1:])),
             "gaps=" + " ".join(_g(x) for x in gaps),
         ),
-    ]
-    art = [
-        _traj_csv("trajectory_local.csv", loc),
-        CsvArtifact("radius_compare.csv", ("eps", "sup_radius_gap"),
-                    tuple(zip(eps, gaps))),
-        FieldArtifact("final_local.field", loc.final),
-    ]
-    for e, (traj, _) in zip(eps, runs):
-        art.append(_traj_csv(f"trajectory_nonlocal_eps{e:g}.csv", traj))
-        art.append(FieldArtifact(f"final_nonlocal_eps{e:g}.field", traj.final))
-    yield rows, checks, art
-
-
-def _exp_flow_monitors(cfg: ExperimentConfig):
-    from . import flow
-
-    _, _, evolve = _flow_setup(cfg)
-    eps = cfg.eps
-    yield
-    reps = _parallel_map(lambda e: flow.monitors(evolve(eps=e)), eps, cfg.workers)
-    holders = [rep.holder_constant for rep in reps]
-    mean_h = float(np.mean(holders))
-    slack, band = 1.05, 0.2
-    rows = [_gap_row(e, h, mean_h, mean_h) for e, h in zip(eps, holders)]
-    spread = max(r.rel_gap for r in rows)
-    checks = [
         CheckLine(
             "spatial Lipschitz constant within slack of its initial value",
             all(rep.lipschitz_within(slack) for rep in reps),
@@ -1061,14 +1028,22 @@ def _exp_flow_monitors(cfg: ExperimentConfig):
             f"max spread={_g(spread)} band={_g(band)}",
         ),
     ]
+    traj_header = ("t", "zero_level_area", "max_lipschitz", "holder_stat")
     art = [
         CsvArtifact(
             "monitors.csv",
             ("eps", "lipschitz_ratio", "holder_constant"),
             tuple((e, max(rep.spatial_lipschitz) / rep.spatial_lipschitz[0],
                    rep.holder_constant) for e, rep in zip(eps, reps)),
-        )
+        ),
+        CsvArtifact("trajectory_local.csv", traj_header, loc_rep.rows),
+        CsvArtifact("radius_compare.csv", ("eps", "sup_radius_gap"),
+                    tuple(zip(eps, gaps))),
+        FieldArtifact("final_local.field", loc_final),
     ]
+    for e, (rep, final, _) in zip(eps, runs):
+        art.append(CsvArtifact(f"trajectory_nonlocal_eps{e:g}.csv", traj_header, rep.rows))
+        art.append(FieldArtifact(f"final_nonlocal_eps{e:g}.field", final))
     yield rows, checks, art
 
 
@@ -1125,8 +1100,7 @@ EXPERIMENTS: dict[str, _Spec] = {
     "bbm-1d": _Spec(_exp_bbm_1d, fit=True, eps=True, tol=0.02),
     "bbm-slice": _Spec(_exp_bbm_slice, eps=True, tol=0.01),
     "effective-kernel": _Spec(_exp_effective_kernel, "d", seed=True),
-    "flow-compare": _Spec(_exp_flow_compare, fit=True, eps=True, tol=0.02),
-    "flow-monitors": _Spec(_exp_flow_monitors, eps=True),
+    "flow-monitors": _Spec(_exp_flow_monitors, eps=True, tol=0.02),
     "regularity": _Spec(_exp_regularity, eps=True),
 }
 
@@ -1221,10 +1195,10 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the experiment config file")
     run_p.add_argument("--out", default=None, help="override the output directory")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="threads for the eps sweep of flow-compare and "
-                       "flow-monitors (default 1); on 2 idle cores 2 cut their wall "
-                       "time by about a fifth for about 4 MB more memory; the other "
-                       "experiments run their eps in one thread")
+                       help="threads for the nonlocal eps sweep of flow-monitors "
+                       "(default 1); on 2 idle cores 2 cut its wall time by about a "
+                       "fifth for about 4 MB more memory; the other experiments run "
+                       "their eps in one thread")
     args = parser.parse_args(argv)
 
     if args.list:

@@ -479,11 +479,18 @@ def hyperplane_second_moment(kernel: Kernel) -> float:
     moment ∫_0^∞ r^2 K̄(r) dr.  κ is also the coefficient of the kernel's
     anisotropy σ(p) = κ|p| and the diffusivity of the local curvature flow.
     It is finite for every truncated kernel; an untruncated one raises in
-    :meth:`Kernel.effective_radius`.
+    :meth:`Kernel.effective_radius`.  It must also be positive, which a
+    kernel of tiny radius misses when the moment underflows to 0.  Callers
+    divide by κ or by values proportional to it (σ, h0, the flow's
+    extinction time), so the check is made here, once for all of them.
     """
     require_planar(kernel)
     kernel.effective_radius()  # the truncation check
-    return 2.0 * _radial_moment(kernel, 2).value
+    kappa = 2.0 * _radial_moment(kernel, 2).value
+    if not kappa > 0.0:
+        raise KernelDomainError(
+            f"the kernel's hyperplane second moment must be positive, got {kappa:g}")
+    return kappa
 
 
 def disk_reference(kernel: Kernel, radius: float) -> tuple[float, float]:

@@ -227,12 +227,12 @@ def test_summary_marks_uninformative_rate(slope, band, marked):
     assert lines[3] == rate + (" uninformative" if marked else "")
 
 
-def fresh_python(*args):
+def fresh_python(*args, check=True):
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, check=True, timeout=300)
+                          text=True, check=check, timeout=300)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +286,12 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def small_flow_configs(tmp_path):
-    """flow-compare and flow-monitors at three eps, two steps of dt each."""
-    cfgs = {}
-    for name in ("flow-compare", "flow-monitors"):
-        cfgs[name] = tmp_path / f"{name}.cfg"
-        cfgs[name].write_text(f"experiment {name}\neps 0.2 0.1 0.05\n" + BALL + FLOW_STEPS,
-                              encoding="utf-8")
-    return cfgs
+def small_flow_config(tmp_path):
+    """flow-monitors at three eps, two steps of dt each."""
+    cfg = tmp_path / "flow-monitors.cfg"
+    cfg.write_text("experiment flow-monitors\neps 0.2 0.1 0.05\n" + BALL + FLOW_STEPS,
+                   encoding="utf-8")
+    return cfg
 
 
 def assert_same_artifacts(out1, out2):
@@ -312,12 +310,32 @@ def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
         return parallel_map(fn, items, workers)
 
     monkeypatch.setattr(cli, "_parallel_map", counting_map)
-    for cfg in small_flow_configs(tmp_path).values():
-        _, out1 = cli.run(cfg, tmp_path / cfg.stem / "1", workers=1)
-        counts.clear()
-        _, out2 = cli.run(cfg, tmp_path / cfg.stem / "2", workers=2)
-        assert counts == [2], cfg.stem  # the sweep reached the thread pool
-        assert_same_artifacts(out1, out2)
+    cfg = small_flow_config(tmp_path)
+    _, out1 = cli.run(cfg, tmp_path / "1", workers=1)
+    counts.clear()
+    _, out2 = cli.run(cfg, tmp_path / "2", workers=2)
+    assert counts == [2]  # the sweep reached the thread pool
+    assert_same_artifacts(out1, out2)
+
+
+def _csv_columns(path):
+    """Header name -> column of floats parsed from the .17g cells."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+
+
+def test_flow_monitors_summarize_the_trajectory_files(tmp_path):
+    # monitors.csv and the nonlocal trajectory files come from one run per
+    # eps, so each summary value is the trajectory column's, bit for bit
+    _, out = cli.run(small_flow_config(tmp_path), tmp_path / "out")
+    monitors = _csv_columns(out / "monitors.csv")
+    assert monitors["eps"] == (0.2, 0.1, 0.05)
+    for e, ratio, holder in zip(*monitors.values()):
+        traj = _csv_columns(out / f"trajectory_nonlocal_eps{e:g}.csv")
+        lips = traj["max_lipschitz"]
+        assert len(lips) == 3
+        assert ratio == max(lips) / lips[0]
+        assert holder == max(traj["holder_stat"])
 
 
 # eps sweeps whose threads were measured not to help, cut to test size
@@ -399,11 +417,12 @@ def test_only_the_flow_sweeps_reach_the_thread_pool(tmp_path, monkeypatch):
 
 
 def test_worker_count_does_not_change_artifacts_in_fresh_processes(tmp_path):
-    # flow-monitors passes its checks, so the run exits 0
-    cfg = str(small_flow_configs(tmp_path)["flow-monitors"])
-    for n in ("1", "2"):
-        fresh_python("-m", "nlgeom.cli", "run", cfg, "--out", str(tmp_path / n),
-                     "--workers", n)
+    # two steps are too few for the radius gaps to order by eps, so the run
+    # may exit 1; either way both worker counts must agree
+    cfg = str(small_flow_config(tmp_path))
+    codes = [fresh_python("-m", "nlgeom.cli", "run", cfg, "--out", str(tmp_path / n),
+                          "--workers", n, check=False).returncode for n in ("1", "2")]
+    assert codes[0] == codes[1] and codes[0] in (0, 1)
     assert_same_artifacts(tmp_path / "1", tmp_path / "2")
 
 
@@ -467,8 +486,8 @@ def test_run_rejects_bad_worker_count(tmp_path):
 def test_main_list_prints_registry(capsys):
     assert cli.main(["--list"]) == 0
     names = capsys.readouterr().out.split()
-    assert len(names) == 12
-    assert "flow-compare" in names and "perimeter-limit" in names
+    assert len(names) == 11
+    assert "flow-monitors" in names and "perimeter-limit" in names
 
 
 def test_main_without_command_is_usage_error(capsys):
@@ -536,7 +555,7 @@ def test_main_field_snapshot_round_trips(tmp_path):
     from nlgeom.fields import load_field
 
     text = """
-    experiment flow-compare
+    experiment flow-monitors
     eps 0.2
     kernel {
       family ball
@@ -579,8 +598,6 @@ COUNT_CASES = {
     "bbm-1d-samples": "experiment bbm-1d\neps 0.05\nprofile {\n  samples 0\n}\n",
     "effective-kernel-samples": "experiment effective-kernel\nsamples 0\n" + BALL,
     "effective-kernel-dims": "experiment effective-kernel\ndims\n" + BALL,
-    "flow-compare-snapshots": "experiment flow-compare\neps 0.2\n" + BALL
-    + FLOW_GEOMETRY + "flow {\n  T 0.01\n  snapshots 0\n}\n",
     "flow-monitors-snapshots": "experiment flow-monitors\neps 0.2\n" + BALL
     + FLOW_GEOMETRY + "flow {\n  snapshots 0\n}\n",
     "regularity-angular": "experiment regularity\neps 0.1\nangular 0\n" + BALL,
@@ -612,7 +629,7 @@ DOMAIN_CASES = {
     "flow": (FlowDomainError, "experiment flow-monitors\neps 0.2\n" + BALL
              + "geometry {\n  radius 0.4\n  band 0.1\n  resolution 32\n}\n"),
     # a second moment that underflows to 0, which the end time divides by
-    "flow-kappa": (FlowDomainError, "experiment flow-monitors\neps 0.2\n"
+    "flow-kappa": (KernelDomainError, "experiment flow-monitors\neps 0.2\n"
                    "kernel {\n  family ball\n  radius 1e-120\n}\n" + FLOW_GEOMETRY),
 }
 
@@ -658,13 +675,15 @@ def test_kernel_without_a_finite_radius_exits_two(tmp_path, capsys, radius, expe
 
 
 # a ball of radius 1e-120: its radius lies below the z-grid's inner radius
-# 1e-6, and its hyperplane second moment, sigma's coefficient, underflows
-# to 0; the experiments that reach either fail in one line
+# 1e-6, and its hyperplane second moment (sigma's coefficient and h0's
+# scale) underflows to 0; the experiments that reach either fail in one line
+TINY_MOMENT = "the kernel's hyperplane second moment must be positive, got 0"
 TINY_KERNEL_REASONS = {
     "coarea": "empty radial range [1e-06, 1e-120]",
-    "halfspace-cell": "sigma's coefficient must be positive, got 0",
-    "perimeter-limit": "sigma's coefficient must be positive, got 0",
-    "sigma-derivatives": "sigma's coefficient must be positive, got 0",
+    "curvature-limit": TINY_MOMENT,
+    "halfspace-cell": TINY_MOMENT,
+    "perimeter-limit": TINY_MOMENT,
+    "sigma-derivatives": TINY_MOMENT,
     "submodularity": "empty radial range [1e-06, 1e-120]",
 }
 
@@ -697,7 +716,7 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
 # cell (h = 0.0625 here) has none the grid resolves, so its end time fails
 # before any numerics
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("experiment", ["flow-compare", "flow-monitors"])
+@pytest.mark.parametrize("experiment", ["flow-monitors"])
 @pytest.mark.parametrize("line, reason", [
     ("T 2.0", "T must lie in (0, 0.12)"),
     ("T 0.13", "T must lie in (0, 0.12)"),
@@ -769,7 +788,7 @@ UNREAD_CASES = {
     "amplitude": ("experiment sigma-derivatives\ndirections 4\n"
                   "kernel {\n  family ball\n  amplitude 2\n}\n", 5,
                   "key 'amplitude' in block 'kernel'"),
-    "flow-misspelled": ((CONFIG_DIR / "flow-compare.cfg").read_text(encoding="utf-8")
+    "flow-misspelled": ((CONFIG_DIR / "flow-monitors.cfg").read_text(encoding="utf-8")
                         .replace("  stop_fraction 0.3\n",
                                  "  stop_fraction 0.3\n  stop_fracton 0.5\n"), 20,
                         "key 'stop_fracton' in block 'flow'"),
@@ -904,10 +923,7 @@ BUDGET_CASES = {
     ), "", {"energy", "draws"}),
     "anisotropy": (("experiment sigma-derivatives\ndirections 4\n" + BALL,), "",
                    {"anisotropy"}),
-    "flow": ((
-        "experiment flow-compare\neps 0.2\n" + BALL + FLOW_STEPS,
-        "experiment flow-monitors\neps 0.2\n" + BALL + FLOW_STEPS,
-    ), "", {"flow"}),
+    "flow": (("experiment flow-monitors\neps 0.2\n" + BALL + FLOW_STEPS,), "", {"flow"}),
     "rate": ((
         "experiment bbm-1d\neps 0.1 0.03 0.01\n",
         "experiment bbm-slice\neps 0.4\n" + BALL + "geometry {\n  resolution 24\n}\n",

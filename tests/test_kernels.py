@@ -178,7 +178,7 @@ def test_energy_stencil_is_even_bitwise(case):
 
 @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
 def test_flow_stamp_is_even_bitwise(eps):
-    # the flow-compare / flow-monitors stamp, its offsets rebuilt from the
+    # the flow-monitors stamp, its offsets rebuilt from the
     # whole-cell part (row, col past the pad) and the sub-cell phase
     stamp = flow._build_stamp(kernels.ball_indicator(2), eps, Box.cube(1.0, 64))
     f0 = np.concatenate([np.full(b[-1] - b[0], f) for f, b in stamp.slabs])
