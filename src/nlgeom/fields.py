@@ -53,6 +53,8 @@ class Box:
         object.__setattr__(self, "resolution", res)
         if not len(origin) == len(size) == len(res) == 2:
             raise FieldDomainError("origin/size/resolution must be planar (d = 2)")
+        if not all(map(math.isfinite, origin + size)):
+            raise FieldDomainError("box origin and side lengths must be finite")
         if any(s <= 0 for s in size):
             raise FieldDomainError("box side lengths must be positive")
         if any(n < 4 for n in res):

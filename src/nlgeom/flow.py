@@ -24,10 +24,11 @@ Its ``eps`` picks one of two updates: ``eps=None`` the local one, a given
   padded cells the active cells' stamps can reach.  It takes the stamp's
   sub-cell phases one row phase (a slab) at a time: it builds one table
   per interpolant holding the padded field shifted by the slab's phases,
-  each (stamp offset, active cell) pair of the slab reads its values at a
-  flat table index, and the sum adds one phase's weighted indicators at a
-  time, in the phases' sort order, before the next slab is built.  So the
-  tables take memory in proportion to the refinement, not its square.
+  each stamp offset of the slab gathers its row of values from the tables
+  at the active cells' flat positions, counted from the offset's own
+  entry, and the sum adds one phase's weighted indicators at a time, in
+  the phases' sort order, before the next slab is built.  So the tables
+  take memory in proportion to the refinement, not its square.
   The plateau fallback lives in the tables: where the spread is 0
   the cubic table holds the bilinear value and the spread table the
   smallest normal double, so the clipped quotient is exactly the sign of
@@ -150,8 +151,9 @@ class _Stamp:
     in whole cells: the stencils of an offset with whole-cell part q span
     nodes q - 1 .. q + 2, so it is (1 - min q, max q + 2).  ``grid`` is the
     (n0, n1) grid the stamp was laid out for.  ``scratch`` holds the flat
-    (chi, index, spread) buffers of the stamp sum, large enough for
-    every cell of the grid to be active.  Every step reuses them: allocated
+    (chi, spread) buffers of the stamp sum, large enough for every cell of
+    the grid to be active: chi for the longest phase, spread for one block
+    of ``_BLOCK_PAIRS`` pairs.  Every step reuses them: allocated
     afresh, their new heap pages cost about 7 of the 20 ms of a step at
     eps 0.05 in the flow-monitors run.  So one stamp serves one run of
     steps at a time.
@@ -189,12 +191,7 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
             "singular kernels need eps >= 4 grid cells for a grid-summed flow"
         )
     k_eps = kernels.rescale(kernel, eps)
-    r_hi = k_eps.effective_radius()
-    if r_hi <= 0.5 * float(np.min(h)):
-        raise FlowDomainError(
-            f"rescaled kernel support {r_hi:.3g} lies below half a grid cell "
-            f"({0.5 * float(np.min(h)):.3g}); refine the grid or increase eps"
-        )
+    r_hi = kernels.require_resolved(kernel, eps, h, FlowDomainError)
     raw = _STAMP_SUBCELLS * float(np.max(h)) / r_hi
     refine = 1 if raw <= 1.0 else 2 * math.ceil(0.5 * raw)
     if refine > _MAX_REFINE:
@@ -224,11 +221,10 @@ def _build_stamp(kernel: Kernel, eps: float, box) -> _Stamp:
         stop = g + len(list(phases))
         slabs.append((f, bounds[g:stop + 1]))
         g = stop
-    # the stamp sum's buffers, large enough for any active set and run
+    # the stamp sum's buffers, large enough for any active set and phase
     cols = -(-n0 * n1 // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
     block = max(_BLOCK_PAIRS, cols)
-    scratch = (np.empty(max(block, int(np.max(np.diff(bounds))) * cols)),
-               np.empty(block, dtype=np.int64), np.empty(block))
+    scratch = (np.empty(max(block, int(np.max(np.diff(bounds))) * cols)), np.empty(block))
     pad = tuple((1 - int(q.min()), int(q.max()) + 2) for q in (q0, q1))
     return _Stamp(refine, pad, (n0, n1), f1[order], row, col, weights[order],
                   tuple(slabs), scratch)
@@ -353,7 +349,9 @@ def _phase_tables(values, outside, wf, cells, stamp) -> tuple:
 
 
 # The flow step's working set: pairs (offset, cell) per elementwise pass,
-# sized so a pass's index, value and spread blocks stay in a 2 MB L2.
+# whole offsets of one phase, sized so a pass's value and spread blocks
+# (1 MB together) stay in a 2 MB L2.  Each offset's gathers read the
+# cells' positions, about 20 KB on the 64² circle, which stay in L1.
 _BLOCK_PAIRS = 1 << 16
 # The BLAS matrix-vector kernel sums the last (count mod 4) outputs of a
 # product on a path that rounds differently from its main loop.  Padding
@@ -361,22 +359,6 @@ _BLOCK_PAIRS = 1 << 16
 # the main loop, so each sum equals, bit for bit, the one a product over
 # the whole grid gives when the grid's cell count is a multiple of 16.
 _COLUMN_QUANTUM = 16
-
-
-def _phase_runs(bounds: tuple, rows: int) -> list:
-    """Consecutive phases grouped into runs of at most ``rows`` entries.
-
-    A run is ``(first, stop)`` in phase numbers; a phase longer than
-    ``rows`` makes a run by itself.
-    """
-    runs, g = [], 0
-    while g < len(bounds) - 1:
-        stop = g + 1
-        while stop < len(bounds) - 1 and bounds[stop + 1] - bounds[g] <= rows:
-            stop += 1
-        runs.append((g, stop))
-        g = stop
-    return runs
 
 
 # Variants of the step measured on the 64² circle datum and rejected, all
@@ -408,7 +390,24 @@ def _phase_runs(bounds: tuple, rows: int) -> list:
 #   at t = 10 steps;
 # * splitting the cell columns between two threads: no faster, because on
 #   two threads of a 2-core host ``divide`` runs 2.0 times faster but
-#   ``take``, the index add and ``clip`` only 1.23-1.35 times.
+#   ``take``, the index add and ``clip`` only 1.23-1.35 times;
+# * one (offset, cell) int64 index block per block of pairs, the broadcast
+#   sum of the offsets' entries and the cells' positions, with small
+#   phases grouped into runs of up to a block: the index add alone took
+#   1.5 ms of a 7.9 ms step at eps 0.2, and the sum 7.7-8.2, 8.1-8.7 and
+#   11.0-12.1 ms against 6.6-7.4, 6.9-7.9 and 10.0-10.2 ms for the sum
+#   below at eps 0.2, 0.1 and 0.05 (10 steps in, best of 5 x 20 calls,
+#   interleaved in one process).  Only at eps 0.025, which no config runs,
+#   do the runs pay: its 255 phases hold 1-4 offsets each, each phase
+#   makes its own three elementwise passes, and the step 10 steps in took
+#   16.9 against 16.1 ms (``bench/flow_step.py``, 5 alternating runs);
+# * the whole active box read through one strided view of the tables per
+#   offset, in place of the gathers: 6.7-11.4 against 6.0-10.2 ms per sum
+#   for the index-block gathers above;
+# * one block per phase, with no split inside a phase: 8.8 against 7.3 ms
+#   at eps 0.2 when first measured, since a phase's chi block (2.2 MB at
+#   eps 0.2) outgrows the L2, and within 10% of the split blocks in later
+#   interleaved runs; it also needs a spread buffer as large as a phase.
 def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
     """sum_k weight_k * chi_k at the flat ``cells``, one phase at a time."""
     slabs, entries, at = _phase_tables(values, outside, wf, cells, stamp)
@@ -420,29 +419,29 @@ def _stamp_sum(values, outside, wf, cells, stamp) -> np.ndarray:
     # + 0.0 turns a -0 cell value into +0, so a tie's quotient is +0
     v = values.ravel()[np.concatenate([cells, cells[fill]])] + 0.0
     rows = max(1, _BLOCK_PAIRS // cols)
-    chi, idx, ww = (buf[:len(buf) // cols * cols].reshape(-1, cols) for buf in stamp.scratch)
+    chi, ww = (buf[:len(buf) // cols * cols].reshape(-1, cols) for buf in stamp.scratch)
     hk = np.zeros(cols)
     # a plateau quotient overflows to +-inf once |v - c| >= 4; the clip
     # turns it into the sign all the same
     with np.errstate(over="ignore"):
         for (_, bounds), (cubic, spread) in zip(stamp.slabs, slabs):
-            for first, stop in _phase_runs(bounds, rows):
-                base = bounds[first]
-                for lo in range(base, bounds[stop], rows):
-                    k = min(rows, bounds[stop] - lo)
-                    ix, c, w = idx[:k], chi[lo - base:lo - base + k], ww[:k]
-                    np.add(entries[lo:lo + k, None], at, out=ix)
-                    # the indices are in range: "wrap" only skips a buffered
-                    # check; the ndarray methods skip numpy's Python wrappers
-                    cubic.take(ix, out=c, mode="wrap")
+            cubic, spread = cubic.ravel(), spread.ravel()
+            for first, stop in itertools.pairwise(bounds):
+                for lo in range(first, stop, rows):
+                    hi = min(lo + rows, stop)
+                    c, w = chi[lo - first:hi - first], ww[:hi - lo]
+                    for e, c_row, w_row in zip(entries[lo:hi].tolist(), c, w):
+                        # the offset's row: the tables from its entry on,
+                        # read at the cells' positions, which stay inside
+                        # the table, so "wrap" only skips a buffered check;
+                        # the ndarray methods skip numpy's Python wrappers
+                        cubic[e:].take(at, out=c_row, mode="wrap")
+                        spread[e:].take(at, out=w_row, mode="wrap")
                     np.subtract(v, c, out=c)
-                    spread.take(ix, out=w, mode="wrap")
                     np.divide(c, w, out=c)
                     c.clip(-1.0, 1.0, out=c)
-                for j in range(first, stop):
-                    # np.tensordot(weights, chi, axes=(0, 0)) makes this same call
-                    wts = stamp.weights[None, bounds[j]:bounds[j + 1]]
-                    hk += np.dot(wts, chi[bounds[j] - base:bounds[j + 1] - base])[0]
+                # np.tensordot(weights, chi, axes=(0, 0)) makes this same call
+                hk += np.dot(stamp.weights[None, first:stop], chi[:stop - first])[0]
     return hk[:n]
 
 

@@ -38,9 +38,12 @@ directly or through :func:`zgrid` or :func:`hyperplane_second_moment`.
 the untruncated power law, whose first moment (and so σ, κ and every
 quadrature window) is infinite, and every entry that needs a finite
 kernel reaches it, directly or through :func:`zgrid`,
-:func:`disk_reference` or :func:`hyperplane_second_moment`.  The curvature
-assumptions on a kernel follow from its family and a bounded window, so
-no numeric check of them is made here (see :func:`nlgeom.curvature.h0`).
+:func:`disk_reference` or :func:`hyperplane_second_moment`.
+:func:`require_resolved` is the one check that a grid resolves a rescaled
+kernel, whose support must reach past half a cell; the flow stamp and the
+grid rate energies call it.  The curvature assumptions on a kernel follow
+from its family and a bounded window, so no numeric check of them is made
+here (see :func:`nlgeom.curvature.h0`).
 
 Moments of the indicator and power-law families are closed forms.  A
 custom profile's moment ∫_0^∞ r^q K̄(r) dr uses the same log-Gauss rule
@@ -224,6 +227,19 @@ def require_planar(kernel: Kernel) -> None:
         raise KernelDomainError(
             f"this operation is planar (d = 2); the kernel has d = {kernel.d}"
         )
+
+
+def require_resolved(kernel: Kernel, eps: float, spacing, error: type[Exception]) -> float:
+    """The effective radius of K_eps; raise ``error`` unless it exceeds half
+    the smallest cell of ``spacing``, the least a grid resolves."""
+    r_eff = rescale(kernel, eps).effective_radius()
+    half = 0.5 * float(np.min(spacing))
+    if r_eff <= half:
+        raise error(
+            f"rescaled kernel support {r_eff:.3g} lies below half a grid cell "
+            f"({half:.3g}); refine the grid or increase eps"
+        )
+    return r_eff
 
 
 def evaluate(kernel: Kernel, z) -> np.ndarray:

@@ -618,6 +618,7 @@ def rate_ddim(
     kernels.require_planar(G)
     if eps <= 0:
         raise RateDomainError("eps must be positive")
+    kernels.require_resolved(G, eps, u.spacing, RateDomainError)
     check_constant_ring(u, RateDomainError)
     if np.ptp(u.values) == 0.0:
         # identically the extension constant: every difference vanishes
@@ -742,6 +743,7 @@ def slicing_check(
     kernels.require_planar(G)
     check_constant_ring(u, RateDomainError)
     r_eff = G.effective_radius()
+    kernels.require_resolved(G, eps, u.spacing, RateDomainError)
     rs, ws = kernels.gauss_log_panels(0.25 * r_eff, r_eff, 4.0, 6)
     dirs, wa = kernels.angular_rule(16)
     kv = G.profile_at(rs)

@@ -675,14 +675,18 @@ def test_kernel_without_a_finite_radius_exits_two(tmp_path, capsys, radius, expe
 
 
 # a ball of radius 1e-120: its radius lies below the z-grid's inner radius
-# 1e-6, and its hyperplane second moment (sigma's coefficient and h0's
-# scale) underflows to 0; the experiments that reach either fail in one line
+# 1e-6, its hyperplane second moment (sigma's coefficient and h0's scale)
+# underflows to 0, and at eps 0.1 it spans far less than half a grid cell;
+# the experiments that reach any of these fail in one line
 TINY_MOMENT = "the kernel's hyperplane second moment must be positive, got 0"
+TINY_SUPPORT = "rescaled kernel support 1e-121 lies below half a grid cell"
 TINY_KERNEL_REASONS = {
+    "bbm-slice": TINY_SUPPORT,
     "coarea": "empty radial range [1e-06, 1e-120]",
     "curvature-limit": TINY_MOMENT,
     "halfspace-cell": TINY_MOMENT,
     "perimeter-limit": TINY_MOMENT,
+    "regularity": TINY_SUPPORT,
     "sigma-derivatives": TINY_MOMENT,
     "submodularity": "empty radial range [1e-06, 1e-120]",
 }
@@ -698,6 +702,20 @@ def test_kernel_below_the_quadrature_floor_exits_two(tmp_path, capsys, experimen
     code, err = _main_exit_and_stderr(tmp_path, capsys, text)
     assert code == 2 and err.startswith(f"nlgeom: error: {reason}")
     assert err.count("\n") == 1
+
+
+# a NaN box side passes a "side <= 0" test, and the energy's transform
+# length search then never ends; the box refuses it while the config is read
+@pytest.mark.parametrize("experiment", ["coarea", "submodularity"])
+def test_box_halfwidth_must_be_finite(tmp_path, capsys, experiment):
+    text = (CONFIG_DIR / f"{experiment}.cfg").read_text(encoding="utf-8")
+    text = text.replace("halfwidth 1.0", "halfwidth nan")
+    assert "halfwidth nan" in text
+    cfg = ExperimentConfig.from_text(text)
+    with pytest.raises(FieldDomainError, match="must be finite"):
+        next(cli.EXPERIMENTS[experiment].body(cfg))
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err == "nlgeom: error: box origin and side lengths must be finite\n"
 
 
 # a tolerance no gap can meet, or every gap meets, fails before any numerics

@@ -120,6 +120,20 @@ def test_grid_field_validation(unit_box):
 
 
 @pytest.mark.parametrize("make", [
+    lambda: Box((math.nan, 0.0), (1.0, 1.0), (8, 8)),
+    lambda: Box((0.0, -math.inf), (1.0, 1.0), (8, 8)),
+    lambda: Box((0.0, 0.0), (math.nan, 1.0), (8, 8)),
+    lambda: Box((0.0, 0.0), (1.0, math.inf), (8, 8)),
+    lambda: Box.cube(math.nan, 8),
+    lambda: Box.cube(math.inf, 8),
+], ids=["origin-nan", "origin-inf", "size-nan", "size-inf", "cube-nan", "cube-inf"])
+def test_box_is_finite(make):
+    # a NaN side passes a "side <= 0" test, and a grid on it never ends
+    with pytest.raises(FieldDomainError, match="must be finite"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
     lambda: Box((0.0,), (1.0,), (8,)),
     lambda: Box((0.0,) * 3, (1.0,) * 3, (8,) * 3),
     lambda: Ball((0.0, 0.0, 0.0), 0.5),

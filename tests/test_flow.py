@@ -431,14 +431,45 @@ def test_phase_tables_read_the_reference_shifts(eps):
     assert np.any(P[rows, cj.min()] != P[rows, cj.max() + sum(stamp.pad[1])])
 
 
+def _gather_data():
+    """The circle, off-centre circle and nonsquare-box data of the bitwise
+    step tests."""
+    circle = shrinking_circle_datum(Box.cube(1.0, 64), 0.5, band=0.28)
+    box = Box.cube(1.0, 40)
+    cc = box.centers()
+    vals = np.clip(0.35 - np.hypot(cc[..., 0] - 0.6, cc[..., 1] - 0.15), -0.28, 0.28)
+    nonsquare = Box((-1.0, -0.75), (2.0, 1.5), (64, 40))
+    return {"circle": circle, "offcentre": GridField(box, vals, "level-set", -0.28),
+            "nonsquare": shrinking_circle_datum(nonsquare, 0.4, band=0.28)}
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+@pytest.mark.parametrize("datum", ["circle", "offcentre", "nonsquare"])
+def test_offset_gathers_stay_inside_their_tables(datum, eps):
+    # the step gathers offset k's row from its slab's tables, starting at
+    # entries[k], at the cells' positions at, with mode="wrap": no wrap
+    # happens only if entries[k] + at.max() lies inside the table
+    f = _gather_data()[datum]
+    h = f.box.spacing
+    cells, gx, gy = _active_cells(f.values, f.outside, h)
+    stamp = _build_stamp(BALL, eps, f.box)
+    wf = 0.5 * (np.abs(gx) * h[0] + np.abs(gy) * h[1]) / stamp.refine
+    slabs, entries, at = flow._phase_tables(f.values, f.outside, wf, cells, stamp)
+    assert at.min() >= 0
+    for (_, bounds), tables in zip(stamp.slabs, slabs):
+        k = entries[bounds[0]:bounds[-1]]
+        for table in tables:
+            assert k.min() >= 0 and k.max() + at.max() < table.size
+
+
 @pytest.mark.parametrize("eps", [0.2, 0.1])
 def test_every_pair_indicator_matches_the_reference(eps):
-    # with 21 active cells one phase run holds a whole slab, so after a
-    # step with a stamp cut down to one slab, the stamp's chi buffer holds
-    # every indicator of that slab's pairs: compare them, slab by slab,
-    # with the reference's, the sign of a zero included.  The field's zeros
-    # and the outside are -0, and its active zeros tie with +0 plateau
-    # values; a tie counts +0, as the reference's np.sign gives
+    # after a step with a stamp cut down to one phase, the stamp's chi
+    # buffer holds every indicator of that phase's pairs: compare them,
+    # phase by phase, with the reference's, the sign of a zero included.
+    # The field's zeros and the outside are -0, and its active zeros tie
+    # with +0 plateau values; a tie counts +0, as the reference's np.sign
+    # gives
     box = Box.cube(1.0, 40)
     vals = np.full(box.resolution, -0.0)
     vals[18:21, 18:21] = np.arange(1.0, 10.0).reshape(3, 3) / 32.0
@@ -448,13 +479,12 @@ def test_every_pair_indicator_matches_the_reference(eps):
     stamp = _build_stamp(BALL, eps, box)
     cols = -(-len(cells) // flow._COLUMN_QUANTUM) * flow._COLUMN_QUANTUM
     chi = np.empty((len(stamp.weights), len(cells)))
-    for slab in stamp.slabs:
-        bounds = slab[1]
-        assert len(flow._phase_runs(bounds, flow._BLOCK_PAIRS // cols)) == 1
-        one = dataclasses.replace(stamp, slabs=(slab,))
-        _step_nonlocal_values(vals, -0.0, h, one, eps, 1e-4, floor)
-        run = one.scratch[0][:(bounds[-1] - bounds[0]) * cols].reshape(-1, cols)
-        chi[bounds[0]:bounds[-1]] = run[:, :len(cells)]
+    for f0, bounds in stamp.slabs:
+        for first, stop in zip(bounds, bounds[1:]):
+            one = dataclasses.replace(stamp, slabs=((f0, (first, stop)),))
+            _step_nonlocal_values(vals, -0.0, h, one, eps, 1e-4, floor)
+            phase = one.scratch[0][:(stop - first) * cols].reshape(-1, cols)
+            chi[first:stop] = phase[:, :len(cells)]
     assert len(stamp.slabs) == stamp.refine > 1
 
     wf = 0.5 * (np.abs(gx) * h[0] + np.abs(gy) * h[1]) / stamp.refine
