@@ -245,8 +245,8 @@ class ExperimentConfig:
         eps = root.float_("eps", None, n=None) if spec.eps else ()
         if eps is None:
             raise ConfigValueError(f"experiment {name!r} needs an 'eps' list")
-        if any(e <= 0.0 for e in eps):
-            raise ConfigValueError("eps values must be positive")
+        if not all(0.0 < e < math.inf for e in eps):  # NaN fails too
+            raise ConfigValueError("eps values must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigValueError("eps list must be strictly decreasing")
         seed = root.int_("seed", 0) if spec.seed else 0
@@ -482,6 +482,8 @@ def _profile_from(block: _Section, eps_min: float) -> rate.Profile1D:
 
     block.only("family", "parabola")
     interval = block.float_("interval", (-1.0, 1.0), n=2)
+    if not all(map(math.isfinite, interval)):
+        raise ConfigValueError(f"profile interval must be finite, got {interval}")
     span = interval[1] - interval[0]
     auto = max(1601, 1 + math.ceil(8.0 * span / eps_min))
     return rate.Profile1D.from_function(
@@ -513,6 +515,10 @@ def _exp_perimeter_limit(cfg: ExperimentConfig):
     eps = cfg.eps
     yield
     limit = energy.limit_tv(shape, window, kern)
+    if limit == 0.0:
+        raise ConfigValueError(
+            "no boundary sample of the disk lies in the window, so the limit is 0 "
+            "and no relative gap exists; move the disk or widen window_radius")
     breakdowns = [energy.perimeter_k(shape, window, kernels.rescale(kern, e), grid)
                   for e in eps]
     rows = [_gap_row(e, bd.total / e, limit, abs(limit))

@@ -204,10 +204,12 @@ class Ball(Shape):
         c = tuple(float(v) for v in np.atleast_1d(self.center))
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise FieldDomainError("ball radius must be positive")
         if len(c) != 2:
             raise FieldDomainError("ball center must be planar (d = 2)")
+        if not all(map(math.isfinite, c + (self.radius,))):
+            raise FieldDomainError("ball center and radius must be finite")
+        if self.radius <= 0:
+            raise FieldDomainError("ball radius must be positive")
 
     def phi(self, x):
         x = np.asarray(x, dtype=float)

@@ -40,8 +40,10 @@ quadrature window) is infinite, and every entry that needs a finite
 kernel reaches it, directly or through :func:`zgrid`,
 :func:`disk_reference` or :func:`hyperplane_second_moment`.
 :func:`require_resolved` is the one check that a grid resolves a rescaled
-kernel, whose support must reach past half a cell; the flow stamp and the
-grid rate energies call it.  The curvature assumptions on a kernel follow
+kernel, whose support must reach past half a cell, and :func:`require_held`
+the one check that a grid holds it, its support at most the box's shorter
+side; the flow stamp and the grid rate energies call both, and the energy
+stencil the second.  The curvature assumptions on a kernel follow
 from its family and a bounded window, so no numeric check of them is made
 here (see :func:`nlgeom.curvature.h0`).
 
@@ -238,6 +240,20 @@ def require_resolved(kernel: Kernel, eps: float, spacing, error: type[Exception]
         raise error(
             f"rescaled kernel support {r_eff:.3g} lies below half a grid cell "
             f"({half:.3g}); refine the grid or increase eps"
+        )
+    return r_eff
+
+
+def require_held(kernel: Kernel, eps: float, size, error: type[Exception]) -> float:
+    """The effective radius of K_eps; raise ``error`` unless it is at most
+    the shorter side of a box of this ``size``, so padding the box by the
+    kernel's reach at most triples it per axis."""
+    r_eff = rescale(kernel, eps).effective_radius()
+    side = float(np.min(size))
+    if not r_eff <= side:
+        raise error(
+            f"rescaled kernel support {r_eff:.3g} exceeds the grid's shorter side "
+            f"({side:.3g}); enlarge the grid or decrease eps"
         )
     return r_eff
 
@@ -446,7 +462,6 @@ class Moment:
 def _radial_moment(kernel: Kernel, q: float) -> Moment:
     """∫_0^∞ r^q K̄(r) dr for the scaled profile, with divergence detection."""
     k = kernel
-    pref = k.scale ** (q + 1 - k.d)
     # origin/tail convergence from the family exponents; a profile is
     # nonzero at the origin, like r**(-origin_exponent), unless an
     # indicator's r0 cuts it off
@@ -456,14 +471,21 @@ def _radial_moment(kernel: Kernel, q: float) -> Moment:
     if not math.isfinite(k.r1) and q - (k.d + k.sigma) >= -1.0:
         return Moment(math.inf, False)
     fam = k.family
-    if fam == "indicator":
-        val = (k.r1 ** (q + 1) - k.r0 ** (q + 1)) / (q + 1)
-        return Moment(pref * val, True, abs(pref * val) * 1e-15)
-    if fam == "fractional-truncated":
-        a = q - k.d - k.sigma
-        # reaching here means both endpoints converge, so r1 is finite
-        val = k.r1 ** (a + 1) / (a + 1)
-        return Moment(pref * val, True, abs(pref * val) * 1e-15)
+    if fam in ("indicator", "fractional-truncated"):
+        try:  # Python's float power raises where a product turns inf
+            pref = k.scale ** (q + 1 - k.d)
+            if fam == "indicator":
+                val = pref * ((k.r1 ** (q + 1) - k.r0 ** (q + 1)) / (q + 1))
+            else:  # both endpoints converge, so r1 is finite
+                a = q - k.d - k.sigma
+                val = pref * (k.r1 ** (a + 1) / (a + 1))
+        except OverflowError:
+            val = math.inf
+        if not math.isfinite(val):
+            raise KernelDomainError(
+                f"the kernel's radial moment of order {q:g} overflows; "
+                "give it a smaller radius")
+        return Moment(val, True, abs(val) * 1e-15)
     # custom: the scaled profile on the radial rule from rmin plus one Gauss
     # panel on [0, rmin], at each order (see the module docstring)
     r_lo = k.quadrature_rmin()

@@ -619,6 +619,7 @@ def rate_ddim(
     if eps <= 0:
         raise RateDomainError("eps must be positive")
     kernels.require_resolved(G, eps, u.spacing, RateDomainError)
+    kernels.require_held(G, eps, u.box.size, RateDomainError)
     check_constant_ring(u, RateDomainError)
     if np.ptp(u.values) == 0.0:
         # identically the extension constant: every difference vanishes
@@ -744,6 +745,7 @@ def slicing_check(
     check_constant_ring(u, RateDomainError)
     r_eff = G.effective_radius()
     kernels.require_resolved(G, eps, u.spacing, RateDomainError)
+    kernels.require_held(G, eps, u.box.size, RateDomainError)
     rs, ws = kernels.gauss_log_panels(0.25 * r_eff, r_eff, 4.0, 6)
     dirs, wa = kernels.angular_rule(16)
     kv = G.profile_at(rs)

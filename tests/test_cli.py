@@ -718,6 +718,61 @@ def test_box_halfwidth_must_be_finite(tmp_path, capsys, experiment):
     assert code == 2 and err == "nlgeom: error: box origin and side lengths must be finite\n"
 
 
+# shipped-config edits from bench/config_probe.py that once ended in a
+# traceback or ran on for seconds, plus box sides so small that the
+# kernel's reach spans billions of cells: (config, block, key, value),
+# every value on the key's line replaced
+PROBE_EDITS = [
+    ("bbm-1d", None, "eps", "nan"),
+    ("bbm-1d", "profile", "interval", "nan"),
+    ("bbm-slice", None, "eps", "1e300"),
+    ("effective-kernel", "kernel", "r1", "1e300"),
+    ("perimeter-limit", "kernel", "radius", "1e300"),
+    ("perimeter-limit", "geometry", "center", "nan"),
+    ("perimeter-limit", "geometry", "center", "1e300"),
+    ("perimeter-limit", "geometry", "radius", "nan"),
+    ("perimeter-limit", "geometry", "radius", "1e300"),
+    ("perimeter-limit", "geometry", "window_radius", "nan"),
+    ("perimeter-limit", "geometry", "window_radius", "1e-300"),
+    ("coarea", "kernel", "radius", "1e300"),
+    ("coarea", "geometry", "halfwidth", "1e-300"),
+    ("curvature-limit", "geometry", "center", "nan"),
+    ("curvature-limit", "geometry", "radius", "nan"),
+    ("perimeter-limit", "geometry", "halfwidth", "1e-300"),
+    ("submodularity", "kernel", "radius", "1e300"),
+    ("submodularity", "geometry", "halfwidth", "1e-300"),
+    ("coarea", "geometry", "halfwidth", "1e-9"),
+    ("submodularity", "geometry", "halfwidth", "1e-9"),
+    ("perimeter-limit", "geometry", "halfwidth", "1e-9"),
+]
+
+
+def _with_value(experiment, block, key, value):
+    """The shipped config of ``experiment``, each value of ``key`` in
+    ``block`` (None: the top level) replaced by ``value``."""
+    lines = (CONFIG_DIR / f"{experiment}.cfg").read_text(encoding="utf-8").splitlines()
+    current, hits = None, 0
+    for i, line in enumerate(lines):
+        words = line.split()
+        if words[-1:] == ["{"]:
+            current = words[0]
+        elif words == ["}"]:
+            current = None
+        elif words[:1] == [key] and current == block:
+            lines[i] = " ".join([key] + [value] * (len(words) - 1))
+            hits += 1
+    assert hits == 1
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("experiment, block, key, value", PROBE_EDITS,
+                         ids=lambda v: str(v))
+def test_probe_edits_exit_two(tmp_path, capsys, experiment, block, key, value):
+    text = _with_value(experiment, block, key, value)
+    code, err = _main_exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2 and err.startswith("nlgeom: error:") and err.count("\n") == 1
+
+
 # a tolerance no gap can meet, or every gap meets, fails before any numerics
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):

@@ -395,6 +395,15 @@ def test_empty_stencil_gives_zero():
     assert _tv_total(rasterize(disk, grid), None, tiny) == 0.0
 
 
+def test_stencil_wider_than_the_grid_is_a_domain_error():
+    # the kernel's reach may equal the grid's shorter side, not exceed it
+    grid = Box((-1.0, -0.5), (2.0, 1.0), (32, 16))
+    disk = Ball((0.0, 0.0), 0.25)
+    assert energy.perimeter_k(disk, None, kernels.ball_indicator(2, 1.0), grid).total > 0.0
+    with pytest.raises(EnergyDomainError, match="exceeds the grid's shorter side"):
+        energy.perimeter_k(disk, None, kernels.ball_indicator(2, 1.0 + 1e-12), grid)
+
+
 def test_phase_field_takes_sweep_path(monkeypatch):
     grid = Box.cube(1.0, 64)
     cc = grid.centers()

@@ -126,9 +126,14 @@ def test_grid_field_validation(unit_box):
     lambda: Box((0.0, 0.0), (1.0, math.inf), (8, 8)),
     lambda: Box.cube(math.nan, 8),
     lambda: Box.cube(math.inf, 8),
-], ids=["origin-nan", "origin-inf", "size-nan", "size-inf", "cube-nan", "cube-inf"])
+    lambda: Ball((math.nan, 0.0), 0.5),
+    lambda: Ball((0.0, math.inf), 0.5),
+    lambda: Ball((0.0, 0.0), math.nan),
+], ids=["origin-nan", "origin-inf", "size-nan", "size-inf", "cube-nan", "cube-inf",
+        "ball-center-nan", "ball-center-inf", "ball-radius-nan"])
 def test_box_is_finite(make):
-    # a NaN side passes a "side <= 0" test, and a grid on it never ends
+    # a NaN side passes a "side <= 0" test, and a grid on it never ends; a
+    # NaN disk radius passes "radius <= 0" too, and no window holds the disk
     with pytest.raises(FieldDomainError, match="must be finite"):
         make()
 

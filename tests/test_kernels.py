@@ -48,6 +48,15 @@ def test_ball_moments_diverge_at_the_origin():
     assert kernels.absolute_moment(kernels.annulus_indicator(2, 0.5, 1.0), -2.5).finite
 
 
+@pytest.mark.parametrize("kernel", [kernels.ball_indicator(2, 1e300),
+                                    kernels.annulus_indicator(2, 0.2, 1e300)],
+                         ids=["ball", "annulus"])
+def test_overflowing_moment_is_a_domain_error(kernel):
+    # 1e300 ** 3 overflows: Python's float power raises OverflowError
+    with pytest.raises(kernels.KernelDomainError, match="overflows"):
+        kernels.hyperplane_second_moment(kernel)
+
+
 def test_ball_indicator_3d_moments():
     k = kernels.ball_indicator(3)
     assert kernels.absolute_moment(k, 0.0).value == pytest.approx(4 * math.pi / 3, rel=1e-12)
