@@ -154,18 +154,19 @@ def _sweep_pair_counts(u: np.ndarray, outside: float, omega: np.ndarray,
                        offsets) -> tuple[np.ndarray, np.ndarray]:
     """Per-offset J1 and J2 overlap sums, one full-grid sweep per offset.
 
-    u is padded once with ``outside`` and omega once with 0, by the reach
-    r = max|o|, so the field shifted by o is the window of the padded one
-    that starts at r + o.
+    u is padded once with ``outside`` and omega once with 0, each axis by
+    its own reach r = max|o| along it, so the field shifted by o is the
+    window of the padded one that starts at r + o.
     """
-    (nx, ny), r = u.shape, int(np.abs(offsets).max(initial=0))
-    u_pad = np.pad(u, r, constant_values=outside)
+    (nx, ny), (rx, ry) = u.shape, np.abs(offsets).max(axis=0, initial=0)
+    pad = ((rx, rx), (ry, ry))
+    u_pad = np.pad(u, pad, constant_values=outside)
     om = omega.astype(float)
-    om_pad = np.pad(om, r)
+    om_pad = np.pad(om, pad)
     n1 = np.empty(len(offsets))
     n2 = np.empty(len(offsets))
     for i, (ox, oy) in enumerate(offsets):
-        win = np.s_[r + ox:r + ox + nx, r + oy:r + oy + ny]
+        win = np.s_[rx + ox:rx + ox + nx, ry + oy:ry + oy + ny]
         om_s = om_pad[win]
         inner = np.abs(u_pad[win] - u) * om
         n1[i] = np.sum(inner * om_s)

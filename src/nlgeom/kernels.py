@@ -244,10 +244,10 @@ def require_resolved(kernel: Kernel, eps: float, spacing, error: type[Exception]
     return r_eff
 
 
-def require_held(kernel: Kernel, eps: float, size, error: type[Exception]) -> float:
-    """The effective radius of K_eps; raise ``error`` unless it is at most
-    the shorter side of a box of this ``size``, so padding the box by the
-    kernel's reach at most triples it per axis."""
+def require_held(kernel: Kernel, eps: float, size, error: type[Exception]) -> None:
+    """Raise ``error`` unless the effective radius of K_eps is at most the
+    shorter side of a box of this ``size``, so padding each axis of the box
+    by the kernel's reach along it at most triples that axis."""
     r_eff = rescale(kernel, eps).effective_radius()
     side = float(np.min(size))
     if not r_eff <= side:
@@ -255,7 +255,6 @@ def require_held(kernel: Kernel, eps: float, size, error: type[Exception]) -> fl
             f"rescaled kernel support {r_eff:.3g} exceeds the grid's shorter side "
             f"({side:.3g}); enlarge the grid or decrease eps"
         )
-    return r_eff
 
 
 def evaluate(kernel: Kernel, z) -> np.ndarray:

@@ -613,7 +613,9 @@ def rate_ddim(
     the slope through a tiny symmetric probe -- so their discretization
     errors cancel in the difference instead of swamping the O(eps^2) defect.
     The field must agree with its constant extension on the window boundary
-    so all differences vanish far away.  G must be planar, as the field is.
+    so all differences vanish far away.  G must be planar, as the field is,
+    and K_eps must fit the box (``kernels.require_held``), since the
+    spline's pad grows by 2 eps r_eff per side (see :func:`slicing_check`).
     """
     kernels.require_planar(G)
     if eps <= 0:
@@ -729,8 +731,13 @@ def slicing_check(
     + delta, with R the farthest line sample from the box center and s
     the shorter box side: the lines reach R - s/2 past the box, and the
     direct side's lattice, widened by eps r_eff and shifted by up to
-    eps r_eff, reaches 2 eps r_eff, farther on a box small next to the
-    kernel.  The probes add delta.
+    eps r_eff, reaches 2 eps r_eff, the farther once eps r_eff passes
+    about s/4.  The probes add delta.  Both grow with eps r_eff / h cells
+    per side and nothing else bounds them: a kernel ten times the box's
+    side would widen the lattice to over 400 times its cells, and at
+    eps r_eff = 1e30 the pad overflows numpy's index type.  So
+    ``kernels.require_held`` bounds eps r_eff by s, which keeps the
+    kernel's share of the pad at most 2 s per side.
 
     The lines of a direction stream in blocks of ``_ROW_BLOCK``.  Each
     block's points, its two probe samplings and its 1D energies go to

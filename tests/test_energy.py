@@ -342,6 +342,23 @@ def test_fft_counts_match_sweep_and_brute_force(outside):
         assert j2 == pytest.approx(b2, rel=1e-12)
 
 
+def test_sweep_matches_brute_force_on_an_anisotropic_grid():
+    # cells twice as wide in x as in y: the stencil reaches 2 cells along x
+    # and 4 (the whole y axis) along y, and each axis is padded by its own
+    grid = Box((0.0, 0.0), (1.0, 0.25), (8, 4))
+    offsets, weights = kernels.lattice_stencil(kernels.ball_indicator(2, 0.25),
+                                               grid.spacing)
+    assert tuple(np.abs(offsets).max(axis=0)) == (2, 4)
+    cell = float(np.prod(grid.spacing))
+    rng = np.random.default_rng(3)
+    u = rng.random((8, 4))
+    omega = rng.random((8, 4)) < 0.6
+    j1, j2 = energy._tv_terms(u, 0.3, omega, offsets, weights, grid)
+    b1, b2 = _brute_tv(u, 0.3, omega, offsets, weights, cell)
+    assert j1 == pytest.approx(b1, rel=1e-12)
+    assert j2 == pytest.approx(b2, rel=1e-12)
+
+
 def test_fft_pair_counts_hold_at_most_four_and_a_half_spectra():
     # halfspace-cell's 256^2 grid and window at eps 0.2: with every spectrum
     # a fresh array, one call peaked at 6.6 spectra of the padded size
