@@ -66,18 +66,17 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     kernel = kernels.ball_indicator(d=2)
-    pot = rate.Potential.quadratic()
     print("call           cells  eps    dirs  value               median_ms  q1_ms     q3_ms"
           "     minflt   peak_mb")
     u = _bump(64)
     for n_angular in (16, 32):
         for eps in (0.1, 0.05):
             _print("rate_ddim", 64, eps, n_angular, *_time(
-                lambda: rate.rate_ddim(u, kernel, pot, eps, n_angular).e_eps, args.repeats))
+                lambda: rate.rate_ddim(u, kernel, eps, n_angular).e_eps, args.repeats))
     for cells in (64, 96, 128):
         u = _bump(cells)
         _print("slicing_check", cells, 0.1, 16, *_time(
-            lambda: rate.slicing_check(u, kernel, pot, 0.1).direct, args.repeats))
+            lambda: rate.slicing_check(u, kernel, 0.1).direct, args.repeats))
 
 
 if __name__ == "__main__":

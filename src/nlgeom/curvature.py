@@ -213,7 +213,9 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     asymmetry wedge survives.  The tail below the last level is extrapolated
     geometrically from the last three level increments; a non-decaying
     increment sequence sets the divergence flag instead of pretending
-    convergence.
+    convergence.  A profile that is not finite on a shell (a power law
+    truncated so close to 0 that it overflows there) raises
+    ``CurvatureDomainError``.
     """
     kernels.require_planar(kernel)
     x = np.asarray(x, dtype=float)
@@ -228,7 +230,11 @@ def hk_pv(E: Shape, x, kernel: Kernel) -> CurvatureValue:
     for _ in range(8):
         r_lo = r_hi * 0.5
         rs, ws = kernels.radial_rule(kernel, r_lo, r_hi)
-        kv = kernel.profile_at(rs)
+        with np.errstate(over="ignore"):  # a power law overflows on tiny shells
+            kv = kernel.profile_at(rs)
+        if not np.all(np.isfinite(kv)):
+            raise CurvatureDomainError(
+                f"the kernel's profile is not finite on the shell [{r_lo:.3g}, {r_hi:.3g}]")
         live = kv != 0.0
         shells.append((rs[live], ws[live], kv[live]))
         r_hi = r_lo

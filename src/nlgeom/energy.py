@@ -288,19 +288,18 @@ class Submodularity(NamedTuple):
     scale: float  # Per(E) + Per(F)
 
 
-def submodularity_check(E: Shape, F: Shape, omega: Shape | None,
-                        kernel: Kernel, grid: Box) -> Submodularity:
+def submodularity_check(E: Shape, F: Shape, kernel: Kernel, grid: Box) -> Submodularity:
     """Per(E) + Per(F) - Per(E and F) - Per(E or F); claimed >= -1e-9 scale.
 
     All four perimeters share one rasterization pass and one stencil, so the
     lattice identity min+max = sum holds cell by cell and the slack is
     nonnegative up to floating-point roundoff.  The scale Per(E) + Per(F)
-    comes along; each perimeter equals ``perimeter_k(...).total`` bit for
-    bit.
+    comes along; each perimeter equals ``perimeter_k(E, None, kernel,
+    grid).total`` bit for bit: no window, every cell counts.
     """
     chi_e = rasterize(E, grid).values
     chi_f = rasterize(F, grid).values
-    om = _omega_mask(omega, grid)
+    om = _omega_mask(None, grid)
     offsets, weights = _stencil(kernel, grid)
     out = []
     for vals in (chi_e, chi_f, np.minimum(chi_e, chi_f), np.maximum(chi_e, chi_f)):

@@ -1,11 +1,12 @@
 """Second-order rate energies for nonlocal-to-local approximation.
 
-For a convex potential f, the defect between a local energy built from
-slopes and its nonlocal counterpart built from averaged difference
-quotients is nonnegative and of order eps^2.  This module computes the
-rescaled defect (the rate energy), its local limit density f''(u)|u'|^2/24,
-a triangular-window lower bound, and the planar grid versions coupled to
-an even interaction kernel, together with the slice decomposition that
+For the quadratic potential f(t) = t^2, the p = 2 case of Bourgain,
+Brezis and Mironescu, the defect between a local energy built from slopes
+and its nonlocal counterpart built from averaged difference quotients is
+nonnegative and of order eps^2.  This module computes the rescaled defect
+(the rate energy), its local limit density f''|u'|^2/24 = |u'|^2/12, a
+triangular-window lower bound, and the planar grid versions coupled to an
+even interaction kernel, together with the slice decomposition that
 reduces the planar rate to a family of 1D ones.  The effective kernel of
 the window average is radial and holds in d = 2 and d = 3.
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,43 +55,7 @@ class RateDomainError(DomainError):
 
 
 # ---------------------------------------------------------------------------
-# potentials and 1D profiles
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Convex integrand together with its curvature data.
-
-    ``alpha`` is a lower bound for f'' (0 when unknown), ``c`` an upper
-    bound (None when f'' is unbounded); both are used by the bound
-    operations, not by the energies themselves.
-    """
-
-    f: Callable[[np.ndarray], np.ndarray]
-    d2f: Callable[[np.ndarray], np.ndarray]
-    alpha: float = 0.0
-    c: float | None = None
-
-    def __post_init__(self):
-        if abs(float(self.f(0.0))) > 1e-12:
-            raise RateDomainError("potential must vanish at 0")
-        if abs(float(self.f(1e-6))) > 1e-11:
-            raise RateDomainError("potential must have zero slope at 0")
-        t = np.linspace(0.0, 2.0, 9)
-        curv = np.asarray(self.d2f(t), dtype=float)
-        if self.alpha > 0 and np.any(curv < self.alpha - 1e-9):
-            raise RateDomainError("f'' drops below the declared convexity constant")
-        if self.c is not None and np.any(curv > self.c + 1e-9):
-            raise RateDomainError("f'' exceeds the declared upper bound")
-
-    @staticmethod
-    def quadratic() -> "Potential":
-        return Potential(
-            f=lambda t: np.square(t),
-            d2f=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
-            alpha=2.0,
-            c=2.0,
-        )
+# 1D profiles
 
 
 class Profile1D:
@@ -175,13 +140,6 @@ def _simpson(y: np.ndarray, dx: float, halves: np.ndarray) -> np.ndarray:
     return result
 
 
-# most doubles in one ``f.f`` result of ``_RowRates``: glibc's default mmap
-# threshold, 128 KiB, so the result comes back from the heap on every call;
-# a whole 8-line block's (275 KB on bbm-slice) is mapped and faulted afresh
-# (fresh bbm-slice runs: 64.9k minor faults against 5.8k)
-_F_VALUES = 1 << 14
-
-
 class _RowRates:
     """Rate energies of blocks of profile rows sharing one grid, one row per width.
 
@@ -190,7 +148,7 @@ class _RowRates:
     The samples x = a - eps + i h/2 then resolve both the eps-scale
     undulation of the window average and the sub-eps kinks of the
     interpolant itself; sampling only at the profile nodes inflates
-    int f(u) by (dx^2/6) int |u'|^2, which the eps^{-2} normalization then
+    int u^2 by (dx^2/6) int |u'|^2, which the eps^{-2} normalization then
     amplifies into a visible bias.
 
     The samples sit one constant fraction past the half-cell nodes
@@ -204,10 +162,10 @@ class _RowRates:
     the per-width sample grid (count, start, phase and the range inside
     [a, b]) is set up here, and a call fills buffers the object owns: the
     three half-node arrays, u(x) stacked on the window slopes, a term
-    buffer and Simpson's pair sums.  ``f.f`` runs per width on the stacked
-    pairs of as many rows as keep its result, the one array a call
-    allocates, within ``_F_VALUES`` doubles (3 rows, 103 KB, on bbm-slice's
-    lines).  An object serves one thread at a time.
+    buffer and Simpson's pair sums.  Per width, the stacked pair is squared
+    in place and its difference goes to the term buffer, so a call
+    allocates nothing of the block's size.  An object serves one thread at
+    a time.
     """
 
     def __init__(self, lines: int, n: int, a: float, h: float, widths):
@@ -224,14 +182,13 @@ class _RowRates:
             self._widths.append((eps, len(xs), pad + math.floor(t), t - math.floor(t),
                                  inside[0], inside[-1] + 1))
         longest = max(k for _, k, *_ in self._widths)
-        self._f_lines = max(1, _F_VALUES // (2 * longest))
         self._vals, self._integ, self._half_slope = (
             np.zeros((lines, nodes + 2 * pad)) for _ in range(3))
         self._window = np.empty((2, lines, longest))  # u(x), then the window slopes
         self._term = np.empty((lines, longest))
         self._halves = np.empty((lines, longest // 2))
 
-    def __call__(self, rows: np.ndarray, f: Potential, out: np.ndarray) -> np.ndarray:
+    def __call__(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill ``out[j, i]`` with the energy of ``rows[i]`` at width j; return it."""
         m, n = rows.shape
         h, dx, pad, nodes = self._h, self._dx, self._pad, self._nodes
@@ -274,27 +231,26 @@ class _RowRates:
             u_x += np.multiply(vals[:, nxt], phase, out=term)
             u_x[:, :lo] = 0.0
             u_x[:, hi:] = 0.0
-            for i in range(0, m, self._f_lines):
-                values = f.f(both[:, i:i + self._f_lines])
-                np.subtract(values[0], values[1], out=term[i:i + self._f_lines])
+            np.square(both, out=both)
+            np.subtract(u_x, slope, out=term)
             out[j] = _simpson(term, dx, self._halves[:m]) / (eps * eps)
         return out
 
 
-def _e1d_rows(rows: np.ndarray, a: float, h: float, f: Potential, widths) -> np.ndarray:
+def _e1d_rows(rows: np.ndarray, a: float, h: float, widths) -> np.ndarray:
     """Rate energies of profile rows on one grid, one result row per width.
 
     One ``_RowRates`` call with buffers of its own for these rows; its
     half-node arrays are padded by ceil(max eps / (h/2)) + 4 half-cells.
     """
-    return _RowRates(*rows.shape, a, h, widths)(rows, f, np.empty((len(widths), len(rows))))
+    return _RowRates(*rows.shape, a, h, widths)(rows, np.empty((len(widths), len(rows))))
 
 
-def e1d(u: Profile1D, f: Potential, eps: float) -> float:
-    """Rescaled defect between f of the profile and f of its window averages.
+def e1d(u: Profile1D, eps: float) -> float:
+    """Rescaled defect between the squared profile and its squared window averages.
 
-    Nonnegative for convex f by Jensen's inequality; second-order accurate,
-    hence the eps^{-2} normalization converges.
+    Nonnegative by Jensen's inequality; second-order accurate, hence the
+    eps^{-2} normalization converges.
     """
     if eps <= 0:
         raise RateDomainError("window width must be positive")
@@ -302,11 +258,11 @@ def e1d(u: Profile1D, f: Potential, eps: float) -> float:
         raise RateDomainError(
             f"profile spacing {u.spacing:.3g} too coarse for eps={eps:.3g}; need <= eps/8"
         )
-    return float(_e1d_rows(u.values[None, :], u.interval[0], u.spacing, f, [eps])[0, 0])
+    return float(_e1d_rows(u.values[None, :], u.interval[0], u.spacing, [eps])[0, 0])
 
 
-def e1d_limit(u: Profile1D, f: Potential) -> float:
-    """Pointwise limit density: (1/24) integral of f''(u) |u'|^2.
+def e1d_limit(u: Profile1D) -> float:
+    """Pointwise limit density: (1/24) integral of f'' |u'|^2, f'' = 2.
 
     Returns inf when the discrete derivative energy keeps growing under
     coarsening reversal (profile not in H^1, e.g. a step).
@@ -316,18 +272,16 @@ def e1d_limit(u: Profile1D, f: Potential) -> float:
     if e_fine > 1e-12 and e_fine > 1.9 * e_mid:
         return math.inf
     v = u.derivative_values()
-    dens = f.d2f(u.values) * v * v
+    dens = 2.0 * v * v
     return float(np.trapezoid(dens, dx=u.spacing)) / 24.0
 
 
-def e1d_lower_bound(u: Profile1D, f: Potential, eps: float) -> float:
+def e1d_lower_bound(u: Profile1D, eps: float) -> float:
     """Triangular-window lower bound (alpha/4) iint H_eps(r) ((u(y+r)-u(y))/eps)^2.
 
     H is the unit triangle (1-|r|)+ scaled to a probability density of width
-    eps; requires a positive convexity constant on the potential.
+    eps, and alpha = inf f'' = 2 is the convexity constant of f(t) = t^2.
     """
-    if f.alpha <= 0:
-        raise RateDomainError("lower bound needs a potential with alpha > 0")
     if eps <= 0:
         raise RateDomainError("window width must be positive")
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
@@ -345,7 +299,7 @@ def e1d_lower_bound(u: Profile1D, f: Potential, eps: float) -> float:
     for r, w, hv in zip(r_nodes, r_w, h_vals):
         diff = (u.at(ys + r) - u_y) / eps
         acc += w * hv * np.trapezoid(diff * diff, dx=dy)
-    return 0.25 * f.alpha * float(acc)
+    return 0.5 * float(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +554,18 @@ def _x_quadrature(u: GridField):
 def rate_ddim(
     u: GridField,
     G: Kernel,
-    f: Potential,
     eps: float,
     n_angular=None,
 ) -> RateValue:
     """Kernel-weighted rate energy on a grid field.
 
-    F_eps integrates f of the averaged difference quotient |u(x+eps z)-u(x)|
+    F_eps integrates the squared difference quotient (u(x+eps z)-u(x))
     /(eps|z|) against G(z); F_0 replaces the quotient by the directional
-    slope |grad u . z_hat|.  The rate is (F_0 - F_eps)/eps^2, nonnegative for
-    convex f.  Both terms sample one cubic-spline interpolant on one grid --
-    the slope through a tiny symmetric probe -- so their discretization
-    errors cancel in the difference instead of swamping the O(eps^2) defect.
+    slope grad u . z_hat.  The rate is (F_0 - F_eps)/eps^2, nonnegative by
+    Jensen's inequality.  Both terms sample one cubic-spline interpolant on
+    one grid -- the slope through a tiny symmetric probe -- so their
+    discretization errors cancel in the difference instead of swamping the
+    O(eps^2) defect.
     The field must agree with its constant extension on the window boundary
     so all differences vanish far away.  G must be planar, as the field is,
     and K_eps must fit the box (``kernels.require_held``), since the
@@ -646,25 +600,25 @@ def rate_ddim(
         for sub, w in zip(subs, sub_w):
             plus = spl.lattice(shape, base, (sub + delta * d_hat) / h)
             minus = spl.lattice(shape, base, (sub - delta * d_hat) / h)
-            probes += w * float(np.sum(f.f(np.abs(plus - minus) / (2.0 * delta))))
+            probes += w * float(np.sum(np.square((plus - minus) / (2.0 * delta))))
         f_0 += radial_total * w_ang * probes
         quots = 0.0
         for r, w_r in zip(rs, radial_w):
             disp = (eps * r) * d_hat
             for sub, w, centre in zip(subs, sub_w, u_x):
                 shifted = spl.lattice(shape, base, (sub + disp) / h)
-                quot = np.abs(shifted - centre) / (eps * r)
-                quots += w_r * w * float(np.sum(f.f(quot)))
+                quot = (shifted - centre) / (eps * r)
+                quots += w_r * w * float(np.sum(np.square(quot)))
         f_eps += w_ang * quots
     return RateValue(eps, f_eps, f_0)
 
 
-def rate_limit_ddim(u: GridField, G: Kernel, f: Potential) -> float:
+def rate_limit_ddim(u: GridField, G: Kernel) -> float:
     """Limit of the grid rate energies:
 
-        (1/24) iint G(z) |z|^2 f''(|grad u . z_hat|) (z_hat^T hess u z_hat)^2.
+        (1/24) iint G(z) |z|^2 f'' (z_hat^T hess u z_hat)^2,  f'' = 2.
 
-    Directional slope and bend come from symmetric probes of the same
+    Directional bends come from symmetric probes of the same
     cubic-spline interpolant the rate energies sample, so the two converge
     to a common value as eps shrinks.  The values are extended by odd
     reflection before prefiltering, which keeps affine trends exact right
@@ -687,9 +641,8 @@ def rate_limit_ddim(u: GridField, G: Kernel, f: Potential) -> float:
         for sub, w, centre in zip(subs, sub_w, u_x):
             plus = sample.lattice(shape, base, (sub + delta * d_hat) / h)
             minus = sample.lattice(shape, base, (sub - delta * d_hat) / h)
-            slope = np.abs(plus - minus) / (2.0 * delta)
             bend = (plus - 2.0 * centre + minus) / (delta * delta)
-            bends += w * float(np.sum(f.d2f(slope) * bend * bend))
+            bends += w * float(np.sum(2.0 * bend * bend))
         acc += w_ang * bends
     return second_moment * acc / 24.0
 
@@ -708,15 +661,10 @@ class SlicingReport:
     direct: float
     assembled: float
 
-    @property
-    def rel_gap(self) -> float:
-        return abs(self.direct - self.assembled) / max(abs(self.direct), 1e-300)
-
 
 def slicing_check(
     u: GridField,
     G: Kernel,
-    f: Potential,
     eps: float,
 ) -> SlicingReport:
     """Cross-check: the grid rate energy equals its line-slice assembly.
@@ -743,8 +691,8 @@ def slicing_check(
     block's points, its two probe samplings and its 1D energies go to
     buffers sized for one block, which this call owns (the point and
     value arrays here, the sampler's block buffers and one ``_RowRates``),
-    so a block allocates only what ``f.f`` returns; only the (radius,
-    line) table of energies spans blocks.  Every line is evaluated on its
+    so a block allocates nothing of its size; only the (radius, line)
+    table of energies spans blocks.  Every line is evaluated on its
     own and the table is summed per radius once it is full, so the result
     does not depend on the block sizes.  G must be planar, as the field is.
     """
@@ -780,11 +728,11 @@ def slicing_check(
     for d_hat, w_ang in zip(dirs, wa):
         plus = spl.lattice(shape, base, delta * d_hat / step)
         minus = spl.lattice(shape, base, -delta * d_hat / step)
-        probes = float(np.sum(f.f(np.abs(plus - minus) / (2.0 * delta))))
+        probes = float(np.sum(np.square((plus - minus) / (2.0 * delta))))
         per_radius = np.empty(len(rs))
         for i, r in enumerate(rs):
             shifted = spl.lattice(shape, base, (eps * r) * d_hat / step)
-            per_radius[i] = probes - float(np.sum(f.f(np.abs(shifted - u_x) / (eps * r))))
+            per_radius[i] = probes - float(np.sum(np.square((shifted - u_x) / (eps * r))))
         direct += w_ang * float(np.sum(radial_w * per_radius)) * cell
     direct /= eps * eps
 
@@ -814,7 +762,7 @@ def slicing_check(
             spl(pts[:m], out=minus[:m])
             slopes = np.subtract(plus[:m], minus[:m], out=plus[:m])
             slopes /= 2.0 * delta
-            rates(slopes, f, energies[:, i:i + m])
+            rates(slopes, energies[:, i:i + m])
         for r, wr, e_r in zip(rs, radial_w, energies):
             assembled += wr * (2.0 * w_ang) * (r * r) * float(np.sum(e_r)) * h
     return SlicingReport(eps, direct, assembled)
@@ -862,9 +810,9 @@ def effective_kernel(G: Kernel) -> Kernel:
 # regularity criterion
 
 
-def curvature_bound(u: GridField, G: Kernel, f: Potential) -> float:
+def curvature_bound(u: GridField, G: Kernel) -> float:
     """The curvature-capped upper bound (c/2) (int G|z|^2) (int |hess u|^2)
-    of the grid rate energies.
+    of the grid rate energies, with c = sup f'' = 2.
 
     It is finite exactly when the field has square-integrable second
     differences; rate energies staying below it indicate that regularity,
@@ -872,8 +820,6 @@ def curvature_bound(u: GridField, G: Kernel, f: Potential) -> float:
     be planar, as the field is.
     """
     kernels.require_planar(G)
-    if f.c is None:
-        raise RateDomainError("regularity criterion needs a potential with bounded f''")
     h = u.spacing
     hess_sq = sum(
         np.gradient(g, h[j], axis=j)[2:-2, 2:-2] ** 2
@@ -881,4 +827,4 @@ def curvature_bound(u: GridField, G: Kernel, f: Potential) -> float:
         for j in (0, 1)
     )
     hess_energy = float(np.sum(hess_sq)) * float(np.prod(h))
-    return 0.5 * f.c * kernels.absolute_moment(G, 2.0).value * hess_energy
+    return kernels.absolute_moment(G, 2.0).value * hess_energy

@@ -250,10 +250,10 @@ def test_coarea_constant_zero():
 def test_submodularity_identical_and_disjoint():
     grid = Box.cube(1.0, 128)
     ball = Ball((0, 0), 0.5)
-    assert energy.submodularity_check(ball, ball, None, K_QUARTER, grid).slack == 0.0
+    assert energy.submodularity_check(ball, ball, K_QUARTER, grid).slack == 0.0
     a = AxisBox((-0.8, -0.8), (-0.3, -0.3))
     b = AxisBox((0.3, 0.3), (0.8, 0.8))
-    slack, scale = energy.submodularity_check(a, b, None, K_QUARTER, grid)
+    slack, scale = energy.submodularity_check(a, b, K_QUARTER, grid)
     assert abs(slack) < 1e-12
     assert scale > 0.0
 
@@ -266,7 +266,7 @@ def test_submodularity_random_rectangles():
         lo2 = rng.uniform(-0.9, 0.4, 2)
         r1 = AxisBox(tuple(lo1), tuple(lo1 + rng.uniform(0.2, 0.5, 2)))
         r2 = AxisBox(tuple(lo2), tuple(lo2 + rng.uniform(0.2, 0.5, 2)))
-        slack, scale = energy.submodularity_check(r1, r2, None, K_QUARTER, grid)
+        slack, scale = energy.submodularity_check(r1, r2, K_QUARTER, grid)
         # the returned scale is the two perimeters, bit for bit
         assert scale == (
             energy.perimeter_k(r1, None, K_QUARTER, grid).total

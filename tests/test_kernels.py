@@ -298,7 +298,6 @@ def test_gauss_log_panels_reuse_one_read_only_rule_per_order():
 K3 = kernels.ball_indicator(3)
 DISK = Ball((0.0, 0.0), 0.5)
 GRID = Box.cube(1.0, 32)
-QUAD = rate.Potential.quadratic()
 
 
 def _bump():
@@ -312,17 +311,17 @@ PLANAR_ENTRIES = {
     "perimeter_k": lambda k: energy.perimeter_k(DISK, None, k, GRID),
     "coarea_check": lambda k: energy.coarea_check(_bump(), None, k),
     "submodularity_check": lambda k: energy.submodularity_check(
-        DISK, Ball((0.2, 0.0), 0.4), None, k, GRID),
+        DISK, Ball((0.2, 0.0), 0.4), k, GRID),
     "limit_tv": lambda k: energy.limit_tv(DISK, None, k),
     "evolve": lambda k: flow.evolve(flow.shrinking_circle_datum(GRID, 0.5), k, 0.01),
-    "rate_ddim": lambda k: rate.rate_ddim(_bump(), k, QUAD, 0.1),
-    "rate_limit_ddim": lambda k: rate.rate_limit_ddim(_bump(), k, QUAD),
-    "slicing_check": lambda k: rate.slicing_check(_bump(), k, QUAD, 0.1),
+    "rate_ddim": lambda k: rate.rate_ddim(_bump(), k, 0.1),
+    "rate_limit_ddim": lambda k: rate.rate_limit_ddim(_bump(), k),
+    "slicing_check": lambda k: rate.slicing_check(_bump(), k, 0.1),
     "hk_pv": lambda k: curvature.hk_pv(DISK, (0.5, 0.0), k),
     "disk_reference": lambda k: kernels.disk_reference(k, 0.5),
     "h0": lambda k: curvature.h0(DISK, (0.5, 0.0), k),
     "hyperplane_second_moment": lambda k: kernels.hyperplane_second_moment(k),
-    "curvature_bound": lambda k: rate.curvature_bound(_bump(), k, QUAD),
+    "curvature_bound": lambda k: rate.curvature_bound(_bump(), k),
 }
 
 

@@ -9,7 +9,6 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from nlgeom import kernels, rate
 from nlgeom.fields import Box, GridField
 from nlgeom.rate import (
-    Potential,
     Profile1D,
     RateDomainError,
     curvature_bound,
@@ -22,7 +21,6 @@ from nlgeom.rate import (
     slicing_check,
 )
 
-QUAD = Potential.quadratic()
 G_BALL = kernels.ball_indicator(d=2)
 
 
@@ -43,31 +41,15 @@ def bump64():
 
 @pytest.fixture(scope="module")
 def bump_slice(bump64):
-    return slicing_check(bump64, G_BALL, QUAD, 0.1)
+    return slicing_check(bump64, G_BALL, 0.1)
 
 
 @pytest.fixture(scope="module")
 def bump_sweep(bump64):
     """Rate values and spline-limit for the shared eps sweep."""
     eps = (0.2, 0.1, 0.05)
-    vals = [rate_ddim(bump64, G_BALL, QUAD, e) for e in eps]
-    return eps, vals, rate_limit_ddim(bump64, G_BALL, QUAD)
-
-
-# ---------------------------------------------------------------------------
-# potentials
-
-
-def test_potential_requires_vanishing_value_and_slope_at_zero():
-    with pytest.raises(RateDomainError):
-        Potential(f=lambda t: np.asarray(t) ** 2 + 1.0, d2f=lambda t: np.full_like(t, 2.0))
-    with pytest.raises(RateDomainError):
-        Potential(f=np.abs, d2f=lambda t: np.zeros_like(t))
-
-
-def test_potential_convexity_constant_is_checked():
-    with pytest.raises(RateDomainError):
-        Potential(f=lambda t: np.asarray(t) ** 2, d2f=lambda t: np.full_like(t, 2.0), alpha=3.0)
+    vals = [rate_ddim(bump64, G_BALL, e) for e in eps]
+    return eps, vals, rate_limit_ddim(bump64, G_BALL)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +58,7 @@ def test_potential_convexity_constant_is_checked():
 
 def test_e1d_constant_profile_is_zero():
     u = Profile1D((-1.0, 1.0), np.zeros(512))
-    assert e1d(u, QUAD, 0.05) == 0.0
+    assert e1d(u, 0.05) == 0.0
 
 
 def test_e1d_parabola_converges_to_limit():
@@ -85,7 +67,7 @@ def test_e1d_parabola_converges_to_limit():
     gaps = []
     for eps, n in ((1e-1, 801), (1e-2, 3201), (1e-3, 16001)):
         u = parabola(n)
-        val = e1d(u, QUAD, eps)
+        val = e1d(u, eps)
         gaps.append(abs(val - target))
         # f'' = 2 upper bound: E_eps <= int |u'|^2 = 8/3
         assert val <= 8.0 / 3.0 + 1e-12
@@ -95,19 +77,19 @@ def test_e1d_parabola_converges_to_limit():
 
 def test_e1d_rejects_coarse_sampling():
     with pytest.raises(RateDomainError):
-        e1d(parabola(65), QUAD, 0.01)
+        e1d(parabola(65), 0.01)
     with pytest.raises(RateDomainError):
-        e1d(parabola(), QUAD, 0.0)
+        e1d(parabola(), 0.0)
 
 
 def test_e1d_limit_closed_forms():
-    assert e1d_limit(Profile1D((-1, 1), np.full(128, 0.7)), QUAD) == 0.0
-    assert e1d_limit(parabola(6401), QUAD) == pytest.approx(2.0 / 9.0, rel=1e-3)
+    assert e1d_limit(Profile1D((-1, 1), np.full(128, 0.7))) == 0.0
+    assert e1d_limit(parabola(6401)) == pytest.approx(2.0 / 9.0, rel=1e-3)
 
 
 def test_e1d_limit_flags_jump_profile():
     vals = np.where(np.linspace(0, 1, 513) < 0.5, 0.0, 1.0)
-    assert math.isinf(e1d_limit(Profile1D((0.0, 1.0), vals), QUAD))
+    assert math.isinf(e1d_limit(Profile1D((0.0, 1.0), vals)))
 
 
 def test_triangular_second_moment_constant():
@@ -121,20 +103,13 @@ def test_triangular_second_moment_constant():
 def test_e1d_lower_bound_parabola():
     u = parabola()
     eps = 0.05
-    val = e1d(u, QUAD, eps)
-    bound = e1d_lower_bound(u, QUAD, eps)
+    val = e1d(u, eps)
+    bound = e1d_lower_bound(u, eps)
     # for f = t^2 the bound is an identity, so only discretization noise
     # separates the two sides; slack is measured against the raw magnitude
-    scale = np.trapezoid(QUAD.f(u.values), dx=u.spacing) / eps**2
+    scale = np.trapezoid(np.square(u.values), dx=u.spacing) / eps**2
     assert val >= bound - 1e-6 * scale
     assert bound > 0.9 * val
-
-
-def test_e1d_lower_bound_requires_convexity_constant():
-    flat = Potential(f=lambda t: np.asarray(t, dtype=float) ** 4,
-                     d2f=lambda t: 12.0 * np.square(t))
-    with pytest.raises(RateDomainError):
-        e1d_lower_bound(parabola(), flat, 0.05)
 
 
 def test_random_profiles_nonnegative_and_above_lower_bound():
@@ -145,10 +120,10 @@ def test_random_profiles_nonnegative_and_above_lower_bound():
         coef = rng.normal(size=6) / np.arange(1, 7)
         vals = sum(c * np.sin(k * np.pi * (xx + 1) / 2) for k, c in enumerate(coef, 1))
         u = Profile1D((-1.0, 1.0), vals)
-        val = e1d(u, QUAD, eps)
-        scale = max(np.trapezoid(QUAD.f(u.values), dx=u.spacing) / eps**2, 1e-30)
+        val = e1d(u, eps)
+        scale = max(np.trapezoid(np.square(u.values), dx=u.spacing) / eps**2, 1e-30)
         assert val >= -1e-9 * scale
-        assert val >= e1d_lower_bound(u, QUAD, eps) - 1e-6 * scale
+        assert val >= e1d_lower_bound(u, eps) - 1e-6 * scale
 
 
 def test_e1d_gap_shrinks_for_smooth_profile():
@@ -157,7 +132,7 @@ def test_e1d_gap_shrinks_for_smooth_profile():
     gaps = []
     for eps, n in ((1e-1, 801), (1e-2, 3201), (1e-3, 16001)):
         u = Profile1D.from_function(fn, (-1.0, 1.0), n)
-        gaps.append(abs(e1d(u, QUAD, eps) - e1d_limit(u, QUAD)))
+        gaps.append(abs(e1d(u, eps) - e1d_limit(u)))
     assert all(b <= a * 1.1 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -168,7 +143,7 @@ def test_e1d_gap_shrinks_for_smooth_profile():
 def test_rate_ddim_constant_field_all_zero():
     box = Box.cube(0.6, 32)
     u = GridField(box, np.full(box.resolution, 0.4), "phase", outside=0.4)
-    rv = rate_ddim(u, kernels.ball_indicator(d=2, radius=0.5), QUAD, 0.1, n_angular=8)
+    rv = rate_ddim(u, kernels.ball_indicator(d=2, radius=0.5), 0.1, n_angular=8)
     assert rv.f_eps == 0.0 and rv.f_0 == 0.0 and rv.e_eps == 0.0
 
 
@@ -176,7 +151,7 @@ def test_rate_ddim_requires_flat_boundary():
     box = Box.cube(1.0, 32)
     ramp = GridField(box, box.centers()[..., 0].reshape(box.resolution), "level-set")
     with pytest.raises(RateDomainError):
-        rate_ddim(ramp, G_BALL, QUAD, 0.1)
+        rate_ddim(ramp, G_BALL, 0.1)
 
 
 def test_rate_ddim_dimension_guard():
@@ -185,13 +160,13 @@ def test_rate_ddim_dimension_guard():
     box = Box.cube(0.6, 32)
     u = GridField(box, np.zeros(box.resolution), "phase")
     with pytest.raises(kernels.KernelDomainError, match="planar"):
-        rate_ddim(u, kernels.ball_indicator(d=3), QUAD, 0.1)
+        rate_ddim(u, kernels.ball_indicator(d=3), 0.1)
 
 
 def test_rate_ddim_rotation_invariance(bump64):
     rot = GridField(bump64.box, np.rot90(bump64.values).copy(), "phase")
-    a = rate_ddim(bump64, G_BALL, QUAD, 0.1)
-    b = rate_ddim(rot, G_BALL, QUAD, 0.1)
+    a = rate_ddim(bump64, G_BALL, 0.1)
+    b = rate_ddim(rot, G_BALL, 0.1)
     assert abs(a.e_eps - b.e_eps) <= 1e-8 * abs(a.e_eps)
 
 
@@ -217,20 +192,20 @@ def test_rate_limit_affine_field_zero():
     cc = box.centers()
     u = GridField(box, (0.3 * cc[..., 0] - 0.2 * cc[..., 1] + 0.5).reshape(box.resolution),
                   "level-set")
-    assert abs(rate_limit_ddim(u, G_BALL, QUAD)) < 1e-10
+    assert abs(rate_limit_ddim(u, G_BALL)) < 1e-10
 
 
 def test_rate_limit_matches_closed_form(bump64):
     # exact continuum value for the bump: pi^2/3; the grid value carries the
     # interpolant's smoothing of the curvature jump at |x| = 1
-    val = rate_limit_ddim(bump64, G_BALL, QUAD)
+    val = rate_limit_ddim(bump64, G_BALL)
     assert val == pytest.approx(math.pi**2 / 3.0, rel=0.04)
 
 
 def test_slicing_assembly_matches_direct(bump_slice):
     rep = bump_slice
     assert rep.direct > 0 and rep.assembled > 0
-    assert rep.rel_gap < 0.01
+    assert abs(rep.direct - rep.assembled) / rep.direct < 0.01
 
 
 @pytest.mark.parametrize("name, size", [
@@ -241,14 +216,14 @@ def test_slicing_check_bits_do_not_depend_on_block_sizes(bump64, bump_slice, mon
                                                          name, size):
     # the assembly streams lines and points in blocks; no sum may cross one
     monkeypatch.setattr(rate, name, size)
-    rep = slicing_check(bump64, G_BALL, QUAD, 0.1)
+    rep = slicing_check(bump64, G_BALL, 0.1)
     assert rep.direct == bump_slice.direct
     assert rep.assembled == bump_slice.assembled
 
 
 def test_slicing_check_working_set_stays_below_6_mb(bump64):
     # one block of lines at a time in buffers of one block, and a pad only
-    # as wide as the lines reach: about 2.8 MB traced at 64² and 3.1 MB at
+    # as wide as the lines reach: about 2.7 MB traced at 64² and 3.0 MB at
     # 96², against 13.8 MB at 64² when every line of a direction was
     # sampled at once, and 4.7 and 8.4 MB with the pad of twice the half
     # diagonal and fresh arrays per block
@@ -259,7 +234,7 @@ def test_slicing_check_working_set_stays_below_6_mb(bump64):
         for u in (bump64, radial_bump(Box.cube(1.1, 96))):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            slicing_check(u, G_BALL, QUAD, 0.1)
+            slicing_check(u, G_BALL, 0.1)
             peak = tracemalloc.get_traced_memory()[1] - base
             assert peak < 4e6, u.box.resolution
     finally:
@@ -274,16 +249,16 @@ def test_slicing_check_pads_for_the_direct_lattice_on_a_small_box():
     box = Box.cube(0.25, 16)
     r2 = np.sum((box.centers() / 0.2) ** 2, axis=-1)
     u = GridField(box, (np.clip(1.0 - r2, 0.0, None) ** 2).reshape(box.resolution), "phase")
-    rep = slicing_check(u, G_BALL, QUAD, 0.4)
+    rep = slicing_check(u, G_BALL, 0.4)
     assert rep.direct == pytest.approx(25.231415994931268, rel=1e-12)
-    assert rep.rel_gap < 0.01
+    assert abs(rep.direct - rep.assembled) / rep.direct < 0.01
 
 
 def test_slicing_requires_2d():
     box = Box.cube(0.5, 8)
     u = GridField(box, np.zeros(box.resolution), "phase")
     with pytest.raises(kernels.KernelDomainError, match="planar"):
-        slicing_check(u, kernels.ball_indicator(d=3), QUAD, 0.1)
+        slicing_check(u, kernels.ball_indicator(d=3), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +302,21 @@ def test_effective_kernel_needs_compact_support():
 # regularity criterion
 
 
-def rate_energies(u, f, eps_list, n_angular):
-    return [rate_ddim(u, G_BALL, f, e, n_angular).e_eps for e in eps_list]
+def rate_energies(u, eps_list, n_angular):
+    return [rate_ddim(u, G_BALL, e, n_angular).e_eps for e in eps_list]
 
 
 def test_regularity_smooth_field_within_bound(bump64):
-    values = rate_energies(bump64, QUAD, [0.1, 0.05], 32)
-    assert max(values) <= curvature_bound(bump64, G_BALL, QUAD) * (1.0 + 1e-9)
+    values = rate_energies(bump64, [0.1, 0.05], 32)
+    assert max(values) <= curvature_bound(bump64, G_BALL) * (1.0 + 1e-9)
     assert values[-1] / values[0] < 1.2
 
 
 def test_regularity_constant_field_trivial():
     box = Box.cube(1.0, 32)
     u = GridField(box, np.zeros(box.resolution), "phase")
-    assert rate_energies(u, QUAD, [0.1], 8) == [0.0]
-    assert curvature_bound(u, G_BALL, QUAD) == 0.0
+    assert rate_energies(u, [0.1], 8) == [0.0]
+    assert curvature_bound(u, G_BALL) == 0.0
 
 
 def test_regularity_flags_gradient_kink():
@@ -352,18 +327,8 @@ def test_regularity_flags_gradient_kink():
     vals = (np.clip(0.5 - np.abs(cc[..., 0]), 0.0, None)
             * np.clip(1.0 - (cc[..., 1] / 0.9) ** 2, 0.0, None) ** 2)
     u = GridField(box, vals.reshape(box.resolution), "phase")
-    values = rate_energies(u, QUAD, [0.1, 0.025], 16)
+    values = rate_energies(u, [0.1, 0.025], 16)
     assert values[-1] / values[0] > 2.0
-
-
-def test_regularity_needs_bounded_curvature():
-    box = Box.cube(1.0, 32)
-    u = GridField(box, np.zeros(box.resolution), "phase")
-    # f'' = 2 + 3 t^2: strictly convex but with unbounded curvature
-    soft = Potential(f=lambda t: np.square(t) + 0.25 * np.asarray(t, dtype=float) ** 4,
-                     d2f=lambda t: 2.0 + 3.0 * np.square(t), alpha=2.0, c=None)
-    with pytest.raises(RateDomainError):
-        curvature_bound(u, G_BALL, soft)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +366,7 @@ def test_spline_lattice_stays_inside_the_coefficients():
         spl.lattice(*spl.centers(0.0), np.array([0.0, 3.5]))
 
 
-def _gather_e1d_rows(rows, a, h, f, eps):
+def _gather_e1d_rows(rows, a, h, eps):
     """Per-point reference: samples at a - eps + i h/2, read by fancy indexing."""
     n = rows.shape[1]
     b = a + (n - 1) * h
@@ -425,7 +390,7 @@ def _gather_e1d_rows(rows, a, h, f, eps):
     u_x = rows[:, idx] * (1.0 - s) + rows[:, idx + 1] * s
     u_x = np.where((xs[None, :] < a) | (xs[None, :] > b), 0.0, u_x)
     slopes = (integral(xs + eps) - integral(xs)) / eps
-    return simpson(QUAD.f(u_x) - QUAD.f(slopes), dx=dx, axis=1) / (eps * eps)
+    return simpson(np.square(u_x) - np.square(slopes), dx=dx, axis=1) / (eps * eps)
 
 
 def test_e1d_rows_match_gather_reference_on_random_rows():
@@ -433,9 +398,9 @@ def test_e1d_rows_match_gather_reference_on_random_rows():
     rows = rng.normal(size=(6, 301))
     a, h = -0.37, 1.3e-3
     widths = h * np.array([8.0, 11.3, 23.0, 40.7])
-    got = rate._e1d_rows(rows, a, h, QUAD, widths)
+    got = rate._e1d_rows(rows, a, h, widths)
     for e, row in zip(widths, got):
-        ref = _gather_e1d_rows(rows, a, h, QUAD, e)
+        ref = _gather_e1d_rows(rows, a, h, e)
         assert np.allclose(row, ref, rtol=1e-10, atol=0.0)
 
 
@@ -445,9 +410,9 @@ def test_e1d_rows_match_gather_reference_on_bump_slices():
     rows = np.clip(1.0 - t * t - y * y, 0.0, None) ** 2
     h = t[1] - t[0]
     widths = 0.1 * np.array([0.25, 0.5, 1.0])
-    got = rate._e1d_rows(rows, t[0], h, QUAD, widths)
+    got = rate._e1d_rows(rows, t[0], h, widths)
     for e, row in zip(widths, got):
-        ref = _gather_e1d_rows(rows, t[0], h, QUAD, e)
+        ref = _gather_e1d_rows(rows, t[0], h, e)
         assert np.allclose(row, ref, rtol=1e-10, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -478,8 +443,8 @@ def test_e1d_rows_do_not_depend_on_the_rows_beside_them():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(37, 301))
     widths = 1.3e-3 * np.array([8.0, 23.0])
-    whole = rate._e1d_rows(rows, -0.37, 1.3e-3, QUAD, widths)
-    parts = [rate._e1d_rows(rows[i:i + rate._ROW_BLOCK], -0.37, 1.3e-3, QUAD, widths)
+    whole = rate._e1d_rows(rows, -0.37, 1.3e-3, widths)
+    parts = [rate._e1d_rows(rows[i:i + rate._ROW_BLOCK], -0.37, 1.3e-3, widths)
              for i in range(0, len(rows), rate._ROW_BLOCK)]
     assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
