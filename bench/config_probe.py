@@ -13,12 +13,14 @@ wall-clock timeout of ``TIMEOUT_S`` (30 s, above the longest shipped run,
 which is about 10 s on a 2-core x86-64 host) and an address-space limit
 of ``MEMORY_BYTES`` (3 GB) set on the child only.
 
-Each run is classified as PASS (exit 0), FAIL (exit 1), exit 2 (ending in
-the runner's ``nlgeom: error:`` line, perhaps after numpy warnings), a
-traceback (any other ending) or a timeout.  Prints the count of each
-outcome, then every traceback with its last line and every timeout.  A config value should never reach a
-traceback or a timeout: a value outside its domain exits 2.  The 54
-numeric lines of the shipped configs give 270 runs; they take about a
+Each run is classified as a traceback, a timeout, warned (more than one
+line on stderr, such as numpy warnings before the runner's error line),
+exit 2 (the runner's one ``nlgeom: error:`` line), PASS (exit 0) or FAIL
+(exit 1), the first that applies.  Prints the count of each outcome, then
+every traceback with its last stderr line, every warned run with its
+first, and every timeout.  A config value should never reach a traceback, a warning
+or a timeout: a value outside its domain exits 2 with one line.  The 57
+numeric lines of the shipped configs give 285 runs; they take about a
 minute on a 2-core x86-64 host, so this stays out of the test suite.
 """
 
@@ -65,7 +67,7 @@ def edits(text: str):
 
 
 def run_one(cfg: Path) -> tuple[str, str]:
-    """(outcome, last stderr line) of one child run."""
+    """(outcome, the stderr line that explains it) of one child run."""
 
     def limit():  # runs in the child, between fork and exec
         resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
@@ -82,6 +84,8 @@ def run_one(cfg: Path) -> tuple[str, str]:
     last = err[-1] if err else ""
     if any(line.startswith("Traceback") for line in err):
         return "traceback", last
+    if len(err) > 1:
+        return "warned", err[0]
     if proc.returncode == 2 and last.startswith("nlgeom: error:"):
         return "exit 2", last
     return {0: "PASS", 1: "FAIL"}.get(proc.returncode, "traceback"), last
@@ -98,12 +102,13 @@ def main(argv=None) -> int:
             for label, text in edits(cfg.read_text(encoding="utf-8")):
                 path = Path(tmp) / cfg.name
                 path.write_text(text, encoding="utf-8")
-                outcome, last = run_one(path)
+                outcome, line = run_one(path)
                 counts[outcome] += 1
-                if outcome in ("traceback", "timeout"):
-                    bad.append(f"{outcome:<9} {cfg.stem} {label}: {last}")
+                if outcome in ("traceback", "warned", "timeout"):
+                    bad.append(f"{outcome:<9} {cfg.stem} {label}: {line}")
     print(f"{sum(counts.values())} runs: " + ", ".join(
-        f"{counts[k]} {k}" for k in ("exit 2", "PASS", "FAIL", "traceback", "timeout")))
+        f"{counts[k]} {k}"
+        for k in ("exit 2", "PASS", "FAIL", "traceback", "warned", "timeout")))
     print("\n".join(bad))
     return 0
 

@@ -221,6 +221,28 @@ def _stencil(kernel: Kernel, grid: Box) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights
 
 
+def lattice_sigma(kernel: Kernel, grid: Box, normals) -> np.ndarray:
+    """The surface tension the energy sums: ½ Σ_o W(o) |(o⊙h) · ν| per normal.
+
+    The sum runs over the cached stencil of ``kernel`` on ``grid`` (h the
+    grid's spacing), one value per row ν of ``normals``, shape (n, 2).  It
+    is the lattice form of the continuum σ_K(ν) = ½ ∫ K(z) |z · ν| dz,
+    which is κ|ν| for every radial kernel; for a kernel rescaled by eps,
+    σ_h(ν) / (eps κ |ν|) − 1 is the stencil's error, first order in
+    h / (eps r_eff).  The stencil drops the mass inside the central cell,
+    which for the truncated power law r^(-2-s) is a share
+    (h / (2 eps r_eff))^(1-s) of σ: at s = 0.5 on a 384-cell grid of half
+    side 1.25, σ_h falls 13%, 18% and 26% short at eps 0.2, 0.1 and 0.05,
+    far beyond that first order.  The terms are formed coordinate by
+    coordinate, so σ_h(−ν) equals σ_h(ν) bit for bit.
+    """
+    offsets, weights = _stencil(kernel, grid)
+    steps = offsets * np.asarray(grid.spacing)
+    nu = np.asarray(normals, dtype=float)
+    proj = np.abs(steps[:, :1] * nu[:, 0] + steps[:, 1:] * nu[:, 1])
+    return 0.5 * np.sum(weights[:, None] * proj, axis=0)
+
+
 # --------------------------------------------------------------------------
 # public operations
 

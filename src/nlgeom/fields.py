@@ -206,8 +206,11 @@ class Ball(Shape):
         object.__setattr__(self, "radius", float(self.radius))
         if len(c) != 2:
             raise FieldDomainError("ball center must be planar (d = 2)")
-        if not all(map(math.isfinite, c + (self.radius,))):
-            raise FieldDomainError("ball center and radius must be finite")
+        # phi squares coordinate differences, which stay far below overflow
+        # for points near a ball within this bound
+        if not all(abs(v) <= 1e150 for v in c + (self.radius,)):  # NaN fails too
+            raise FieldDomainError(
+                "ball center and radius must be finite and at most 1e150 in size")
         if self.radius <= 0:
             raise FieldDomainError("ball radius must be positive")
 
@@ -250,11 +253,16 @@ class Halfspace(Shape):
         nv = np.atleast_1d(np.asarray(self.normal, dtype=float))
         if len(nv) != 2:
             raise FieldDomainError("halfspace normal must be planar (d = 2)")
+        big = float(np.max(np.abs(nv)))
+        if not 0.0 < big < math.inf:  # NaN fails too
+            raise FieldDomainError("halfspace normal must be finite and nonzero")
+        # a normal whose squared norm would under- or overflow names the same
+        # halfspace at unit scale
+        scale = 1.0 if 1e-150 < big < 1e150 else big
+        nv, offset = nv / scale, float(self.offset) / scale
         norm = float(np.linalg.norm(nv))
-        if norm == 0.0:
-            raise FieldDomainError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", tuple(nv / norm))
-        object.__setattr__(self, "offset", float(self.offset) / norm)
+        object.__setattr__(self, "offset", offset / norm)
 
     def phi(self, x):
         # summed coordinate by coordinate, so a point rounds the same alone

@@ -27,8 +27,8 @@ else is planar, as are the grids, shapes and fields of the package: the
 angular rule, :func:`zgrid`, :func:`lattice_stencil`,
 :func:`hyperplane_second_moment` and :func:`disk_reference`.  The second
 moment is the kernel's one κ, twice the radial moment ∫_0^∞ r^2 K̄(r) dr
-(see below); the anisotropy coefficient, the Hessian of σ, h0 and the
-flow's diffusivity all read it.  :func:`disk_reference` gives the
+(see below); the anisotropy coefficient, h0 and the flow's diffusivity
+all read it.  :func:`disk_reference` gives the
 nonlocal perimeter and curvature of a disk as 1-D radial integrals, the
 continuum values the grid and boundary routes are checked against.
 :func:`require_planar` is the one check that a kernel may meet planar

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nlgeom import anisotropy, cli, kernels
-from nlgeom.anisotropy import AnisotropyDomainError
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +37,6 @@ def test_sigma_is_coefficient_times_norm(ball_aniso):
     for p in rng.standard_normal((1000, 2)) * rng.uniform(0.1, 10.0, (1000, 1)):
         norm = float(np.linalg.norm(p))
         assert ball_aniso.value(p) == c * norm
-        assert np.array_equal(ball_aniso.gradient(p), c * (p / norm))
 
 
 def test_fractional_sigma_closed_form():
@@ -53,76 +51,6 @@ def test_sigma_rejects_untruncated():
         anisotropy.Anisotropy(kernels.fractional(2, 0.5, math.inf))
 
 
-def test_gradient_halfdisk_moment(ball_aniso):
-    g = ball_aniso.gradient([1.0, 0.0])
-    assert np.allclose(g, [2.0 / 3.0, 0.0], atol=1e-12)
-
-
-def test_gradient_euler_identity_exact(ball_aniso):
-    p = np.array([0.6, 0.8])
-    g = ball_aniso.gradient(p)
-    assert p @ g == pytest.approx(ball_aniso.value(p), abs=1e-15)
-
-
-def test_gradient_odd(ball_aniso):
-    p = np.array([-1.3, 0.45])
-    assert np.allclose(ball_aniso.gradient(-p), -ball_aniso.gradient(p), atol=1e-14)
-
-
-def test_gradient_matches_finite_difference(ball_aniso):
-    p = np.array([0.6, 0.8])
-    step = 1e-4
-    fd = np.array(
-        [
-            (ball_aniso.value(p + step * e) - ball_aniso.value(p - step * e)) / (2 * step)
-            for e in np.eye(2)
-        ]
-    )
-    g = ball_aniso.gradient(p)
-    assert np.abs(fd - g).max() / np.abs(g).max() < 1e-4
-
-
-def test_gradient_rejects_zero(ball_aniso):
-    with pytest.raises(AnisotropyDomainError):
-        ball_aniso.gradient([0.0, 0.0])
-    with pytest.raises(AnisotropyDomainError):
-        ball_aniso.hessian(np.zeros(2))
-
-
-def test_hessian_structure(ball_aniso):
-    H = ball_aniso.hessian([1.0, 0.0])
-    assert np.allclose(H, np.array([[0, 0], [0, 2.0 / 3.0]]), atol=1e-10)
-    p = np.array([0.37, -1.2])
-    Hp = ball_aniso.hessian(p)
-    assert np.abs(Hp @ p).max() < 1e-8
-    assert np.allclose(Hp, Hp.T)
-    evals = np.linalg.eigvalsh(Hp)
-    assert evals.min() > -1e-12
-
-
-def test_hessian_matches_second_differences(ball_aniso):
-    q = np.array([1.0, 1.0]) / math.sqrt(2)
-    step = 1e-4
-    fd = np.empty((2, 2))
-    for i, ei in enumerate(np.eye(2)):
-        for j, ej in enumerate(np.eye(2)):
-            fd[i, j] = (
-                ball_aniso.value(q + step * (ei + ej))
-                - ball_aniso.value(q + step * (ei - ej))
-                - ball_aniso.value(q - step * (ei - ej))
-                + ball_aniso.value(q - step * (ei + ej))
-            ) / (4 * step**2)
-    H = ball_aniso.hessian(q)
-    assert np.abs(fd - H).max() / np.abs(H).max() < 1e-3
-
-
-def test_hessian_trace_is_hyperplane_moment(ball_aniso):
-    e = np.array([math.cos(0.3), math.sin(0.3)])
-    H = ball_aniso.hessian(e)
-    kappa = kernels.hyperplane_second_moment(ball_aniso.kernel)
-    assert np.trace(H) == pytest.approx(kappa, rel=1e-10)
-
-
 def test_triangle_inequality(ball_aniso):
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -130,18 +58,6 @@ def test_triangle_inequality(ball_aniso):
         b = rng.standard_normal(2)
         assert ball_aniso.value(a + b) <= ball_aniso.value(a) + ball_aniso.value(b) + 1e-12
 
-
-def test_hessian_continuity_in_direction(ball_aniso):
-    e = np.array([1.0, 0.0])
-    base = ball_aniso.hessian(e)
-    prev = None
-    for ang in (0.1, 0.01, 0.001):
-        r = np.array([math.cos(ang), math.sin(ang)])
-        gap = np.abs(ball_aniso.hessian(r) - base).max()
-        if prev is not None:
-            assert gap < prev
-        prev = gap
-    assert prev < 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgeom import DomainError, cli, flow, kernels
+from nlgeom import DomainError, cli, energy, flow, kernels
 from nlgeom.fields import FieldDomainError
 from nlgeom.flow import FlowDomainError
 from nlgeom.kernels import KernelDomainError
@@ -275,6 +275,36 @@ def test_effective_kernel_mass_check_fails_on_a_1e9_mass_error(tmp_path, monkeyp
     report, _ = cli.run(CONFIG_DIR / "effective-kernel.cfg", tmp_path / "out")
     assert [c.passed for c in report.checks] == [True, False, True, False]
     assert "averaging preserves the kernel mass" in report.checks[1].label
+
+
+def test_sigma_derivatives_preset_holds_its_first_order_bound(tmp_path):
+    report, out = cli.run(CONFIG_DIR / "sigma-derivatives.cfg", tmp_path / "out")
+    assert report.passed and len(report.checks) == 3
+    # max over 8 directions of |sigma_h / (eps kappa) - 1| at h = 2.5/384
+    gaps = [r.rel_gap for r in report.rows]
+    assert [r.key for r in report.rows] == [0.2, 0.1, 0.05]
+    assert np.allclose(gaps, [8.088e-4, 1.611e-3, 2.963e-3], rtol=1e-3)
+    rows = (out / "sigma_derivatives.csv").read_text().splitlines()
+    assert rows[0] == "eps,direction_angle,sigma_lattice,sigma_continuum,rel_err"
+    assert len(rows) == 1 + 3 * 8
+
+
+def test_sigma_derivatives_fails_without_the_outermost_ring(tmp_path, monkeypatch):
+    # the stencil less its offsets of largest |o| misses sigma by 1.6e-2 to
+    # 1.9e-2, beyond the bound 0.1 h / (eps r_eff) at every eps
+    stencil = energy._stencil
+
+    def without_ring(kernel, grid):
+        offsets, weights = stencil(kernel, grid)
+        r2 = np.sum(offsets * offsets, axis=1)
+        keep = r2 < r2.max()
+        return offsets[keep], weights[keep]
+
+    monkeypatch.setattr(energy, "_stencil", without_ring)
+    report, _ = cli.run(CONFIG_DIR / "sigma-derivatives.cfg", tmp_path / "out")
+    assert [c.passed for c in report.checks] == [False, False, False]
+    assert np.allclose([r.rel_gap for r in report.rows], [1.584e-2, 1.694e-2, 1.881e-2],
+                       rtol=1e-3)
 
 
 def test_same_seed_reruns_are_byte_identical(tmp_path):
@@ -588,7 +618,7 @@ FLOW_GEOMETRY = "geometry {\n  radius 0.4\n  resolution 32\n}\n"
 
 COUNT_CASES = {
     "sigma-derivatives-directions":
-        "experiment sigma-derivatives\ndirections 0\n" + BALL,
+        "experiment sigma-derivatives\neps 0.2\ndirections 0\n" + BALL,
     "halfspace-cell-competitors":
         "experiment halfspace-cell\neps 0.2\ncompetitors 0\n" + BALL,
     "curvature-limit-boundary_samples": "experiment curvature-limit\neps 0.2\n"
@@ -625,7 +655,7 @@ DOMAIN_CASES = {
     "field": (FieldDomainError, COAREA_CFG.replace("resolution 48", "resolution 0")),
     "rate": (RateDomainError,
              "experiment bbm-1d\neps 0.05\nprofile {\n  samples 2\n}\n"),
-    "kernel": (KernelDomainError, "experiment sigma-derivatives\n"
+    "kernel": (KernelDomainError, "experiment sigma-derivatives\neps 0.2\n"
                "kernel {\n  family ball\n  radius -1\n}\n"),
     "flow": (FlowDomainError, "experiment flow-monitors\neps 0.2\n" + BALL
              + "geometry {\n  radius 0.4\n  band 0.1\n  resolution 32\n}\n"),
@@ -663,7 +693,6 @@ def _with_kernel(experiment, family, radius):
                   flags=re.S)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment", KERNEL_EXPERIMENTS)
 @pytest.mark.parametrize("radius", sorted(BAD_KERNELS))
 def test_kernel_without_a_finite_radius_exits_two(tmp_path, capsys, radius, experiment):
@@ -688,12 +717,11 @@ TINY_KERNEL_REASONS = {
     "halfspace-cell": TINY_MOMENT,
     "perimeter-limit": TINY_MOMENT,
     "regularity": TINY_SUPPORT,
-    "sigma-derivatives": TINY_MOMENT,
+    "sigma-derivatives": "rescaled kernel support 5e-122 lies below half a grid cell",
     "submodularity": "empty radial range [1e-06, 1e-120]",
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment", sorted(TINY_KERNEL_REASONS))
 def test_kernel_below_the_quadrature_floor_exits_two(tmp_path, capsys, experiment):
     reason = TINY_KERNEL_REASONS[experiment]
@@ -720,7 +748,8 @@ def test_box_halfwidth_must_be_finite(tmp_path, capsys, experiment):
 
 
 # shipped-config edits from bench/config_probe.py that once ended in a
-# traceback, ran on for seconds or wrote an all-NaN report, plus box sides
+# traceback, ran on for seconds, wrote an all-NaN report or a vacuous FAIL,
+# or printed numpy warnings before their error line, plus box sides
 # so small that the kernel's reach spans billions of cells: (config, block,
 # key, value), every value on the key's line replaced
 PROBE_EDITS = [
@@ -746,6 +775,10 @@ PROBE_EDITS = [
     ("coarea", "geometry", "halfwidth", "1e-9"),
     ("submodularity", "geometry", "halfwidth", "1e-9"),
     ("perimeter-limit", "geometry", "halfwidth", "1e-9"),
+    ("curvature-limit", "geometry", "center", "1e300"),
+    ("curvature-limit", "geometry", "radius", "1e300"),
+    ("halfspace-cell", "geometry", "direction", "0"),
+    ("halfspace-cell", "geometry", "direction", "nan"),
 ]
 
 
@@ -779,7 +812,6 @@ def test_probe_edits_exit_two(tmp_path, capsys, experiment, block, key, value):
 # no zero level to compare, and one that ends with the circle inside a grid
 # cell (h = 0.0625 here) has none the grid resolves, so its end time fails
 # before any numerics
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment", ["flow-monitors"])
 @pytest.mark.parametrize("line, reason", [
     ("T 2.0", "T must lie in (0, 0.12)"),
@@ -827,7 +859,6 @@ def test_curvature_limit_passes_at_any_kernel_scale(tmp_path, family, key, value
     assert report.passed and len(report.checks) == 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("key, value, reason", [
     ("sigma", "0", "fractional kernel needs sigma in (0, 1), got sigma = 0"),
     ("radius", "inf", "the kernel is untruncated; give it a finite radius"),
@@ -847,10 +878,10 @@ UNREAD_CASES = {
     "eps-not-swept": (COAREA_CFG + "eps 0.1\n", 13, "key 'eps'"),
     "seed-not-drawn": (COAREA_CFG + "seed 5\n", 13, "key 'seed'"),
     "block-not-read": (COAREA_CFG + "flow {\n  T 1\n}\n", 13, "key 'flow'"),
-    "tolerance-not-checked": ("experiment sigma-derivatives\ndirections 4\ntolerance 0.1\n"
-                              + BALL, 3, "key 'tolerance'"),
-    "amplitude": ("experiment sigma-derivatives\ndirections 4\n"
-                  "kernel {\n  family ball\n  amplitude 2\n}\n", 5,
+    "tolerance-not-checked": ("experiment sigma-derivatives\neps 0.2\ndirections 4\n"
+                              "tolerance 0.1\n" + BALL, 4, "key 'tolerance'"),
+    "amplitude": ("experiment sigma-derivatives\neps 0.2\ndirections 4\n"
+                  "kernel {\n  family ball\n  amplitude 2\n}\n", 6,
                   "key 'amplitude' in block 'kernel'"),
     "flow-misspelled": ((CONFIG_DIR / "flow-monitors.cfg").read_text(encoding="utf-8")
                         .replace("  stop_fraction 0.3\n",
@@ -985,8 +1016,9 @@ BUDGET_CASES = {
         COAREA_CFG,
         "experiment submodularity\npairs 2\n" + BALL + "geometry {\n  resolution 32\n}\n",
     ), "", {"energy", "draws"}),
-    "anisotropy": (("experiment sigma-derivatives\ndirections 4\n" + BALL,), "",
-                   {"anisotropy"}),
+    # sigma-derivatives sums the energy's stencil and loads no anisotropy
+    "anisotropy": (("experiment sigma-derivatives\neps 0.2\ndirections 4\n" + BALL
+                    + "geometry {\n  resolution 96\n}\n",), "", {"energy"}),
     "flow": (("experiment flow-monitors\neps 0.2\n" + BALL + FLOW_STEPS,), "", {"flow"}),
     "rate": ((
         "experiment bbm-1d\neps 0.1 0.03 0.01\n",

@@ -438,6 +438,46 @@ def test_phase_field_takes_sweep_path(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the stencil's surface tension
+
+# halfspace-cell's lattice, the one sigma-derivatives ships with
+GRID_384 = Box.cube(1.25, 384)
+
+
+def _angles(n):
+    theta = 2.0 * math.pi * np.arange(n) / n + 0.1
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
+@pytest.mark.parametrize("kernel", [kernels.rescale(K_UNIT, 0.2),
+                                    kernels.rescale(kernels.annulus_indicator(2), 0.1)],
+                         ids=["ball-0.2", "annulus-0.1"])
+def test_lattice_sigma_matches_a_double_loop_over_the_stencil(kernel):
+    normals = _angles(7)
+    offsets, weights = kernels.lattice_stencil(kernel, GRID_384.spacing)
+    h = GRID_384.spacing
+    want = [0.5 * sum(w * abs(ox * h[0] * nx + oy * h[1] * ny)
+                      for (ox, oy), w in zip(offsets.tolist(), weights.tolist()))
+            for nx, ny in normals.tolist()]
+    got = energy.lattice_sigma(kernel, GRID_384, normals)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_lattice_sigma_is_even_and_has_the_square_symmetries():
+    nu = _angles(16)
+    x, y = nu[:, 0], nu[:, 1]
+    kernel = kernels.rescale(K_UNIT, 0.2)
+    sig = energy.lattice_sigma(kernel, GRID_384, nu)
+    assert np.array_equal(energy.lattice_sigma(kernel, GRID_384, -nu), sig)
+    # the ball's stencil is symmetric under the square lattice's reflections
+    # and rotations, so an image normal sums the same 984 terms in another
+    # order, which moves the sum by up to 3.1e-15 relative here
+    for image in ((-x, y), (x, -y), (y, x), (-y, x), (y, -x), (-y, -x)):
+        other = energy.lattice_sigma(kernel, GRID_384, np.stack(image, axis=-1))
+        assert np.max(np.abs(other / sig - 1.0)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
 # run invariants: each stencil and window mask built once
 
 

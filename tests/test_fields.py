@@ -138,6 +138,31 @@ def test_box_is_finite(make):
         make()
 
 
+@pytest.mark.parametrize("center, radius", [((1e151, 0.0), 0.5), ((0.0, -1e300), 0.5),
+                                            ((0.0, 0.0), 1e151)])
+def test_ball_bounds_its_center_and_radius(center, radius):
+    # phi squares coordinate differences, which overflow with a warning
+    # for points near a ball beyond the bound
+    with pytest.raises(FieldDomainError, match="at most 1e150"):
+        Ball(center, radius)
+    assert Ball((1e150, -1e150), 1e150).contains([(1e150, -1e150)]).all()
+
+
+@pytest.mark.parametrize("normal", [(0.0, 0.0), (math.nan, 0.0), (0.0, math.nan),
+                                    (math.inf, 0.0), (math.nan, math.nan)])
+def test_halfspace_normal_is_finite_and_nonzero(normal):
+    with pytest.raises(FieldDomainError, match="finite and nonzero"):
+        Halfspace(normal)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300, 5e-324])
+def test_halfspace_normal_at_any_scale_names_its_direction(scale):
+    # a squared norm that would under- or overflow is taken at unit scale
+    want = Halfspace((1.0, 1.0), 2.0)
+    got = Halfspace((scale, scale), 2.0 * scale)
+    assert got.normal == want.normal and got.offset == want.offset
+
+
 @pytest.mark.parametrize("make", [
     lambda: Box((0.0,), (1.0,), (8,)),
     lambda: Box((0.0,) * 3, (1.0,) * 3, (8,) * 3),

