@@ -19,8 +19,8 @@ exit 2 (the runner's one ``nlgeom: error:`` line), PASS (exit 0) or FAIL
 (exit 1), the first that applies.  Prints the count of each outcome, then
 every traceback with its last stderr line, every warned run with its
 first, and every timeout.  A config value should never reach a traceback, a warning
-or a timeout: a value outside its domain exits 2 with one line.  The 57
-numeric lines of the shipped configs give 285 runs; they take about a
+or a timeout: a value outside its domain exits 2 with one line.  The 55
+numeric lines of the shipped configs give 275 runs; they take about a
 minute on a 2-core x86-64 host, so this stays out of the test suite.
 """
 

@@ -543,16 +543,24 @@ def _exp_sigma_derivatives(cfg: ExperimentConfig):
 
     For each eps the worst |sigma_h / (eps kappa) - 1| over the directions
     is checked against the first-order bound c h / (eps r_eff); a stencil
-    that loses its outermost ring of offsets fails it.
+    that loses its outermost ring of offsets fails it.  A kernel singular at
+    the origin is refused: the stencil drops its mass inside the central
+    cell, so its sigma_h falls short by more than the bound (see
+    ``energy.lattice_sigma``).
     """
     from . import energy
 
     kern = _kernel_from(cfg.require_block("kernel"))
-    grid = _box_from(cfg.root.block("geometry"), halfwidth=1.25, resolution=384)
+    # halfspace-cell's lattice
+    grid = Box.cube(1.25, 384)
     # the check's bound 0.1 h/(eps r_eff) stays below 0.2 on a grid that
     # resolves the kernel; below a tenth of a cell it would pass the empty
     # stencil's sigma_h = 0
     kernels.require_resolved(kern, cfg.eps[-1], grid.spacing, energy.EnergyDomainError)
+    if kern.singular:
+        raise kernels.KernelDomainError(
+            "sigma-derivatives needs a kernel bounded at the origin; the stencil "
+            "drops a singular kernel's mass inside the central cell")
     n_dirs = cfg.root.count("directions", 8)
     yield
     kappa = kernels.hyperplane_second_moment(kern)
@@ -618,8 +626,8 @@ def _exp_halfspace_cell(cfg: ExperimentConfig):
 
     kern = _kernel_from(cfg.require_block("kernel"))
     g = cfg.root.block("geometry")
-    # a zero or non-finite direction fails here; one whose norm would under-
-    # or overflow runs as the direction it names
+    # a zero or non-finite direction fails here, and so does one whose norm
+    # would under- or overflow
     halfspace = Halfspace(g.float_("direction", (1.0, 0.0), n=2), 0.0)
     resolution = g.int_("resolution", 384)
     n_competitors = cfg.root.count("competitors", 4)

@@ -253,16 +253,13 @@ class Halfspace(Shape):
         nv = np.atleast_1d(np.asarray(self.normal, dtype=float))
         if len(nv) != 2:
             raise FieldDomainError("halfspace normal must be planar (d = 2)")
-        big = float(np.max(np.abs(nv)))
-        if not 0.0 < big < math.inf:  # NaN fails too
-            raise FieldDomainError("halfspace normal must be finite and nonzero")
-        # a normal whose squared norm would under- or overflow names the same
-        # halfspace at unit scale
-        scale = 1.0 if 1e-150 < big < 1e150 else big
-        nv, offset = nv / scale, float(self.offset) / scale
+        # within this range the squared norm neither under- nor overflows
+        if not 1e-150 < float(np.max(np.abs(nv))) < 1e150:  # NaN fails too
+            raise FieldDomainError("halfspace normal must be finite, nonzero and "
+                                   "within 1e±150 at its largest component")
         norm = float(np.linalg.norm(nv))
         object.__setattr__(self, "normal", tuple(nv / norm))
-        object.__setattr__(self, "offset", offset / norm)
+        object.__setattr__(self, "offset", float(self.offset) / norm)
 
     def phi(self, x):
         # summed coordinate by coordinate, so a point rounds the same alone

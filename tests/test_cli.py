@@ -657,6 +657,9 @@ DOMAIN_CASES = {
              "experiment bbm-1d\neps 0.05\nprofile {\n  samples 2\n}\n"),
     "kernel": (KernelDomainError, "experiment sigma-derivatives\neps 0.2\n"
                "kernel {\n  family ball\n  radius -1\n}\n"),
+    # the stencil drops a singular kernel's mass inside the central cell
+    "kernel-singular": (KernelDomainError, "experiment sigma-derivatives\neps 0.2\n"
+                        "kernel {\n  family fractional\n}\n"),
     "flow": (FlowDomainError, "experiment flow-monitors\neps 0.2\n" + BALL
              + "geometry {\n  radius 0.4\n  band 0.1\n  resolution 32\n}\n"),
     # a second moment that underflows to 0, which the end time divides by
@@ -779,6 +782,8 @@ PROBE_EDITS = [
     ("curvature-limit", "geometry", "radius", "1e300"),
     ("halfspace-cell", "geometry", "direction", "0"),
     ("halfspace-cell", "geometry", "direction", "nan"),
+    ("halfspace-cell", "geometry", "direction", "1e-300"),
+    ("halfspace-cell", "geometry", "direction", "1e300"),
 ]
 
 
@@ -1017,8 +1022,8 @@ BUDGET_CASES = {
         "experiment submodularity\npairs 2\n" + BALL + "geometry {\n  resolution 32\n}\n",
     ), "", {"energy", "draws"}),
     # sigma-derivatives sums the energy's stencil and loads no anisotropy
-    "anisotropy": (("experiment sigma-derivatives\neps 0.2\ndirections 4\n" + BALL
-                    + "geometry {\n  resolution 96\n}\n",), "", {"energy"}),
+    "anisotropy": (("experiment sigma-derivatives\neps 0.2\ndirections 4\n" + BALL,), "",
+                   {"energy"}),
     "flow": (("experiment flow-monitors\neps 0.2\n" + BALL + FLOW_STEPS,), "", {"flow"}),
     "rate": ((
         "experiment bbm-1d\neps 0.1 0.03 0.01\n",
